@@ -449,7 +449,7 @@ void BM_LosslessBackend(benchmark::State& state, LosslessBackend backend) {
 }
 
 /// Fused predict+quantize kernel substrate, one bench per (sample type,
-/// ISA tier): the interior encode kernel over a long smooth line with the
+/// kernel tier): the interior encode kernel over a long smooth line with the
 /// standard h=1/s=2 interpolation-pass geometry. Tiers are addressed
 /// directly through interp_kernels_for, so the sweep isolates pure kernel
 /// throughput — the per-tier speedups bench_compare.py summarizes come
@@ -579,7 +579,6 @@ int main(int argc, char** argv) {
   }
   for (const cliz::PredictorBackend backend :
        {cliz::PredictorBackend::kInterp, cliz::PredictorBackend::kLorenzo1,
-        cliz::PredictorBackend::kLorenzo2,
         cliz::PredictorBackend::kRegression}) {
     const std::string name = cliz::predictor_backend_name(backend);
     benchmark::RegisterBenchmark(
@@ -624,9 +623,11 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("substrate/lossless_blocks",
                                cliz::BM_LosslessBlocks)
       ->Unit(benchmark::kMillisecond);
-  for (std::size_t t = 0;
-       t <= static_cast<std::size_t>(cliz::detected_simd_tier()); ++t) {
-    const auto tier = static_cast<cliz::SimdTier>(t);
+  // Only tiers with their own kernels: the scalar reference and AVX2 (the
+  // SSE4.2 tier runs the scalar kernels, so a row for it would repeat one).
+  for (const cliz::SimdTier tier :
+       {cliz::SimdTier::kScalar, cliz::SimdTier::kAvx2}) {
+    if (tier > cliz::detected_simd_tier()) continue;
     const std::string tname = cliz::simd_tier_name(tier);
     benchmark::RegisterBenchmark(
         ("predict_quantize_kernel/f32/" + tname).c_str(),

@@ -17,8 +17,8 @@ namespace cliz {
 /// comparisons ("tier >= kSse42") are meaningful.
 enum class SimdTier : std::uint8_t {
   kScalar = 0,  ///< portable C++ (the reference implementation)
-  kSse42 = 1,   ///< SSE4.2: 2-wide f64 / 4-wide f32 lanes + hardware CRC32C
-  kAvx2 = 2,    ///< AVX2: 4-wide f64 lanes + vector gathers
+  kSse42 = 1,   ///< hardware CRC32C; predict/periodic kernels stay scalar
+  kAvx2 = 2,    ///< AVX2: 4-wide f64 lanes + vector gathers (+ CRC32C)
 };
 inline constexpr std::size_t kNumSimdTiers = 3;
 

@@ -322,7 +322,7 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   // predictor. Both run sequentially on pool[0] in a fixed order with a
   // strict comparison, so the choice is deterministic and ties keep the
   // defaults (= the golden byte-identical stream). Sampled trials keep the
-  // 3-axis grid additive (4 + 4) rather than the full 16-cell product.
+  // 3-axis grid additive (3 + 4) rather than the full 12-cell product.
   result.best_entropy = opts.codec.entropy;
   result.best_lossless = opts.codec.lossless;
   result.best_predictor = opts.codec.predictor;
@@ -339,7 +339,6 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
     constexpr PredictorBackend kPredictors[] = {
         PredictorBackend::kInterp,
         PredictorBackend::kLorenzo1,
-        PredictorBackend::kLorenzo2,
         PredictorBackend::kRegression,
     };
     double best_ratio = 0.0;

@@ -51,7 +51,7 @@ struct AutotuneOptions {
   /// winning pipeline (with the default entropy/lossless pair) and record
   /// the strict-best in best_predictor; the entropy/lossless grid then runs
   /// with that predictor. Sampled trials keep the 3-axis grid additive
-  /// (4 + 4 trials) rather than multiplicative (16). Ties keep the default
+  /// (3 + 4 trials) rather than multiplicative (12). Ties keep the default
   /// (interpolation = the golden byte-identical stream).
   bool consider_predictors = true;
   /// After the backend grids, trial the per-pass entropy framing container

@@ -364,19 +364,19 @@ void interp_predict_decode(T* out, const Shape& shape,
                       cursor, validity, ctx.interp, fetch);
 }
 
-// --- Lorenzo (ids 1, 2) ----------------------------------------------------
-// No side block: the stencil is derived from the shape and the order baked
-// into the wire id. The pipeline's permutation/fusion axes do not apply —
-// the raster scan is its own traversal.
+// --- Lorenzo (id 1) ---------------------------------------------------------
+// No side block: the first-order stencil is derived from the shape. The
+// pipeline's permutation/fusion axes do not apply — the raster scan is its
+// own traversal.
 
-template <typename T, unsigned Order>
+template <typename T>
 void lorenzo_predict_encode(T* work, const Shape& shape,
                             const PipelineConfig& /*config*/,
                             const LinearQuantizer<T>& quantizer,
                             const std::uint8_t* validity, CodecContext& ctx,
                             ByteWriter& /*out*/) {
-  lorenzo_encode(work, shape, Order, quantizer, validity, ctx.offsets,
-                 ctx.codes, ctx.outliers<T>(), ctx.lorenzo_terms, ctx.cancel);
+  lorenzo_encode(work, shape, quantizer, validity, ctx.offsets, ctx.codes,
+                 ctx.outliers<T>(), ctx.lorenzo_terms, ctx.cancel);
   // The decode side fetches the whole code stream in one batch.
   if (!ctx.codes.empty()) ctx.fetch_marks.push_back(ctx.codes.size());
 }
@@ -386,14 +386,14 @@ void lorenzo_predict_parse(ByteReader& /*in*/, const Shape& /*shape*/,
                            const std::uint8_t* /*validity*/,
                            CodecContext& /*ctx*/) {}
 
-template <typename T, unsigned Order>
+template <typename T>
 void lorenzo_predict_decode(T* out, const Shape& shape,
                             const PipelineConfig& /*config*/,
                             const LinearQuantizer<T>& quantizer,
                             std::span<const T> outliers, std::size_t& cursor,
                             const std::uint8_t* validity, CodecContext& ctx,
                             const PredictorFetch& fetch) {
-  lorenzo_decode(out, shape, Order, quantizer, outliers, cursor, validity,
+  lorenzo_decode(out, shape, quantizer, outliers, cursor, validity,
                  ctx.pred_offs, ctx.pred_codes, ctx.lorenzo_terms, fetch,
                  ctx.cancel);
 }
@@ -435,20 +435,15 @@ void regression_predict_decode(T* out, const Shape& shape,
                     cursor, validity, ctx.pred_offs, ctx.pred_codes, fetch);
 }
 
-// Dense by wire id: kPredictorOps[id] is the backend the predictor byte
-// names.
+// Keyed by PredictorBackendOps::id, the wire id the predictor byte names.
+// Not dense: retired id 2 has no entry, so streams naming it are refused.
 const PredictorBackendOps kPredictorOps[] = {
     {PredictorBackend::kInterp, "interp", &interp_predict_encode<float>,
      &interp_predict_encode<double>, interp_predict_parse,
      &interp_predict_decode<float>, &interp_predict_decode<double>},
-    {PredictorBackend::kLorenzo1, "lorenzo1",
-     &lorenzo_predict_encode<float, 1>, &lorenzo_predict_encode<double, 1>,
-     lorenzo_predict_parse, &lorenzo_predict_decode<float, 1>,
-     &lorenzo_predict_decode<double, 1>},
-    {PredictorBackend::kLorenzo2, "lorenzo2",
-     &lorenzo_predict_encode<float, 2>, &lorenzo_predict_encode<double, 2>,
-     lorenzo_predict_parse, &lorenzo_predict_decode<float, 2>,
-     &lorenzo_predict_decode<double, 2>},
+    {PredictorBackend::kLorenzo1, "lorenzo1", &lorenzo_predict_encode<float>,
+     &lorenzo_predict_encode<double>, lorenzo_predict_parse,
+     &lorenzo_predict_decode<float>, &lorenzo_predict_decode<double>},
     {PredictorBackend::kRegression, "regression",
      &regression_predict_encode<float>, &regression_predict_encode<double>,
      regression_predict_parse, &regression_predict_decode<float>,
@@ -568,8 +563,10 @@ void framed_entropy_parse(const EntropyBackendOps& ops, ByteReader& in,
 }
 
 const PredictorBackendOps* find_predictor_backend(std::uint8_t id) {
-  if (id >= std::size(kPredictorOps)) return nullptr;
-  return &kPredictorOps[id];
+  for (const PredictorBackendOps& ops : kPredictorOps) {
+    if (static_cast<std::uint8_t>(ops.id) == id) return &ops;
+  }
+  return nullptr;
 }
 
 const PredictorBackendOps& predictor_backend_ops(PredictorBackend backend) {

@@ -22,35 +22,6 @@ const char* codec_stage_name(CodecStage stage) {
   return "?";
 }
 
-void StageStats::accumulate(const StageStats& other) {
-  for (std::size_t i = 0; i < kNumCodecStages; ++i) {
-    stages[i].seconds += other.stages[i].seconds;
-    stages[i].input_bytes += other.stages[i].input_bytes;
-    stages[i].output_bytes += other.stages[i].output_bytes;
-  }
-  code_count += other.code_count;
-  outlier_count += other.outlier_count;
-  total_seconds += other.total_seconds;
-  verified = verified || other.verified;
-  verify_downgrades += other.verify_downgrades;
-  verify_seconds += other.verify_seconds;
-  threads_used = threads_used > other.threads_used ? threads_used
-                                                   : other.threads_used;
-  simd_tier = simd_tier > other.simd_tier ? simd_tier : other.simd_tier;
-  // Entropy does not sum; keep the outermost (residual) stream's value.
-  if (code_entropy_bits == 0.0) code_entropy_bits = other.code_entropy_bits;
-  // Backend ids describe the outermost stream and are not merged; a
-  // fallback anywhere in the recursion is still worth surfacing.
-  entropy_downgraded = entropy_downgraded || other.entropy_downgraded;
-  frame_passes = frame_passes || other.frame_passes;
-  frame_segments += other.frame_segments;
-  chunks_requested += other.chunks_requested;
-  chunks_effective += other.chunks_effective;
-  tile_cache_hits += other.tile_cache_hits;
-  tile_cache_misses += other.tile_cache_misses;
-  tile_cache_evictions += other.tile_cache_evictions;
-}
-
 namespace {
 
 const char* predictor_backend_label(std::uint8_t id) {
@@ -59,8 +30,6 @@ const char* predictor_backend_label(std::uint8_t id) {
       return "interp";
     case 1:
       return "lorenzo1";
-    case 2:
-      return "lorenzo2";
     case 3:
       return "regression";
   }

@@ -105,11 +105,6 @@ struct StageStats {
 
   void reset() { *this = StageStats{}; }
 
-  /// Sums another run's stats into this one (used to aggregate the
-  /// recursive periodic-template compression into the parent's view, and
-  /// by autotune reporting).
-  void accumulate(const StageStats& other);
-
   /// Multi-line human-readable table (clizc --stats).
   [[nodiscard]] std::string to_text() const;
 

@@ -9,11 +9,11 @@ namespace cliz {
 /// Predictor-stage backends. The enumerator value is the wire id stored in
 /// the high bits of the CliZ stream's predictor byte (see docs/FORMAT.md);
 /// ids are append-only so old readers fail cleanly on streams from newer
-/// writers.
+/// writers. Id 2 (the retired 2nd-order Lorenzo predictor) is refused on
+/// decode and never reassigned.
 enum class PredictorBackend : std::uint8_t {
   kInterp = 0,      ///< dynamic-fitting interpolation (default, golden-locked)
   kLorenzo1 = 1,    ///< 1st-order N-D Lorenzo (raster-scan corner stencil)
-  kLorenzo2 = 2,    ///< 2nd-order N-D Lorenzo (two-deep stencil per dim)
   kRegression = 3,  ///< per-block least-squares plane fit, coeffs in stream
 };
 
@@ -23,8 +23,6 @@ inline const char* predictor_backend_name(PredictorBackend backend) {
       return "interp";
     case PredictorBackend::kLorenzo1:
       return "lorenzo1";
-    case PredictorBackend::kLorenzo2:
-      return "lorenzo2";
     case PredictorBackend::kRegression:
       return "regression";
   }
@@ -35,7 +33,6 @@ inline std::optional<PredictorBackend> parse_predictor_backend(
     std::string_view name) {
   if (name == "interp") return PredictorBackend::kInterp;
   if (name == "lorenzo1") return PredictorBackend::kLorenzo1;
-  if (name == "lorenzo2") return PredictorBackend::kLorenzo2;
   if (name == "regression") return PredictorBackend::kRegression;
   return std::nullopt;
 }

@@ -1,12 +1,12 @@
 #pragma once
 
-// N-dimensional 1st/2nd-order Lorenzo predictor over the shared linear
-// quantizer: the SZ-family raster-scan stencil (Tao et al.), generalized
-// from the standalone first-order codec in src/sz3/lorenzo.cpp to any order
-// k via the (1 - S)^k expansion per dimension. Encode mutates the data to
-// the reconstruction (prediction parity with the decoder); masked points
-// are skipped entirely and masked/out-of-range stencil terms contribute
-// nothing, so fill-value garbage never leaks into a prediction.
+// N-dimensional 1st-order Lorenzo predictor over the shared linear
+// quantizer: the SZ-family raster-scan corner stencil (Tao et al.), the
+// standalone codec in src/sz3/lorenzo.cpp generalized to masks and to the
+// pipeline's stage backends. Encode mutates the data to the reconstruction
+// (prediction parity with the decoder); masked points are skipped entirely
+// and masked/out-of-range stencil terms contribute nothing, so fill-value
+// garbage never leaks into a prediction.
 
 #include <array>
 #include <cmath>
@@ -25,34 +25,28 @@ namespace cliz {
 /// One stencil term: the neighbour at x - back (per-dim backward offsets)
 /// contributes `weight * f(x - back)` to the prediction sum.
 struct LorenzoTerm {
-  std::array<std::uint8_t, kMaxAxes> back{};  ///< i_d per dim, each in [0, k]
+  std::array<std::uint8_t, kMaxAxes> back{};  ///< i_d per dim, each 0 or 1
   std::size_t delta = 0;                      ///< sum_d back[d] * stride_d
-  double weight = 0.0;                        ///< -prod_d a_{back[d]}
+  double weight = 0.0;                        ///< (-1)^(|back| + 1)
 };
 
-/// Builds the order-`order` Lorenzo stencil for `shape` into `terms`
-/// (cleared first). Per-dim coefficients a_j = (-1)^j C(order, j) come from
-/// expanding (1 - S)^order; the predictor is pred(x) = -sum_{i != 0} w(i)
-/// f(x - i) with w(i) = prod_d a_{i_d}, stored here with the sign folded in.
-/// Order 1 reduces to the classic inclusion-exclusion corner stencil.
-inline void lorenzo_stencil(const Shape& shape, unsigned order,
+/// Builds the first-order Lorenzo stencil for `shape` into `terms` (cleared
+/// first): the classic inclusion-exclusion corner stencil, pred(x) =
+/// sum_{i in {0,1}^nd, i != 0} (-1)^(|i| + 1) f(x - i), i.e. the expansion
+/// of (1 - S) per dimension with the target's own term removed.
+inline void lorenzo_stencil(const Shape& shape,
                             std::vector<LorenzoTerm>& terms) {
-  CLIZ_REQUIRE(order >= 1 && order <= 2, "unsupported Lorenzo order");
   const std::size_t nd = shape.ndims();
   CLIZ_REQUIRE(nd >= 1 && nd <= kMaxAxes, "unsupported dimensionality");
-  // a_j for j = 0..order: order 1 -> {1, -1}; order 2 -> {1, -2, 1}.
-  const std::array<double, 3> a =
-      order == 1 ? std::array<double, 3>{1.0, -1.0, 0.0}
-                 : std::array<double, 3>{1.0, -2.0, 1.0};
   terms.clear();
   std::array<std::uint8_t, kMaxAxes> i{};
   for (;;) {
-    // Advance the odometer over {0..order}^nd; the all-zero tuple (the
-    // target itself) is skipped below.
+    // Advance the odometer over {0,1}^nd; the all-zero tuple (the target
+    // itself) is skipped below.
     std::size_t d = nd;
     bool done = true;
     while (d-- > 0) {
-      if (++i[d] <= order) {
+      if (++i[d] <= 1) {
         done = false;
         break;
       }
@@ -64,7 +58,7 @@ inline void lorenzo_stencil(const Shape& shape, unsigned order,
     double w = 1.0;
     for (std::size_t j = 0; j < nd; ++j) {
       t.delta += static_cast<std::size_t>(i[j]) * shape.stride(j);
-      w *= a[i[j]];
+      if (i[j] != 0) w = -w;
     }
     t.weight = -w;
     terms.push_back(t);
@@ -76,7 +70,7 @@ namespace detail {
 /// Prediction at the point with coordinates `c` (linear offset `off`) from
 /// already-reconstructed values. A term is dropped when its neighbour lies
 /// outside the array or is masked; `interior` short-circuits the range
-/// checks for points at least `order` away from every low border.
+/// checks for points off every low border.
 template <typename T>
 T lorenzo_predict_at(const T* data, std::span<const LorenzoTerm> terms,
                      const std::size_t* c, std::size_t nd, std::size_t off,
@@ -109,8 +103,8 @@ T lorenzo_predict_at(const T* data, std::span<const LorenzoTerm> terms,
 /// Row-loop bookkeeping shared by the encode/decode scans: rows run along
 /// the innermost (stride-1) dimension, the outer-coordinate odometer
 /// advances once per ROW instead of once per point, and a row whose outer
-/// coordinates all clear the `order` border gets an analytic interior run
-/// [order, row_len) that the branch-free lorenzo_row_* kernels handle
+/// coordinates are all off the low border gets an analytic interior run
+/// [1, row_len) that the branch-free lorenzo_row_* kernels handle
 /// without any per-point range tests. Cooperative cancellation is polled at
 /// ~64Ki-point granularity (the raster scan previously had no poll at all,
 /// so a huge chunk could not be cancelled mid-predictor).
@@ -128,12 +122,11 @@ struct LorenzoRowScan {
         1, std::size_t{65536} / std::max<std::size_t>(1, row_len));
   }
 
-  /// True when every OUTER coordinate of the row is >= order, i.e. the row's
-  /// [order, row_len) span is interior.
-  [[nodiscard]] bool outer_interior(const std::size_t* c,
-                                    unsigned order) const {
+  /// True when every OUTER coordinate of the row is >= 1, i.e. the row's
+  /// [1, row_len) span is interior.
+  [[nodiscard]] bool outer_interior(const std::size_t* c) const {
     for (std::size_t d = 0; d + 1 < nd; ++d) {
-      if (c[d] < order) return false;
+      if (c[d] == 0) return false;
     }
     return true;
   }
@@ -167,7 +160,7 @@ inline void lorenzo_flat_terms(std::span<const LorenzoTerm> stencil,
 /// row kernel; border/masked points take the generic range-checked path.
 /// `cancel` (nullable) is polled about every 64Ki points.
 template <typename T>
-void lorenzo_encode(T* data, const Shape& shape, unsigned order,
+void lorenzo_encode(T* data, const Shape& shape,
                     const LinearQuantizer<T>& quantizer,
                     const std::uint8_t* validity,
                     std::vector<std::uint64_t>& offsets,
@@ -175,7 +168,7 @@ void lorenzo_encode(T* data, const Shape& shape, unsigned order,
                     std::vector<T>& outliers,
                     std::vector<LorenzoTerm>& stencil,
                     const CancelToken* cancel = nullptr) {
-  lorenzo_stencil(shape, order, stencil);
+  lorenzo_stencil(shape, stencil);
   std::vector<LorenzoFlatTerm> flat;
   detail::lorenzo_flat_terms(stencil, flat);
   const detail::LorenzoRowScan scan(shape);
@@ -184,18 +177,16 @@ void lorenzo_encode(T* data, const Shape& shape, unsigned order,
   for (std::size_t row = 0; row < scan.n_rows; ++row) {
     if (cancel != nullptr && row % scan.poll_rows == 0) cancel->check();
     const std::size_t base = row * scan.row_len;
-    const bool outer_ok = scan.outer_interior(c.data(), order);
+    const bool outer_ok = scan.outer_interior(c.data());
     const std::size_t run_lo =
-        outer_ok && validity == nullptr
-            ? std::min<std::size_t>(order, scan.row_len)
-            : scan.row_len;
+        outer_ok && validity == nullptr ? 1 : scan.row_len;
     for (std::size_t j = 0; j < run_lo; ++j) {
       const std::size_t off = base + j;
       if (validity != nullptr && validity[off] == 0) {
         continue;
       }
       c[nd - 1] = j;
-      const bool interior = outer_ok && j >= order;
+      const bool interior = outer_ok && j >= 1;
       const T pred = detail::lorenzo_predict_at(data, stencil, c.data(), nd,
                                                 off, interior, validity);
       offsets.push_back(off);
@@ -215,7 +206,7 @@ void lorenzo_encode(T* data, const Shape& shape, unsigned order,
 /// before the inherently serial reconstruction scan. Row structure and
 /// cancellation cadence mirror lorenzo_encode exactly.
 template <typename T, typename Fetch>
-void lorenzo_decode(T* out, const Shape& shape, unsigned order,
+void lorenzo_decode(T* out, const Shape& shape,
                     const LinearQuantizer<T>& quantizer,
                     std::span<const T> outliers, std::size_t& cursor,
                     const std::uint8_t* validity,
@@ -223,7 +214,7 @@ void lorenzo_decode(T* out, const Shape& shape, unsigned order,
                     std::vector<std::uint32_t>& code_scratch,
                     std::vector<LorenzoTerm>& stencil, const Fetch& fetch,
                     const CancelToken* cancel = nullptr) {
-  lorenzo_stencil(shape, order, stencil);
+  lorenzo_stencil(shape, stencil);
   std::vector<LorenzoFlatTerm> flat;
   detail::lorenzo_flat_terms(stencil, flat);
   off_scratch.clear();
@@ -241,18 +232,16 @@ void lorenzo_decode(T* out, const Shape& shape, unsigned order,
   for (std::size_t row = 0; row < scan.n_rows; ++row) {
     if (cancel != nullptr && row % scan.poll_rows == 0) cancel->check();
     const std::size_t base = row * scan.row_len;
-    const bool outer_ok = scan.outer_interior(c.data(), order);
+    const bool outer_ok = scan.outer_interior(c.data());
     const std::size_t run_lo =
-        outer_ok && validity == nullptr
-            ? std::min<std::size_t>(order, scan.row_len)
-            : scan.row_len;
+        outer_ok && validity == nullptr ? 1 : scan.row_len;
     for (std::size_t j = 0; j < run_lo; ++j) {
       const std::size_t off = base + j;
       if (validity != nullptr && validity[off] == 0) {
         continue;
       }
       c[nd - 1] = j;
-      const bool interior = outer_ok && j >= order;
+      const bool interior = outer_ok && j >= 1;
       const T pred = detail::lorenzo_predict_at(out, stencil, c.data(), nd,
                                                 off, interior, validity);
       out[off] = quantizer.recover(code_scratch[k++], pred, outliers, cursor);

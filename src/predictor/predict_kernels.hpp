@@ -1,7 +1,9 @@
 #pragma once
 
 // Flat gather/scatter kernels for the predict/quantize hot path, dispatched
-// at runtime over the cpu_features ISA tiers (scalar / SSE4.2 / AVX2).
+// at runtime over the cpu_features ISA tiers. Every family is a scalar
+// reference plus an AVX2 variant: the scalar and SSE4.2 tiers (and every
+// tier off x86) run the scalar reference, the AVX2 tier runs AVX2 kernels.
 //
 // The line-parallel interpolation engine restructures each pass's work into
 // two branch-free shapes before any arithmetic runs:
@@ -16,10 +18,10 @@
 //    CodecContext scratch and reused across chunks) — the kernel then runs
 //    with no mask tests and no coordinate arithmetic, just gathers.
 //
-// Every kernel reproduces the scalar reference bit for bit at every tier:
+// The AVX2 kernels reproduce the scalar reference bit for bit:
 //  - all arithmetic is double, in the scalar accumulation order, with no
-//    FMA contraction (the target attributes deliberately omit "fma");
-//  - llround's half-away-from-zero is emulated exactly on top of the SSE4.1
+//    FMA contraction (the target attribute deliberately omits "fma");
+//  - llround's half-away-from-zero is emulated exactly on top of the AVX
 //    round-to-nearest-even instruction (the half-integer correction is
 //    computable exactly because |scaled| < radius <= 2^30);
 //  - zero-coefficient terms are skipped per lane via blends, matching the
@@ -99,7 +101,7 @@ struct InterpKernelTable {
                       std::size_t& cursor);
 };
 
-/// Kernel table for an explicit tier (clamped to the detected one). The
+/// Kernel table for an explicit tier (at most the detected one). The
 /// equivalence tests and the tier-sweep bench use this to pin tiers; the
 /// codec itself goes through interp_kernels() below.
 template <typename T>

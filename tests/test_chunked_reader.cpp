@@ -241,7 +241,7 @@ TEST(ChunkedReaderProperty, AllBackendCombinationsServeRegions) {
   const auto data = smooth_array_t<float>(dims, 55);
   for (const auto predictor :
        {PredictorBackend::kInterp, PredictorBackend::kLorenzo1,
-        PredictorBackend::kLorenzo2, PredictorBackend::kRegression}) {
+        PredictorBackend::kRegression}) {
     for (const auto entropy :
          {EntropyBackend::kHuffman, EntropyBackend::kTans}) {
       for (const auto lossless :

@@ -396,6 +396,10 @@ TEST_F(CliTest, BadInvocationsFailCleanly) {
   // Wrong dims for the file size must be rejected.
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   EXPECT_NE(run("compress " + path("h.f32") + " -d 3,3 -o " + path("x")), 0);
+  // The retired 2nd-order Lorenzo predictor is no longer a backend name.
+  EXPECT_EQ(run_exit("compress " + path("h.f32") + " -d 24,48,48 -o " +
+                     path("x") + " -r 1e-3 --predictor lorenzo2"),
+            2);
 }
 
 }  // namespace

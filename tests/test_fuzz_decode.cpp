@@ -200,10 +200,11 @@ TEST(FuzzClizHeader, RejectsUnknownPredictorBackendId) {
   ASSERT_EQ(interp_raw[pos], 0u);   // (interp id << 1) | no mask
   ASSERT_EQ(lorenzo_raw[pos], 2u);  // (lorenzo1 id << 1) | no mask
 
-  // Hostile ids 4.. shifted into wire position, with and without the mask
-  // bit set (the mask bit must not rescue an unknown id).
+  // The retired id 2 and hostile ids 4.. shifted into wire position, with
+  // and without the mask bit set (the mask bit must not rescue an unknown
+  // id).
   std::vector<std::uint8_t> hostile;
-  for (const std::uint8_t id : {4, 5, 7, 63, 127}) {
+  for (const std::uint8_t id : {2, 4, 5, 7, 63, 127}) {
     hostile.push_back(static_cast<std::uint8_t>(id << 1));
     hostile.push_back(static_cast<std::uint8_t>((id << 1) | 1));
   }

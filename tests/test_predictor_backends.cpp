@@ -116,7 +116,6 @@ PipelineConfig periodic_config() {
 const PredictorBackend kAllPredictors[] = {
     PredictorBackend::kInterp,
     PredictorBackend::kLorenzo1,
-    PredictorBackend::kLorenzo2,
     PredictorBackend::kRegression,
 };
 
@@ -303,6 +302,7 @@ TEST(PredictorBackends, RegistryCoversExactlyTheWireIds) {
     EXPECT_EQ(ops->id, predictor);
     EXPECT_STREQ(ops->name, predictor_backend_name(predictor));
   }
+  EXPECT_EQ(find_predictor_backend(2), nullptr);  // retired 2nd-order Lorenzo
   EXPECT_EQ(find_predictor_backend(4), nullptr);
   EXPECT_EQ(find_predictor_backend(0x7F), nullptr);
   EXPECT_EQ(find_predictor_backend(0xFF), nullptr);
@@ -337,8 +337,7 @@ TEST(PredictorBackends, StreamsAreThreadCountInvariant) {
   ThreadCountGuard guard;
   const int max_threads = std::max(4, guard.saved);
   for (const PredictorBackend predictor :
-       {PredictorBackend::kLorenzo1, PredictorBackend::kLorenzo2,
-        PredictorBackend::kRegression}) {
+       {PredictorBackend::kLorenzo1, PredictorBackend::kRegression}) {
     SCOPED_TRACE(std::string("predictor=") +
                  predictor_backend_name(predictor));
     const ClizOptions opts = options_for(predictor);
@@ -378,12 +377,12 @@ TEST(PredictorBackends, AutotuneThreeAxisGridIsDeterministic) {
   opts.sampling_rate = 0.2;
   const auto first = autotune(data, kEb, nullptr, opts);
   const auto second = autotune(data, kEb, nullptr, opts);
-  ASSERT_EQ(first.predictor_candidates.size(), 4u);
+  ASSERT_EQ(first.predictor_candidates.size(), std::size(kAllPredictors));
   ASSERT_EQ(first.backend_candidates.size(), 4u);
   EXPECT_EQ(first.best_predictor, second.best_predictor);
   EXPECT_EQ(first.best_entropy, second.best_entropy);
   EXPECT_EQ(first.best_lossless, second.best_lossless);
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < std::size(kAllPredictors); ++i) {
     EXPECT_EQ(first.predictor_candidates[i].predictor,
               kAllPredictors[i]);  // trial order is wire-id order
     EXPECT_EQ(first.predictor_candidates[i].estimated_ratio,

@@ -140,7 +140,6 @@ TEST_P(FramedDifferentialFuzz, FramedDecodeMatchesSerialBitExactly) {
   constexpr PredictorBackend kPredictors[] = {
       PredictorBackend::kInterp,
       PredictorBackend::kLorenzo1,
-      PredictorBackend::kLorenzo2,
       PredictorBackend::kRegression,
   };
   constexpr EntropyBackend kEntropies[] = {EntropyBackend::kHuffman,

@@ -255,8 +255,8 @@ TEST(SimdKernelsLorenzo, EncodeAndDecodeHonourCancellation) {
   std::vector<float> outliers;
   std::vector<LorenzoTerm> stencil;
   try {
-    lorenzo_encode(data.data(), shape, 1u, q, nullptr, offsets, codes,
-                   outliers, stencil, &cancel);
+    lorenzo_encode(data.data(), shape, q, nullptr, offsets, codes, outliers,
+                   stencil, &cancel);
     FAIL() << "cancelled lorenzo_encode did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCancelled);
@@ -270,9 +270,9 @@ TEST(SimdKernelsLorenzo, EncodeAndDecodeHonourCancellation) {
     for (std::size_t i = 0; i < n; ++i) out[i] = 1u << 15;
   };
   try {
-    lorenzo_decode(data.data(), shape, 1u, q,
-                   std::span<const float>{}, cursor, nullptr, off_scratch,
-                   code_scratch, stencil, fetch, &cancel);
+    lorenzo_decode(data.data(), shape, q, std::span<const float>{}, cursor,
+                   nullptr, off_scratch, code_scratch, stencil, fetch,
+                   &cancel);
     FAIL() << "cancelled lorenzo_decode did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCancelled);

@@ -59,7 +59,7 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
                                  size, 0 = full extent — so windows decode
                                  via `extract --region` without touching
                                  the rest of the stream)
-                   [--predictor interp|lorenzo1|lorenzo2|regression]
+                   [--predictor interp|lorenzo1|regression]
                    [--entropy huffman|tans] [--lossless lz|store]
                    (cliz only: force a stage backend; without these flags
                     the tuner picks the best backends per stream)
@@ -102,8 +102,10 @@ verify are recovered even when the trailer or index is damaged, and the
 salvage report is printed to stderr.
 --threads N (any command) caps the worker threads used by the parallel
 codec paths; streams are byte-identical for every setting.
-CLIZ_SIMD=scalar|sse42|avx2 (environment) caps the SIMD tier of the
-predict/quantize kernels; streams are byte-identical at every tier.
+CLIZ_SIMD=scalar|sse42|avx2 (environment) caps the SIMD tier: avx2 runs
+the AVX2 predict/quantize kernels, sse42 keeps hardware CRC32C with scalar
+kernels, scalar runs portable code only; streams are byte-identical at
+every tier.
 --max-output-bytes N (any command) rejects streams whose headers declare a
 decoded size above N bytes (exit 4) before anything is allocated.
 --deadline-ms N (any command) aborts decode/tune work cooperatively after
@@ -346,7 +348,7 @@ int cmd_compress(Args& args) {
                                                  : opt.substr(12);
       predictor = parse_predictor_backend(v);
       if (!predictor.has_value()) {
-        usage("--predictor expects interp, lorenzo1, lorenzo2 or regression");
+        usage("--predictor expects interp, lorenzo1 or regression");
       }
     } else if (opt == "--entropy" || opt.rfind("--entropy=", 0) == 0) {
       const std::string v =
