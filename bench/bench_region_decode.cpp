@@ -1,18 +1,23 @@
 // Random-access decode microbenchmarks (google-benchmark): wall-clock and
 // compressed-bytes-touched of window reads through ChunkedReader against a
-// full-frame decode of the same tile-indexed stream. Backs the PR claim
-// that a ~1% window costs <10% of the full decode on both axes, and that a
-// warm TileCache serves repeated windows with zero tile re-decodes.
+// full-frame decode of the same tile-indexed stream. Backs the claim that
+// a ~1% window costs <10% of the full decode on both axes, and that a warm
+// TileCache serves repeated windows with zero tile re-decodes. The
+// archive_read_region rows time the same window through an open
+// ArchiveReader on a CLZA file, the path an archive user calls.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdio>
 #include <optional>
+#include <string>
 
 #include "bench/bench_util.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/chunked.hpp"
 #include "src/core/chunked_reader.hpp"
 #include "src/core/tile_cache.hpp"
+#include "src/io/archive.hpp"
 
 namespace cliz {
 namespace {
@@ -145,6 +150,52 @@ void BM_RegionWindowUnaligned(benchmark::State& state) {
   report_region(state, rs, out.size() * sizeof(float));
 }
 
+/// The fixture's field as a tiled variable of a CLZA archive written next
+/// to the binary, with one reader kept open across iterations.
+struct ArchiveRegionContext {
+  std::string path = std::string(CLIZ_BENCH_DIR) + "/bench_region_decode.clza";
+  std::optional<ArchiveReader> reader;
+
+  ArchiveRegionContext() {
+    {
+      ArchiveWriter w(path);
+      w.set_tile({8, 32, 32});
+      w.add_variable("FIELD", ctx().data, 1e-3, PipelineConfig::defaults(3));
+      w.finish();
+    }
+    reader.emplace(path);
+  }
+  ~ArchiveRegionContext() {
+    reader.reset();
+    std::remove(path.c_str());
+  }
+};
+
+ArchiveRegionContext& archive_ctx() {
+  static ArchiveRegionContext c;
+  return c;
+}
+
+/// The window_cold/window_warm window through ArchiveReader::read_region:
+/// no cache (its 4 tiles are fetched and decoded every call) or a warm
+/// TileCache (served without decoding). The untimed first call opens the
+/// variable's tile index, so the loop measures the per-call cost.
+void BM_ArchiveReadRegion(benchmark::State& state, bool warm) {
+  auto& c = archive_ctx();
+  const DimVec origin{24, 96, 128};
+  const DimVec extent{8, 64, 64};
+  TileCache cache;
+  TileCache* const cache_ptr = warm ? &cache : nullptr;
+  RegionStats rs;
+  (void)c.reader->read_region("FIELD", origin, extent, cache_ptr, &rs);
+  for (auto _ : state) {
+    const auto win =
+        c.reader->read_region("FIELD", origin, extent, cache_ptr, &rs);
+    benchmark::DoNotOptimize(win.data());
+  }
+  report_region(state, rs, Shape(extent).size() * sizeof(float));
+}
+
 }  // namespace
 }  // namespace cliz
 
@@ -160,6 +211,14 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("region_decode/window_unaligned",
                                cliz::BM_RegionWindowUnaligned)
       ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("archive_read_region/cold",
+                               cliz::BM_ArchiveReadRegion, false)
+      ->Unit(benchmark::kMillisecond)
+      ->UseRealTime();
+  benchmark::RegisterBenchmark("archive_read_region/warm",
+                               cliz::BM_ArchiveReadRegion, true)
+      ->Unit(benchmark::kMillisecond)
+      ->UseRealTime();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

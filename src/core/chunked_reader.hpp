@@ -100,9 +100,12 @@ class ChunkedReader {
   /// (for v3 that is a few dozen bytes per tile; a caller that guesses too
   /// short sees kCorruptStream "stream truncated" and retries with a longer
   /// prefix), `frame_bytes` the full frame size, and `fetch` serves payload
-  /// byte ranges on demand. `header` must outlive the reader; legacy v1
-  /// frames interleave payload with the index and therefore need the whole
-  /// frame in `header`.
+  /// byte ranges on demand. `header` is read only during construction (the
+  /// parsed tile records are kept; every payload, the probe in
+  /// sample_bytes() included, comes through `fetch`), so the caller may
+  /// free it as soon as the constructor returns. `fetch` is kept and must
+  /// stay callable for the reader's lifetime. Legacy v1 frames interleave
+  /// payload with the index and therefore need the whole frame in `header`.
   ChunkedReader(std::span<const std::uint8_t> header, std::uint64_t frame_bytes,
                 Fetch fetch, const ResourceLimits& limits = {},
                 const CancelToken* cancel = nullptr);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
-#include <optional>
 #include <sstream>
 #include <type_traits>
 
@@ -550,6 +548,69 @@ NdArray<float> ArchiveReader::read(const std::string& name) const {
   return data;
 }
 
+const ArchiveReader::RegionView& ArchiveReader::region_view(
+    std::size_t i) const {
+  if (views_.empty()) views_.resize(variables_.size());
+  if (views_[i]) return *views_[i];
+  const VariableInfo& v = variables_[i];
+  const std::uint64_t base = offsets_[i];
+  const std::uint64_t frame_bytes = v.compressed_bytes;
+
+  // Serves byte ranges of this record to the parallel tile-decode workers
+  // for as long as the view lives; the shared ifstream makes seek+read one
+  // critical section.
+  const auto fetch = [this, base, name = v.name](std::uint64_t off,
+                                                 std::uint64_t n,
+                                                 std::uint8_t* dst) {
+    const std::lock_guard<std::mutex> lock(io_mu_);
+    in_.clear();
+    in_.seekg(static_cast<std::streamoff>(base + off));
+    in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
+    CLIZ_REQUIRE_CODE(in_.good(), kIo,
+                      "archive region read failed for '" + name + "'");
+  };
+
+  // Sniff the stream kind from the magic alone; single-stream variables
+  // have no tile index and fall back to full decode + crop.
+  std::vector<std::uint8_t> header(
+      static_cast<std::size_t>(std::min<std::uint64_t>(frame_bytes, 4)));
+  if (!header.empty()) fetch(0, header.size(), header.data());
+  RegionView view;
+  if (is_chunked_stream(header)) {
+    // Chunked frame: parse the index from a bounded header prefix, growing
+    // it only when the parser reports truncation (kCorruptStream) — never
+    // past the record itself, so genuinely corrupt indexes still surface.
+    // Legacy v1 frames interleave payload with the index and converge on
+    // the whole record; v2/v3 settle within a few KiB per thousand tiles.
+    // The file-backed reader reads `header` only while constructing, so the
+    // prefix is dropped once the index has validated.
+    std::size_t prefix = static_cast<std::size_t>(
+        std::min<std::uint64_t>(frame_bytes, std::uint64_t{64} << 10));
+    for (;;) {
+      header.resize(prefix);
+      fetch(0, prefix, header.data());
+      try {
+        view.reader = std::make_unique<ChunkedReader>(
+            std::span<const std::uint8_t>(header), frame_bytes, fetch, limits_,
+            cancel_);
+        break;
+      } catch (const Error& e) {
+        if (e.code() != ErrorCode::kCorruptStream || prefix >= frame_bytes) {
+          throw;
+        }
+        prefix = static_cast<std::size_t>(
+            std::min<std::uint64_t>(frame_bytes, std::uint64_t{prefix} * 4));
+      }
+    }
+    CLIZ_REQUIRE(view.reader->shape().dims() == v.dims,
+                 "chunked frame shape disagrees with archive index");
+    // Per-variable cache namespace: repeated windows over the same archive
+    // variable hit, same-named tiles of other files or variables cannot.
+    view.cache_var = TileCache::variable_id(path_ + "#" + v.name);
+  }
+  return views_[i].emplace(std::move(view));
+}
+
 template <typename T>
 NdArray<T> ArchiveReader::read_region_impl(
     const std::string& name, std::span<const std::size_t> origin,
@@ -573,29 +634,9 @@ NdArray<T> ArchiveReader::read_region_impl(
       "declared record size exceeds ResourceLimits::max_record_bytes for '" +
           name + "'");
 
+  const RegionView& view = region_view(i);
   NdArray<T> out{Shape(DimVec(extent.begin(), extent.end()))};
-  const std::uint64_t base = offsets_[i];
-  const std::uint64_t frame_bytes = v.compressed_bytes;
-
-  // Serves byte ranges of this record to the reader's parallel tile-decode
-  // workers; the shared ifstream makes seek+read one critical section.
-  std::mutex io_mu;
-  const auto fetch = [&, base](std::uint64_t off, std::uint64_t n,
-                               std::uint8_t* dst) {
-    const std::lock_guard<std::mutex> lock(io_mu);
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(base + off));
-    in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
-    CLIZ_REQUIRE_CODE(in_.good(), kIo,
-                      "archive region read failed for '" + name + "'");
-  };
-
-  // Sniff the stream kind from the magic alone; single-stream variables
-  // have no tile index and fall back to full decode + crop.
-  std::vector<std::uint8_t> header(
-      static_cast<std::size_t>(std::min<std::uint64_t>(frame_bytes, 4)));
-  if (!header.empty()) fetch(0, header.size(), header.data());
-  if (!is_chunked_stream(header)) {
+  if (view.reader == nullptr) {
     NdArray<T> full;
     if constexpr (std::is_same_v<T, float>) {
       full = read(name);
@@ -614,46 +655,17 @@ NdArray<T> ArchiveReader::read_region_impl(
       stats->tiles_total = 1;
       stats->tiles_intersecting = 1;
       stats->tiles_decoded = 1;
-      stats->compressed_bytes_touched = frame_bytes;
-      stats->frame_compressed_bytes = frame_bytes;
+      stats->compressed_bytes_touched = v.compressed_bytes;
+      stats->frame_compressed_bytes = v.compressed_bytes;
     }
     return out;
   }
 
-  // Chunked frame: parse the index from a bounded header prefix, growing it
-  // only when the parser reports truncation (kCorruptStream) — never past
-  // the record itself, so genuinely corrupt indexes still surface. Legacy
-  // v1 frames interleave payload with the index and converge on the whole
-  // record; v2/v3 settle within a few KiB per thousand tiles.
-  std::size_t prefix = static_cast<std::size_t>(
-      std::min<std::uint64_t>(frame_bytes, std::uint64_t{64} << 10));
-  std::optional<ChunkedReader> reader;
-  for (;;) {
-    header.resize(prefix);
-    fetch(0, prefix, header.data());
-    try {
-      reader.emplace(std::span<const std::uint8_t>(header), frame_bytes, fetch,
-                     limits_, cancel_);
-      break;
-    } catch (const Error& e) {
-      if (e.code() != ErrorCode::kCorruptStream || prefix >= frame_bytes) {
-        throw;
-      }
-      prefix = static_cast<std::size_t>(
-          std::min<std::uint64_t>(frame_bytes, std::uint64_t{prefix} * 4));
-    }
-  }
-  CLIZ_REQUIRE(reader->shape().dims() == v.dims,
-               "chunked frame shape disagrees with archive index");
-
-  ChunkedScratch scratch;
   RegionOptions ropts;
   ropts.cache = cache;
-  // Per-variable cache namespace: repeated windows over the same archive
-  // variable hit, same-named tiles of other files or variables cannot.
-  ropts.cache_var = TileCache::variable_id(path_ + "#" + name);
-  ropts.scratch = &scratch;
-  const RegionStats rs = reader->decompress_region(
+  ropts.cache_var = view.cache_var;
+  ropts.scratch = &region_scratch_;
+  const RegionStats rs = view.reader->decompress_region(
       origin, extent, std::span<T>(out.data(), out.size()), ropts);
   if (stats != nullptr) *stats = rs;
   return out;

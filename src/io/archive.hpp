@@ -22,6 +22,9 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -208,15 +211,19 @@ class ArchiveReader {
 
   /// Decompresses one N-D window `[origin, origin+extent)` of a float32
   /// variable without decoding the rest of it. For chunked variables the
-  /// reader parses only the frame's tile index (a bounded header prefix)
-  /// and then seeks straight to the intersecting tile payloads — compressed
-  /// bytes touched scale with the window, not the variable. Non-chunked
+  /// first call parses and validates the frame's tile index (from a
+  /// bounded header prefix) and keeps it; every call then seeks straight to
+  /// the intersecting tile payloads — compressed bytes touched scale with
+  /// the window, not the variable. Per variable the reader keeps only the
+  /// parsed tile records and the cache namespace, never the header bytes,
+  /// and one decode scratch serves all variables; an index that fails
+  /// validation is never kept, so it is refused on every call. Non-chunked
   /// variables fall back to a full decode followed by a crop. `cache`, when
   /// given, serves repeated windows from decoded tiles (keyed per archive
   /// path + variable); `stats` reports tiles touched and compressed bytes
   /// read. Not safe to call concurrently with other reads on the same
-  /// reader (they share the file stream), but region decode itself is
-  /// tile-parallel internally.
+  /// reader (they share the file stream and the kept views), but region
+  /// decode itself is tile-parallel internally.
   [[nodiscard]] NdArray<float> read_region(
       const std::string& name, std::span<const std::size_t> origin,
       std::span<const std::size_t> extent, TileCache* cache = nullptr,
@@ -239,6 +246,14 @@ class ArchiveReader {
   void scan_records();
   void verify_payloads();
   [[nodiscard]] std::size_t index_of(const std::string& name) const;
+
+  /// Region-read state of one variable, built by its first read_region
+  /// call. `reader` is null when the variable is not a chunked frame.
+  struct RegionView {
+    std::unique_ptr<ChunkedReader> reader;
+    std::uint64_t cache_var = 0;  ///< TileCache namespace (path + name)
+  };
+  [[nodiscard]] const RegionView& region_view(std::size_t i) const;
   template <typename T>
   [[nodiscard]] NdArray<T> read_region_impl(const std::string& name,
                                             std::span<const std::size_t> origin,
@@ -254,6 +269,11 @@ class ArchiveReader {
   std::vector<std::uint64_t> offsets_;
   std::vector<std::uint32_t> payload_crcs_;  ///< empty for v1 archives
   SalvageReport report_;
+  /// Region views by variable position; filled only once an index has
+  /// validated.
+  mutable std::vector<std::optional<RegionView>> views_;
+  mutable ChunkedScratch region_scratch_;  ///< warm across read_region calls
+  mutable std::mutex io_mu_;  ///< serialises tile fetches on in_
 };
 
 }  // namespace cliz

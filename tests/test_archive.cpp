@@ -8,6 +8,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <thread>
+#include <utility>
 
 #include "src/climate/datasets.hpp"
 #include "src/common/bytestream.hpp"
@@ -35,9 +38,10 @@ class TempFile {
   std::string path_;
 };
 
-NdArray<float> smooth_array(const DimVec& dims, std::uint64_t seed) {
+template <typename T = float>
+NdArray<T> smooth_array(const DimVec& dims, std::uint64_t seed) {
   const Shape shape(dims);
-  NdArray<float> a(shape);
+  NdArray<T> a(shape);
   Rng rng(seed);
   for (std::size_t i = 0; i < a.size(); ++i) {
     const auto c = shape.coords(i);
@@ -45,7 +49,7 @@ NdArray<float> smooth_array(const DimVec& dims, std::uint64_t seed) {
     for (std::size_t d = 0; d < c.size(); ++d) {
       v += std::sin(0.1 * static_cast<double>(c[d]));
     }
-    a[i] = static_cast<float>(v + 0.01 * rng.normal());
+    a[i] = static_cast<T>(v + 0.01 * rng.normal());
   }
   return a;
 }
@@ -496,26 +500,67 @@ void expect_window_equal(const NdArray<T>& full, const DimVec& lo,
   }
 }
 
+/// Writes one variable of every region-read kind: "TEMP" (float32, CLK3
+/// tiles), "Z" (float64, CLK3 tiles), "S" (single CliZ stream) and "SLAB"
+/// (dim-0 slab frame).
+void write_mixed_region_archive(const std::string& path) {
+  ArchiveWriter w(path);
+  w.set_tile({8, 10, 8});  // binds the rank-3 variables only
+  w.add_variable("TEMP", smooth_array({24, 20, 16}, 60), 1e-3,
+                 PipelineConfig::defaults(3));
+  w.add_variable("Z", smooth_array<double>({16, 12, 10}, 69), 1e-3,
+                 PipelineConfig::defaults(3));
+  w.add_variable("S", smooth_array({10, 8}, 70), 1e-3,
+                 PipelineConfig::defaults(2));
+  w.set_chunk_threshold(1);
+  w.add_variable("SLAB", smooth_array({40, 12}, 71), 1e-3,
+                 PipelineConfig::defaults(2));
+  w.finish();
+}
+
 TEST(ArchiveRegion, TiledVariableWindowMatchesFullRead) {
   TempFile file("region_tiled");
-  const auto data = smooth_array({24, 20, 16}, 60);
-  {
-    ArchiveWriter w(file.path());
-    w.set_tile({8, 10, 8});
-    w.add_variable("TEMP", data, 1e-3, PipelineConfig::defaults(3));
-    w.finish();
-  }
+  write_mixed_region_archive(file.path());
   ArchiveReader r(file.path());
-  const DimVec lo{9, 2, 1};
-  const DimVec ext{8, 11, 9};
-  RegionStats rs;
-  const auto win = r.read_region("TEMP", lo, ext, nullptr, &rs);
-  expect_window_equal(r.read("TEMP"), lo, ext, win);
-  // The window must cost a strict subset of the frame, and the reader
-  // must have decoded only intersecting tiles.
-  EXPECT_GT(rs.tiles_total, rs.tiles_intersecting);
-  EXPECT_EQ(rs.tiles_decoded, rs.tiles_intersecting);
-  EXPECT_LT(rs.compressed_bytes_touched, rs.frame_compressed_bytes);
+  {
+    const DimVec lo{9, 2, 1};
+    const DimVec ext{8, 11, 9};
+    RegionStats rs;
+    const auto win = r.read_region("TEMP", lo, ext, nullptr, &rs);
+    expect_window_equal(r.read("TEMP"), lo, ext, win);
+    // The window must cost a strict subset of the frame, and the reader
+    // must have decoded only intersecting tiles.
+    EXPECT_GT(rs.tiles_total, rs.tiles_intersecting);
+    EXPECT_EQ(rs.tiles_decoded, rs.tiles_intersecting);
+    EXPECT_LT(rs.compressed_bytes_touched, rs.frame_compressed_bytes);
+  }
+
+  // Interleaved windows over every variable kind on the same reader, mixed
+  // with full reads, must all match a fresh reader's full decode.
+  ArchiveReader fresh(file.path());
+  const auto temp = fresh.read("TEMP");
+  const auto z = fresh.read_f64("Z");
+  const auto small = fresh.read("S");
+  const auto slab = fresh.read("SLAB");
+  for (int round = 0; round < 2; ++round) {
+    const std::size_t k = static_cast<std::size_t>(round);
+    expect_window_equal(temp, {k, 3, 2}, {20, 9, 7},
+                        r.read_region("TEMP", DimVec{k, 3, 2},
+                                      DimVec{20, 9, 7}));
+    expect_window_equal(z, {2, k, 5}, {6, 11, 5},
+                        r.read_region_f64("Z", DimVec{2, k, 5},
+                                          DimVec{6, 11, 5}));
+    expect_window_equal(slab, {7 + k, 1}, {25, 10},
+                        r.read_region("SLAB", DimVec{7 + k, 1},
+                                      DimVec{25, 10}));
+    expect_window_equal(small, {1, k}, {6, 7},
+                        r.read_region("S", DimVec{1, k}, DimVec{6, 7}));
+    expect_window_equal(slab, {0, 0}, {40, 12}, r.read("SLAB"));
+    expect_window_equal(z, {0, 0, 0}, {16, 12, 10}, r.read_f64("Z"));
+    expect_window_equal(temp, {16, 19, 15}, {8, 1, 1},
+                        r.read_region("TEMP", DimVec{16, 19, 15},
+                                      DimVec{8, 1, 1}));
+  }
 }
 
 TEST(ArchiveRegion, WarmTileCacheServesWindowWithZeroDecodes) {
@@ -666,6 +711,168 @@ TEST(ArchiveRegion, BadRegionsAndCodecsAreRejected) {
   EXPECT_EQ(code_of("blob", {0, 0}, {2, 2}),
             static_cast<int>(ErrorCode::kBadArgument));
   EXPECT_NE(code_of("nope", {0, 0}, {1, 1}), -1);
+}
+
+/// The refusal of one read_region call, as (code, message).
+std::pair<ErrorCode, std::string> region_refusal(const ArchiveReader& r,
+                                                 const std::string& name,
+                                                 const DimVec& lo,
+                                                 const DimVec& ext) {
+  try {
+    (void)r.read_region(name, lo, ext);
+  } catch (const Error& e) {
+    return {e.code(), e.what()};
+  }
+  ADD_FAILURE() << "read_region of '" << name << "' was accepted";
+  return {ErrorCode::kBadArgument, ""};
+}
+
+TEST(ArchiveRegion, GovernorAndCancelApplyToKeptView) {
+  TempFile file("region_governed");
+  write_mixed_region_archive(file.path());
+  // Budget of one 8x10x8 tile: every tile decode fits, larger windows not.
+  ResourceLimits limits;
+  limits.max_output_bytes = 8 * 10 * 8 * sizeof(float);
+  CancelToken cancel;
+  ArchiveReader r(file.path(), ArchiveOpenMode::kStrict, limits, &cancel);
+  ArchiveReader fresh(file.path());
+  const auto temp = fresh.read("TEMP");
+
+  const DimVec lo{3, 5, 7};
+  const DimVec small{4, 4, 4};
+  expect_window_equal(temp, lo, small, r.read_region("TEMP", lo, small));
+  EXPECT_EQ(region_refusal(r, "TEMP", lo, {8, 10, 9}).first,
+            ErrorCode::kLimitExceeded);
+  // The refusal is per call: the kept view still serves a window in budget.
+  expect_window_equal(temp, lo, small, r.read_region("TEMP", lo, small));
+  cancel.cancel();
+  EXPECT_EQ(region_refusal(r, "TEMP", lo, small).first,
+            ErrorCode::kCancelled);
+}
+
+TEST(ArchiveRegion, CorruptTileIndexRefusedOnEveryCall) {
+  TempFile file("region_bad_index");
+  {
+    ArchiveWriter w(file.path());
+    w.set_tile({6, 5});
+    w.add_variable("A", smooth_array({12, 10}, 72), 1e-3,
+                   PipelineConfig::defaults(2));
+    w.add_variable("B", smooth_array({12, 10}, 73), 1e-3,
+                   PipelineConfig::defaults(2));
+    w.finish();
+  }
+  std::vector<std::uint8_t> record;
+  NdArray<float> b;
+  {
+    ArchiveReader pristine(file.path());
+    record = pristine.read_raw("A");
+    b = pristine.read("B");
+  }
+  // Flip one bit inside A's CRC-covered tile index (past the magic, dims
+  // and tile count), leaving the archive index itself intact.
+  auto bytes = slurp(file.path());
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), record.begin(), record.end());
+  ASSERT_NE(it, bytes.end());
+  *(it + 10) ^= 0x01;
+  dump(file.path(), bytes);
+
+  // Every call re-parses the index and fails the same way; a kept
+  // half-built view would instead fall back to a full decode and fail on
+  // the record CRC.
+  ArchiveReader r(file.path());
+  const DimVec lo{1, 1};
+  const DimVec ext{4, 4};
+  const auto first = region_refusal(r, "A", lo, ext);
+  EXPECT_EQ(first.first, ErrorCode::kCorruptStream);
+  EXPECT_EQ(region_refusal(r, "A", lo, ext), first);
+  // The refused variable leaves the reader's other views usable.
+  expect_window_equal(b, lo, ext, r.read_region("B", lo, ext));
+  EXPECT_EQ(region_refusal(r, "A", lo, ext), first);
+}
+
+TEST(ArchiveRegion, TolerantOpenViewsFollowSalvagedPositions) {
+  TempFile file("region_salvaged");
+  {
+    ArchiveWriter w(file.path());
+    w.set_tile({6, 5});
+    for (int i = 0; i < 3; ++i) {
+      w.add_variable("V" + std::to_string(i),
+                     smooth_array({12, 10}, 74 + static_cast<unsigned>(i)),
+                     1e-3, PipelineConfig::defaults(2));
+    }
+    w.finish();
+  }
+  std::vector<std::uint8_t> record;
+  std::vector<NdArray<float>> pristine_data;
+  {
+    ArchiveReader pristine(file.path());
+    record = pristine.read_raw("V0");
+    for (int i = 0; i < 3; ++i) {
+      pristine_data.push_back(pristine.read("V" + std::to_string(i)));
+    }
+  }
+  auto bytes = slurp(file.path());
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), record.begin(), record.end());
+  ASSERT_NE(it, bytes.end());
+  *(it + static_cast<std::ptrdiff_t>(record.size() / 2)) ^= 0x10;
+  dump(file.path(), bytes);
+
+  // V0 is quarantined, so V1 and V2 sit one position earlier than in the
+  // archive index; each window must still come from its own variable.
+  ArchiveReader r(file.path(), ArchiveOpenMode::kTolerant);
+  ASSERT_FALSE(r.contains("V0"));
+  ASSERT_EQ(r.variables().size(), 2u);
+  const DimVec lo{3, 2};
+  const DimVec ext{7, 6};
+  for (int round = 0; round < 2; ++round) {
+    for (const int i : {2, 1}) {
+      expect_window_equal(pristine_data[static_cast<std::size_t>(i)], lo, ext,
+                          r.read_region("V" + std::to_string(i), lo, ext));
+    }
+  }
+}
+
+TEST(ArchiveRegion, ReadersOnTwoThreadsShareOneTileCache) {
+  TempFile file("region_threads");
+  write_mixed_region_archive(file.path());
+  NdArray<float> temp;
+  {
+    ArchiveReader fresh(file.path());
+    temp = fresh.read("TEMP");
+  }
+  TileCache cache;
+  const auto serve = [&](std::size_t seed, bool* ok) {
+    ArchiveReader r(file.path());
+    Rng rng(seed);
+    const auto below = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_index(n));
+    };
+    *ok = true;
+    for (int n = 0; n < 24; ++n) {
+      const DimVec ext{1 + below(8), 1 + below(10), 1 + below(8)};
+      const DimVec lo{below(24 - ext[0] + 1), below(20 - ext[1] + 1),
+                      below(16 - ext[2] + 1)};
+      const auto win = r.read_region("TEMP", lo, ext, &cache);
+      const Shape wshape{DimVec(ext)};
+      for (std::size_t i = 0; i < wshape.size(); ++i) {
+        DimVec g = wshape.coords(i);
+        for (std::size_t d = 0; d < g.size(); ++d) g[d] += lo[d];
+        *ok = *ok && std::memcmp(&win[i], &temp[temp.shape().offset(g)],
+                                 sizeof(float)) == 0;
+      }
+    }
+  };
+  bool ok0 = false;
+  bool ok1 = false;
+  std::thread t0(serve, 81, &ok0);
+  std::thread t1(serve, 82, &ok1);
+  t0.join();
+  t1.join();
+  EXPECT_TRUE(ok0);
+  EXPECT_TRUE(ok1);
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 }  // namespace
