@@ -14,13 +14,13 @@
 #include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 #include "src/fft/fft.hpp"
 #include "src/huffman/huffman.hpp"
 #include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
 #include "src/predictor/predict_kernels.hpp"
-#include "src/sperr/wavelet.hpp"
+#include "src/baselines/sperr/wavelet.hpp"
 
 namespace cliz {
 namespace {

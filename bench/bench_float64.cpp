@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.hpp"
 #include "src/core/autotune.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 
 namespace cliz {
 namespace {

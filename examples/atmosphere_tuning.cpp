@@ -10,7 +10,7 @@
 #include "src/climate/datasets.hpp"
 #include "src/core/autotune.hpp"
 #include "src/core/cliz.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 #include "src/metrics/metrics.hpp"
 
 int main() {

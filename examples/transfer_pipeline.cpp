@@ -9,7 +9,7 @@
 
 #include "src/climate/datasets.hpp"
 #include "src/common/timer.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 #include "src/metrics/metrics.hpp"
 #include "src/transfer/globus_sim.hpp"
 

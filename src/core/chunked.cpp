@@ -253,22 +253,10 @@ void chunked_compress_impl(const NdArray<T>& data, double abs_error_bound,
     ctx.slab<T>() = std::move(chunk).take_flat();
   });
 
-  // Assemble the v2 frame into the caller's buffer, reusing its capacity:
-  // CRC-covered header (dims, ranges, per-chunk payload digests) first,
-  // payload blocks after.
-  ByteWriter w(std::move(out));
-  w.put(kMagicV2);
-  w.put_varint(shape.ndims());
-  for (const std::size_t d : shape.dims()) w.put_varint(d);
-  w.put_varint(ranges.size());
-  for (std::size_t c = 0; c < ranges.size(); ++c) {
-    w.put_varint(ranges[c].first);
-    w.put_varint(ranges[c].second);
-    w.put(crc32c(streams[c]));
-  }
-  w.put(crc32c(w.bytes().subspan(sizeof(kMagicV2))));
-  for (std::size_t c = 0; c < ranges.size(); ++c) w.put_block(streams[c]);
-  out = std::move(w).take();
+  detail::write_slab_frame(
+      shape, ranges,
+      std::span<const std::vector<std::uint8_t>>(streams).first(ranges.size()),
+      out);
 }
 
 template <typename T>
@@ -314,6 +302,28 @@ void chunked_decompress_core(std::span<const std::uint8_t> stream,
 }
 
 }  // namespace
+
+void detail::write_slab_frame(
+    const Shape& shape,
+    std::span<const std::pair<std::size_t, std::size_t>> ranges,
+    std::span<const std::vector<std::uint8_t>> streams,
+    std::vector<std::uint8_t>& out) {
+  // CRC-covered header (dims, ranges, per-chunk payload digests) first,
+  // payload blocks after.
+  ByteWriter w(std::move(out));
+  w.put(kMagicV2);
+  w.put_varint(shape.ndims());
+  for (const std::size_t d : shape.dims()) w.put_varint(d);
+  w.put_varint(ranges.size());
+  for (std::size_t c = 0; c < ranges.size(); ++c) {
+    w.put_varint(ranges[c].first);
+    w.put_varint(ranges[c].second);
+    w.put(crc32c(streams[c]));
+  }
+  w.put(crc32c(w.bytes().subspan(sizeof(kMagicV2))));
+  for (std::size_t c = 0; c < ranges.size(); ++c) w.put_block(streams[c]);
+  out = std::move(w).take();
+}
 
 std::vector<std::uint8_t> chunked_compress(const NdArray<float>& data,
                                            double abs_error_bound,

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/cliz.hpp"
@@ -111,6 +112,18 @@ void chunked_decompress_into(std::span<const std::uint8_t> stream,
 /// tile-indexed random-access layout, "CLK2" for the CRC-framed slab
 /// layout, or legacy checksum-less "CLKS").
 [[nodiscard]] bool is_chunked_stream(std::span<const std::uint8_t> stream);
+
+namespace detail {
+/// Assembles a CLK2 slab frame into `out` (contents replaced, capacity
+/// reused): `streams[i]` is the CliZ stream of dim-0 range `ranges[i]`
+/// ([first, second)), and the ranges tile dim 0 of `shape` in order.
+/// chunked_compress and SnapshotStreamWriter both write through it.
+void write_slab_frame(
+    const Shape& shape,
+    std::span<const std::pair<std::size_t, std::size_t>> ranges,
+    std::span<const std::vector<std::uint8_t>> streams,
+    std::vector<std::uint8_t>& out);
+}  // namespace detail
 
 /// Bytes per sample of a chunked frame (4 = float32, 8 = float64), read
 /// from the first chunk's embedded CliZ stream. The probe parses the frame

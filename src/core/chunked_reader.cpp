@@ -10,7 +10,6 @@
 #include "src/common/bytestream.hpp"
 #include "src/common/crc32c.hpp"
 #include "src/common/parallel.hpp"
-#include "src/core/compressor.hpp"
 
 namespace cliz {
 
@@ -354,7 +353,7 @@ unsigned ChunkedReader::sample_bytes() const {
     fetch_(t.offset, t.n_bytes, buf.data());
     payload = buf;
   }
-  const unsigned width = detect_sample_bytes(payload);
+  const unsigned width = detect_sample_bytes(payload, limits_);
   sample_bytes_.store(width, std::memory_order_release);
   return width;
 }

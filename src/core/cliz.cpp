@@ -423,7 +423,7 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
     const auto t0 = Clock::now();
     auto& st = ctx.stats.at(CodecStage::kLossless);
     st.input_bytes = stream.size();
-    lossless_decompress_into(stream, ctx.lossless, ctx.raw);
+    lossless_decompress_into(stream, ctx.lossless, ctx.raw, ctx.limits);
     st.output_bytes = ctx.raw.size();
     st.seconds = seconds_since(t0);
   }
@@ -475,11 +475,13 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   // future version) is a clean error, never UB.
   const std::uint8_t predictor_byte = in.get_u8();
   const bool has_mask = (predictor_byte & 1u) != 0;
-  const PredictorBackendOps* pred_ops =
-      find_predictor_backend(static_cast<std::uint8_t>(predictor_byte >> 1));
+  const auto predictor_id = static_cast<std::uint8_t>(predictor_byte >> 1);
+  CLIZ_REQUIRE_CODE(predictor_id != kRetiredLorenzo2Id, kUnsupported,
+                    "predictor backend id 2 (2nd-order Lorenzo) is retired "
+                    "and no longer decodable");
+  const PredictorBackendOps* pred_ops = find_predictor_backend(predictor_id);
   CLIZ_REQUIRE(pred_ops != nullptr, "unknown predictor backend id");
-  ctx.stats.predictor_backend =
-      static_cast<std::uint8_t>(predictor_byte >> 1);
+  ctx.stats.predictor_backend = predictor_id;
   std::unique_ptr<MaskMap> mask;
   if (has_mask) {
     mask = std::make_unique<MaskMap>(MaskMap::deserialize(in));
@@ -857,6 +859,16 @@ Shape ClizCompressor::decompress_into(std::span<const std::uint8_t> stream,
                                       CodecContext& ctx,
                                       std::span<double> out) {
   return decompress_core<double>(stream, ctx, SpanBind<double>{out});
+}
+
+unsigned detect_sample_bytes(std::span<const std::uint8_t> stream,
+                             const ResourceLimits& limits) {
+  const auto raw = lossless_decompress(stream, limits);
+  ByteReader r(raw);
+  CLIZ_REQUIRE(r.get<std::uint32_t>() == kMagic, "not a CliZ stream");
+  const unsigned width = r.get_u8();
+  CLIZ_REQUIRE(width == 4 || width == 8, "corrupt sample width");
+  return width;
 }
 
 }  // namespace cliz

@@ -169,4 +169,11 @@ class ClizCompressor {
   mutable StageStats last_stats_;
 };
 
+/// Bytes per sample recorded in a CliZ stream (4 = float32, 8 = float64),
+/// so a caller can pick the matching decompress entry point. The lossless
+/// unwrap runs under `limits`, the budgets the decode itself will use;
+/// anything that is not a CliZ stream is refused.
+[[nodiscard]] unsigned detect_sample_bytes(
+    std::span<const std::uint8_t> stream, const ResourceLimits& limits = {});
+
 }  // namespace cliz

@@ -1,14 +1,12 @@
 #include "src/core/snapshot_stream.hpp"
 
-#include <cstring>
+#include <optional>
 
-#include "src/common/bytestream.hpp"
+#include "src/core/chunked.hpp"
 
 namespace cliz {
 
 namespace {
-
-constexpr std::uint32_t kMagic = 0x434C5353u;  // "CLSS"
 
 Shape block_shape(const Shape& spatial, std::size_t n_snapshots) {
   DimVec dims;
@@ -75,56 +73,20 @@ void SnapshotStreamWriter::flush_block() {
   const ClizCompressor codec(config, options_);
   blocks_.push_back(codec.compress(block, eb_,
                                    mask.has_value() ? &*mask : nullptr));
-  block_sizes_.push_back(pending_count_);
+  ranges_.emplace_back(total_snapshots_ - pending_count_, total_snapshots_);
   pending_count_ = 0;
   pending_.reserve(per_block_ * spatial_shape_.size());
 }
 
 std::vector<std::uint8_t> SnapshotStreamWriter::finish() {
   CLIZ_REQUIRE(!finished_, "writer already finished");
+  CLIZ_REQUIRE_CODE(total_snapshots_ > 0, kBadArgument,
+                    "snapshot stream has no snapshots");
   finished_ = true;
   flush_block();
-
-  ByteWriter out;
-  out.put(kMagic);
-  out.put_varint(spatial_shape_.ndims());
-  for (const std::size_t d : spatial_shape_.dims()) out.put_varint(d);
-  out.put_varint(total_snapshots_);
-  out.put_varint(blocks_.size());
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    out.put_varint(block_sizes_[b]);
-    out.put_block(blocks_[b]);
-  }
-  return std::move(out).take();
-}
-
-NdArray<float> snapshot_stream_decompress(
-    std::span<const std::uint8_t> stream) {
-  ByteReader in(stream);
-  CLIZ_REQUIRE(in.get<std::uint32_t>() == kMagic, "not a snapshot stream");
-  const std::size_t snd = static_cast<std::size_t>(in.get_varint());
-  CLIZ_REQUIRE(snd >= 1 && snd <= 7, "corrupt spatial dimensionality");
-  DimVec sdims(snd);
-  for (auto& d : sdims) d = static_cast<std::size_t>(in.get_varint());
-  const Shape spatial(sdims);
-  const std::size_t total = static_cast<std::size_t>(in.get_varint());
-  CLIZ_REQUIRE(total >= 1, "empty snapshot stream");
-  const std::size_t n_blocks = static_cast<std::size_t>(in.get_varint());
-  CLIZ_REQUIRE(n_blocks >= 1 && n_blocks <= total, "corrupt block count");
-
-  NdArray<float> out(block_shape(spatial, total));
-  std::size_t t = 0;
-  for (std::size_t b = 0; b < n_blocks; ++b) {
-    const std::size_t count = static_cast<std::size_t>(in.get_varint());
-    CLIZ_REQUIRE(count >= 1 && t + count <= total, "corrupt block size");
-    const auto block = ClizCompressor::decompress(in.get_block());
-    CLIZ_REQUIRE(block.shape() == block_shape(spatial, count),
-                 "block shape mismatch");
-    std::memcpy(out.data() + t * spatial.size(), block.data(),
-                block.size() * sizeof(float));
-    t += count;
-  }
-  CLIZ_REQUIRE(t == total, "blocks do not cover the stream");
+  std::vector<std::uint8_t> out;
+  detail::write_slab_frame(block_shape(spatial_shape_, total_snapshots_),
+                           ranges_, blocks_, out);
   return out;
 }
 

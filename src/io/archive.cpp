@@ -8,7 +8,6 @@
 #include "src/common/bytestream.hpp"
 #include "src/common/crc32c.hpp"
 #include "src/core/cliz.hpp"
-#include "src/core/compressor.hpp"
 
 namespace cliz {
 
@@ -159,8 +158,8 @@ void ArchiveWriter::add_cliz_variable(
     codec.compress_into(data, abs_error_bound, mask, lease.ctx(),
                         stream_buf_);
   }
-  append_stream("cliz", name, data.shape(), abs_error_bound,
-                std::move(attributes), stream_buf_, sizeof(T));
+  append_stream(name, data.shape(), abs_error_bound, std::move(attributes),
+                stream_buf_, sizeof(T));
 }
 
 void ArchiveWriter::add_variable(const std::string& name,
@@ -185,19 +184,9 @@ void ArchiveWriter::add_variable(const std::string& name,
                     std::move(attributes), options);
 }
 
-void ArchiveWriter::add_variable_with(
-    const std::string& codec, const std::string& name,
-    const NdArray<float>& data, double abs_error_bound,
-    std::map<std::string, std::string> attributes) {
-  auto comp = make_compressor(codec);  // validates the name
-  const auto stream = comp->compress(data, abs_error_bound);
-  append_stream(codec, name, data.shape(), abs_error_bound,
-                std::move(attributes), stream, sizeof(float));
-}
-
 void ArchiveWriter::append_stream(
-    const std::string& codec, const std::string& name, const Shape& shape,
-    double eb, std::map<std::string, std::string> attributes,
+    const std::string& name, const Shape& shape, double eb,
+    std::map<std::string, std::string> attributes,
     const std::vector<std::uint8_t>& stream, std::uint32_t sample_bytes) {
   CLIZ_REQUIRE(!finished_, "archive already finished");
   CLIZ_REQUIRE(!name.empty(), "variable name must not be empty");
@@ -207,7 +196,7 @@ void ArchiveWriter::append_stream(
   Entry entry;
   entry.info.name = name;
   entry.info.dims = shape.dims();
-  entry.info.codec = codec;
+  entry.info.codec = "cliz";
   entry.info.error_bound = eb;
   entry.info.compressed_bytes = stream.size();
   entry.info.sample_bytes = sample_bytes;
@@ -524,13 +513,20 @@ std::vector<std::uint8_t> ArchiveReader::read_raw(
   return stream;
 }
 
+std::size_t ArchiveReader::decodable_index(const std::string& name) const {
+  const std::size_t i = index_of(name);
+  CLIZ_REQUIRE_CODE(variables_[i].codec == "cliz", kUnsupported,
+                    "archive variable '" + name + "' uses codec '" +
+                        variables_[i].codec + "'; only cliz records decode");
+  return i;
+}
+
 NdArray<float> ArchiveReader::read(const std::string& name) const {
-  const VariableInfo& v = info(name);
+  const VariableInfo& v = variables_[decodable_index(name)];
   CLIZ_REQUIRE(v.sample_bytes == 4,
                "variable '" + name + "' is float64: use read_f64()");
   const auto stream = read_raw(name);
   NdArray<float> data = [&] {
-    if (v.codec != "cliz") return make_compressor(v.codec)->decompress(stream);
     // Decode under this reader's governor: the chunked path carries it on
     // the pool, the single-stream path on the context itself.
     if (is_chunked_stream(stream)) {
@@ -616,19 +612,26 @@ NdArray<T> ArchiveReader::read_region_impl(
     const std::string& name, std::span<const std::size_t> origin,
     std::span<const std::size_t> extent, TileCache* cache,
     RegionStats* stats) const {
-  const std::size_t i = index_of(name);
+  const std::size_t i = decodable_index(name);
   const VariableInfo& v = variables_[i];
   if (cancel_ != nullptr) cancel_->check();
-  CLIZ_REQUIRE_CODE(v.codec == "cliz", kBadArgument,
-                    "read_region requires a CliZ variable: '" + name + "'");
   const std::size_t nd = v.dims.size();
   CLIZ_REQUIRE_CODE(origin.size() == nd && extent.size() == nd, kBadArgument,
                     "region arity does not match variable dimensionality");
+  // Governor: the window sizes the output array allocated below, so its
+  // budget is checked here rather than only inside the tile decode.
+  std::uint64_t window = 1;
+  bool within = true;
   for (std::size_t d = 0; d < nd; ++d) {
     CLIZ_REQUIRE_CODE(extent[d] >= 1 && origin[d] <= v.dims[d] &&
                           extent[d] <= v.dims[d] - origin[d],
                       kBadArgument, "region out of bounds");
+    within = within && detail::checked_mul_within(
+                           window, extent[d],
+                           limits_.max_output_bytes / sizeof(T));
   }
+  CLIZ_REQUIRE_CODE(within, kLimitExceeded,
+                    "region window exceeds ResourceLimits::max_output_bytes");
   CLIZ_REQUIRE_CODE(
       v.compressed_bytes <= limits_.max_record_bytes, kLimitExceeded,
       "declared record size exceeds ResourceLimits::max_record_bytes for '" +
@@ -693,10 +696,9 @@ NdArray<double> ArchiveReader::read_region_f64(
 }
 
 NdArray<double> ArchiveReader::read_f64(const std::string& name) const {
-  const VariableInfo& v = info(name);
+  const VariableInfo& v = variables_[decodable_index(name)];
   CLIZ_REQUIRE(v.sample_bytes == 8,
                "variable '" + name + "' is float32: use read()");
-  CLIZ_REQUIRE(v.codec == "cliz", "float64 archive variables use CliZ");
   const auto stream = read_raw(name);
   NdArray<double> data = [&] {
     if (is_chunked_stream(stream)) {

@@ -3,10 +3,9 @@
 // CLZA archive: a minimal NetCDF-flavoured container for compressed climate
 // variables — the deployment vehicle the paper lists as future work
 // ("integrate CliZ into HDF5 and NetCDF"). An archive holds any number of
-// named variables, each stored as an error-bounded compressed stream from
-// any codec in the registry, with free-form string attributes (units, model
-// name, ...) and the validity mask embedded in the stream where the codec
-// supports one.
+// named variables, each stored as an error-bounded CliZ stream (single or
+// chunked frame), with free-form string attributes (units, model name, ...)
+// and the validity mask embedded in the stream.
 //
 // v2 layout: [magic "CLZA"] [version=2] [framed records...]
 //            [index block + CRC32C] [index offset u64] [magic]
@@ -42,7 +41,9 @@ namespace cliz {
 struct VariableInfo {
   std::string name;
   DimVec dims;
-  std::string codec;  ///< registry name: "cliz", "sz3", ...
+  /// Always "cliz" when written; records naming any other codec are listed
+  /// but refused by the decoding reads with ErrorCode::kUnsupported.
+  std::string codec;
   double error_bound = 0.0;
   std::uint64_t compressed_bytes = 0;
   /// Bytes per sample: 4 = float32, 8 = float64.
@@ -126,11 +127,6 @@ class ArchiveWriter {
                     std::map<std::string, std::string> attributes = {},
                     const ClizOptions& options = {});
 
-  /// Appends `data` compressed with any registry codec by name.
-  void add_variable_with(const std::string& codec, const std::string& name,
-                         const NdArray<float>& data, double abs_error_bound,
-                         std::map<std::string, std::string> attributes = {});
-
   /// Writes index + trailer and closes the file. Idempotent.
   void finish();
 
@@ -145,8 +141,7 @@ class ArchiveWriter {
     std::uint32_t payload_crc = 0;
   };
 
-  void append_stream(const std::string& codec, const std::string& name,
-                     const Shape& shape, double eb,
+  void append_stream(const std::string& name, const Shape& shape, double eb,
                      std::map<std::string, std::string> attributes,
                      const std::vector<std::uint8_t>& stream,
                      std::uint32_t sample_bytes);
@@ -199,6 +194,7 @@ class ArchiveReader {
   [[nodiscard]] const VariableInfo& info(const std::string& name) const;
 
   /// Decompresses one float32 variable (Error if the variable is float64).
+  /// Every decoding read refuses a non-"cliz" record with kUnsupported.
   [[nodiscard]] NdArray<float> read(const std::string& name) const;
 
   /// Decompresses one float64 variable (Error if the variable is float32).
@@ -246,6 +242,8 @@ class ArchiveReader {
   void scan_records();
   void verify_payloads();
   [[nodiscard]] std::size_t index_of(const std::string& name) const;
+  /// index_of() for the decoding reads: refuses non-CliZ records.
+  [[nodiscard]] std::size_t decodable_index(const std::string& name) const;
 
   /// Region-read state of one variable, built by its first read_region
   /// call. `reader` is null when the variable is not a chunked frame.

@@ -318,11 +318,16 @@ LosslessBackend lossless_frame_backend(std::span<const std::uint8_t> frame) {
 
 void lossless_decompress_into(std::span<const std::uint8_t> in,
                               LosslessScratch& ctx,
-                              std::vector<std::uint8_t>& out) {
+                              std::vector<std::uint8_t>& out,
+                              const ResourceLimits& limits) {
   ByteReader r(in);
   const std::uint8_t mode = r.get_u8();
   const std::uint64_t n = r.get_varint();
-  CLIZ_REQUIRE(n <= (std::uint64_t{1} << 40), "implausible lossless size");
+  // Governor: the RLE, LZ and block modes size `out` from this declaration
+  // before a single payload byte is decoded.
+  CLIZ_REQUIRE_CODE(n <= limits.max_output_bytes, kLimitExceeded,
+                    "declared lossless size exceeds "
+                    "ResourceLimits::max_output_bytes");
   const bool has_crc = mode == kModeStoredCrc || mode == kModeLzCrc ||
                        mode == kModeBlocksCrc || mode == kModeRleCrc;
   std::uint32_t expected_crc = 0;
@@ -366,7 +371,7 @@ void lossless_decompress_into(std::span<const std::uint8_t> in,
         lossless_decompress_into(
             frames[b],
             *ctx.block_scratch[static_cast<std::size_t>(thread_index())],
-            staging);
+            staging, limits);
         std::memcpy(out.data() + b * kBlockSize, staging.data(),
                     staging.size());
       });
@@ -426,10 +431,10 @@ void lossless_decompress_into(std::span<const std::uint8_t> in,
 }
 
 std::vector<std::uint8_t> lossless_decompress(
-    std::span<const std::uint8_t> in) {
+    std::span<const std::uint8_t> in, const ResourceLimits& limits) {
   LosslessScratch scratch;
   std::vector<std::uint8_t> out;
-  lossless_decompress_into(in, scratch, out);
+  lossless_decompress_into(in, scratch, out, limits);
   return out;
 }
 

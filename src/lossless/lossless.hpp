@@ -10,6 +10,7 @@
 
 #include "src/common/bitio.hpp"
 #include "src/common/bytestream.hpp"
+#include "src/common/governor.hpp"
 #include "src/huffman/huffman.hpp"
 
 namespace cliz {
@@ -105,12 +106,18 @@ void lossless_compress_into(std::span<const std::uint8_t> in,
 [[nodiscard]] LosslessBackend lossless_frame_backend(
     std::span<const std::uint8_t> frame);
 
-/// Inverse of lossless_compress. Throws Error on corrupt input.
-std::vector<std::uint8_t> lossless_decompress(std::span<const std::uint8_t> in);
+/// Inverse of lossless_compress. Throws Error on corrupt input. The frame's
+/// declared size is checked against `limits.max_output_bytes` before any
+/// buffer is sized for it (kLimitExceeded past it): the unwrapped bytes
+/// are decoder output like the samples they encode, so a governed caller's
+/// output budget caps them too.
+std::vector<std::uint8_t> lossless_decompress(
+    std::span<const std::uint8_t> in, const ResourceLimits& limits = {});
 
 /// Scratch-reusing variant of lossless_decompress.
 void lossless_decompress_into(std::span<const std::uint8_t> in,
                               LosslessScratch& scratch,
-                              std::vector<std::uint8_t>& out);
+                              std::vector<std::uint8_t>& out,
+                              const ResourceLimits& limits = {});
 
 }  // namespace cliz

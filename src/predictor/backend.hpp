@@ -17,6 +17,11 @@ enum class PredictorBackend : std::uint8_t {
   kRegression = 3,  ///< per-block least-squares plane fit, coeffs in stream
 };
 
+/// Wire id of the retired 2nd-order Lorenzo predictor. Streams naming it
+/// are valid but no longer decodable: refused with kUnsupported, unlike a
+/// truly unknown id, which is corruption.
+inline constexpr std::uint8_t kRetiredLorenzo2Id = 2;
+
 inline const char* predictor_backend_name(PredictorBackend backend) {
   switch (backend) {
     case PredictorBackend::kInterp:

@@ -2,7 +2,7 @@
 
 // N-dimensional 1st-order Lorenzo predictor over the shared linear
 // quantizer: the SZ-family raster-scan corner stencil (Tao et al.), the
-// standalone codec in src/sz3/lorenzo.cpp generalized to masks and to the
+// standalone codec in src/baselines/sz3/lorenzo.cpp generalized to masks and to the
 // pipeline's stage backends. Encode mutates the data to the reconstruction
 // (prediction parity with the decoder); masked points are skipped entirely
 // and masked/out-of-range stencil terms contribute nothing, so fill-value

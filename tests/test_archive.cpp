@@ -17,8 +17,11 @@
 #include "src/common/crc32c.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
+#include "src/core/cliz.hpp"
 #include "src/metrics/metrics.hpp"
+#include "tests/alloc_guard.hpp"
+#include "tests/foreign_archive.hpp"
 
 namespace cliz {
 namespace {
@@ -75,26 +78,54 @@ TEST(Archive, SingleVariableRoundTrip) {
   EXPECT_LE(error_stats(data.flat(), recon.flat()).max_abs_error, 1e-3);
 }
 
+/// The ErrorCode a call refuses with; fails the test if it succeeds.
+template <typename Fn>
+ErrorCode refusal_code(const Fn& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "call was accepted";
+  return ErrorCode::kCorruptStream;
+}
+
 TEST(Archive, MultipleVariablesMixedCodecs) {
+  // Archives from releases that stored baseline codecs stay listable and
+  // their CliZ variables readable; each foreign record is refused as
+  // unsupported by every decoding read, while its raw bytes still copy out.
   TempFile file("mixed");
   const auto a = smooth_array({20, 20}, 2);
   const auto b = smooth_array({8, 10, 12}, 3);
   const auto c = smooth_array({64}, 4);
-  {
-    ArchiveWriter w(file.path());
-    w.add_variable_with("sz3", "SALT", a, 1e-2);
-    w.add_variable_with("zfp", "RHO", b, 1e-3);
-    w.add_variable_with("sperr", "SHF", c, 1e-4);
-    EXPECT_EQ(w.variable_count(), 3u);
-  }  // destructor finishes
+  const auto rho = make_compressor("zfp")->compress(b, 1e-3);
+  test::write_archive(
+      file.path(),
+      {{"SALT", "cliz", a.shape().dims(),
+        ClizCompressor(PipelineConfig::defaults(2)).compress(a, 1e-2), 1e-2},
+       {"RHO", "zfp", b.shape().dims(), rho},
+       {"SHF", "sperr", c.shape().dims(),
+        make_compressor("sperr")->compress(c, 1e-4), 1e-4}});
   ArchiveReader r(file.path());
   ASSERT_EQ(r.variables().size(), 3u);
   EXPECT_TRUE(r.contains("SALT"));
   EXPECT_TRUE(r.contains("RHO"));
   EXPECT_FALSE(r.contains("TEMP"));
+  EXPECT_EQ(r.info("RHO").codec, "zfp");
   EXPECT_LE(error_stats(a.flat(), r.read("SALT").flat()).max_abs_error, 1e-2);
-  EXPECT_LE(error_stats(b.flat(), r.read("RHO").flat()).max_abs_error, 1e-3);
-  EXPECT_LE(error_stats(c.flat(), r.read("SHF").flat()).max_abs_error, 1e-4);
+  for (const std::string name : {"RHO", "SHF"}) {
+    SCOPED_TRACE(name);
+    const DimVec& dims = r.info(name).dims;
+    const DimVec origin(dims.size(), 0);
+    const DimVec extent(dims.size(), 1);
+    EXPECT_EQ(refusal_code([&] { (void)r.read(name); }),
+              ErrorCode::kUnsupported);
+    EXPECT_EQ(refusal_code([&] { (void)r.read_f64(name); }),
+              ErrorCode::kUnsupported);
+    EXPECT_EQ(refusal_code([&] { (void)r.read_region(name, origin, extent); }),
+              ErrorCode::kUnsupported);
+  }
+  EXPECT_EQ(r.read_raw("RHO"), rho);
 }
 
 TEST(Archive, MaskedClimateFieldRoundTrip) {
@@ -127,8 +158,8 @@ TEST(Archive, RandomAccessDoesNotTouchOtherVariables) {
     ArchiveWriter w(file.path());
     for (int i = 0; i < 5; ++i) {
       arrays.push_back(smooth_array({16, 16}, 100 + i));
-      w.add_variable_with("sz3", "VAR" + std::to_string(i), arrays.back(),
-                          1e-3);
+      w.add_variable("VAR" + std::to_string(i), arrays.back(), 1e-3,
+                     PipelineConfig::defaults(2));
     }
   }
   ArchiveReader r(file.path());
@@ -148,12 +179,12 @@ TEST(Archive, ReadRawMatchesDirectDecompression) {
   const auto data = smooth_array({24, 24}, 5);
   {
     ArchiveWriter w(file.path());
-    w.add_variable_with("qoz", "Q", data, 1e-3);
+    w.add_variable("Q", data, 1e-3, PipelineConfig::defaults(2));
   }
   ArchiveReader r(file.path());
   const auto raw = r.read_raw("Q");
   EXPECT_EQ(raw.size(), r.info("Q").compressed_bytes);
-  const auto recon = make_compressor("qoz")->decompress(raw);
+  const auto recon = ClizCompressor::decompress(raw);
   EXPECT_LE(error_stats(data.flat(), recon.flat()).max_abs_error, 1e-3);
 }
 
@@ -185,7 +216,8 @@ TEST(Archive, Float32ReadRefusedByF64Reader) {
   TempFile file("f32_as_f64");
   {
     ArchiveWriter w(file.path());
-    w.add_variable_with("sz3", "X", smooth_array({8, 8}, 56), 1e-3);
+    w.add_variable("X", smooth_array({8, 8}, 56), 1e-3,
+                   PipelineConfig::defaults(2));
   }
   ArchiveReader r(file.path());
   EXPECT_EQ(r.info("X").sample_bytes, 4u);
@@ -196,26 +228,43 @@ TEST(Archive, DuplicateNameRejected) {
   TempFile file("dup");
   const auto data = smooth_array({8, 8}, 6);
   ArchiveWriter w(file.path());
-  w.add_variable_with("sz3", "X", data, 1e-3);
-  EXPECT_THROW(w.add_variable_with("sz3", "X", data, 1e-3), Error);
+  w.add_variable("X", data, 1e-3, PipelineConfig::defaults(2));
+  EXPECT_THROW(w.add_variable("X", data, 1e-3, PipelineConfig::defaults(2)),
+               Error);
 }
 
 TEST(Archive, UnknownVariableThrows) {
   TempFile file("unknown");
   {
     ArchiveWriter w(file.path());
-    w.add_variable_with("sz3", "X", smooth_array({8, 8}, 7), 1e-3);
+    w.add_variable("X", smooth_array({8, 8}, 7), 1e-3,
+                   PipelineConfig::defaults(2));
   }
   ArchiveReader r(file.path());
   EXPECT_THROW((void)r.read("Y"), Error);
   EXPECT_THROW((void)r.info("Y"), Error);
 }
 
-TEST(Archive, UnknownCodecRejectedAtWrite) {
-  TempFile file("badcodec");
-  ArchiveWriter w(file.path());
-  EXPECT_THROW(
-      w.add_variable_with("gzip", "X", smooth_array({8, 8}, 8), 1e-3), Error);
+TEST(Archive, EveryWrittenRecordIsCliz) {
+  // The writer has no codec choice: single, chunked, tiled and float64
+  // variables all record "cliz".
+  TempFile file("allcliz");
+  {
+    ArchiveWriter w(file.path());
+    w.add_variable("S", smooth_array({8, 8}, 8), 1e-3,
+                   PipelineConfig::defaults(2));
+    w.set_chunk_threshold(1);
+    w.add_variable("C", smooth_array({8, 8}, 9), 1e-3,
+                   PipelineConfig::defaults(2));
+    w.add_variable("D", smooth_array<double>({8, 8}, 10), 1e-3,
+                   PipelineConfig::defaults(2));
+    w.set_tile({4, 4});
+    w.add_variable("T", smooth_array({8, 8}, 11), 1e-3,
+                   PipelineConfig::defaults(2));
+  }
+  ArchiveReader r(file.path());
+  ASSERT_EQ(r.variables().size(), 4u);
+  for (const auto& v : r.variables()) EXPECT_EQ(v.codec, "cliz") << v.name;
 }
 
 TEST(Archive, MissingFileThrows) {
@@ -226,7 +275,8 @@ TEST(Archive, TruncatedArchiveRejected) {
   TempFile file("trunc");
   {
     ArchiveWriter w(file.path());
-    w.add_variable_with("sz3", "X", smooth_array({16, 16}, 9), 1e-3);
+    w.add_variable("X", smooth_array({16, 16}, 9), 1e-3,
+                   PipelineConfig::defaults(2));
   }
   // Chop off the trailer.
   const auto size = std::filesystem::file_size(file.path());
@@ -253,7 +303,8 @@ TEST(Archive, EmptyArchiveIsValid) {
 TEST(Archive, FinishIsIdempotent) {
   TempFile file("idem");
   ArchiveWriter w(file.path());
-  w.add_variable_with("sz3", "X", smooth_array({8, 8}, 10), 1e-3);
+  w.add_variable("X", smooth_array({8, 8}, 10), 1e-3,
+                 PipelineConfig::defaults(2));
   w.finish();
   w.finish();  // no-op
   ArchiveReader r(file.path());
@@ -264,8 +315,9 @@ TEST(Archive, AddAfterFinishRejected) {
   TempFile file("late");
   ArchiveWriter w(file.path());
   w.finish();
-  EXPECT_THROW(
-      w.add_variable_with("sz3", "X", smooth_array({8, 8}, 11), 1e-3), Error);
+  EXPECT_THROW(w.add_variable("X", smooth_array({8, 8}, 11), 1e-3,
+                              PipelineConfig::defaults(2)),
+               Error);
 }
 
 // --- integrity and salvage ----------------------------------------------
@@ -288,8 +340,8 @@ std::vector<NdArray<float>> write_test_archive(const std::string& path) {
   ArchiveWriter w(path);
   for (int i = 0; i < 3; ++i) {
     arrays.push_back(smooth_array({12, 10}, 900 + i));
-    w.add_variable_with("sz3", "VAR" + std::to_string(i), arrays.back(),
-                        1e-3);
+    w.add_variable("VAR" + std::to_string(i), arrays.back(), 1e-3,
+                   PipelineConfig::defaults(2));
   }
   w.finish();
   return arrays;
@@ -418,7 +470,9 @@ void write_v1_archive(
   };
   std::vector<Rec> recs;
   for (const auto& [name, data] : vars) {
-    const auto stream = make_compressor("sz3")->compress(data, eb);
+    const auto stream =
+        ClizCompressor(PipelineConfig::defaults(data.shape().ndims()))
+            .compress(data, eb);
     recs.push_back({name, data.shape().dims(), w.size(), stream.size()});
     w.put_bytes(stream);
   }
@@ -428,7 +482,7 @@ void write_v1_archive(
     w.put_string(rec.name);
     w.put_varint(rec.dims.size());
     for (const std::size_t d : rec.dims) w.put_varint(d);
-    w.put_string("sz3");
+    w.put_string("cliz");
     w.put(eb);
     w.put_varint(rec.size);
     w.put_varint(rec.offset);
@@ -686,13 +740,15 @@ TEST(ArchiveRegion, SetTileBindsOnlyRankMatchingVariables) {
 TEST(ArchiveRegion, BadRegionsAndCodecsAreRejected) {
   TempFile file("region_bad");
   const auto data = smooth_array({12, 10}, 68);
-  {
-    ArchiveWriter w(file.path());
-    w.set_tile({6, 5});
-    w.add_variable("A", data, 1e-3, PipelineConfig::defaults(2));
-    w.add_variable_with("sz3", "blob", data, 1e-3);
-    w.finish();
-  }
+  ChunkedOptions tiled;
+  tiled.tile = {6, 5};
+  test::write_archive(
+      file.path(),
+      {{"A", "cliz", data.shape().dims(),
+        chunked_compress(data, 1e-3, PipelineConfig::defaults(2), nullptr,
+                         tiled)},
+       {"blob", "sz3", data.shape().dims(),
+        make_compressor("sz3")->compress(data, 1e-3)}});
   ArchiveReader r(file.path());
   const auto code_of = [&](const std::string& name, const DimVec& lo,
                            const DimVec& ext) {
@@ -709,7 +765,7 @@ TEST(ArchiveRegion, BadRegionsAndCodecsAreRejected) {
   EXPECT_EQ(code_of("A", {0}, {4}),
             static_cast<int>(ErrorCode::kBadArgument));
   EXPECT_EQ(code_of("blob", {0, 0}, {2, 2}),
-            static_cast<int>(ErrorCode::kBadArgument));
+            static_cast<int>(ErrorCode::kUnsupported));
   EXPECT_NE(code_of("nope", {0, 0}, {1, 1}), -1);
 }
 
@@ -741,8 +797,10 @@ TEST(ArchiveRegion, GovernorAndCancelApplyToKeptView) {
   const DimVec lo{3, 5, 7};
   const DimVec small{4, 4, 4};
   expect_window_equal(temp, lo, small, r.read_region("TEMP", lo, small));
-  EXPECT_EQ(region_refusal(r, "TEMP", lo, {8, 10, 9}).first,
-            ErrorCode::kLimitExceeded);
+  // The over-budget window is refused before its output array exists.
+  const DimVec over{8, 10, 9};
+  expect_limit_refusal([&] { (void)r.read_region("TEMP", lo, over); },
+                       std::size_t{0}, 8 * 10 * 9 * sizeof(float));
   // The refusal is per call: the kept view still serves a window in budget.
   expect_window_equal(temp, lo, small, r.read_region("TEMP", lo, small));
   cancel.cancel();

@@ -12,10 +12,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "src/baselines/compressor.hpp"
 #include "src/common/status.hpp"
+#include "src/core/cliz.hpp"
 #include "src/io/archive.hpp"
+#include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
 #include "src/ndarray/ndarray.hpp"
+#include "tests/fault_injection.hpp"
+#include "tests/foreign_archive.hpp"
 
 #ifndef CLIZC_PATH
 #error "CLIZC_PATH must be defined by the build system"
@@ -52,6 +57,35 @@ class CliTest : public ::testing::Test {
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
 
+  /// run_exit() plus everything the child printed (stdout and stderr).
+  [[nodiscard]] std::pair<int, std::string> run_capture(
+      const std::string& args) const {
+    const std::string log = path("capture.txt");
+    const std::string cmd =
+        std::string(CLIZC_PATH) + " " + args + " >" + log + " 2>&1";
+    const int status = std::system(cmd.c_str());
+    std::ifstream in(log);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1,
+            {std::istreambuf_iterator<char>(in),
+             std::istreambuf_iterator<char>()}};
+  }
+
+  static void write_bytes(const std::string& p,
+                          const std::vector<std::uint8_t>& bytes) {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// A small smooth field for streams built through the library.
+  static NdArray<float> small_field() {
+    NdArray<float> data(Shape({8, 12, 16}));
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<float>(std::sin(0.05 * static_cast<double>(i)));
+    }
+    return data;
+  }
+
   static std::vector<float> read_floats(const std::string& p) {
     std::ifstream in(p, std::ios::binary);
     std::vector<char> bytes{std::istreambuf_iterator<char>(in),
@@ -86,21 +120,27 @@ TEST_F(CliTest, GenCompressDecompressRoundTrip) {
 }
 
 TEST_F(CliTest, BaselineCodecsViaFlag) {
-  ASSERT_EQ(run("gen CESM-T --scale 0.03 -o " + path("t.f32")), 0);
-  const auto original = read_floats(path("t.f32"));
-  // CESM-T floors: lat/lon minimum 32 applies at this scale -> 26x54x108.
-  ASSERT_EQ(original.size(), 26u * 54 * 108);
-  for (const std::string codec : {"sz3", "qoz", "zfp", "sperr"}) {
+  // clizc writes and reads CliZ only: the codec flag is gone (bad
+  // arguments, nothing written) and a baseline codec's stream is refused
+  // with a typed exit code.
+  const NdArray<float> data = small_field();
+  write_bytes(path("t.f32"),
+              {reinterpret_cast<const std::uint8_t*>(data.data()),
+               reinterpret_cast<const std::uint8_t*>(data.data() + data.size())});
+  for (const std::string codec : {"cliz", "sz3", "qoz", "zfp", "sperr"}) {
     const std::string out = path(codec + ".bin");
-    ASSERT_EQ(run("compress " + path("t.f32") + " -d 26,54,108 -o " + out +
-                  " -r 1e-3 -c " + codec),
-              0)
+    EXPECT_EQ(run_exit("compress " + path("t.f32") + " -d 8,12,16 -o " + out +
+                       " -r 1e-3 -c " + codec),
+              2)
         << codec;
-    ASSERT_EQ(run("decompress " + out + " -o " + path(codec + ".f32")), 0)
+    EXPECT_FALSE(fs::exists(out)) << codec;
+  }
+  for (const std::string codec : {"sz3", "qoz", "zfp", "sperr", "sz2"}) {
+    const std::string in = path(codec + ".bin");
+    write_bytes(in, make_compressor(codec)->compress(data, 1e-2));
+    EXPECT_EQ(run_exit("decompress " + in + " -o " + path(codec + ".f32")), 3)
         << codec;
-    const auto recon = read_floats(path(codec + ".f32"));
-    const double eb = abs_bound_from_relative(original, 1e-3);
-    EXPECT_LE(error_stats(original, recon).max_abs_error, eb) << codec;
+    EXPECT_FALSE(fs::exists(path(codec + ".f32"))) << codec;
   }
 }
 
@@ -126,9 +166,16 @@ TEST_F(CliTest, MaskFillFlagShrinksMaskedData) {
 TEST_F(CliTest, InfoDetectsCodec) {
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   ASSERT_EQ(run("compress " + path("h.f32") + " -d 24,48,48 -o " +
-                path("h.sz3") + " -r 1e-2 -c sz3"),
+                path("h.cliz") + " -r 1e-2 --tune 0.05"),
             0);
-  EXPECT_EQ(run("info " + path("h.sz3")), 0);
+  const auto [code, text] = run_capture("info " + path("h.cliz"));
+  EXPECT_EQ(code, 0);
+  EXPECT_NE(text.find("cliz stream: (24x48x48)"), std::string::npos) << text;
+  EXPECT_NE(text.find("float32"), std::string::npos) << text;
+  // A baseline codec's stream is not something info can describe.
+  write_bytes(path("h.sz3"), make_compressor("sz3")->compress(small_field(),
+                                                               1e-2));
+  EXPECT_EQ(run_exit("info " + path("h.sz3")), 3);
 }
 
 TEST_F(CliTest, ArchiveListAndExtract) {
@@ -139,7 +186,7 @@ TEST_F(CliTest, ArchiveListAndExtract) {
   }
   {
     ArchiveWriter w(path("a.clza"));
-    w.add_variable_with("sz3", "VAR_A", data, 1e-3);
+    w.add_variable("VAR_A", data, 1e-3, PipelineConfig::defaults(2));
   }
   EXPECT_EQ(run("archive-list " + path("a.clza")), 0);
   EXPECT_EQ(run("info " + path("a.clza")), 0);
@@ -154,9 +201,9 @@ TEST_F(CliTest, ArchiveListAndExtract) {
 TEST_F(CliTest, AnalyzeReportsQualityAndExitCode) {
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   ASSERT_EQ(run("compress " + path("h.f32") + " -d 24,48,48 -o " +
-                path("h.sz3") + " -e 0.01 -c sz3"),
+                path("h.cliz") + " -e 0.01 --tune 0.05"),
             0);
-  ASSERT_EQ(run("decompress " + path("h.sz3") + " -o " + path("h2.f32")), 0);
+  ASSERT_EQ(run("decompress " + path("h.cliz") + " -o " + path("h2.f32")), 0);
   // Within bound -> exit 0.
   EXPECT_EQ(run("analyze " + path("h.f32") + " " + path("h2.f32") +
                 " -d 24,48,48 -e 0.01"),
@@ -170,13 +217,17 @@ TEST_F(CliTest, AnalyzeReportsQualityAndExitCode) {
 TEST_F(CliTest, ArchiveCreateFromRawFiles) {
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   ASSERT_EQ(run("gen SSH --scale 0.1 -o " + path("s.f32")), 0);
+  // The per-variable codec field of the spec is gone: bad arguments.
+  EXPECT_EQ(run_exit("archive-create " + path("x.clza") + " HURR=" +
+                     path("h.f32") + ":24,48,48:sz3 -r 1e-3"),
+            2);
   ASSERT_EQ(run("archive-create " + path("m.clza") + " HURR=" +
-                path("h.f32") + ":24,48,48:sz3 SSH=" + path("s.f32") +
+                path("h.f32") + ":24,48,48 SSH=" + path("s.f32") +
                 ":48,38,32 -r 1e-3 --mask-fill --tune 0.05"),
             0);
   const ArchiveReader reader(path("m.clza"));
   ASSERT_EQ(reader.variables().size(), 2u);
-  EXPECT_EQ(reader.info("HURR").codec, "sz3");
+  EXPECT_EQ(reader.info("HURR").codec, "cliz");
   EXPECT_EQ(reader.info("SSH").codec, "cliz");
   ASSERT_EQ(run("archive-extract " + path("m.clza") + " HURR -o " +
                 path("h2.f32")),
@@ -201,7 +252,7 @@ TEST_F(CliTest, Float64CompressDecompressRoundTrip) {
               static_cast<std::streamsize>(n * sizeof(double)));
   }
   ASSERT_EQ(run("compress " + path("p.f64") + " -d 8,20,20 -o " +
-                path("p.cliz") + " --f64 -e 1e-10 -c sz3"),
+                path("p.cliz") + " --f64 -e 1e-10 --tune 0.05"),
             0);
   ASSERT_EQ(run("decompress " + path("p.cliz") + " -o " + path("p2.f64")), 0);
   std::ifstream in(path("p2.f64"), std::ios::binary);
@@ -228,16 +279,12 @@ TEST_F(CliTest, VerifyFlagProducesDecodableStreamWithinBound) {
   EXPECT_EQ(run("compress " + path("h.f32") + " -d 24,48,48 -o " +
                 path("hc.clks") + " -e 0.5 --verify --chunks 3"),
             0);
-  // Non-cliz codecs reject it up front.
-  EXPECT_NE(run("compress " + path("h.f32") + " -d 24,48,48 -o " +
-                path("h.sz3") + " -e 0.5 -c sz3 --verify"),
-            0);
 }
 
 TEST_F(CliTest, SalvageFlagRecoversFromCorruptTrailer) {
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   ASSERT_EQ(run("archive-create " + path("a.clza") + " HURR=" +
-                path("h.f32") + ":24,48,48:sz3 -e 0.5"),
+                path("h.f32") + ":24,48,48 -e 0.5 --tune 0.05"),
             0);
   ASSERT_EQ(run("archive-extract " + path("a.clza") + " HURR -o " +
                 path("good.f32")),
@@ -400,6 +447,55 @@ TEST_F(CliTest, BadInvocationsFailCleanly) {
   EXPECT_EQ(run_exit("compress " + path("h.f32") + " -d 24,48,48 -o " +
                      path("x") + " -r 1e-3 --predictor lorenzo2"),
             2);
+
+  // A stream naming the retired predictor id is unsupported (exit 8, and
+  // the message says why); an id no release ever assigned is corruption.
+  // The predictor byte is where interp and lorenzo1 encodings diverge.
+  const NdArray<float> data = small_field();
+  ClizOptions lorenzo;
+  lorenzo.predictor = PredictorBackend::kLorenzo1;
+  const auto interp_raw = lossless_decompress(
+      ClizCompressor(PipelineConfig::defaults(3)).compress(data, 1e-3));
+  const auto lorenzo_raw = lossless_decompress(
+      ClizCompressor(PipelineConfig::defaults(3), lorenzo)
+          .compress(data, 1e-3));
+  const std::size_t pos = fault::first_divergence(interp_raw, lorenzo_raw);
+  ASSERT_LT(pos, interp_raw.size());
+  for (const auto& [id, exit_code] :
+       {std::pair<std::uint8_t, int>{kRetiredLorenzo2Id, 8}, {4, 3}}) {
+    auto raw = interp_raw;
+    raw[pos] = static_cast<std::uint8_t>(id << 1);
+    write_bytes(path("id.cliz"), lossless_compress(raw));
+    const auto [code, text] =
+        run_capture("decompress " + path("id.cliz") + " -o " + path("id.f32"));
+    EXPECT_EQ(code, exit_code) << text;
+    EXPECT_EQ(text.find("retired") != std::string::npos, exit_code == 8)
+        << text;
+  }
+}
+
+TEST_F(CliTest, ForeignArchiveRecordsAreUnsupported) {
+  // An archive record from a baseline codec lists, but extracting it is
+  // refused as unsupported (exit 8) while its CliZ neighbour extracts.
+  const NdArray<float> data = small_field();
+  test::write_archive(
+      path("f.clza"),
+      {{"C", "cliz", data.shape().dims(),
+        ClizCompressor(PipelineConfig::defaults(3)).compress(data, 1e-3)},
+       {"Z", "zfp", data.shape().dims(),
+        make_compressor("zfp")->compress(data, 1e-3)}});
+  EXPECT_EQ(run_exit("archive-list " + path("f.clza")), 0);
+  EXPECT_EQ(run_exit("info " + path("f.clza")), 0);
+  EXPECT_EQ(run_exit("archive-extract " + path("f.clza") + " C -o " +
+                     path("c.f32")),
+            0);
+  const auto [code, text] = run_capture("archive-extract " + path("f.clza") +
+                                        " Z -o " + path("z.f32"));
+  EXPECT_EQ(code, 8) << text;
+  EXPECT_NE(text.find("Unsupported"), std::string::npos) << text;
+  EXPECT_EQ(run_exit("archive-extract " + path("f.clza") + " Z -o " +
+                     path("zw.f32") + " --region 0:2,0:2,0:2"),
+            8);
 }
 
 }  // namespace

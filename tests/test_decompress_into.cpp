@@ -6,10 +6,7 @@
 // through a reused CodecContext or ChunkedScratch.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <numbers>
 
 #include "src/common/rng.hpp"
@@ -17,52 +14,10 @@
 #include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 #include "src/metrics/metrics.hpp"
 
-// --- global allocation counters (this test binary only) -------------------
-
-// The replaced operators below are the textbook malloc/free pair, but once
-// both ends inline into the same frame GCC's heuristic flags the free() as
-// mismatched with the replaced new.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-std::atomic<std::size_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t size) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-}  // namespace
-
-// Every form is replaced (including nothrow, which libstdc++'s temporary
-// buffers use) so no allocation pairs a library-provided new with our
-// free — ASan's alloc-dealloc matching requires the full set.
-void* operator new(std::size_t size) {
-  if (void* p = counted_alloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "tests/alloc_guard.hpp"
 
 namespace cliz {
 namespace {

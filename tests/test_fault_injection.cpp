@@ -12,15 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,50 +31,10 @@
 #include "src/lossless/lossless.hpp"
 #include "tests/fault_injection.hpp"
 
-// --- global allocation counters (this test binary only) -------------------
-// Same guard as test_decompress_into.cpp: the limits matrix asserts that a
-// header declaring a bomb is rejected BEFORE payload-proportional bytes are
-// requested from the allocator, not merely that the decode throws.
-
-// The replaced operators below are the textbook malloc/free pair, but once
-// both ends inline into the same frame GCC's heuristic flags the free() as
-// mismatched with the replaced new.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::size_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t size) noexcept {
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-}  // namespace
-
-// Every form is replaced (including nothrow, which libstdc++'s temporary
-// buffers use) so no allocation pairs a library-provided new with our
-// free — ASan's alloc-dealloc matching requires the full set.
-void* operator new(std::size_t size) {
-  if (void* p = counted_alloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+// The limits matrix asserts that a header declaring a bomb is rejected
+// BEFORE payload-proportional bytes are requested from the allocator, not
+// merely that the decode throws.
+#include "tests/alloc_guard.hpp"
 
 namespace cliz {
 namespace {
@@ -264,7 +221,8 @@ class FaultArchive : public ::testing::Test {
         data[i] = static_cast<float>(0.01 * static_cast<double>(i) +
                                      0.05 * rng.uniform());
       }
-      writer.add_variable_with("sz3", names_.back(), data, 1e-3);
+      writer.add_variable(names_.back(), data, 1e-3,
+                          PipelineConfig::defaults(2));
     }
     writer.finish();
     bytes_ = read_file(path_);
@@ -375,29 +333,6 @@ std::vector<std::uint8_t> with_spliced_dims(
   return out;
 }
 
-/// Runs `decode`, requiring Error{kLimitExceeded} and an allocation total
-/// far below `declared_bytes` — the bomb must fizzle at the header.
-template <typename Fn>
-void expect_limit_refusal(const Fn& decode, std::size_t input_bytes,
-                          std::uint64_t declared_bytes) {
-  const std::size_t before = g_alloc_bytes.load(std::memory_order_relaxed);
-  try {
-    decode();
-    ADD_FAILURE() << "hostile declaration decoded";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kLimitExceeded) << e.what();
-  }
-  const std::size_t delta =
-      g_alloc_bytes.load(std::memory_order_relaxed) - before;
-  // Budget: the lossless unwrap plus parser scratch, never the payload.
-  const std::size_t budget = input_bytes * 8 + (std::size_t{1} << 20);
-  EXPECT_LT(delta, budget) << "allocated " << delta
-                           << " bytes for a declaration of "
-                           << declared_bytes;
-  EXPECT_LT(static_cast<std::uint64_t>(delta), declared_bytes / 2)
-      << "allocation tracked the hostile declaration";
-}
-
 TEST(FaultLimits, InflatedDimsRejectedBeforeAllocation) {
   for (const char* name :
        {"golden_plain.cliz", "golden_masked.cliz", "golden_periodic.cliz"}) {
@@ -427,6 +362,56 @@ TEST(FaultLimits, TightenedOutputBudgetRejectsPristineStream) {
   expect_limit_refusal(
       [&] { (void)ClizCompressor::decompress(stream, ctx); }, stream.size(),
       std::uint64_t{1} << 35);
+}
+
+TEST(FaultLimits, LosslessSizeBombsRefusedBeforeAllocation) {
+  // The lossless frame declares its decoded size up front, and the RLE, LZ
+  // and block modes size their output from it before the CliZ header is
+  // even visible. Under a 1 MiB output budget a 2^39-byte declaration must
+  // be a limit refusal in the codec and in the width probe alike.
+  constexpr std::uint64_t kDeclared = std::uint64_t{1} << 39;
+  std::vector<std::vector<std::uint8_t>> bombs;
+  {  // mode 5 (RLE + CRC): one run covering the declaration, 18 bytes.
+    std::vector<std::uint8_t> bomb{5};
+    put_varint(bomb, kDeclared);
+    bomb.insert(bomb.end(), 4, 0);  // payload CRC, never reached
+    bomb.push_back(0x2A);
+    put_varint(bomb, kDeclared);
+    ASSERT_EQ(bomb.size(), 18u);
+    bombs.push_back(std::move(bomb));
+  }
+  {  // mode 3 (LZ + CRC): a genuine frame with its size varint inflated.
+    std::vector<std::uint8_t> payload(4096);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(i % 7);
+    }
+    const auto frame = lossless_compress(payload);
+    ASSERT_EQ(frame[0], 3u);
+    std::vector<std::uint8_t> bomb{3};
+    put_varint(bomb, kDeclared);
+    bomb.insert(bomb.end(),
+                frame.begin() + static_cast<std::ptrdiff_t>(varint_end(frame, 1)),
+                frame.end());
+    bombs.push_back(std::move(bomb));
+  }
+  {  // mode 4 (blocks + CRC): the 256 KiB block count the size implies.
+    std::vector<std::uint8_t> bomb{4};
+    put_varint(bomb, kDeclared);
+    bomb.insert(bomb.end(), 4, 0);
+    put_varint(bomb, kDeclared >> 18);
+    bombs.push_back(std::move(bomb));
+  }
+  ResourceLimits limits;
+  limits.max_output_bytes = std::uint64_t{1} << 20;
+  for (const auto& bomb : bombs) {
+    SCOPED_TRACE("lossless mode " + std::to_string(bomb[0]));
+    CodecContext ctx;
+    ctx.limits = limits;
+    expect_limit_refusal([&] { (void)ClizCompressor::decompress(bomb, ctx); },
+                         bomb.size(), kDeclared);
+    expect_limit_refusal([&] { (void)detect_sample_bytes(bomb, limits); },
+                         bomb.size(), kDeclared);
+  }
 }
 
 TEST(FaultLimits, ChunkedInflatedDimsAndChunkCount) {

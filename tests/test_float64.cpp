@@ -8,11 +8,11 @@
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/core/cliz.hpp"
-#include "src/qoz/qoz.hpp"
-#include "src/sperr/sperr_like.hpp"
-#include "src/sz3/lorenzo.hpp"
-#include "src/sz3/sz3.hpp"
-#include "src/zfp/zfp_like.hpp"
+#include "src/baselines/qoz/qoz.hpp"
+#include "src/baselines/sperr/sperr_like.hpp"
+#include "src/baselines/sz3/lorenzo.hpp"
+#include "src/baselines/sz3/sz3.hpp"
+#include "src/baselines/zfp/zfp_like.hpp"
 
 namespace cliz {
 namespace {

@@ -15,7 +15,7 @@
 #include "src/common/status.hpp"
 #include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 #include "src/huffman/huffman.hpp"
 #include "src/io/archive.hpp"
 #include "src/lossless/lossless.hpp"
@@ -208,11 +208,22 @@ TEST(FuzzClizHeader, RejectsUnknownPredictorBackendId) {
     hostile.push_back(static_cast<std::uint8_t>(id << 1));
     hostile.push_back(static_cast<std::uint8_t>((id << 1) | 1));
   }
+  // The retired id is valid-but-unsupported; every other id is corruption.
   for (const auto& fault : fault::byte_override_cases(interp_raw, pos,
                                                       hostile)) {
     const auto stream = lossless_compress(fault.bytes);
-    EXPECT_THROW((void)ClizCompressor::decompress(stream), Error)
-        << fault.label;
+    const bool retired = (fault.bytes[pos] >> 1) == kRetiredLorenzo2Id;
+    try {
+      (void)ClizCompressor::decompress(stream);
+      ADD_FAILURE() << fault.label << " decoded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), retired ? ErrorCode::kUnsupported
+                                  : ErrorCode::kCorruptStream)
+          << fault.label << ": " << e.what();
+      EXPECT_EQ(std::string(e.what()).find("retired") != std::string::npos,
+                retired)
+          << fault.label << ": " << e.what();
+    }
   }
 }
 
@@ -584,7 +595,8 @@ class FuzzArchive : public ::testing::Test {
       for (std::size_t i = 0; i < data.size(); ++i) {
         data[i] = static_cast<float>(i % 7) * 0.25f;
       }
-      w.add_variable_with("sz3", "VAR" + std::to_string(v), data, 1e-3);
+      w.add_variable("VAR" + std::to_string(v), data, 1e-3,
+                     PipelineConfig::defaults(data.shape().ndims()));
     }
     w.finish();
     std::ifstream in(path_, std::ios::binary);

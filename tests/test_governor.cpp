@@ -18,7 +18,7 @@
 #include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 
 namespace cliz {
 namespace {

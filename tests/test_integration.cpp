@@ -6,9 +6,9 @@
 #include "src/climate/datasets.hpp"
 #include "src/core/autotune.hpp"
 #include "src/core/cliz.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 #include "src/metrics/metrics.hpp"
-#include "src/sz3/sz3.hpp"
+#include "src/baselines/sz3/sz3.hpp"
 
 namespace cliz {
 namespace {

@@ -1,4 +1,4 @@
-#include "src/sz3/lorenzo.hpp"
+#include "src/baselines/sz3/lorenzo.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/metrics/metrics.hpp"
-#include "src/sz3/sz3.hpp"
+#include "src/baselines/sz3/sz3.hpp"
 
 namespace cliz {
 namespace {

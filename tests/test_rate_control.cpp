@@ -1,4 +1,4 @@
-#include "src/metrics/rate_control.hpp"
+#include "src/baselines/rate_control.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/core/cliz.hpp"
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 #include "src/metrics/metrics.hpp"
 
 namespace cliz {

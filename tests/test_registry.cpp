@@ -1,4 +1,4 @@
-#include "src/core/compressor.hpp"
+#include "src/baselines/compressor.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,12 +1,23 @@
+// SnapshotStreamWriter output is a CLK2 chunked frame: every test decodes
+// it through the generic chunked paths (chunked_decompress, ChunkedReader
+// windows and, when the CLI is built, `clizc decompress`).
 #include "src/core/snapshot_stream.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <unistd.h>
 
 #include "src/climate/datasets.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
+#include "src/core/chunked.hpp"
+#include "src/core/chunked_reader.hpp"
 #include "src/metrics/metrics.hpp"
 
 namespace cliz {
@@ -36,6 +47,35 @@ PipelineConfig stream_config(std::size_t spatial_ndims, std::size_t period) {
   return config;
 }
 
+#ifdef CLIZC_PATH
+/// Decodes `stream` with `clizc decompress` via temp files; empty on a
+/// non-zero exit.
+std::vector<float> clizc_decompress(const std::vector<std::uint8_t>& stream) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string stem = "cliz_snapshot_" + std::to_string(::getpid());
+  const std::string in = (dir / (stem + ".clks")).string();
+  const std::string out = (dir / (stem + ".f32")).string();
+  {
+    std::ofstream f(in, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(stream.data()),
+            static_cast<std::streamsize>(stream.size()));
+  }
+  const std::string cmd = std::string(CLIZC_PATH) + " decompress " + in +
+                          " -o " + out + " >/dev/null 2>&1";
+  std::vector<float> values;
+  if (std::system(cmd.c_str()) == 0) {
+    std::ifstream f(out, std::ios::binary);
+    const std::vector<char> bytes{std::istreambuf_iterator<char>(f),
+                                  std::istreambuf_iterator<char>()};
+    values.resize(bytes.size() / sizeof(float));
+    std::memcpy(values.data(), bytes.data(), values.size() * sizeof(float));
+  }
+  std::filesystem::remove(in);
+  std::filesystem::remove(out);
+  return values;
+}
+#endif
+
 struct StreamCase {
   std::size_t n_snapshots;
   std::size_t per_block;
@@ -56,18 +96,47 @@ TEST_P(SnapshotSweep, RoundTripWithinBound) {
   }
   EXPECT_EQ(writer.snapshots_appended(), n);
   const auto stream = writer.finish();
-  const auto recon = snapshot_stream_decompress(stream);
-  ASSERT_EQ(recon.shape().dim(0), n);
+  ASSERT_TRUE(is_chunked_stream(stream));
+  const auto check_full = [&](std::span<const float> recon) {
+    ASSERT_EQ(recon.size(), n * spatial.size());
+    for (std::size_t t = 0; t < n; ++t) {
+      for (std::size_t i = 0; i < spatial.size(); ++i) {
+        ASSERT_LE(std::abs(static_cast<double>(
+                      recon[t * spatial.size() + i]) -
+                      static_cast<double>(originals[t][i])),
+                  eb)
+            << "t=" << t << " i=" << i;
+      }
+    }
+  };
 
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t i = 0; i < spatial.size(); ++i) {
-      ASSERT_LE(std::abs(static_cast<double>(
-                    recon[t * spatial.size() + i]) -
-                    static_cast<double>(originals[t][i])),
-                eb)
-          << "t=" << t << " i=" << i;
+  const auto recon = chunked_decompress(stream);
+  ASSERT_EQ(recon.shape(), Shape({n, 14, 18}));
+  check_full(recon.flat());
+
+  // One slab per block, and a window over the later half of the time axis
+  // decodes from the slabs it touches alone.
+  const ChunkedReader reader(stream);
+  EXPECT_EQ(reader.tiles().size(), (n + per_block - 1) / per_block);
+  const DimVec origin{n / 2, 3, 4};
+  const DimVec extent{n - n / 2, 8, 10};
+  std::vector<float> window(extent[0] * extent[1] * extent[2]);
+  (void)reader.decompress_region(origin, extent, std::span<float>(window));
+  std::size_t w = 0;
+  for (std::size_t t = origin[0]; t < n; ++t) {
+    for (std::size_t y = origin[1]; y < origin[1] + extent[1]; ++y) {
+      for (std::size_t x = origin[2]; x < origin[2] + extent[2]; ++x) {
+        ASSERT_LE(std::abs(static_cast<double>(window[w++]) -
+                           static_cast<double>(originals[t][y * 18 + x])),
+                  eb)
+            << "window t=" << t << " y=" << y << " x=" << x;
+      }
     }
   }
+
+#ifdef CLIZC_PATH
+  check_full(clizc_decompress(stream));
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, SnapshotSweep,
@@ -87,8 +156,14 @@ TEST(SnapshotStream, BlocksFlushIncrementally) {
   }
   EXPECT_EQ(writer.blocks_flushed(), 2u);  // two full blocks of 4
   const auto stream = writer.finish();     // flushes the ninth
-  const auto recon = snapshot_stream_decompress(stream);
+  EXPECT_EQ(writer.blocks_flushed(), 3u);
+  const auto recon = chunked_decompress(stream);
   EXPECT_EQ(recon.shape().dim(0), 9u);
+  // The blocks are the frame's slabs: 4 + 4 + 1 snapshots.
+  const ChunkedReader reader(stream);
+  ASSERT_EQ(reader.tiles().size(), 3u);
+  EXPECT_EQ(reader.tiles()[2].origin[0], 8u);
+  EXPECT_EQ(reader.tiles()[2].extent[0], 1u);
 }
 
 TEST(SnapshotStream, MaskedStreamingRoundTrip) {
@@ -108,7 +183,7 @@ TEST(SnapshotStream, MaskedStreamingRoundTrip) {
     originals.push_back(snap);
     writer.append(snap);
   }
-  const auto recon = snapshot_stream_decompress(writer.finish());
+  const auto recon = chunked_decompress(writer.finish());
   for (std::size_t t = 0; t < 14; ++t) {
     for (std::size_t i = 0; i < spatial.size(); ++i) {
       const float got = recon[t * spatial.size() + i];
@@ -134,7 +209,7 @@ TEST(SnapshotStream, PeriodicPipelinePerYearBlock) {
     originals.push_back(make_snapshot(spatial, t, 4));
     writer.append(originals.back());
   }
-  const auto recon = snapshot_stream_decompress(writer.finish());
+  const auto recon = chunked_decompress(writer.finish());
   for (std::size_t t = 0; t < 24; ++t) {
     for (std::size_t i = 0; i < spatial.size(); ++i) {
       ASSERT_LE(std::abs(static_cast<double>(
@@ -156,6 +231,16 @@ TEST(SnapshotStream, MisuseRejected) {
   // Wrong snapshot shape.
   SnapshotStreamWriter writer(spatial, 1e-3, stream_config(2, 0));
   EXPECT_THROW(writer.append(NdArray<float>(Shape({8, 9}))), Error);
+  // Finishing before any snapshot arrived is caller misuse.
+  {
+    SnapshotStreamWriter empty(spatial, 1e-3, stream_config(2, 0));
+    try {
+      (void)empty.finish();
+      ADD_FAILURE() << "empty writer finished";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadArgument);
+    }
+  }
   // Finish twice / append after finish.
   writer.append(NdArray<float>(spatial));
   (void)writer.finish();
@@ -170,8 +255,13 @@ TEST(SnapshotStream, CorruptStreamThrows) {
   auto stream = writer.finish();
   auto truncated = stream;
   truncated.resize(truncated.size() / 2);
-  EXPECT_THROW((void)snapshot_stream_decompress(truncated), Error);
-  EXPECT_THROW((void)snapshot_stream_decompress({}), Error);
+  EXPECT_THROW((void)chunked_decompress(truncated), Error);
+  EXPECT_THROW((void)chunked_decompress({}), Error);
+  // The frame header is CRC-covered: a flipped bit past the magic is
+  // caught before any block decodes.
+  auto flipped = stream;
+  flipped[5] ^= 0x01;
+  EXPECT_THROW((void)chunked_decompress(flipped), Error);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "src/sperr/sperr_like.hpp"
+#include "src/baselines/sperr/sperr_like.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/metrics/metrics.hpp"
-#include "src/sperr/wavelet.hpp"
+#include "src/baselines/sperr/wavelet.hpp"
 
 namespace cliz {
 namespace {

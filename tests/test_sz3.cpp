@@ -1,4 +1,4 @@
-#include "src/sz3/sz3.hpp"
+#include "src/baselines/sz3/sz3.hpp"
 
 #include <gtest/gtest.h>
 

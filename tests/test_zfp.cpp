@@ -1,4 +1,4 @@
-#include "src/zfp/zfp_like.hpp"
+#include "src/baselines/zfp/zfp_like.hpp"
 
 #include <gtest/gtest.h>
 

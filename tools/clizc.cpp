@@ -1,8 +1,7 @@
 // clizc — command-line front end for the CliZ compression library.
 //
 //   clizc compress   <in.f32>  -d T,Y,X -o <out> [-e ABS | -r REL]
-//                    [-c cliz|sz3|qoz|zfp|sperr] [--mask-fill] [--tune RATE]
-//                    [--time-dim N]
+//                    [--mask-fill] [--tune RATE] [--time-dim N]
 //   clizc decompress <in>      -o <out.f32>
 //   clizc info       <in>                      (compressed stream or .clza)
 //   clizc gen        <dataset> -o <out.f32> [--scale S]
@@ -30,7 +29,6 @@
 #include "src/core/chunked_reader.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
-#include "src/core/compressor.hpp"
 #include "src/io/archive.hpp"
 #include "src/metrics/metrics.hpp"
 #include "src/metrics/report.hpp"
@@ -51,28 +49,28 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
   if (msg != nullptr) std::fprintf(stderr, "clizc: %s\n\n", msg);
   std::fprintf(stderr, R"(usage:
   clizc compress   <in.f32>  -d T,Y,X -o <out> [-e ABS | -r REL]
-                   [-c cliz|sz3|qoz|zfp|sperr|sz2] [--mask-fill] [--f64]
-                   [--tune RATE] [--time-dim N] [--chunks N] [--stats]
+                   [--mask-fill] [--f64] [--tune RATE] [--time-dim N]
+                   [--chunks N] [--stats]
                    [--tile AxBx...]
-                                (cliz only: write the tile-indexed chunked
-                                 layout — N-D tiles of the given per-dim
-                                 size, 0 = full extent — so windows decode
-                                 via `extract --region` without touching
-                                 the rest of the stream)
+                                (write the tile-indexed chunked layout —
+                                 N-D tiles of the given per-dim size,
+                                 0 = full extent — so windows decode via
+                                 `extract --region` without touching the
+                                 rest of the stream)
                    [--predictor interp|lorenzo1|regression]
                    [--entropy huffman|tans] [--lossless lz|store]
-                   (cliz only: force a stage backend; without these flags
-                    the tuner picks the best backends per stream)
-                   [--verify]   (cliz only: decode-and-check the bound
+                   (force a stage backend; without these flags the
+                    tuner picks the best backends per stream)
+                   [--verify]   (decode-and-check the bound
                                  before writing; retries conservatively)
                    [--frame-passes]
-                                (cliz only: per-pass entropy framing for
-                                 parallel decode; the tuner drops it when
-                                 the offset table costs too much ratio)
+                                (per-pass entropy framing for parallel
+                                 decode; the tuner drops it when the
+                                 offset table costs too much ratio)
   clizc decompress <in>      -o <out.f32> [--stats]
                    (f64 and chunked streams auto-detected)
   clizc extract    <in> --region a:b,c:d,... -o <out.f32> [--stats]
-                   (decodes one window of a chunked cliz stream, reading
+                   (decodes one window of a chunked stream, reading
                     only the tiles it intersects; --stats reports tiles
                     touched and the compressed bytes-touched ratio)
   clizc info       <in>
@@ -84,11 +82,11 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
   clizc gen        <SSH|CESM-T|RELHUM|SOILLIQ|Tsfc|Hurricane-T|SALT|RHO|SHF_QSW>
                    -o <out.f32>
                    [--scale S]
-  clizc archive-create  <out.clza> NAME=FILE:DIMS[:CODEC] ...
+  clizc archive-create  <out.clza> NAME=FILE:DIMS ...
                    [-r REL | -e ABS] [--mask-fill] [--tune RATE]
-                   [--tile AxBx...]  (tile-indexed layout for cliz
-                    variables of matching rank: archive-extract --region
-                    then seeks straight to the window's tiles)
+                   [--tile AxBx...]  (tile-indexed layout for variables
+                    of matching rank: archive-extract --region then
+                    seeks straight to the window's tiles)
   clizc archive-list    <in.clza> [--salvage]
   clizc archive-extract <in.clza> <var> -o <out.f32> [--salvage]
                    [--region a:b,c:d,...] [--stats]
@@ -292,7 +290,6 @@ int cmd_compress(Args& args) {
   const std::string input = args.next("input file");
   std::optional<DimVec> dims;
   std::string output;
-  std::string codec = "cliz";
   std::optional<double> abs_eb;
   double rel_eb = 1e-3;
   bool mask_fill = false;
@@ -319,8 +316,6 @@ int cmd_compress(Args& args) {
       abs_eb = std::atof(args.next("absolute bound").c_str());
     } else if (opt == "-r") {
       rel_eb = std::atof(args.next("relative bound").c_str());
-    } else if (opt == "-c") {
-      codec = args.next("codec name");
     } else if (opt == "--mask-fill") {
       mask_fill = true;
     } else if (opt == "--f64") {
@@ -366,21 +361,8 @@ int cmd_compress(Args& args) {
   }
   if (!dims.has_value()) usage("compress needs -d DIMS");
   if (output.empty()) usage("compress needs -o OUTPUT");
-  if (chunked && codec != "cliz") {
-    usage("--chunks/--tile are only supported with -c cliz");
-  }
   if (!tile.empty() && dims.has_value() && tile.size() != dims->size()) {
     usage("--tile arity must match -d DIMS");
-  }
-  if (verify && codec != "cliz") {
-    usage("--verify is only supported with -c cliz");
-  }
-  if (frame_passes && codec != "cliz") {
-    usage("--frame-passes is only supported with -c cliz");
-  }
-  if ((predictor.has_value() || entropy.has_value() || lossless.has_value()) &&
-      codec != "cliz") {
-    usage("--predictor/--entropy/--lossless are only supported with -c cliz");
   }
   ClizOptions cliz_opts;
   // Flows into autotune trials, chunked workers and the direct codec, so
@@ -396,103 +378,19 @@ int cmd_compress(Args& args) {
   const bool tune_predictor = !predictor.has_value();
   const bool tune_backends = !entropy.has_value() && !lossless.has_value();
 
-  if (f64) {
-    const auto data = load_raw_t<double>(input, *dims);
-    std::optional<MaskMap> mask;
-    if (mask_fill) mask = MaskMap::from_fill_values(data);
-    const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
-    double eb = abs_eb.has_value() ? *abs_eb : 0.0;
-    if (!abs_eb.has_value()) {
-      double lo = 1e300;
-      double hi = -1e300;
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        if (mask_ptr != nullptr && !mask_ptr->valid(i)) continue;
-        lo = std::min(lo, data[i]);
-        hi = std::max(hi, data[i]);
-      }
-      eb = hi > lo ? rel_eb * (hi - lo) : rel_eb;
-    }
-    std::vector<std::uint8_t> stream;
-    if (chunked ||
-        ((show_stats || verify || frame_passes || !tune_backends ||
-          !tune_predictor) &&
-         codec == "cliz")) {
-      // Tune on a float32 downcast (ranking only), then compress the
-      // float64 samples through a context so --stats has telemetry.
-      NdArray<float> downcast(data.shape());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        downcast[i] = static_cast<float>(data[i]);
-      }
-      AutotuneOptions opts;
-      opts.sampling_rate = tune_rate;
-      opts.time_dim = time_dim;
-      opts.codec = cliz_opts;
-      opts.consider_backends = tune_backends;
-      opts.consider_predictors = tune_predictor;
-      const auto tuned = autotune(downcast, eb, mask_ptr, opts);
-      if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
-      if (tune_backends) {
-        cliz_opts.entropy = tuned.best_entropy;
-        cliz_opts.lossless = tuned.best_lossless;
-      }
-      cliz_opts.frame_passes = tuned.best_frame_passes;
-      if (show_stats) {
-        std::fprintf(stderr, "autotune: %s\n", tuned.to_json().c_str());
-      }
-      if (chunked) {
-        ChunkedScratch scratch;
-        ChunkedOptions copts;
-        copts.chunks = chunks;
-        copts.tile = tile;
-        copts.scratch = &scratch;
-        copts.codec = cliz_opts;
-        stream = chunked_compress(data, eb, tuned.best, mask_ptr, copts);
-        if (show_stats) {
-          std::fputs(scratch.stats.to_text().c_str(), stderr);
-          print_pool_stats(scratch);
-        }
-      } else {
-        CodecContext cctx;
-        stream = ClizCompressor(tuned.best, cliz_opts)
-                     .compress(data, eb, mask_ptr, cctx);
-        std::fputs(cctx.stats.to_text().c_str(), stderr);
-      }
-    } else {
-      stream = compress_f64(codec, data, eb, mask_ptr, time_dim);
-      if (show_stats) {
-        std::fprintf(stderr, "clizc: --stats is not available for %s --f64\n",
-                     codec.c_str());
-      }
-    }
-    write_file(output, stream.data(), stream.size());
-    std::fprintf(stderr,
-                 "%s (f64): %zu -> %zu bytes (ratio %.2fx, abs bound %.4g)\n",
-                 codec.c_str(), data.size() * sizeof(double), stream.size(),
-                 compression_ratio(data.size() * sizeof(double),
-                                   stream.size()),
-                 eb);
-    return 0;
-  }
-
-  const auto data = load_raw(input, *dims);
-  std::optional<MaskMap> mask;
-  if (mask_fill) mask = MaskMap::from_fill_values(data);
-  const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
-
-  const double eb = abs_eb.has_value()
-                        ? *abs_eb
-                        : abs_bound_from_relative(data.flat(), rel_eb,
-                                                  mask_ptr);
-
-  std::vector<std::uint8_t> stream;
-  if (codec == "cliz") {
+  // Tunes on a float32 view of the data (tuning only ranks pipelines, so a
+  // float64 downcast is harmless), adopts the tuner's backend choices and
+  // compresses `data` as one stream or a chunked frame.
+  const auto compress_tuned = [&](const auto& data,
+                                  const NdArray<float>& tune_view, double eb,
+                                  const MaskMap* mask_ptr) {
     AutotuneOptions opts;
     opts.sampling_rate = tune_rate;
     opts.time_dim = time_dim;
     opts.codec = cliz_opts;
     opts.consider_backends = tune_backends;
     opts.consider_predictors = tune_predictor;
-    const auto tuned = autotune(data, eb, mask_ptr, opts);
+    const auto tuned = autotune(tune_view, eb, mask_ptr, opts);
     if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
     if (tune_backends) {
       cliz_opts.entropy = tuned.best_entropy;
@@ -519,35 +417,66 @@ int cmd_compress(Args& args) {
       copts.tile = tile;
       copts.scratch = &scratch;
       copts.codec = cliz_opts;
-      stream = chunked_compress(data, eb, tuned.best, mask_ptr, copts);
+      auto stream = chunked_compress(data, eb, tuned.best, mask_ptr, copts);
       if (show_stats) {
         std::fputs(scratch.stats.to_text().c_str(), stderr);
         print_pool_stats(scratch);
       }
-    } else {
-      CodecContext cctx;
-      stream = ClizCompressor(tuned.best, cliz_opts)
-                   .compress(data, eb, mask_ptr, cctx);
-      if (show_stats) std::fputs(cctx.stats.to_text().c_str(), stderr);
+      return stream;
     }
-  } else {
-    const auto comp = make_compressor(codec);
-    stream = comp->compress(data, eb);
-    if (show_stats) {
-      const StageStats* s = comp->stage_stats();
-      if (s != nullptr) {
-        std::fputs(s->to_text().c_str(), stderr);
-      } else {
-        std::fprintf(stderr, "clizc: %s does not report stage stats\n",
-                     codec.c_str());
+    CodecContext cctx;
+    auto stream = ClizCompressor(tuned.best, cliz_opts)
+                      .compress(data, eb, mask_ptr, cctx);
+    if (show_stats) std::fputs(cctx.stats.to_text().c_str(), stderr);
+    return stream;
+  };
+
+  if (f64) {
+    const auto data = load_raw_t<double>(input, *dims);
+    std::optional<MaskMap> mask;
+    if (mask_fill) mask = MaskMap::from_fill_values(data);
+    const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
+    double eb = abs_eb.has_value() ? *abs_eb : 0.0;
+    if (!abs_eb.has_value()) {
+      double lo = 1e300;
+      double hi = -1e300;
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        if (mask_ptr != nullptr && !mask_ptr->valid(i)) continue;
+        lo = std::min(lo, data[i]);
+        hi = std::max(hi, data[i]);
       }
+      eb = hi > lo ? rel_eb * (hi - lo) : rel_eb;
     }
+    NdArray<float> downcast(data.shape());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      downcast[i] = static_cast<float>(data[i]);
+    }
+    const auto stream = compress_tuned(data, downcast, eb, mask_ptr);
+    write_file(output, stream.data(), stream.size());
+    std::fprintf(stderr,
+                 "cliz (f64): %zu -> %zu bytes (ratio %.2fx, abs bound %.4g)\n",
+                 data.size() * sizeof(double), stream.size(),
+                 compression_ratio(data.size() * sizeof(double),
+                                   stream.size()),
+                 eb);
+    return 0;
   }
+
+  const auto data = load_raw(input, *dims);
+  std::optional<MaskMap> mask;
+  if (mask_fill) mask = MaskMap::from_fill_values(data);
+  const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
+
+  const double eb = abs_eb.has_value()
+                        ? *abs_eb
+                        : abs_bound_from_relative(data.flat(), rel_eb,
+                                                  mask_ptr);
+  const auto stream = compress_tuned(data, data, eb, mask_ptr);
   write_file(output, stream.data(), stream.size());
   std::fprintf(stderr,
-               "%s: %zu -> %zu bytes (ratio %.2fx, %.3f bits/value, "
+               "cliz: %zu -> %zu bytes (ratio %.2fx, %.3f bits/value, "
                "abs bound %.4g)\n",
-               codec.c_str(), data.size() * sizeof(float), stream.size(),
+               data.size() * sizeof(float), stream.size(),
                compression_ratio(data.size() * sizeof(float), stream.size()),
                bit_rate(data.size(), stream.size()), eb);
   return 0;
@@ -591,31 +520,22 @@ int cmd_decompress(Args& args) {
     return 0;
   }
 
-  // CliZ streams decode through a governed context so the global limit /
-  // deadline flags apply; foreign codecs keep the generic path.
-  const bool is_cliz = detect_codec(stream) == "cliz";
-  if (detect_sample_bytes(stream) == 8) {
-    CodecContext ctx;
-    ctx.limits = g_limits;
-    ctx.cancel = governor_cancel();
-    const auto data = is_cliz ? ClizCompressor::decompress_f64(stream, ctx)
-                              : decompress_any_f64(stream);
-    if (is_cliz && show_stats) std::fputs(ctx.stats.to_text().c_str(), stderr);
+  // Single CliZ streams decode through a governed context so the global
+  // limit / deadline flags apply.
+  CodecContext ctx;
+  ctx.limits = g_limits;
+  ctx.cancel = governor_cancel();
+  if (detect_sample_bytes(stream, g_limits) == 8) {
+    const auto data = ClizCompressor::decompress_f64(stream, ctx);
+    if (show_stats) std::fputs(ctx.stats.to_text().c_str(), stderr);
     write_file(output, data.data(), data.size() * sizeof(double));
     std::fprintf(stderr, "%s -> %s %s (%zu float64 values)\n", input.c_str(),
                  output.c_str(), data.shape().to_string().c_str(),
                  data.size());
     return 0;
   }
-  CodecContext ctx;
-  ctx.limits = g_limits;
-  ctx.cancel = governor_cancel();
-  const auto data = is_cliz ? ClizCompressor::decompress(stream, ctx)
-                            : decompress_any(stream);
-  if (is_cliz && show_stats) std::fputs(ctx.stats.to_text().c_str(), stderr);
-  if (show_stats && !is_cliz) {
-    std::fprintf(stderr, "clizc: --stats is only reported for cliz streams\n");
-  }
+  const auto data = ClizCompressor::decompress(stream, ctx);
+  if (show_stats) std::fputs(ctx.stats.to_text().c_str(), stderr);
   write_file(output, data.data(), data.size() * sizeof(float));
   std::fprintf(stderr, "%s -> %s %s (%zu values)\n", input.c_str(),
                output.c_str(), data.shape().to_string().c_str(),
@@ -646,7 +566,7 @@ int cmd_extract(Args& args) {
   const auto stream = read_file(input);
   if (!is_chunked_stream(stream)) {
     throw cliz::Error(cliz::ErrorCode::kBadArgument,
-                      "clizc: extract --region needs a chunked cliz stream "
+                      "clizc: extract --region needs a chunked stream "
                       "(compress with --tile or --chunks)");
   }
   const ChunkedReader reader(stream, g_limits, governor_cancel());
@@ -721,12 +641,17 @@ int cmd_info(Args& args) {
     print_tile_table(reader, bytes);
     return 0;
   }
-  const std::string codec = detect_codec(bytes);
-  const auto data = decompress_any(bytes);
-  std::printf("%s stream: %s, %zu values, %zu compressed bytes (%.2fx)\n",
-              codec.c_str(), data.shape().to_string().c_str(), data.size(),
-              bytes.size(),
-              compression_ratio(data.size() * sizeof(float), bytes.size()));
+  CodecContext ctx;
+  ctx.limits = g_limits;
+  ctx.cancel = governor_cancel();
+  const unsigned width = detect_sample_bytes(bytes, g_limits);
+  const Shape shape = width == 8
+                          ? ClizCompressor::decompress_f64(bytes, ctx).shape()
+                          : ClizCompressor::decompress(bytes, ctx).shape();
+  std::printf(
+      "cliz stream: %s, %zu float%u values, %zu compressed bytes (%.2fx)\n",
+      shape.to_string().c_str(), shape.size(), width * 8, bytes.size(),
+      compression_ratio(shape.size() * width, bytes.size()));
   return 0;
 }
 
@@ -815,29 +740,22 @@ int cmd_archive_create(Args& args) {
     }
   }
   if (specs.empty()) {
-    usage("archive-create needs at least one NAME=FILE:DIMS[:CODEC] spec");
+    usage("archive-create needs at least one NAME=FILE:DIMS spec");
   }
 
   ArchiveWriter writer(output);
   if (!tile.empty()) writer.set_tile(tile);
   for (const std::string& spec : specs) {
-    // NAME=FILE:DIMS[:CODEC]
+    // NAME=FILE:DIMS
     const std::size_t eq = spec.find('=');
-    if (eq == std::string::npos) usage(("bad spec " + spec).c_str());
-    const std::string name = spec.substr(0, eq);
-    std::string rest = spec.substr(eq + 1);
-    const std::size_t c1 = rest.find(':');
-    if (c1 == std::string::npos) usage(("bad spec " + spec).c_str());
-    const std::string file = rest.substr(0, c1);
-    rest = rest.substr(c1 + 1);
-    std::string codec = "cliz";
-    std::string dims_spec = rest;
-    const std::size_t c2 = rest.find(':');
-    if (c2 != std::string::npos) {
-      dims_spec = rest.substr(0, c2);
-      codec = rest.substr(c2 + 1);
+    const std::size_t colon = spec.find(':', eq);
+    if (eq == std::string::npos || colon == std::string::npos ||
+        spec.find(':', colon + 1) != std::string::npos) {
+      usage(("bad spec " + spec + " (expected NAME=FILE:DIMS)").c_str());
     }
-    const DimVec dims = parse_dims(dims_spec);
+    const std::string name = spec.substr(0, eq);
+    const std::string file = spec.substr(eq + 1, colon - eq - 1);
+    const DimVec dims = parse_dims(spec.substr(colon + 1));
     const auto data = load_raw(file, dims);
     std::optional<MaskMap> mask;
     if (mask_fill) mask = MaskMap::from_fill_values(data);
@@ -846,23 +764,19 @@ int cmd_archive_create(Args& args) {
                           ? *abs_eb
                           : abs_bound_from_relative(data.flat(), rel_eb,
                                                     mask_ptr);
-    if (codec == "cliz") {
-      AutotuneOptions opts;
-      opts.sampling_rate = tune_rate;
-      const auto tuned = autotune(data, eb, mask_ptr, opts);
-      ClizOptions var_opts;
-      var_opts.predictor = tuned.best_predictor;
-      var_opts.entropy = tuned.best_entropy;
-      var_opts.lossless = tuned.best_lossless;
-      writer.add_variable(name, data, eb, tuned.best, mask_ptr,
-                          {{"source", file},
-                           {"pipeline", tuned.best.label()}},
-                          var_opts);
-    } else {
-      writer.add_variable_with(codec, name, data, eb, {{"source", file}});
-    }
+    AutotuneOptions opts;
+    opts.sampling_rate = tune_rate;
+    const auto tuned = autotune(data, eb, mask_ptr, opts);
+    ClizOptions var_opts;
+    var_opts.predictor = tuned.best_predictor;
+    var_opts.entropy = tuned.best_entropy;
+    var_opts.lossless = tuned.best_lossless;
+    writer.add_variable(name, data, eb, tuned.best, mask_ptr,
+                        {{"source", file}, {"pipeline", tuned.best.label()}},
+                        var_opts);
     std::fprintf(stderr, "added %s (%s, %s, eb %.4g)\n", name.c_str(),
-                 Shape(dims).to_string().c_str(), codec.c_str(), eb);
+                 Shape(dims).to_string().c_str(),
+                 tuned.best.label().c_str(), eb);
   }
   writer.finish();
   std::fprintf(stderr, "wrote %s with %zu variable(s)\n", output.c_str(),
