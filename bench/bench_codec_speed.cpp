@@ -426,10 +426,8 @@ void BM_PredictorBackendDecompress(benchmark::State& state,
   report_bytes(state, c.field.data.size() * sizeof(float));
 }
 
-/// Lossless-backend A/B on a residual-shaped byte stream: the default LZ
-/// parse vs the store/RLE fast path (which trades ratio for near-memcpy
-/// speed on payloads like this).
-void BM_LosslessBackend(benchmark::State& state, LosslessBackend backend) {
+/// The LZ lossless backend on a residual-shaped byte stream.
+void BM_LosslessBackend(benchmark::State& state) {
   Rng rng(6);
   std::vector<std::uint8_t> data(1 << 20);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -440,7 +438,7 @@ void BM_LosslessBackend(benchmark::State& state, LosslessBackend backend) {
   LosslessScratch scratch;
   std::vector<std::uint8_t> out;
   for (auto _ : state) {
-    lossless_compress_into(data, scratch, out, backend);
+    lossless_compress_into(data, scratch, out);
     benchmark::DoNotOptimize(out.data());
   }
   report_bytes(state, data.size());
@@ -600,17 +598,9 @@ int main(int argc, char** argv) {
         })
         ->Unit(benchmark::kMillisecond);
   }
-  for (const cliz::LosslessBackend backend :
-       {cliz::LosslessBackend::kLz, cliz::LosslessBackend::kStore}) {
-    benchmark::RegisterBenchmark(
-        (std::string("lossless_backend/") +
-         cliz::lossless_backend_name(backend))
-            .c_str(),
-        [backend](benchmark::State& s) {
-          cliz::BM_LosslessBackend(s, backend);
-        })
-        ->Unit(benchmark::kMillisecond);
-  }
+  benchmark::RegisterBenchmark("lossless_backend/lz",
+                               cliz::BM_LosslessBackend)
+      ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("substrate/huffman_encode",
                                cliz::BM_HuffmanEncode)
       ->Unit(benchmark::kMillisecond);

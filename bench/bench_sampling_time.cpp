@@ -93,37 +93,8 @@ void run_dataset(const ClimateField& field, double eb) {
   }
   t.print();
 
-  // Trial-loop engineering A/B: the pre-CodecContext behaviour (serial
-  // loop, fresh buffers every trial) against the current one (parallel_for
-  // over per-thread contexts, buffers reused across trials). The candidate
-  // ranking is identical by construction; only wall time moves.
-  AutotuneOptions legacy;
-  legacy.time_dim = field.time_dim;
-  legacy.sampling_rate = 0.01;
-  legacy.parallel_trials = false;
-  legacy.reuse_contexts = false;
-  AutotuneOptions reused = legacy;
-  reused.parallel_trials = true;
-  reused.reuse_contexts = true;
-  double legacy_s = 1e300;
-  double reused_s = 1e300;
-  std::string legacy_best;
-  std::string reused_best;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto a = autotune(field.data, eb, field.mask_ptr(), legacy);
-    const auto b = autotune(field.data, eb, field.mask_ptr(), reused);
-    legacy_s = std::min(legacy_s, a.tuning_seconds);
-    reused_s = std::min(reused_s, b.tuning_seconds);
-    legacy_best = a.best.label();
-    reused_best = b.best.label();
-  }
-  std::printf("trial loop: fresh-context serial %.3f s, "
-              "reused-context parallel %.3f s (%.2fx)%s\n",
-              legacy_s, reused_s, legacy_s / reused_s,
-              legacy_best == reused_best ? "" : "  [RANKING DIVERGED]");
-  const auto tuned = autotune(field.data, eb, field.mask_ptr(), reused);
   std::printf("best-candidate stage breakdown (sample trial):\n%s",
-              tuned.candidates.front().stats.to_text().c_str());
+              ref.candidates.front().stats.to_text().c_str());
 
   run_chunked_ab(field, eb, ref.best);
 }

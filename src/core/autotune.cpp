@@ -16,6 +16,16 @@ namespace cliz {
 
 namespace {
 
+/// Rows sampled along the time dimension for FFT period detection.
+constexpr std::size_t kPeriodProbeRows = 10;
+/// Largest acceptable relative size growth of the framed *sampled* stream
+/// over the serial one before the tuner drops framing. The per-pass table
+/// cost is fixed, so it is over-represented on the small trial stream
+/// (measured ~70x the full-stream overhead at the default sampling rate);
+/// this budget tolerates that inflation while still catching streams whose
+/// framing genuinely costs ratio.
+constexpr double kFrameOverheadBudget = 0.05;
+
 /// Copies the two-blocks-per-dim sample given per-dim block sides. Sample
 /// coordinate c in [0, 2b) maps to block A (c < b) or block B (c >= b).
 SampledData gather_two_block_sample(const NdArray<float>& data,
@@ -169,7 +179,7 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   if (opts.consider_periodicity && opts.time_dim < nd &&
       shape.dim(opts.time_dim) >= 8) {
     const auto rows = sample_time_rows(data, mask, opts.time_dim,
-                                       opts.period_probe_rows, opts.seed);
+                                       kPeriodProbeRows, opts.seed);
     if (!rows.empty()) {
       result.period = detect_period(rows);
       if (result.period.has_value()) {
@@ -238,38 +248,31 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   // One context per thread: trial compressions after the first reuse the
   // previous trial's buffers (LZ hash chains, code vectors, Huffman
   // scratch), which is where the tuning loop spends its allocations.
-  const std::size_t n_slots =
-      opts.parallel_trials
-          ? static_cast<std::size_t>(std::max(1, hardware_threads()))
-          : 1;
-  std::vector<CodecContext> pool(n_slots);
-  result.candidates.resize(trials.size());
-  const auto run_trial = [&](std::size_t i) {
-    const TrialSpec& t = trials[i];
-    CodecContext local;  // reuse_contexts=false: fresh scratch per trial
-    CodecContext& ctx =
-        opts.reuse_contexts
-            ? pool[static_cast<std::size_t>(thread_index()) % pool.size()]
-            : local;
-    const ClizCompressor comp(t.config, opts.codec);
-    const auto stream =
-        comp.compress(t.sample->data, abs_error_bound, t.sample->mask_ptr(),
-                      ctx);
-    const double ratio =
-        static_cast<double>(t.sample->data.size() * sizeof(float)) /
-        static_cast<double>(stream.size());
-    result.candidates[i] = {t.config, ratio, ctx.stats};
+  std::vector<CodecContext> pool(
+      static_cast<std::size_t>(std::max(1, hardware_threads())));
+  // Every trial: compress sample `s` on `ctx` and return its ratio; the
+  // trial's stage breakdown is left in ctx.stats.
+  const auto trial = [&](const PipelineConfig& config,
+                         const ClizOptions& codec, const SampledData& s,
+                         CodecContext& ctx) {
+    const auto stream = ClizCompressor(config, codec)
+                            .compress(s.data, abs_error_bound, s.mask_ptr(),
+                                      ctx);
+    return static_cast<double>(s.data.size() * sizeof(float)) /
+           static_cast<double>(stream.size());
   };
-  if (opts.parallel_trials) {
-    // Cancellable: a deadline or cancel() abandons the search within one
-    // trial compression per worker instead of finishing the whole grid.
-    parallel_for_cancellable(0, trials.size(), opts.codec.cancel, run_trial);
-  } else {
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      if (opts.codec.cancel != nullptr) opts.codec.cancel->check();
-      run_trial(i);
-    }
-  }
+
+  // Cancellable: a deadline or cancel() abandons the search within one
+  // trial compression per worker instead of finishing the whole grid.
+  result.candidates.resize(trials.size());
+  parallel_for_cancellable(
+      0, trials.size(), opts.codec.cancel, [&](std::size_t i) {
+        CodecContext& ctx =
+            pool[static_cast<std::size_t>(thread_index()) % pool.size()];
+        const double ratio =
+            trial(trials[i].config, opts.codec, *trials[i].sample, ctx);
+        result.candidates[i] = {trials[i].config, ratio, ctx.stats};
+      });
 
   std::stable_sort(result.candidates.begin(), result.candidates.end(),
                    [](const PipelineCandidate& a, const PipelineCandidate& b) {
@@ -298,12 +301,7 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
         }
         s = &*refine_periodic;
       }
-      const ClizCompressor comp(cand.config, opts.codec);
-      const auto stream =
-          comp.compress(s->data, abs_error_bound, s->mask_ptr(), pool[0]);
-      cand.estimated_ratio =
-          static_cast<double>(s->data.size() * sizeof(float)) /
-          static_cast<double>(stream.size());
+      cand.estimated_ratio = trial(cand.config, opts.codec, *s, pool[0]);
       cand.stats = pool[0].stats;
     }
     std::stable_sort(result.candidates.begin(),
@@ -318,13 +316,12 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   result.best_estimated_ratio = result.candidates.front().estimated_ratio;
 
   // Backend grids, phase A then B: predictor trials first (with the default
-  // entropy/lossless pair), then the entropy/lossless grid on the winning
-  // predictor. Both run sequentially on pool[0] in a fixed order with a
-  // strict comparison, so the choice is deterministic and ties keep the
-  // defaults (= the golden byte-identical stream). Sampled trials keep the
-  // 3-axis grid additive (3 + 4) rather than the full 12-cell product.
+  // entropy coder), then the entropy trials on the winning predictor. Both
+  // run sequentially on pool[0] in a fixed order with a strict comparison,
+  // so the choice is deterministic and ties keep the defaults (= the golden
+  // byte-identical stream). The two axes stay additive (3 + 2 trials)
+  // rather than a 6-cell product.
   result.best_entropy = opts.codec.entropy;
-  result.best_lossless = opts.codec.lossless;
   result.best_predictor = opts.codec.predictor;
   const SampledData* grid_sample = &sample;
   std::optional<SampledData> backend_periodic;
@@ -334,23 +331,14 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
                                               opts.time_dim);
     grid_sample = &*backend_periodic;
   }
+  ClizOptions codec = opts.codec;
   if (opts.consider_predictors) {
-    const SampledData* s = grid_sample;
-    constexpr PredictorBackend kPredictors[] = {
-        PredictorBackend::kInterp,
-        PredictorBackend::kLorenzo1,
-        PredictorBackend::kRegression,
-    };
     double best_ratio = 0.0;
-    for (const PredictorBackend predictor : kPredictors) {
-      ClizOptions codec = opts.codec;
+    for (const PredictorBackend predictor :
+         {PredictorBackend::kInterp, PredictorBackend::kLorenzo1,
+          PredictorBackend::kRegression}) {
       codec.predictor = predictor;
-      const ClizCompressor comp(result.best, codec);
-      const auto stream =
-          comp.compress(s->data, abs_error_bound, s->mask_ptr(), pool[0]);
-      const double ratio =
-          static_cast<double>(s->data.size() * sizeof(float)) /
-          static_cast<double>(stream.size());
+      const double ratio = trial(result.best, codec, *grid_sample, pool[0]);
       result.predictor_candidates.push_back({predictor, ratio, pool[0].stats});
       if (ratio > best_ratio) {  // strict: ties keep the earlier (default)
         best_ratio = ratio;
@@ -358,62 +346,33 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
       }
     }
   }
+  codec.predictor = result.best_predictor;
   if (opts.consider_backends) {
-    const SampledData* s = grid_sample;
-    constexpr std::pair<EntropyBackend, LosslessBackend> kGrid[] = {
-        {EntropyBackend::kHuffman, LosslessBackend::kLz},
-        {EntropyBackend::kHuffman, LosslessBackend::kStore},
-        {EntropyBackend::kTans, LosslessBackend::kLz},
-        {EntropyBackend::kTans, LosslessBackend::kStore},
-    };
     double best_ratio = 0.0;
-    for (const auto& [entropy, lossless] : kGrid) {
-      ClizOptions codec = opts.codec;
-      codec.predictor = result.best_predictor;
+    for (const EntropyBackend entropy :
+         {EntropyBackend::kHuffman, EntropyBackend::kTans}) {
       codec.entropy = entropy;
-      codec.lossless = lossless;
-      const ClizCompressor comp(result.best, codec);
-      const auto stream =
-          comp.compress(s->data, abs_error_bound, s->mask_ptr(), pool[0]);
-      const double ratio =
-          static_cast<double>(s->data.size() * sizeof(float)) /
-          static_cast<double>(stream.size());
-      result.backend_candidates.push_back(
-          {entropy, lossless, ratio, pool[0].stats});
+      const double ratio = trial(result.best, codec, *grid_sample, pool[0]);
+      result.backend_candidates.push_back({entropy, ratio, pool[0].stats});
       if (ratio > best_ratio) {  // strict: ties keep the earlier (default)
         best_ratio = ratio;
         result.best_entropy = entropy;
-        result.best_lossless = lossless;
       }
     }
   }
+  codec.entropy = result.best_entropy;
 
   // Framing phase: only when the caller asked for per-pass framing. Framing
   // trades an offset table for parallel decode, so it never wins on ratio —
   // the tuner's job here is the reverse: confirm the table overhead on the
-  // sample stays inside frame_overhead_budget, and tune framing *off* when
+  // sample stays inside kFrameOverheadBudget, and tune framing *off* when
   // it does not.
   result.best_frame_passes = opts.codec.frame_passes;
-  if (opts.consider_framing && opts.codec.frame_passes) {
-    const SampledData* s = grid_sample;
-    ClizOptions codec = opts.codec;
-    codec.predictor = result.best_predictor;
-    codec.entropy = result.best_entropy;
-    codec.lossless = result.best_lossless;
-    codec.frame_passes = true;
-    const ClizCompressor framed_comp(result.best, codec);
-    result.framed_sample_bytes =
-        framed_comp.compress(s->data, abs_error_bound, s->mask_ptr(), pool[0])
-            .size();
+  if (opts.codec.frame_passes) {
+    const double framed = trial(result.best, codec, *grid_sample, pool[0]);
     codec.frame_passes = false;
-    const ClizCompressor serial_comp(result.best, codec);
-    result.serial_sample_bytes =
-        serial_comp.compress(s->data, abs_error_bound, s->mask_ptr(), pool[0])
-            .size();
-    result.best_frame_passes =
-        static_cast<double>(result.framed_sample_bytes) <=
-        static_cast<double>(result.serial_sample_bytes) *
-            (1.0 + opts.frame_overhead_budget);
+    const double serial = trial(result.best, codec, *grid_sample, pool[0]);
+    result.best_frame_passes = serial <= framed * (1.0 + kFrameOverheadBudget);
   }
 
   result.tuning_seconds = timer.seconds();
@@ -425,11 +384,9 @@ std::string AutotuneResult::to_json() const {
   std::string out = "{";
   std::snprintf(buf, sizeof(buf),
                 "\"best_predictor\":\"%s\",\"best_entropy\":\"%s\","
-                "\"best_lossless\":\"%s\",\"best_frame_passes\":%s,"
-                "\"best_estimated_ratio\":%.4f",
+                "\"best_frame_passes\":%s,\"best_estimated_ratio\":%.4f",
                 predictor_backend_name(best_predictor),
                 entropy_backend_name(best_entropy),
-                lossless_backend_name(best_lossless),
                 best_frame_passes ? "true" : "false", best_estimated_ratio);
   out += buf;
   out += ",\"predictor_candidates\":{";
@@ -442,9 +399,8 @@ std::string AutotuneResult::to_json() const {
   out += "},\"backend_candidates\":{";
   for (std::size_t i = 0; i < backend_candidates.size(); ++i) {
     const BackendCandidate& c = backend_candidates[i];
-    std::snprintf(buf, sizeof(buf), "%s\"%s+%s\":%.4f", i == 0 ? "" : ",",
-                  entropy_backend_name(c.entropy),
-                  lossless_backend_name(c.lossless), c.estimated_ratio);
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.4f", i == 0 ? "" : ",",
+                  entropy_backend_name(c.entropy), c.estimated_ratio);
     out += buf;
   }
   out += "}}";

@@ -23,8 +23,6 @@ struct AutotuneOptions {
   bool consider_permutation = true;
   bool consider_fusion = true;
   bool consider_fitting = true;
-  /// Rows sampled along the time dimension for FFT period detection.
-  std::size_t period_probe_rows = 10;
   /// When > 0, re-evaluate the top-K candidates of the first pass on a
   /// sample 10x larger (capped at rate 1.0) and re-rank. Sharpens the
   /// close calls (e.g. the classification toggle) that small samples
@@ -32,46 +30,25 @@ struct AutotuneOptions {
   std::size_t refine_top_k = 0;
   /// Seed for the deterministic row sampling.
   std::uint64_t seed = 42;
-  /// Run the trial compressions with parallel_for over per-thread
-  /// CodecContexts. The ranking is identical to the serial loop: trial
-  /// results are gathered by index before the (stable) sort, so ties break
-  /// the same way regardless of thread count.
-  bool parallel_trials = true;
-  /// Reuse one CodecContext per thread across trials (no steady-state
-  /// allocations in the trial loop). Off: every trial gets a fresh context.
-  /// Exists for A/B benching; streams and ranking are identical either way.
-  bool reuse_contexts = true;
-  /// After the pipeline search, trial the entropy/lossless backend grid on
-  /// the winning configuration and record the best combination in
-  /// best_entropy/best_lossless. Ties keep the defaults (huffman + lz), so
-  /// a stream produced with the chosen backends only deviates from the
-  /// golden default when it is strictly smaller on the sample.
+  /// After the pipeline search, trial each entropy backend (huffman, tans)
+  /// on the winning configuration and record the strict-best in
+  /// best_entropy. Ties keep the default (huffman), so a stream produced
+  /// with the chosen backend only deviates from the golden default when it
+  /// is strictly smaller on the sample.
   bool consider_backends = true;
-  /// Before the entropy/lossless grid, trial every predictor backend on the
-  /// winning pipeline (with the default entropy/lossless pair) and record
-  /// the strict-best in best_predictor; the entropy/lossless grid then runs
-  /// with that predictor. Sampled trials keep the 3-axis grid additive
-  /// (3 + 4 trials) rather than multiplicative (12). Ties keep the default
-  /// (interpolation = the golden byte-identical stream).
+  /// Before the entropy trials, trial every predictor backend on the
+  /// winning pipeline (with the default entropy coder) and record the
+  /// strict-best in best_predictor; the entropy trials then run with that
+  /// predictor. The axes stay additive (3 + 2 trials) rather than
+  /// multiplicative (6). Ties keep the default (interpolation = the golden
+  /// byte-identical stream).
   bool consider_predictors = true;
-  /// After the backend grids, trial the per-pass entropy framing container
-  /// (ClizOptions::frame_passes) against the serial layout with the winning
-  /// predictor/entropy/lossless choice. Framing buys parallel decode at the
-  /// cost of an offset table, so it never wins on ratio alone; the phase
-  /// only runs when the caller asked for framing (codec.frame_passes) and
-  /// tunes it *off* again when the table overhead on the sample exceeds
-  /// frame_overhead_budget.
-  bool consider_framing = true;
-  /// Largest acceptable relative size growth of the framed *sampled* stream
-  /// over the serial one before the tuner drops framing. The per-pass table
-  /// cost is fixed, so it is over-represented on the small trial stream
-  /// (measured ~70x the full-stream overhead at the default sampling rate);
-  /// the default tolerates that inflation while still catching streams whose
-  /// framing genuinely costs ratio.
-  double frame_overhead_budget = 0.05;
-  /// Codec options forwarded to the trial compressions. The entropy and
-  /// lossless fields seed the backend grid's baseline (and are the final
-  /// choice when consider_backends is false).
+  /// Codec options forwarded to the trial compressions. The predictor and
+  /// entropy fields seed the backend trials' baseline (and are the final
+  /// choice when the matching consider_* toggle is false). With
+  /// codec.frame_passes set, a last phase compares the framed and serial
+  /// layouts on the sample and tunes framing *off* when its offset table
+  /// costs more than a fixed budget (5% of the sampled stream).
   ClizOptions codec;
 };
 
@@ -92,13 +69,12 @@ struct PredictorCandidate {
   StageStats stats;
 };
 
-/// One tested entropy/lossless backend combination on the winning pipeline.
+/// One tested entropy backend on the winning pipeline.
 struct BackendCandidate {
   EntropyBackend entropy = EntropyBackend::kHuffman;
-  LosslessBackend lossless = LosslessBackend::kLz;
   double estimated_ratio = 0.0;
-  /// Stats of this combination's trial compression; entropy_backend here is
-  /// the backend actually used (a tANS trial that downgraded reads 0).
+  /// Stats of this backend's trial compression; entropy_backend here is the
+  /// backend actually used (a tANS trial that downgraded reads 0).
   StageStats stats;
 };
 
@@ -108,9 +84,11 @@ struct AutotuneResult {
   double best_estimated_ratio = 0.0;
   /// Every candidate tested, sorted by estimated ratio (best first).
   std::vector<PipelineCandidate> candidates;
-  /// Backend choice for the winning pipeline (defaults when the grid is
-  /// disabled or nothing beat huffman + lz on the sample).
+  /// Entropy backend for the winning pipeline (the default when the trials
+  /// are disabled or nothing beat huffman on the sample).
   EntropyBackend best_entropy = EntropyBackend::kHuffman;
+  /// Always LosslessBackend::kLz, the only lossless backend; kept because
+  /// existing callers copy it into ClizOptions::lossless.
   LosslessBackend best_lossless = LosslessBackend::kLz;
   /// Predictor backend for the winning pipeline (interp unless a trial on
   /// the sample strictly beat it).
@@ -118,17 +96,13 @@ struct AutotuneResult {
   /// Every predictor backend tested on `best`, in trial (wire-id) order
   /// (empty when consider_predictors is false).
   std::vector<PredictorCandidate> predictor_candidates;
-  /// Every backend combination tested on `best`, in trial order (empty when
+  /// Every entropy backend tested on `best`, in trial order (empty when
   /// consider_backends is false).
   std::vector<BackendCandidate> backend_candidates;
   /// Whether the tuned configuration keeps per-pass entropy framing (only
   /// ever true when codec.frame_passes was requested and the framed trial
-  /// stayed within frame_overhead_budget of the serial one on the sample).
+  /// stayed within the overhead budget of the serial one on the sample).
   bool best_frame_passes = false;
-  /// Sampled stream sizes of the framing trial (0 when the phase did not
-  /// run): the framed/serial byte counts behind the best_frame_passes call.
-  std::size_t framed_sample_bytes = 0;
-  std::size_t serial_sample_bytes = 0;
   double tuning_seconds = 0.0;
   std::size_t sample_points = 0;
   /// FFT period estimate over the probed rows (nullopt: not periodic or
@@ -137,9 +111,9 @@ struct AutotuneResult {
 
   /// Single JSON object with the chosen backends and the per-backend
   /// candidate ratios of both grids (keys stable for the bench tooling):
-  /// {"best_predictor":..., "best_entropy":..., "best_lossless":...,
-  ///  "best_frame_passes":..., "predictor_candidates":{name: ratio, ...},
-  ///  "backend_candidates":{"entropy+lossless": ratio, ...}}
+  /// {"best_predictor":..., "best_entropy":..., "best_frame_passes":...,
+  ///  "best_estimated_ratio":..., "predictor_candidates":{name: ratio, ...},
+  ///  "backend_candidates":{entropy name: ratio, ...}}
   [[nodiscard]] std::string to_json() const;
 };
 

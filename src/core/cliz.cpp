@@ -1,5 +1,6 @@
 #include "src/core/cliz.hpp"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -334,14 +335,11 @@ void stage_encode(const ClizOptions& options,
 }
 
 /// Stage 5 (kLossless): byte-stream backend over the assembled stream.
-void stage_lossless(const ClizOptions& options, CodecContext& ctx,
-                    std::vector<std::uint8_t>& out) {
+void stage_lossless(CodecContext& ctx, std::vector<std::uint8_t>& out) {
   const auto t0 = Clock::now();
   auto& st = ctx.stats.at(CodecStage::kLossless);
   st.input_bytes = ctx.raw_stream.size();
-  lossless_compress_into(ctx.raw_stream.bytes(), ctx.lossless, out,
-                         options.lossless);
-  ctx.stats.lossless_backend = static_cast<std::uint8_t>(options.lossless);
+  lossless_compress_into(ctx.raw_stream.bytes(), ctx.lossless, out);
   st.output_bytes = out.size();
   st.seconds = seconds_since(t0);
 }
@@ -398,7 +396,7 @@ void compress_impl(const NdArray<T>& data, double abs_error_bound,
       stage_classify(shape, config, options, ctx, raw, classification);
   stage_encode(options, classification, entropy_byte_pos, ctx, raw);
   if (ctx.cancel != nullptr) ctx.cancel->check();
-  stage_lossless(options, ctx, out);
+  stage_lossless(ctx, out);
 
   // Return the work buffer to the context for the next run.
   ctx.work<T>() = std::move(work).take_flat();
@@ -530,8 +528,6 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   ctx.stats.entropy_backend =
       static_cast<std::uint8_t>((entropy_byte >> 1) & 0x3Fu);
   ctx.stats.frame_passes = framed;
-  ctx.stats.lossless_backend =
-      static_cast<std::uint8_t>(lossless_frame_backend(stream));
   ctx.stats.code_count = n_codes;
   ctx.stats.outlier_count = n_outliers;
 
@@ -669,6 +665,8 @@ void compress_checked(const NdArray<T>& data, double abs_error_bound,
   }
 
   double verify_seconds = 0.0;
+  using Bits =
+      std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
   const auto bound_holds = [&]() -> bool {
     const auto t0 = Clock::now();
     // The decode path never touches a context's `work` buffer, so the
@@ -681,6 +679,12 @@ void compress_checked(const NdArray<T>& data, double abs_error_bound,
     const auto flat = data.flat();
     for (std::size_t i = 0; ok && i < flat.size(); ++i) {
       if (mask != nullptr && !mask->valid(i)) continue;
+      // |x - x̂| is NaN for a NaN or ±Inf input, so those points must come
+      // back bit for bit instead.
+      if (!std::isfinite(flat[i])) {
+        ok = std::bit_cast<Bits>(recon[i]) == std::bit_cast<Bits>(flat[i]);
+        continue;
+      }
       const double err = std::abs(static_cast<double>(recon[i]) -
                                   static_cast<double>(flat[i]));
       ok = err <= abs_error_bound;

@@ -40,15 +40,15 @@ struct ClizOptions {
   /// cannot represent a stream (tANS with an alphabet past 2^15 symbols)
   /// the encoder falls back to Huffman and notes it in StageStats.
   EntropyBackend entropy = EntropyBackend::kHuffman;
-  /// Lossless-stage backend wrapping the assembled stream (recorded by the
-  /// lossless frame's mode byte).
+  /// Lossless-stage backend wrapping the assembled stream. LZ is the only
+  /// value; the field stays because existing callers assign it.
   LosslessBackend lossless = LosslessBackend::kLz;
   /// Per-pass entropy framing (recorded in bit 7 of the stream's entropy
   /// byte): the entropy payload is split into independently decodable
   /// segments aligned with the decoder's fetch batches, so decompression
   /// entropy-decodes whole passes on parallel workers instead of draining
   /// one serial bitstream. Costs a small offset table (the auto-tuner can
-  /// weigh that; see AutotuneOptions::consider_framing). Default off —
+  /// weigh that; see the framing phase of autotune()). Default off —
   /// unframed streams stay byte-identical to the golden corpus.
   bool frame_passes = false;
   /// Encode-side verification: after compressing, decode the stream and

@@ -46,16 +46,6 @@ const char* entropy_backend_label(std::uint8_t id) {
   return "unknown";
 }
 
-const char* lossless_backend_label(std::uint8_t id) {
-  switch (id) {
-    case 0:
-      return "lz";
-    case 1:
-      return "store";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 std::string StageStats::to_text() const {
@@ -79,11 +69,10 @@ std::string StageStats::to_text() const {
                 total_seconds * 1e3, threads_used);
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "backends: predictor=%s entropy=%s%s lossless=%s simd=%s\n",
+                "backends: predictor=%s entropy=%s%s simd=%s\n",
                 predictor_backend_label(predictor_backend),
                 entropy_backend_label(entropy_backend),
                 entropy_downgraded ? " (downgraded)" : "",
-                lossless_backend_label(lossless_backend),
                 simd_tier_name(static_cast<SimdTier>(simd_tier)));
   out += buf;
   if (frame_passes) {
@@ -131,7 +120,7 @@ std::string StageStats::to_json() const {
                 "\"verified\":%s,\"verify_downgrades\":%zu,"
                 "\"verify_seconds\":%.6f,\"threads_used\":%d,"
                 "\"predictor_backend\":\"%s\","
-                "\"entropy_backend\":\"%s\",\"lossless_backend\":\"%s\","
+                "\"entropy_backend\":\"%s\","
                 "\"entropy_downgraded\":%s,\"frame_passes\":%s,"
                 "\"frame_segments\":%zu,\"chunks_requested\":%zu,"
                 "\"chunks_effective\":%zu,\"tile_cache_hits\":%zu,"
@@ -142,7 +131,6 @@ std::string StageStats::to_json() const {
                 verify_seconds, threads_used,
                 predictor_backend_label(predictor_backend),
                 entropy_backend_label(entropy_backend),
-                lossless_backend_label(lossless_backend),
                 entropy_downgraded ? "true" : "false",
                 frame_passes ? "true" : "false", frame_segments,
                 chunks_requested, chunks_effective, tile_cache_hits,

@@ -71,9 +71,6 @@ struct StageStats {
   /// backend that wrote it, after any infeasibility fallback; decode: the id
   /// read from the stream). Matches EntropyBackend's wire values.
   std::uint8_t entropy_backend = 0;
-  /// Lossless-stage backend id (LosslessBackend wire values): the requested
-  /// backend on encode, the one implied by the frame's mode byte on decode.
-  std::uint8_t lossless_backend = 0;
   /// True when the requested entropy backend could not represent the stream
   /// (tANS alphabet past 2^15 symbols) and the encoder fell back to Huffman.
   bool entropy_downgraded = false;

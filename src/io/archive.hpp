@@ -112,8 +112,8 @@ class ArchiveWriter {
   void set_tile(DimVec tile) { tile_ = std::move(tile); }
 
   /// Compresses `data` with CliZ under `pipeline` and appends it. `options`
-  /// carries the codec knobs — notably the entropy/lossless backend choice
-  /// (e.g. autotune's best_entropy/best_lossless) and encode verification.
+  /// carries the codec knobs — notably the predictor/entropy backend choice
+  /// (e.g. autotune's best_predictor/best_entropy) and encode verification.
   void add_variable(const std::string& name, const NdArray<float>& data,
                     double abs_error_bound, const PipelineConfig& pipeline,
                     const MaskMap* mask = nullptr,

@@ -31,9 +31,8 @@ constexpr std::uint8_t kModeLzCrc = 3;
 // on separate threads. The split is purely size-driven — the same bytes go
 // out for every thread count.
 constexpr std::uint8_t kModeBlocksCrc = 4;
-// Store/RLE backend frame: byte-level runs as (u8 value, varint run) pairs.
-// Written only when LosslessBackend::kStore is selected and the runs beat
-// the stored frame; decoded unconditionally like every other mode.
+// Legacy RLE frame from the retired store backend: byte-level runs as
+// (u8 value, varint run) pairs. Still read, never written.
 constexpr std::uint8_t kModeRleCrc = 5;
 constexpr std::size_t kBlockSize = std::size_t{1} << 18;
 constexpr std::size_t kBlockSplitThreshold = std::size_t{1} << 20;
@@ -198,50 +197,6 @@ void compress_single_into(std::span<const std::uint8_t> in,
   out.assign(stored.bytes().begin(), stored.bytes().end());
 }
 
-/// Store/RLE fast-path backend: one pass of byte-level run-length coding
-/// with a stored fallback when the runs do not pay for themselves (the
-/// common case for already-high-entropy payloads, which is exactly when the
-/// caller picks this backend to skip the LZ parse). Never block-splits.
-void compress_store_into(std::span<const std::uint8_t> in,
-                         LosslessScratch& ctx,
-                         std::vector<std::uint8_t>& out) {
-  const std::size_t n = in.size();
-  const std::uint32_t payload_crc = crc32c(in);
-
-  ByteWriter& rle = ctx.lz;
-  rle.clear();
-  rle.put_u8(kModeRleCrc);
-  rle.put_varint(n);
-  rle.put(payload_crc);
-  // Same break-even rule as the LZ path: beat the stored frame or give up.
-  const std::size_t limit = n + 2 + sizeof(payload_crc);
-  bool beaten = true;
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t run = 1;
-    while (i + run < n && in[i + run] == in[i]) ++run;
-    rle.put_u8(in[i]);
-    rle.put_varint(run);
-    i += run;
-    if (rle.size() >= limit) {
-      beaten = false;
-      break;
-    }
-  }
-  if (beaten) {
-    out.assign(rle.bytes().begin(), rle.bytes().end());
-    return;
-  }
-
-  ByteWriter& stored = ctx.stored;
-  stored.clear();
-  stored.put_u8(kModeStoredCrc);
-  stored.put_varint(n);
-  stored.put(payload_crc);
-  stored.put_bytes(in);
-  out.assign(stored.bytes().begin(), stored.bytes().end());
-}
-
 /// Grows the per-worker nested scratch pool to the current thread count and
 /// the per-block staging to `n_blocks`.
 void reserve_block_scratch(LosslessScratch& ctx, std::size_t n_blocks) {
@@ -260,13 +215,8 @@ void reserve_block_scratch(LosslessScratch& ctx, std::size_t n_blocks) {
 
 void lossless_compress_into(std::span<const std::uint8_t> in,
                             LosslessScratch& ctx,
-                            std::vector<std::uint8_t>& out,
-                            LosslessBackend backend) {
+                            std::vector<std::uint8_t>& out) {
   const std::size_t n = in.size();
-  if (backend == LosslessBackend::kStore) {
-    compress_store_into(in, ctx, out);
-    return;
-  }
   if (n < kBlockSplitThreshold) {
     compress_single_into(in, ctx, out);
     return;
@@ -303,17 +253,11 @@ void lossless_compress_into(std::span<const std::uint8_t> in,
   out.assign(frame.bytes().begin(), frame.bytes().end());
 }
 
-std::vector<std::uint8_t> lossless_compress(std::span<const std::uint8_t> in,
-                                            LosslessBackend backend) {
+std::vector<std::uint8_t> lossless_compress(std::span<const std::uint8_t> in) {
   LosslessScratch scratch;
   std::vector<std::uint8_t> out;
-  lossless_compress_into(in, scratch, out, backend);
+  lossless_compress_into(in, scratch, out);
   return out;
-}
-
-LosslessBackend lossless_frame_backend(std::span<const std::uint8_t> frame) {
-  return (!frame.empty() && frame[0] == kModeRleCrc) ? LosslessBackend::kStore
-                                                     : LosslessBackend::kLz;
 }
 
 void lossless_decompress_into(std::span<const std::uint8_t> in,

@@ -2,9 +2,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -15,30 +13,13 @@
 
 namespace cliz {
 
-/// Lossless-stage backends. The selection is recorded implicitly by the
-/// frame's mode byte (kStore writes RLE mode 5 or stored mode 2), so any
-/// reader decodes any frame regardless of the encoder's choice.
+/// Lossless-stage backend. LZ is the only one: the enum survives as the
+/// type of ClizOptions::lossless and AutotuneResult::best_lossless, which
+/// existing callers assign. Frames are self-describing by their mode byte,
+/// so readers still decode legacy RLE frames (mode 5) that nothing writes.
 enum class LosslessBackend : std::uint8_t {
-  kLz = 0,     ///< LZ77 + Huffman with stored/block-split modes (default)
-  kStore = 1,  ///< store/RLE fast path for already-high-entropy payloads
+  kLz = 0,  ///< LZ77 + Huffman with stored/block-split modes
 };
-
-inline const char* lossless_backend_name(LosslessBackend backend) {
-  switch (backend) {
-    case LosslessBackend::kLz:
-      return "lz";
-    case LosslessBackend::kStore:
-      return "store";
-  }
-  return "unknown";
-}
-
-inline std::optional<LosslessBackend> parse_lossless_backend(
-    std::string_view name) {
-  if (name == "lz") return LosslessBackend::kLz;
-  if (name == "store") return LosslessBackend::kStore;
-  return std::nullopt;
-}
 
 /// Reusable scratch for the lossless backend: LZ hash chains, the
 /// literal/match/flag staging, and the Huffman section coder's buffers.
@@ -85,26 +66,14 @@ struct LosslessScratch {
 /// verifies, so a corrupted frame that slips past the structural checks is
 /// still rejected with cliz::Error. v1 (checksum-less) modes remain
 /// readable. See docs/FORMAT.md.
-std::vector<std::uint8_t> lossless_compress(
-    std::span<const std::uint8_t> in,
-    LosslessBackend backend = LosslessBackend::kLz);
+std::vector<std::uint8_t> lossless_compress(std::span<const std::uint8_t> in);
 
 /// Scratch-reusing variant: compresses `in` into `out` (replaced, capacity
 /// reused) with all transient state drawn from `scratch`. Output is
-/// byte-identical to lossless_compress(). With LosslessBackend::kStore the
-/// frame is byte-level RLE (mode 5) when runs pay for themselves, stored
-/// (mode 2) otherwise — never LZ-parsed or block-split, trading ratio for
-/// near-memcpy speed on high-entropy payloads.
+/// byte-identical to lossless_compress().
 void lossless_compress_into(std::span<const std::uint8_t> in,
                             LosslessScratch& scratch,
-                            std::vector<std::uint8_t>& out,
-                            LosslessBackend backend = LosslessBackend::kLz);
-
-/// Backend implied by a frame's mode byte: RLE frames read as kStore;
-/// everything else — including the stored fallback both backends share —
-/// reads as kLz. Telemetry only; decoding never needs the distinction.
-[[nodiscard]] LosslessBackend lossless_frame_backend(
-    std::span<const std::uint8_t> frame);
+                            std::vector<std::uint8_t>& out);
 
 /// Inverse of lossless_compress. Throws Error on corrupt input. The frame's
 /// declared size is checked against `limits.max_output_bytes` before any

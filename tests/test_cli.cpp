@@ -8,7 +8,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -281,6 +283,52 @@ TEST_F(CliTest, VerifyFlagProducesDecodableStreamWithinBound) {
             0);
 }
 
+TEST_F(CliTest, VerifyAcceptsNonFiniteInput) {
+  // NaN and ±Inf are valid input: they round-trip bit for bit, so --verify
+  // must accept them instead of reporting a corrupt stream.
+  const std::size_t n = 12 * 20 * 24;
+  std::vector<float> f32(n);
+  std::vector<double> f64(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    f64[i] = std::sin(0.03 * static_cast<double>(i));
+    f32[i] = static_cast<float>(f64[i]);
+  }
+  f32[37] = std::numeric_limits<float>::quiet_NaN();
+  f32[2000] = std::numeric_limits<float>::infinity();
+  f32[n - 5] = -std::numeric_limits<float>::infinity();
+  f64[37] = std::numeric_limits<double>::quiet_NaN();
+  f64[2000] = std::numeric_limits<double>::infinity();
+  f64[n - 5] = -std::numeric_limits<double>::infinity();
+  {
+    std::ofstream out(path("nf.f32"), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(f32.data()),
+              static_cast<std::streamsize>(n * sizeof(float)));
+  }
+  {
+    std::ofstream out(path("nf.f64"), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(f64.data()),
+              static_cast<std::streamsize>(n * sizeof(double)));
+  }
+  for (const std::string extra : {"", " --chunks 3"}) {
+    SCOPED_TRACE("layout:" + extra);
+    const auto [code, text] =
+        run_capture("compress " + path("nf.f32") + " -d 12,20,24 -o " +
+                    path("nf.cliz") + " -e 1e-3 --tune 0.1 --verify" + extra);
+    EXPECT_EQ(code, 0) << text;
+    const auto [code64, text64] = run_capture(
+        "compress " + path("nf.f64") + " -d 12,20,24 -o " + path("nf64.cliz") +
+        " -e 1e-3 --tune 0.1 --verify --f64" + extra);
+    EXPECT_EQ(code64, 0) << text64;
+  }
+  ASSERT_EQ(run("decompress " + path("nf.cliz") + " -o " + path("nf2.f32")),
+            0);
+  const auto recon = read_floats(path("nf2.f32"));
+  ASSERT_EQ(recon.size(), n);
+  EXPECT_TRUE(std::isnan(recon[37]));
+  EXPECT_EQ(recon[2000], std::numeric_limits<float>::infinity());
+  EXPECT_EQ(recon[n - 5], -std::numeric_limits<float>::infinity());
+}
+
 TEST_F(CliTest, SalvageFlagRecoversFromCorruptTrailer) {
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   ASSERT_EQ(run("archive-create " + path("a.clza") + " HURR=" +
@@ -446,6 +494,10 @@ TEST_F(CliTest, BadInvocationsFailCleanly) {
   // The retired 2nd-order Lorenzo predictor is no longer a backend name.
   EXPECT_EQ(run_exit("compress " + path("h.f32") + " -d 24,48,48 -o " +
                      path("x") + " -r 1e-3 --predictor lorenzo2"),
+            2);
+  // Neither is the retired store lossless backend: --lossless is no flag.
+  EXPECT_EQ(run_exit("compress " + path("h.f32") + " -d 24,48,48 -o " +
+                     path("x") + " -r 1e-3 --lossless store"),
             2);
 
   // A stream naming the retired predictor id is unsupported (exit 8, and

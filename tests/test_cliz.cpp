@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <type_traits>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
+#include "src/core/chunked.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/metrics/metrics.hpp"
 #include "src/ndarray/layout.hpp"
@@ -405,6 +411,98 @@ TEST(Cliz, VerifiedEncodeF64RoundTrips) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_LE(std::abs(recon[i] - data[i]), 1e-4);
   }
+}
+
+/// Smooth 3-D field holding one NaN, one +Inf and one -Inf.
+template <typename T>
+NdArray<T> non_finite_field() {
+  NdArray<T> data(Shape({12, 20, 24}));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<T>(std::sin(0.03 * static_cast<double>(i)));
+  }
+  data[37] = std::numeric_limits<T>::quiet_NaN();
+  data[2000] = std::numeric_limits<T>::infinity();
+  data[data.size() - 5] = -std::numeric_limits<T>::infinity();
+  return data;
+}
+
+/// Non-finite points must decode bit for bit; finite ones within eb.
+template <typename T>
+void expect_non_finite_round_trip(const NdArray<T>& data,
+                                  const NdArray<T>& recon, double eb) {
+  using Bits =
+      std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  ASSERT_EQ(recon.shape(), data.shape());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (std::isfinite(data[i])) {
+      ASSERT_LE(std::abs(static_cast<double>(recon[i]) -
+                         static_cast<double>(data[i])),
+                eb)
+          << "point " << i;
+    } else {
+      ASSERT_EQ(std::bit_cast<Bits>(recon[i]), std::bit_cast<Bits>(data[i]))
+          << "point " << i;
+    }
+  }
+}
+
+template <typename T>
+NdArray<T> decode_whole(const std::vector<std::uint8_t>& stream) {
+  if constexpr (std::is_same_v<T, float>) {
+    return ClizCompressor::decompress(stream);
+  } else {
+    return ClizCompressor::decompress_f64(stream);
+  }
+}
+
+template <typename T>
+NdArray<T> decode_chunked(const std::vector<std::uint8_t>& stream) {
+  if constexpr (std::is_same_v<T, float>) {
+    return chunked_decompress(stream);
+  } else {
+    return chunked_decompress_f64(stream);
+  }
+}
+
+template <typename T>
+void check_verified_non_finite() {
+  const auto data = non_finite_field<T>();
+  const double eb = 1e-3;
+  for (const PredictorBackend predictor :
+       {PredictorBackend::kInterp, PredictorBackend::kLorenzo1,
+        PredictorBackend::kRegression}) {
+    SCOPED_TRACE(predictor_backend_name(predictor));
+    ClizOptions opts;
+    opts.predictor = predictor;
+    opts.verify_encode = true;
+
+    // Whole stream: verification passes first time, so nothing downgrades.
+    CodecContext ctx;
+    std::vector<std::uint8_t> stream;
+    ASSERT_NO_THROW(stream = ClizCompressor(PipelineConfig::defaults(3), opts)
+                                 .compress(data, eb, nullptr, ctx));
+    EXPECT_TRUE(ctx.stats.verified);
+    EXPECT_EQ(ctx.stats.verify_downgrades, 0u);
+    expect_non_finite_round_trip(data, decode_whole<T>(stream), eb);
+
+    // Chunked: every slab is verified on its own.
+    ChunkedOptions copts;
+    copts.chunks = 3;
+    copts.codec = opts;
+    std::vector<std::uint8_t> frame;
+    ASSERT_NO_THROW(frame = chunked_compress(data, eb,
+                                             PipelineConfig::defaults(3),
+                                             nullptr, copts));
+    expect_non_finite_round_trip(data, decode_chunked<T>(frame), eb);
+  }
+}
+
+TEST(Cliz, VerifiedEncodeAcceptsNonFiniteInputF32) {
+  check_verified_non_finite<float>();
+}
+
+TEST(Cliz, VerifiedEncodeAcceptsNonFiniteInputF64) {
+  check_verified_non_finite<double>();
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <new>
 #include <numbers>
 
+#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/autotune.hpp"
 #include "src/core/cliz.hpp"
@@ -215,27 +216,42 @@ TEST(CodecContext, AutotuneDeterministicUnderParallelTrials) {
   opts.sampling_rate = 0.05;
   opts.time_dim = 0;
 
+  const int saved_threads = hardware_threads();
+  set_thread_count(1);
+  const auto serial = autotune(field.data, eb, &field.mask, opts);
+  set_thread_count(saved_threads);
   const auto a = autotune(field.data, eb, &field.mask, opts);
   const auto b = autotune(field.data, eb, &field.mask, opts);
-  AutotuneOptions serial = opts;
-  serial.parallel_trials = false;
-  serial.reuse_contexts = false;
-  const auto c = autotune(field.data, eb, &field.mask, serial);
 
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
-  ASSERT_EQ(a.candidates.size(), c.candidates.size());
+  ASSERT_EQ(a.candidates.size(), serial.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
     EXPECT_EQ(a.candidates[i].config.label(), b.candidates[i].config.label());
     EXPECT_EQ(a.candidates[i].estimated_ratio,
               b.candidates[i].estimated_ratio);
-    // The pre-context serial loop ranks identically.
-    EXPECT_EQ(a.candidates[i].config.label(), c.candidates[i].config.label());
+    // One worker ranks identically to the default thread count.
+    EXPECT_EQ(a.candidates[i].config.label(),
+              serial.candidates[i].config.label());
     EXPECT_EQ(a.candidates[i].estimated_ratio,
-              c.candidates[i].estimated_ratio);
+              serial.candidates[i].estimated_ratio);
     // Every trial carried its stage breakdown along.
     EXPECT_GT(a.candidates[i].stats.code_count, 0u);
   }
-  EXPECT_EQ(a.best.label(), c.best.label());
+  EXPECT_EQ(a.best.label(), serial.best.label());
+  EXPECT_EQ(a.best_estimated_ratio, serial.best_estimated_ratio);
+
+  // A reused trial context leaves nothing behind: the winner's estimate is
+  // exactly the ratio of a fresh-context compression of the same sample.
+  const SampledData sample =
+      a.best.period > 0
+          ? sample_time_preserving(field.data, &field.mask,
+                                   opts.sampling_rate, opts.time_dim)
+          : sample_blocks(field.data, &field.mask, opts.sampling_rate);
+  const auto stream = ClizCompressor(a.best).compress(sample.data, eb,
+                                                      sample.mask_ptr());
+  EXPECT_EQ(a.best_estimated_ratio,
+            static_cast<double>(sample.data.size() * sizeof(float)) /
+                static_cast<double>(stream.size()));
 }
 
 TEST(CodecContext, SteadyStateAllocationsCollapse) {

@@ -14,6 +14,7 @@
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
+#include "src/core/autotune.hpp"
 #include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
@@ -380,6 +381,22 @@ TEST(EntropyFraming, DefaultStreamsStayUnframed) {
           .compress(data, kEb));
   const std::size_t pos = entropy_byte_offset(raw, framed_raw);
   EXPECT_EQ(raw[pos] & 0x80u, 0u);
+}
+
+TEST(EntropyFraming, AutotuneKeepsFramingOnlyWhenAsked) {
+  AutotuneOptions opts;
+  opts.sampling_rate = 0.2;
+  const auto data = chunked_field();
+  // The tuner never turns framing on by itself...
+  EXPECT_FALSE(autotune(data, kEb, nullptr, opts).best_frame_passes);
+  // ...keeps it when asked and the offset table is cheap on the sample...
+  opts.codec.frame_passes = true;
+  EXPECT_TRUE(autotune(data, kEb, nullptr, opts).best_frame_passes);
+  // ...and drops it when the table outweighs the budget: a constant field
+  // codes to almost nothing, so the table dominates its stream.
+  NdArray<float> constant(data.shape());
+  for (std::size_t i = 0; i < constant.size(); ++i) constant[i] = 0.5f;
+  EXPECT_FALSE(autotune(constant, kEb, nullptr, opts).best_frame_passes);
 }
 
 }  // namespace

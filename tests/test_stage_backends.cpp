@@ -1,15 +1,19 @@
-// Stage-backend registry tests: every entropy x lossless backend pair must
-// round-trip the golden-corpus datasets within the bound, streams must stay
-// thread-count invariant for the non-default backends (the default pair is
-// locked byte-exactly by test_golden_streams.cpp), an unknown backend id in
-// a stream must be a clean cliz::Error, and an infeasible tANS alphabet
-// must downgrade to Huffman on encode rather than fail.
+// Stage-backend registry tests: every entropy backend must round-trip the
+// golden-corpus datasets within the bound, streams must stay thread-count
+// invariant for the non-default backend (the default is locked
+// byte-exactly by test_golden_streams.cpp), an unknown backend id in a
+// stream must be a clean cliz::Error, an infeasible tANS alphabet must
+// downgrade to Huffman on encode rather than fail, and legacy RLE lossless
+// frames must still decode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "fault_injection.hpp"
+#include "src/common/bytestream.hpp"
+#include "src/common/crc32c.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
@@ -113,22 +117,12 @@ PipelineConfig periodic_config() {
   return c;
 }
 
-struct BackendPair {
-  EntropyBackend entropy;
-  LosslessBackend lossless;
-};
+const EntropyBackend kAllEntropies[] = {EntropyBackend::kHuffman,
+                                        EntropyBackend::kTans};
 
-const BackendPair kAllPairs[] = {
-    {EntropyBackend::kHuffman, LosslessBackend::kLz},
-    {EntropyBackend::kHuffman, LosslessBackend::kStore},
-    {EntropyBackend::kTans, LosslessBackend::kLz},
-    {EntropyBackend::kTans, LosslessBackend::kStore},
-};
-
-ClizOptions options_for(const BackendPair& p) {
+ClizOptions options_for(EntropyBackend entropy) {
   ClizOptions o;
-  o.entropy = p.entropy;
-  o.lossless = p.lossless;
+  o.entropy = entropy;
   return o;
 }
 
@@ -138,25 +132,23 @@ TEST(StageBackends, AllPairsRoundTripGoldenCorpus) {
   const auto plain = plain_field();
   const auto mf = masked_field();
   const auto periodic = periodic_field();
-  for (const BackendPair& pair : kAllPairs) {
-    SCOPED_TRACE(std::string("entropy=") +
-                 entropy_backend_name(pair.entropy) +
-                 " lossless=" + lossless_backend_name(pair.lossless));
-    const ClizOptions opts = options_for(pair);
+  for (const EntropyBackend entropy : kAllEntropies) {
+    SCOPED_TRACE(std::string("entropy=") + entropy_backend_name(entropy));
+    const ClizOptions opts = options_for(entropy);
 
     CodecContext cctx;
     const auto plain_stream = ClizCompressor(PipelineConfig::defaults(2),
                                              opts)
                                   .compress(plain, kEb, nullptr, cctx);
     EXPECT_EQ(cctx.stats.entropy_backend,
-              static_cast<std::uint8_t>(pair.entropy));
+              static_cast<std::uint8_t>(entropy));
     EXPECT_FALSE(cctx.stats.entropy_downgraded);
     CodecContext dctx;
     const auto plain_out = ClizCompressor::decompress(plain_stream, dctx);
     EXPECT_LE(error_stats(plain.flat(), plain_out.flat()).max_abs_error,
               kEb);
     EXPECT_EQ(dctx.stats.entropy_backend,
-              static_cast<std::uint8_t>(pair.entropy));
+              static_cast<std::uint8_t>(entropy));
 
     const auto masked_stream = ClizCompressor(masked_config(), opts)
                                    .compress(mf.data, kEb, &mf.mask);
@@ -180,13 +172,11 @@ TEST(StageBackends, AllPairsRoundTripGoldenCorpus) {
 
 TEST(StageBackends, AllPairsRoundTripChunkedFrames) {
   const auto data = chunked_field();
-  for (const BackendPair& pair : kAllPairs) {
-    SCOPED_TRACE(std::string("entropy=") +
-                 entropy_backend_name(pair.entropy) +
-                 " lossless=" + lossless_backend_name(pair.lossless));
+  for (const EntropyBackend entropy : kAllEntropies) {
+    SCOPED_TRACE(std::string("entropy=") + entropy_backend_name(entropy));
     ChunkedOptions copts;
     copts.chunks = 4;
-    copts.codec = options_for(pair);
+    copts.codec = options_for(entropy);
     const auto frame = chunked_compress(data, kEb,
                                         PipelineConfig::defaults(3), nullptr,
                                         copts);
@@ -196,34 +186,32 @@ TEST(StageBackends, AllPairsRoundTripChunkedFrames) {
 }
 
 TEST(StageBackends, DefaultOptionsReproduceDefaultBackends) {
-  // ClizOptions{} must mean huffman + lz: the golden byte-identity locks in
+  // ClizOptions{} must mean huffman: the golden byte-identity locks in
   // test_golden_streams.cpp depend on the default constructor.
   EXPECT_EQ(ClizOptions{}.entropy, EntropyBackend::kHuffman);
-  EXPECT_EQ(ClizOptions{}.lossless, LosslessBackend::kLz);
   const auto data = plain_field();
   EXPECT_EQ(ClizCompressor(PipelineConfig::defaults(2)).compress(data, kEb),
             ClizCompressor(PipelineConfig::defaults(2),
-                           options_for(kAllPairs[0]))
+                           options_for(kAllEntropies[0]))
                 .compress(data, kEb));
 }
 
 // --- thread-count invariance ---------------------------------------------
 // Mirror of GoldenStreams.StreamsAreThreadCountInvariant for the
-// non-default pair: work partitioning never depends on the worker count,
-// whatever the backends.
+// non-default entropy coder: work partitioning never depends on the worker
+// count, whatever the backends.
 
 struct ThreadCountGuard {
   int saved = hardware_threads();
   ~ThreadCountGuard() { set_thread_count(saved); }
 };
 
-TEST(StageBackends, TansStoreStreamsAreThreadCountInvariant) {
+TEST(StageBackends, TansStreamsAreThreadCountInvariant) {
   const auto plain = plain_field();
   const auto mf = masked_field();
   const auto periodic = periodic_field();
   ClizOptions opts;
   opts.entropy = EntropyBackend::kTans;
-  opts.lossless = LosslessBackend::kStore;
 
   ThreadCountGuard guard;
   set_thread_count(1);
@@ -240,14 +228,14 @@ TEST(StageBackends, TansStoreStreamsAreThreadCountInvariant) {
     EXPECT_EQ(ClizCompressor(PipelineConfig::defaults(2), opts)
                   .compress(plain, kEb),
               serial_plain)
-        << "plain tans/store stream differs at " << threads << " thread(s)";
+        << "plain tans stream differs at " << threads << " thread(s)";
     EXPECT_EQ(ClizCompressor(masked_config(), opts)
                   .compress(mf.data, kEb, &mf.mask),
               serial_masked)
-        << "masked tans/store stream differs at " << threads << " thread(s)";
+        << "masked tans stream differs at " << threads << " thread(s)";
     EXPECT_EQ(ClizCompressor(periodic_config(), opts).compress(periodic, kEb),
               serial_periodic)
-        << "periodic tans/store stream differs at " << threads
+        << "periodic tans stream differs at " << threads
         << " thread(s)";
   }
 }
@@ -349,40 +337,85 @@ TEST(StageBackends, InfeasibleTansAlphabetDowngradesToHuffman) {
   EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, eb);
 }
 
-// --- store/RLE lossless backend ------------------------------------------
+// --- legacy RLE lossless frames -----------------------------------------
+// Nothing writes mode 5 any more (the store backend that did is retired),
+// but frames already on disk must keep decoding, and damaged ones must keep
+// failing cleanly.
 
-TEST(StageBackends, StoreBackendUsesRleWhenRunsPay) {
-  std::vector<std::uint8_t> runs(4096, 7);
-  for (std::size_t i = 1024; i < 2048; ++i) runs[i] = 42;
-  const auto frame = lossless_compress(runs, LosslessBackend::kStore);
-  EXPECT_EQ(lossless_frame_backend(frame), LosslessBackend::kStore);
-  EXPECT_LT(frame.size(), runs.size() / 4);
-  EXPECT_EQ(lossless_decompress(frame), runs);
+/// Hand-assembles a mode-5 frame: declared size, CRC32C of the payload,
+/// then (u8 value, varint run) pairs.
+std::vector<std::uint8_t> rle_frame(
+    std::uint64_t declared, std::uint32_t crc,
+    const std::vector<std::pair<std::uint8_t, std::uint64_t>>& runs) {
+  ByteWriter w;
+  w.put_u8(5);
+  w.put_varint(declared);
+  w.put(crc);
+  for (const auto& [value, run] : runs) {
+    w.put_u8(value);
+    w.put_varint(run);
+  }
+  return {w.bytes().begin(), w.bytes().end()};
 }
 
-TEST(StageBackends, StoreBackendFallsBackToStoredOnNoise) {
-  Rng rng(31337);
-  std::vector<std::uint8_t> noise(4096);
-  for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_u64());
-  const auto frame = lossless_compress(noise, LosslessBackend::kStore);
-  // RLE would expand noise, so the frame is the stored fallback — which
-  // reads back as the (shared) kLz container.
-  EXPECT_EQ(lossless_frame_backend(frame), LosslessBackend::kLz);
-  EXPECT_LE(frame.size(), noise.size() + 16);
-  EXPECT_EQ(lossless_decompress(frame), noise);
+const std::vector<std::pair<std::uint8_t, std::uint64_t>> kRuns = {
+    {7, 1024}, {42, 1024}, {7, 2048}};
+
+std::vector<std::uint8_t> expand(
+    const std::vector<std::pair<std::uint8_t, std::uint64_t>>& runs) {
+  std::vector<std::uint8_t> out;
+  for (const auto& [value, run] : runs) {
+    out.insert(out.end(), static_cast<std::size_t>(run), value);
+  }
+  return out;
+}
+
+TEST(StageBackends, LegacyRleFrameRoundTrips) {
+  const auto payload = expand(kRuns);
+  const auto frame = rle_frame(payload.size(), crc32c(payload), kRuns);
+  EXPECT_EQ(lossless_decompress(frame), payload);
+  LosslessScratch scratch;
+  std::vector<std::uint8_t> out;
+  lossless_decompress_into(frame, scratch, out);
+  EXPECT_EQ(out, payload);
+}
+
+void expect_corrupt(const std::vector<std::uint8_t>& frame) {
+  try {
+    (void)lossless_decompress(frame);
+    ADD_FAILURE() << "corrupt RLE frame decoded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptStream) << e.what();
+  }
 }
 
 TEST(StageBackends, RleFrameFaultsAreCleanErrors) {
-  std::vector<std::uint8_t> runs(2048, 9);
-  for (std::size_t i = 0; i < runs.size(); i += 100) runs[i] = 1;
-  const auto frame = lossless_compress(runs, LosslessBackend::kStore);
-  ASSERT_EQ(lossless_frame_backend(frame), LosslessBackend::kStore);
+  const auto payload = expand(kRuns);
+  const std::uint32_t crc = crc32c(payload);
+  {
+    SCOPED_TRACE("zero-length run");
+    auto runs = kRuns;
+    runs.insert(runs.begin() + 1, {9, 0});
+    expect_corrupt(rle_frame(payload.size(), crc, runs));
+  }
+  {
+    SCOPED_TRACE("run past the declared size");
+    auto runs = kRuns;
+    runs.back().second += 1;
+    expect_corrupt(rle_frame(payload.size(), crc, runs));
+  }
+  {
+    SCOPED_TRACE("CRC mismatch");
+    expect_corrupt(rle_frame(payload.size(), crc ^ 1u, kRuns));
+  }
+
+  const auto frame = rle_frame(payload.size(), crc, kRuns);
   for (const auto& fault : fault::bit_flip_cases(frame, 40, 515)) {
     try {
       const auto out = lossless_decompress(fault.bytes);
       // Undetected only if the decode reproduced the payload exactly
       // (flip landed in slack space).
-      EXPECT_EQ(out, runs) << fault.label;
+      EXPECT_EQ(out, payload) << fault.label;
     } catch (const Error&) {
       // detected corruption
     }
@@ -456,17 +489,16 @@ TEST(StageBackends, AutotuneRecordsDeterministicBackendChoice) {
   opts.sampling_rate = 0.2;
   const auto first = autotune(data, kEb, nullptr, opts);
   const auto second = autotune(data, kEb, nullptr, opts);
-  ASSERT_EQ(first.backend_candidates.size(), 4u);
+  ASSERT_EQ(first.backend_candidates.size(), 2u);
   EXPECT_EQ(first.best_entropy, second.best_entropy);
-  EXPECT_EQ(first.best_lossless, second.best_lossless);
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(first.backend_candidates[i].estimated_ratio,
               second.backend_candidates[i].estimated_ratio)
         << "grid trial " << i;
     EXPECT_GT(first.backend_candidates[i].estimated_ratio, 0.0);
   }
-  // The winner is at least as good as the default pair, and the choice is
-  // reproduced by compressing with the recorded backends.
+  // The winner is at least as good as the default coder, and the choice is
+  // reproduced by compressing with the recorded backend.
   EXPECT_GE(std::max_element(first.backend_candidates.begin(),
                              first.backend_candidates.end(),
                              [](const BackendCandidate& a,
@@ -477,7 +509,6 @@ TEST(StageBackends, AutotuneRecordsDeterministicBackendChoice) {
             first.backend_candidates[0].estimated_ratio);
   ClizOptions copts;
   copts.entropy = first.best_entropy;
-  copts.lossless = first.best_lossless;
   const auto stream = ClizCompressor(first.best, copts).compress(data, kEb);
   const auto out = ClizCompressor::decompress(stream);
   EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
@@ -491,7 +522,6 @@ TEST(StageBackends, AutotuneBackendGridCanBeDisabled) {
   const auto result = autotune(data, kEb, nullptr, opts);
   EXPECT_TRUE(result.backend_candidates.empty());
   EXPECT_EQ(result.best_entropy, EntropyBackend::kHuffman);
-  EXPECT_EQ(result.best_lossless, LosslessBackend::kLz);
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
                                  `extract --region` without touching the
                                  rest of the stream)
                    [--predictor interp|lorenzo1|regression]
-                   [--entropy huffman|tans] [--lossless lz|store]
+                   [--entropy huffman|tans]
                    (force a stage backend; without these flags the
                     tuner picks the best backends per stream)
                    [--verify]   (decode-and-check the bound
@@ -304,7 +304,6 @@ int cmd_compress(Args& args) {
   DimVec tile;
   std::optional<PredictorBackend> predictor;
   std::optional<EntropyBackend> entropy;
-  std::optional<LosslessBackend> lossless;
 
   while (!args.done()) {
     const std::string opt = args.next("option");
@@ -350,11 +349,6 @@ int cmd_compress(Args& args) {
           opt == "--entropy" ? args.next("entropy backend") : opt.substr(10);
       entropy = parse_entropy_backend(v);
       if (!entropy.has_value()) usage("--entropy expects huffman or tans");
-    } else if (opt == "--lossless" || opt.rfind("--lossless=", 0) == 0) {
-      const std::string v =
-          opt == "--lossless" ? args.next("lossless backend") : opt.substr(11);
-      lossless = parse_lossless_backend(v);
-      if (!lossless.has_value()) usage("--lossless expects lz or store");
     } else {
       usage(("unknown option " + opt).c_str());
     }
@@ -372,11 +366,10 @@ int cmd_compress(Args& args) {
   cliz_opts.frame_passes = frame_passes;
   if (predictor.has_value()) cliz_opts.predictor = *predictor;
   if (entropy.has_value()) cliz_opts.entropy = *entropy;
-  if (lossless.has_value()) cliz_opts.lossless = *lossless;
   // A user-forced backend is final; otherwise the tuner trials that axis of
   // the grid and its choice is adopted below.
   const bool tune_predictor = !predictor.has_value();
-  const bool tune_backends = !entropy.has_value() && !lossless.has_value();
+  const bool tune_backends = !entropy.has_value();
 
   // Tunes on a float32 view of the data (tuning only ranks pipelines, so a
   // float64 downcast is harmless), adopts the tuner's backend choices and
@@ -392,20 +385,16 @@ int cmd_compress(Args& args) {
     opts.consider_predictors = tune_predictor;
     const auto tuned = autotune(tune_view, eb, mask_ptr, opts);
     if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
-    if (tune_backends) {
-      cliz_opts.entropy = tuned.best_entropy;
-      cliz_opts.lossless = tuned.best_lossless;
-    }
+    if (tune_backends) cliz_opts.entropy = tuned.best_entropy;
     // The tuner keeps framing only when the sampled offset-table overhead
     // stays within the budget (never turns it *on* unrequested).
     cliz_opts.frame_passes = tuned.best_frame_passes;
     std::fprintf(stderr,
-                 "tuned pipeline: %s [predictor=%s entropy=%s lossless=%s] "
+                 "tuned pipeline: %s [predictor=%s entropy=%s] "
                  "(%zu candidates, %.2f s)\n",
                  tuned.best.label().c_str(),
                  predictor_backend_name(cliz_opts.predictor),
                  entropy_backend_name(cliz_opts.entropy),
-                 lossless_backend_name(cliz_opts.lossless),
                  tuned.candidates.size(), tuned.tuning_seconds);
     if (show_stats) {
       std::fprintf(stderr, "autotune: %s\n", tuned.to_json().c_str());
@@ -770,7 +759,6 @@ int cmd_archive_create(Args& args) {
     ClizOptions var_opts;
     var_opts.predictor = tuned.best_predictor;
     var_opts.entropy = tuned.best_entropy;
-    var_opts.lossless = tuned.best_lossless;
     writer.add_variable(name, data, eb, tuned.best, mask_ptr,
                         {{"source", file}, {"pipeline", tuned.best.label()}},
                         var_opts);
