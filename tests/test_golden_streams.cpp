@@ -13,12 +13,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/chunked.hpp"
+#include "src/core/chunked_reader.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/metrics/metrics.hpp"
@@ -97,11 +99,11 @@ MaskedField masked_field() {
 }
 
 /// 3-D field with an exact period-6 seasonal signal along dim 0.
-NdArray<float> periodic_field() {
-  const Shape shape({36, 10, 12});
+NdArray<float> periodic_field(std::size_t steps = 36) {
+  const Shape shape({steps, 10, 12});
   NdArray<float> a(shape);
   Rng rng(3003);
-  for (std::size_t t = 0; t < 36; ++t) {
+  for (std::size_t t = 0; t < steps; ++t) {
     // Parabolic bump over the 6-step season: 0, 5, 8, 9, 8, 5 (scaled).
     const double season =
         0.1 * static_cast<double>((t % 6) * (11 - (t % 6)));
@@ -128,6 +130,30 @@ NdArray<float> chunked_field() {
   return a;
 }
 
+/// Period-6 seasonal field with the masked_field() land/sea pattern, for
+/// the tiled frame.
+MaskedField masked_periodic_field() {
+  const Shape shape({30, 12, 14});
+  NdArray<float> data(shape);
+  auto mask = MaskMap::all_valid(shape);
+  Rng rng(6006);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (i % 13 == 0) {
+      mask.mutable_data()[i] = 0;
+      data[i] = kFill;
+      continue;
+    }
+    const std::size_t t = i / 168;
+    const double season =
+        0.1 * static_cast<double>((t % 6) * (11 - (t % 6)));
+    const double v = season + 0.1 * static_cast<double>(i % 14) -
+                     0.07 * static_cast<double>((i / 14) % 12) +
+                     0.04 * rng.uniform();
+    data[i] = static_cast<float>(v);
+  }
+  return {std::move(data), std::move(mask)};
+}
+
 PipelineConfig masked_config() {
   PipelineConfig c = PipelineConfig::defaults(3);
   c.dynamic_fitting = true;
@@ -149,6 +175,46 @@ std::vector<std::uint8_t> make_chunked_stream() {
                           nullptr, opts);
 }
 
+/// Period-6 slab frame over 35 steps in 3 slabs (11, 12, 12): the first
+/// slab is under two periods and runs the period-free codec, the others
+/// keep the periodic pipeline.
+std::vector<std::uint8_t> make_periodic_chunked_stream() {
+  ChunkedOptions opts;
+  opts.chunks = 3;
+  return chunked_compress(periodic_field(35), kEb, periodic_config(), nullptr,
+                          opts);
+}
+
+PipelineConfig masked_periodic_config() {
+  PipelineConfig c = masked_config();
+  c.period = 6;
+  c.time_dim = 0;
+  return c;
+}
+
+/// Masked period-6 CLK3 frame with 14x6x7 tiles: the time tiles are 14, 14
+/// and 2 steps long, so the full and the period-free codec both write tiles.
+std::vector<std::uint8_t> make_tiled_stream() {
+  const auto field = masked_periodic_field();
+  ChunkedOptions opts;
+  opts.tile = {14, 6, 7};
+  return chunked_compress(field.data, kEb, masked_periodic_config(),
+                          &field.mask, opts);
+}
+
+/// True when the frame holds pieces both under and at least two periods
+/// long along dim 0, so both hoisted codecs wrote into it.
+bool mixes_period_outcomes(std::span<const std::uint8_t> frame,
+                           std::size_t period) {
+  bool short_piece = false;
+  bool full_piece = false;
+  const ChunkedReader reader(frame);
+  for (const TileRecord& t : reader.tiles()) {
+    (t.extent[0] < 2 * period ? short_piece : full_piece) = true;
+  }
+  return short_piece && full_piece;
+}
+
 // --- corpus maintenance (must be declared first: bootstraps a fresh
 // checkout when run with CLIZ_REGEN_GOLDEN=1) ----------------------------
 
@@ -167,6 +233,9 @@ TEST(GoldenStreams, Regenerate) {
              ClizCompressor(periodic_config())
                  .compress(periodic_field(), kEb));
   write_file(golden_path("golden_chunked.clks"), make_chunked_stream());
+  write_file(golden_path("golden_chunked_periodic.clk2"),
+             make_periodic_chunked_stream());
+  write_file(golden_path("golden_tiled.clk3"), make_tiled_stream());
 }
 
 // --- the locks ----------------------------------------------------------
@@ -239,6 +308,42 @@ TEST(GoldenStreams, ChunkedFrameDecodesAndReproduces) {
       << "chunked frame drifted from the committed stream";
 }
 
+TEST(GoldenStreams, PeriodicChunkedFrameDecodesAndReproduces) {
+  const auto stream = read_file(golden_path("golden_chunked_periodic.clk2"));
+  ASSERT_FALSE(stream.empty());
+  const auto data = periodic_field(35);
+  EXPECT_TRUE(mixes_period_outcomes(stream, 6));
+
+  ChunkedScratch scratch;
+  NdArray<float> out(data.shape());
+  chunked_decompress_into(stream, out, &scratch);
+  EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
+
+  EXPECT_EQ(make_periodic_chunked_stream(), stream)
+      << "periodic chunked frame drifted from the committed stream";
+}
+
+TEST(GoldenStreams, TiledFrameDecodesAndReproduces) {
+  const auto stream = read_file(golden_path("golden_tiled.clk3"));
+  ASSERT_FALSE(stream.empty());
+  const auto field = masked_periodic_field();
+  EXPECT_TRUE(mixes_period_outcomes(stream, 6));
+
+  const auto out = chunked_decompress(stream);
+  ASSERT_EQ(out.shape(), field.data.shape());
+  EXPECT_LE(
+      error_stats(field.data.flat(), out.flat(), &field.mask).max_abs_error,
+      kEb);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!field.mask.valid(i)) {
+      ASSERT_EQ(out[i], kFill) << "masked point " << i;
+    }
+  }
+
+  EXPECT_EQ(make_tiled_stream(), stream)
+      << "tiled frame drifted from the committed stream";
+}
+
 // --- thread-count invariance --------------------------------------------
 // The line-parallel engine, block-split lossless backend, and chunked path
 // partition work by size only, never by worker count, so every stream must
@@ -266,6 +371,10 @@ TEST(GoldenStreams, StreamsAreThreadCountInvariant) {
       read_file(golden_path("golden_periodic.cliz"));
   const std::vector<std::uint8_t> golden_chunked =
       read_file(golden_path("golden_chunked.clks"));
+  const std::vector<std::uint8_t> golden_chunked_periodic =
+      read_file(golden_path("golden_chunked_periodic.clk2"));
+  const std::vector<std::uint8_t> golden_tiled =
+      read_file(golden_path("golden_tiled.clk3"));
   ASSERT_FALSE(golden_plain.empty());
 
   ThreadCountGuard guard;
@@ -284,6 +393,10 @@ TEST(GoldenStreams, StreamsAreThreadCountInvariant) {
         << "periodic stream differs at " << threads << " thread(s)";
     EXPECT_EQ(make_chunked_stream(), golden_chunked)
         << "chunked frame differs at " << threads << " thread(s)";
+    EXPECT_EQ(make_periodic_chunked_stream(), golden_chunked_periodic)
+        << "periodic chunked frame differs at " << threads << " thread(s)";
+    EXPECT_EQ(make_tiled_stream(), golden_tiled)
+        << "tiled frame differs at " << threads << " thread(s)";
   }
 }
 
