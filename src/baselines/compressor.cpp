@@ -190,44 +190,4 @@ NdArray<float> decompress_any(std::span<const std::uint8_t> stream) {
   return make_compressor(detect_codec(stream))->decompress(stream);
 }
 
-std::vector<std::uint8_t> compress_f64(std::string_view codec,
-                                       const NdArray<double>& data,
-                                       double abs_error_bound,
-                                       const MaskMap* mask,
-                                       std::size_t time_dim) {
-  if (codec == "cliz") {
-    NdArray<float> downcast(data.shape());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      downcast[i] = static_cast<float>(data[i]);
-    }
-    AutotuneOptions opts;
-    opts.time_dim = time_dim;
-    const auto tuned = autotune(downcast, abs_error_bound, mask, opts);
-    return ClizCompressor(tuned.best).compress(data, abs_error_bound, mask);
-  }
-  if (codec == "sz3") return Sz3Compressor().compress(data, abs_error_bound);
-  if (codec == "qoz") return QozCompressor().compress(data, abs_error_bound);
-  if (codec == "sz2") {
-    return LorenzoCompressor().compress(data, abs_error_bound);
-  }
-  if (codec == "zfp") {
-    return ZfpLikeCompressor().compress(data, abs_error_bound);
-  }
-  if (codec == "sperr") {
-    return SperrLikeCompressor().compress(data, abs_error_bound);
-  }
-  throw Error(ErrorCode::kBadArgument,
-              "cliz: unknown compressor '" + std::string(codec) + "'");
-}
-
-NdArray<double> decompress_any_f64(std::span<const std::uint8_t> stream) {
-  const std::string codec = detect_codec(stream);
-  if (codec == "cliz") return ClizCompressor::decompress_f64(stream);
-  if (codec == "sz3") return Sz3Compressor::decompress_f64(stream);
-  if (codec == "qoz") return QozCompressor::decompress_f64(stream);
-  if (codec == "sz2") return LorenzoCompressor::decompress_f64(stream);
-  if (codec == "zfp") return ZfpLikeCompressor::decompress_f64(stream);
-  return SperrLikeCompressor::decompress_f64(stream);
-}
-
 }  // namespace cliz

@@ -71,16 +71,4 @@ std::string detect_codec(std::span<const std::uint8_t> stream);
 /// Decompresses a stream from any registry codec (detect + dispatch).
 NdArray<float> decompress_any(std::span<const std::uint8_t> stream);
 
-/// float64 compression by registry name. For "cliz" the pipeline is tuned
-/// on a float32 downcast of the data (tuning only ranks pipelines, so the
-/// downcast is harmless) and the float64 samples are compressed with it.
-std::vector<std::uint8_t> compress_f64(std::string_view codec,
-                                       const NdArray<double>& data,
-                                       double abs_error_bound,
-                                       const MaskMap* mask = nullptr,
-                                       std::size_t time_dim = 0);
-
-/// float64 decompression with codec auto-detection.
-NdArray<double> decompress_any_f64(std::span<const std::uint8_t> stream);
-
 }  // namespace cliz

@@ -128,11 +128,6 @@ class BitReader {
     bitpos_ += static_cast<std::size_t>(n);
   }
 
-  [[nodiscard]] std::size_t bit_pos() const noexcept { return bitpos_; }
-  [[nodiscard]] std::size_t bits_remaining() const noexcept {
-    return data_.size() * 8 - bitpos_;
-  }
-
  private:
   std::span<const std::uint8_t> data_;
   std::size_t bitpos_ = 0;

@@ -6,10 +6,11 @@
 
 namespace cliz {
 
-/// Failure taxonomy carried on every cliz::Error. Callers (and the future
-/// clizd daemon) branch on the code instead of parsing what(): corrupt or
-/// over-limit streams are fatal for that stream, cancellation/deadline and
-/// I/O failures are request-level and may be retried.
+/// Failure taxonomy carried on every cliz::Error. Callers (clizc maps each
+/// code to an exit status) branch on the code instead of parsing what():
+/// corrupt or over-limit streams are fatal for that stream,
+/// cancellation/deadline and I/O failures are request-level and may be
+/// retried.
 enum class ErrorCode : std::uint8_t {
   kCorruptStream = 0,    ///< malformed/damaged bytes (default for stream checks)
   kLimitExceeded = 1,    ///< declared header value exceeds a ResourceLimits cap

@@ -39,13 +39,15 @@ std::vector<std::pair<std::size_t, std::size_t>> slabs(std::size_t extent,
   return out;
 }
 
-/// Tile grid of the v3 layout: origin/extent boxes in raster order.
-struct TileBox {
+/// One independently compressed piece of a frame: a tile, or a dim-0 slab
+/// spanning every inner dimension.
+struct Box {
   DimVec origin;
   DimVec extent;
 };
 
-std::vector<TileBox> tile_grid(const Shape& shape, const DimVec& tile) {
+/// Tile grid of the v3 layout: origin/extent boxes in raster order.
+std::vector<Box> tile_grid(const Shape& shape, const DimVec& tile) {
   const std::size_t nd = shape.ndims();
   DimVec tdim(nd);
   DimVec counts(nd);
@@ -56,7 +58,7 @@ std::vector<TileBox> tile_grid(const Shape& shape, const DimVec& tile) {
     counts[d] = (shape.dim(d) + tdim[d] - 1) / tdim[d];
     n_tiles *= counts[d];
   }
-  std::vector<TileBox> boxes(n_tiles);
+  std::vector<Box> boxes(n_tiles);
   DimVec idx(nd, 0);
   for (auto& box : boxes) {
     box.origin.resize(nd);
@@ -73,81 +75,12 @@ std::vector<TileBox> tile_grid(const Shape& shape, const DimVec& tile) {
   return boxes;
 }
 
-template <typename T>
-void tiled_compress_impl(const NdArray<T>& data, double abs_error_bound,
-                         const PipelineConfig& config, const MaskMap* mask,
-                         const ChunkedOptions& options,
-                         std::vector<std::uint8_t>& out) {
-  const Shape& shape = data.shape();
-  const std::size_t nd = shape.ndims();
-  CLIZ_REQUIRE_CODE(options.tile.size() == nd, kBadArgument,
-                    "tile arity does not match data dimensionality");
-  if (mask != nullptr) {
-    CLIZ_REQUIRE(mask->shape() == shape, "mask shape does not match data");
-  }
-  const std::vector<TileBox> boxes = tile_grid(shape, options.tile);
-
-  std::optional<ChunkedScratch> local;
-  ChunkedScratch& scratch =
-      options.scratch != nullptr ? *options.scratch : local.emplace();
-  auto& streams = scratch.chunk_streams;
-  if (streams.size() < boxes.size()) streams.resize(boxes.size());
-  scratch.stats.chunks_requested = boxes.size();
-  scratch.stats.chunks_effective = boxes.size();
-  scratch.stats.threads_used = hardware_threads();
-
-  // Hoisted codecs, as in the slab path. A tile shorter than two periods
-  // along the time dimension degrades to the period-free pipeline (tiles
-  // may split any dimension, so the check is per-extent, not dim-0-only).
-  const ClizCompressor codec(config, options.codec);
-  std::optional<ClizCompressor> degraded;
-  const auto tile_degrades = [&](const DimVec& extent) {
-    return config.period > 0 && config.time_dim < nd &&
-           extent[config.time_dim] < 2 * config.period;
-  };
-  for (const auto& box : boxes) {
-    if (tile_degrades(box.extent)) {
-      PipelineConfig dconfig = config;
-      dconfig.period = 0;
-      degraded.emplace(std::move(dconfig), options.codec);
-      break;
-    }
-  }
-
-  const DimVec window_lo(nd, 0);
-  scratch.pool.set_governor(options.codec.limits, options.codec.cancel);
-  parallel_for_cancellable(0, boxes.size(), options.codec.cancel,
-                           [&](std::size_t i) {
-    const TileBox& box = boxes[i];
-    Shape cshape(DimVec(box.extent));
-
-    const ContextPool::Lease lease = scratch.pool.acquire();
-    CodecContext& ctx = *lease;
-
-    auto& sbuf = ctx.slab<T>();
-    sbuf.resize(cshape.size());
-    DimVec hi(nd);
-    for (std::size_t d = 0; d < nd; ++d) hi[d] = box.origin[d] + box.extent[d];
-    detail::copy_tile_box(
-        reinterpret_cast<std::uint8_t*>(sbuf.data()), box.origin, box.extent,
-        const_cast<std::uint8_t*>(
-            reinterpret_cast<const std::uint8_t*>(data.data())),
-        window_lo, shape.dims(), box.origin, hi, sizeof(T), /*gather=*/true);
-    NdArray<T> chunk(std::move(cshape), std::move(sbuf));
-
-    std::optional<MaskMap> cmask;
-    if (mask != nullptr) cmask = mask->crop(box.origin, chunk.shape());
-
-    const ClizCompressor& use = tile_degrades(box.extent) ? *degraded : codec;
-    use.compress_into(chunk, abs_error_bound,
-                      cmask.has_value() ? &*cmask : nullptr, ctx, streams[i]);
-
-    ctx.slab<T>() = std::move(chunk).take_flat();
-  });
-
-  // Assemble the v3 frame: CRC-covered header (dims, per-tile geometry +
-  // payload ranges + payload digests), then the payloads back to back.
-  // Offsets are recorded relative to the first payload byte.
+/// Assembles a CLK3 frame into `out`: CRC-covered header (dims, per-tile
+/// geometry + payload ranges + payload digests), then the payloads back to
+/// back. Offsets are recorded relative to the first payload byte.
+void write_tile_frame(const Shape& shape, std::span<const Box> boxes,
+                      std::span<const std::vector<std::uint8_t>> streams,
+                      std::vector<std::uint8_t>& out) {
   ByteWriter w(std::move(out));
   w.put(kMagicV3);
   w.put_varint(shape.ndims());
@@ -163,53 +96,88 @@ void tiled_compress_impl(const NdArray<T>& data, double abs_error_bound,
     offset += streams[i].size();
   }
   w.put(crc32c(w.bytes().subspan(sizeof(kMagicV3))));
-  for (std::size_t i = 0; i < boxes.size(); ++i) w.put_bytes(streams[i]);
+  for (const auto& s : streams) w.put_bytes(s);
   out = std::move(w).take();
 }
 
+}  // namespace
+
+void detail::write_slab_frame(
+    const Shape& shape,
+    std::span<const std::pair<std::size_t, std::size_t>> ranges,
+    std::span<const std::vector<std::uint8_t>> streams,
+    std::vector<std::uint8_t>& out) {
+  // CRC-covered header (dims, ranges, per-chunk payload digests) first,
+  // payload blocks after.
+  ByteWriter w(std::move(out));
+  w.put(kMagicV2);
+  w.put_varint(shape.ndims());
+  for (const std::size_t d : shape.dims()) w.put_varint(d);
+  w.put_varint(ranges.size());
+  for (std::size_t c = 0; c < ranges.size(); ++c) {
+    w.put_varint(ranges[c].first);
+    w.put_varint(ranges[c].second);
+    w.put(crc32c(streams[c]));
+  }
+  w.put(crc32c(w.bytes().subspan(sizeof(kMagicV2))));
+  for (std::size_t c = 0; c < ranges.size(); ++c) w.put_block(streams[c]);
+  out = std::move(w).take();
+}
+
+namespace {
+
+/// Compresses every box of the frame as an independent CliZ stream, then
+/// assembles the frame: CLK3 when a tiling is set, CLK2 dim-0 slabs (boxes
+/// spanning every inner dim) otherwise.
 template <typename T>
 void chunked_compress_impl(const NdArray<T>& data, double abs_error_bound,
                            const PipelineConfig& config, const MaskMap* mask,
                            const ChunkedOptions& options,
                            std::vector<std::uint8_t>& out) {
-  if (!options.tile.empty()) {
-    tiled_compress_impl(data, abs_error_bound, config, mask, options, out);
-    return;
-  }
   const Shape& shape = data.shape();
+  const std::size_t nd = shape.ndims();
+  const bool tiled = !options.tile.empty();
+  CLIZ_REQUIRE_CODE(!tiled || options.tile.size() == nd, kBadArgument,
+                    "tile arity does not match data dimensionality");
   if (mask != nullptr) {
     CLIZ_REQUIRE(mask->shape() == shape, "mask shape does not match data");
   }
-  const std::size_t want =
-      options.chunks > 0 ? options.chunks
-                         : static_cast<std::size_t>(hardware_threads());
-  const auto ranges = slabs(shape.dim(0), want);
-  const std::size_t row = shape.size() / shape.dim(0);  // elements per slice
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  std::vector<Box> boxes;
+  std::size_t requested = 0;
+  if (tiled) {
+    boxes = tile_grid(shape, options.tile);
+    requested = boxes.size();
+  } else {
+    requested = options.chunks > 0
+                    ? options.chunks
+                    : static_cast<std::size_t>(hardware_threads());
+    ranges = slabs(shape.dim(0), requested);
+    boxes.resize(ranges.size(), {DimVec(nd, 0), shape.dims()});
+    for (std::size_t c = 0; c < ranges.size(); ++c) {
+      boxes[c].origin[0] = ranges[c].first;
+      boxes[c].extent[0] = ranges[c].second - ranges[c].first;
+    }
+  }
 
   std::optional<ChunkedScratch> local;
   ChunkedScratch& scratch =
       options.scratch != nullptr ? *options.scratch : local.emplace();
   auto& streams = scratch.chunk_streams;
-  if (streams.size() < ranges.size()) streams.resize(ranges.size());
+  if (streams.size() < boxes.size()) streams.resize(boxes.size());
   // Surface the clamp: dims[0] (or a degenerate request) can silently
   // reduce the slab count below what the caller asked for.
-  scratch.stats.chunks_requested = want;
-  scratch.stats.chunks_effective = ranges.size();
+  scratch.stats.chunks_requested = requested;
+  scratch.stats.chunks_effective = boxes.size();
   scratch.stats.threads_used = hardware_threads();
 
-  // Hoisted codecs: constructing one per chunk would copy the config's
+  // Hoisted codecs: constructing one per box would copy the config's
   // permutation/fusion vectors every iteration. Two instances cover both
-  // periodicity outcomes — periodic extraction needs >= 2 periods inside
-  // the chunk; undersized chunks degrade to the period-free pipeline
-  // (still honouring the error bound).
+  // outcomes of the two-period rule.
   const ClizCompressor codec(config, options.codec);
   std::optional<ClizCompressor> degraded;
-  const auto chunk_degrades = [&](std::size_t extent) {
-    return config.period > 0 && config.time_dim == 0 &&
-           extent < 2 * config.period;
-  };
-  for (const auto& [lo, hi] : ranges) {
-    if (chunk_degrades(hi - lo)) {
+  for (const auto& box : boxes) {
+    if (detail::drops_period(config, box.extent)) {
       PipelineConfig dconfig = config;
       dconfig.period = 0;
       degraded.emplace(std::move(dconfig), options.codec);
@@ -217,46 +185,48 @@ void chunked_compress_impl(const NdArray<T>& data, double abs_error_bound,
     }
   }
 
+  const DimVec window_lo(nd, 0);
   scratch.pool.set_governor(options.codec.limits, options.codec.cancel);
-  parallel_for_cancellable(0, ranges.size(), options.codec.cancel,
-                           [&](std::size_t c) {
-    const auto [lo, hi] = ranges[c];
-    DimVec dims = shape.dims();
-    dims[0] = hi - lo;
-    Shape cshape(std::move(dims));
+  parallel_for_cancellable(0, boxes.size(), options.codec.cancel,
+                           [&](std::size_t i) {
+    const Box& box = boxes[i];
+    Shape cshape(DimVec(box.extent));
 
     const ContextPool::Lease lease = scratch.pool.acquire();
     CodecContext& ctx = *lease;
 
-    // Slabs along dim 0 are contiguous in row-major storage; stage the
-    // copy in the context's slab scratch (reused across calls).
+    // Stage the box in the context's slab scratch (reused across calls); a
+    // slab is one contiguous run of `data`, so this is a single copy.
     auto& sbuf = ctx.slab<T>();
     sbuf.resize(cshape.size());
-    std::memcpy(sbuf.data(), data.data() + lo * row,
-                cshape.size() * sizeof(T));
+    DimVec hi(nd);
+    for (std::size_t d = 0; d < nd; ++d) hi[d] = box.origin[d] + box.extent[d];
+    detail::copy_tile_box(
+        reinterpret_cast<std::uint8_t*>(sbuf.data()), box.origin, box.extent,
+        const_cast<std::uint8_t*>(
+            reinterpret_cast<const std::uint8_t*>(data.data())),
+        window_lo, shape.dims(), box.origin, hi, sizeof(T), /*gather=*/true);
     NdArray<T> chunk(std::move(cshape), std::move(sbuf));
 
     std::optional<MaskMap> cmask;
-    if (mask != nullptr) {
-      DimVec start(shape.ndims(), 0);
-      start[0] = lo;
-      cmask = mask->crop(start, chunk.shape());
-    }
+    if (mask != nullptr) cmask = mask->crop(box.origin, chunk.shape());
 
     const ClizCompressor& use =
-        chunk_degrades(hi - lo) ? *degraded : codec;
+        detail::drops_period(config, box.extent) ? *degraded : codec;
     use.compress_into(chunk, abs_error_bound,
-                      cmask.has_value() ? &*cmask : nullptr, ctx,
-                      streams[c]);
+                      cmask.has_value() ? &*cmask : nullptr, ctx, streams[i]);
 
-    // Return the staging storage to the context for the next chunk.
+    // Return the staging storage to the context for the next box.
     ctx.slab<T>() = std::move(chunk).take_flat();
   });
 
-  detail::write_slab_frame(
-      shape, ranges,
-      std::span<const std::vector<std::uint8_t>>(streams).first(ranges.size()),
-      out);
+  const auto written =
+      std::span<const std::vector<std::uint8_t>>(streams).first(boxes.size());
+  if (tiled) {
+    write_tile_frame(shape, boxes, written, out);
+  } else {
+    detail::write_slab_frame(shape, ranges, written, out);
+  }
 }
 
 template <typename T>
@@ -302,28 +272,6 @@ void chunked_decompress_core(std::span<const std::uint8_t> stream,
 }
 
 }  // namespace
-
-void detail::write_slab_frame(
-    const Shape& shape,
-    std::span<const std::pair<std::size_t, std::size_t>> ranges,
-    std::span<const std::vector<std::uint8_t>> streams,
-    std::vector<std::uint8_t>& out) {
-  // CRC-covered header (dims, ranges, per-chunk payload digests) first,
-  // payload blocks after.
-  ByteWriter w(std::move(out));
-  w.put(kMagicV2);
-  w.put_varint(shape.ndims());
-  for (const std::size_t d : shape.dims()) w.put_varint(d);
-  w.put_varint(ranges.size());
-  for (std::size_t c = 0; c < ranges.size(); ++c) {
-    w.put_varint(ranges[c].first);
-    w.put_varint(ranges[c].second);
-    w.put(crc32c(streams[c]));
-  }
-  w.put(crc32c(w.bytes().subspan(sizeof(kMagicV2))));
-  for (std::size_t c = 0; c < ranges.size(); ++c) w.put_block(streams[c]);
-  out = std::move(w).take();
-}
 
 std::vector<std::uint8_t> chunked_compress(const NdArray<float>& data,
                                            double abs_error_bound,

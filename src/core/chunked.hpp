@@ -8,8 +8,8 @@
 // even be shipped/decoded individually.
 //
 // Note: periodic-component extraction needs at least two periods along the
-// time dimension *within a chunk*; with time as dim 0, prefer chunk counts
-// that keep chunk_extent >= 2 * period (the codec silently disables the
+// time dimension *within a chunk* (slab or tile); prefer layouts that keep
+// the chunk's time extent >= 2 * period (the codec silently disables the
 // feature per-chunk otherwise, still honouring the error bound).
 
 #include <cstdint>
@@ -114,6 +114,15 @@ void chunked_decompress_into(std::span<const std::uint8_t> stream,
 [[nodiscard]] bool is_chunked_stream(std::span<const std::uint8_t> stream);
 
 namespace detail {
+/// The two-period rule: a chunk whose extent along `config.time_dim` is
+/// under two periods compresses with the period dropped.
+/// chunked_compress and SnapshotStreamWriter both decide through it.
+[[nodiscard]] inline bool drops_period(const PipelineConfig& config,
+                                       std::span<const std::size_t> extent) {
+  return config.period > 0 && config.time_dim < extent.size() &&
+         extent[config.time_dim] < 2 * config.period;
+}
+
 /// Assembles a CLK2 slab frame into `out` (contents replaced, capacity
 /// reused): `streams[i]` is the CliZ stream of dim-0 range `ranges[i]`
 /// ([first, second)), and the ranges tile dim 0 of `shape` in order.

@@ -45,6 +45,17 @@ std::size_t product_of(std::span<const std::size_t> v) {
   return p;
 }
 
+/// True when the tile [origin, origin+extent) intersects the window
+/// [wlo, wlo+wext) in every dimension.
+bool tile_intersects(const TileRecord& tile, std::span<const std::size_t> wlo,
+                     std::span<const std::size_t> wext) {
+  for (std::size_t d = 0; d < tile.origin.size(); ++d) {
+    if (tile.origin[d] >= wlo[d] + wext[d]) return false;
+    if (wlo[d] >= tile.origin[d] + tile.extent[d]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 namespace detail {
@@ -57,26 +68,30 @@ void copy_tile_box(std::uint8_t* tile_buf, std::span<const std::size_t> torigin,
                    std::span<const std::size_t> ihi, std::size_t elem_size,
                    bool gather) {
   const std::size_t nd = torigin.size();
-  const DimVec tstride = strides_of(textent);
-  DimVec wstride(nd);
-  {
-    std::size_t acc = 1;
-    for (std::size_t i = nd; i-- > 0;) {
-      wstride[i] = acc;
-      acc *= wext[i];
-    }
-  }
-  const std::size_t run = (ihi[nd - 1] - ilo[nd - 1]) * elem_size;
+  // Fold trailing dims the box spans completely in both buffers into the
+  // run: consecutive rows of the next-outer dim are then adjacent in both,
+  // so a slab (or any whole-row box) moves as one memcpy.
+  const auto spans_both = [&](std::size_t d) {
+    return ilo[d] == torigin[d] && ihi[d] == torigin[d] + textent[d] &&
+           ilo[d] == wlo[d] && ihi[d] == wlo[d] + wext[d];
+  };
+  std::size_t k = nd - 1;  // outermost dim inside the run
+  while (k > 0 && spans_both(k)) --k;
+  std::size_t run = elem_size;
+  for (std::size_t d = k; d < nd; ++d) run *= ihi[d] - ilo[d];
   std::size_t rows = 1;
-  for (std::size_t d = 0; d + 1 < nd; ++d) rows *= ihi[d] - ilo[d];
+  for (std::size_t d = 0; d < k; ++d) rows *= ihi[d] - ilo[d];
 
-  DimVec idx(nd > 1 ? nd - 1 : 0, 0);
+  DimVec idx(k, 0);  // empty, so allocation-free, for a one-run box
   for (std::size_t r = 0; r < rows; ++r) {
-    std::size_t toff = ilo[nd - 1] - torigin[nd - 1];
-    std::size_t woff = ilo[nd - 1] - wlo[nd - 1];
-    for (std::size_t d = 0; d + 1 < nd; ++d) {
-      toff += (ilo[d] - torigin[d] + idx[d]) * tstride[d];
-      woff += (ilo[d] - wlo[d] + idx[d]) * wstride[d];
+    // Row-major offsets of the run's first sample, by Horner's rule over
+    // each buffer's extents (no stride tables to build per call).
+    std::size_t toff = 0;
+    std::size_t woff = 0;
+    for (std::size_t d = 0; d < nd; ++d) {
+      const std::size_t c = ilo[d] + (d < k ? idx[d] : 0);
+      toff = toff * textent[d] + (c - torigin[d]);
+      woff = woff * wext[d] + (c - wlo[d]);
     }
     std::uint8_t* t = tile_buf + toff * elem_size;
     std::uint8_t* w = window_buf + woff * elem_size;
@@ -85,21 +100,12 @@ void copy_tile_box(std::uint8_t* tile_buf, std::span<const std::size_t> torigin,
     } else {
       std::memcpy(w, t, run);
     }
-    // Odometer over the outer dims, innermost-first.
-    for (std::size_t d = idx.size(); d-- > 0;) {
+    // Odometer over the dims outside the run, innermost-first.
+    for (std::size_t d = k; d-- > 0;) {
       if (++idx[d] < ihi[d] - ilo[d]) break;
       idx[d] = 0;
     }
   }
-}
-
-bool tile_intersects(const TileRecord& tile, std::span<const std::size_t> wlo,
-                     std::span<const std::size_t> wext) {
-  for (std::size_t d = 0; d < tile.origin.size(); ++d) {
-    if (tile.origin[d] >= wlo[d] + wext[d]) return false;
-    if (wlo[d] >= tile.origin[d] + tile.extent[d]) return false;
-  }
-  return true;
 }
 
 }  // namespace detail
@@ -383,7 +389,7 @@ RegionStats ChunkedReader::region_impl(std::span<const std::size_t> origin,
 
   std::vector<std::size_t> hit;
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    if (detail::tile_intersects(tiles_[i], origin, extent)) hit.push_back(i);
+    if (tile_intersects(tiles_[i], origin, extent)) hit.push_back(i);
   }
 
   RegionStats st;
@@ -396,8 +402,6 @@ RegionStats ChunkedReader::region_impl(std::span<const std::size_t> origin,
       options.scratch != nullptr ? *options.scratch : local.emplace();
   scratch.pool.set_governor(limits_, cancel_);
 
-  const std::uint64_t cache_var =
-      options.cache_var != 0 ? options.cache_var : frame_digest_;
   const std::uint64_t evictions_before =
       options.cache != nullptr ? options.cache->stats().evictions : 0;
   std::atomic<std::size_t> decoded{0};
@@ -433,7 +437,7 @@ RegionStats ChunkedReader::region_impl(std::span<const std::size_t> origin,
       ihi[d] = std::min(t.origin[d] + t.extent[d], origin[d] + extent[d]);
     }
 
-    const TileCache::Key key{cache_var, tile_index, t.crc};
+    const TileCache::Key key{frame_digest_, tile_index, t.crc};
     if (options.cache != nullptr) {
       if (const TileCache::Payload hit_payload = options.cache->lookup(key);
           hit_payload != nullptr &&

@@ -2,9 +2,10 @@
 
 // Random-access layer over chunked frames: parse + validate the tile index
 // once, then serve arbitrary N-D window reads by decoding only the tiles
-// the window intersects. This is the seam an archive-serving daemon plugs
-// into — a lat/lon window over a tiled variable touches a handful of tiles
-// instead of the whole payload.
+// the window intersects. `clizc extract --region` and
+// ArchiveReader::read_region serve windows through it — a lat/lon window
+// over a tiled variable touches a handful of tiles instead of the whole
+// payload.
 //
 // All three frame generations are addressable:
 //  - "CLK3": tile-indexed layout — per-tile origin/extent AND byte
@@ -63,12 +64,10 @@ struct RegionStats {
 
 /// Per-call knobs for ChunkedReader::decompress_region.
 struct RegionOptions {
-  /// Decoded-tile cache shared across readers; nullptr = no caching.
+  /// Decoded-tile cache shared across readers; nullptr = no caching. The
+  /// frame's entries are namespaced by a digest of its tile index, so the
+  /// same frame bytes hit from any reader and distinct frames never share.
   TileCache* cache = nullptr;
-  /// Cache namespace for this frame's tiles. 0 = derive one from the frame
-  /// header digest (safe default: same frame bytes -> same namespace).
-  /// Callers serving many variables pass TileCache::variable_id(name).
-  std::uint64_t cache_var = 0;
   /// Optional reusable scratch (context pool) — same contract as the
   /// full-frame decode entry points.
   ChunkedScratch* scratch = nullptr;
@@ -151,23 +150,21 @@ class ChunkedReader {
   std::uint64_t frame_bytes_ = 0;
   ResourceLimits limits_;
   const CancelToken* cancel_ = nullptr;
-  /// Default cache namespace: digest of the frame's index bytes.
+  /// TileCache namespace: digest of the frame's index bytes (every tile's
+  /// geometry and payload CRC) and its size.
   std::uint64_t frame_digest_ = 0;
   /// Lazy probe cache (0 = not probed yet).
   mutable std::atomic<unsigned> sample_bytes_{0};
 };
 
 namespace detail {
-/// True when the tile [origin, origin+extent) intersects the window
-/// [wlo, wlo+wext) in every dimension.
-bool tile_intersects(const TileRecord& tile, std::span<const std::size_t> wlo,
-                     std::span<const std::size_t> wext);
-
 /// Copies the intersection box [ilo, ihi) (global coordinates) between a
 /// tile buffer (row-major over `textent`, anchored at `torigin`) and a
-/// window buffer (row-major over `wext`, anchored at `wlo`), one
-/// innermost-dim run per memcpy. `gather` = false moves tile -> window
-/// (decode scatter); true moves window -> tile (encode gather).
+/// window buffer (row-major over `wext`, anchored at `wlo`), one run per
+/// memcpy. A run is the innermost dim plus every trailing dim the box
+/// spans completely in both buffers, so a dim-0 slab of a whole array is a
+/// single copy. `gather` = false moves tile -> window (decode scatter);
+/// true moves window -> tile (encode gather).
 void copy_tile_box(std::uint8_t* tile_buf, std::span<const std::size_t> torigin,
                    std::span<const std::size_t> textent,
                    std::uint8_t* window_buf, std::span<const std::size_t> wlo,

@@ -62,9 +62,7 @@ void SnapshotStreamWriter::flush_block() {
 
   // Short final blocks cannot carry the periodic pipeline.
   PipelineConfig config = config_;
-  if (config.period > 0 && pending_count_ < 2 * config.period) {
-    config.period = 0;
-  }
+  if (detail::drops_period(config, bshape.dims())) config.period = 0;
 
   std::optional<MaskMap> mask;
   if (spatial_mask_ != nullptr) {

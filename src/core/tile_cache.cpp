@@ -20,7 +20,7 @@ std::uint64_t mix(std::uint64_t x) noexcept {
 }
 
 std::uint64_t key_hash(const TileCache::Key& k) noexcept {
-  return mix(mix(k.var ^ k.tile * 0x9E3779B97F4A7C15ull) ^ k.digest);
+  return mix(mix(k.frame ^ k.tile * 0x9E3779B97F4A7C15ull) ^ k.digest);
 }
 
 struct KeyHasher {
@@ -134,15 +134,6 @@ TileCache::Stats TileCache::stats() const {
     out.entries += sp->index.size();
   }
   return out;
-}
-
-std::uint64_t TileCache::variable_id(std::string_view name) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ull;  // FNV prime
-  }
-  return h;
 }
 
 }  // namespace cliz

@@ -1,22 +1,22 @@
 #pragma once
 
 // Shared decoded-tile cache: a sharded LRU of decoded sample bytes keyed by
-// (variable, tile). Region reads over gridded climate variables are
+// (frame, tile). Region reads over gridded climate variables are
 // overwhelmingly small, overlapping windows (a map pan, a time scrub), so
 // the same tiles decode over and over; the cache turns the repeat decode
 // into a memcpy. One cache instance is meant to be shared by every reader
-// of a process (the future clizd server keeps exactly one), which is why
-// it is internally synchronized and byte-budgeted through ResourceLimits
-// rather than entry-counted.
+// of a process, which is why it is internally synchronized and
+// byte-budgeted through ResourceLimits rather than entry-counted.
 //
-// Keys are caller-provided 64-bit variable ids (variable_id() hashes a
-// stable name such as "archive.clza#temperature") plus the tile's index and
-// payload digest. Values are immutable shared buffers, so a hit can be
-// scattered into the caller's window while another thread evicts the entry.
+// Keys are a 64-bit frame namespace (ChunkedReader passes a digest of the
+// frame's tile index, which covers every tile's payload CRC) plus the
+// tile's index and payload digest. The same frame bytes share entries
+// wherever they are read from. Values are immutable shared buffers, so a
+// hit can be scattered into the caller's window while another thread
+// evicts the entry.
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/common/governor.hpp"
@@ -26,11 +26,11 @@ namespace cliz {
 class TileCache {
  public:
   /// Identity of one decoded tile. `digest` is the tile's compressed-payload
-  /// CRC32C (0 for digest-less v1 frames): two variables that collide on
-  /// `var` still miss each other unless their payload bytes also collide,
+  /// CRC32C (0 for digest-less v1 frames): two frames that collide on
+  /// `frame` still miss each other unless their payload bytes also collide,
   /// so a stale or cross-variable hit cannot silently serve wrong samples.
   struct Key {
-    std::uint64_t var = 0;
+    std::uint64_t frame = 0;
     std::uint64_t tile = 0;
     std::uint32_t digest = 0;
 
@@ -76,11 +76,6 @@ class TileCache {
   [[nodiscard]] Stats stats() const;
 
   [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
-
-  /// Stable 64-bit id for a variable name (FNV-1a). Callers compose the
-  /// name from whatever scopes a variable uniquely in their world, e.g.
-  /// "<archive path>#<variable name>".
-  [[nodiscard]] static std::uint64_t variable_id(std::string_view name);
 
  private:
   struct Shard;

@@ -253,9 +253,9 @@ void ArchiveWriter::finish() {
 ArchiveReader::ArchiveReader(const std::string& path, ArchiveOpenMode mode,
                              const ResourceLimits& limits,
                              const CancelToken* cancel)
-    : path_(path), in_(path, std::ios::binary), limits_(limits),
-      cancel_(cancel) {
+    : in_(path, std::ios::binary), limits_(limits), cancel_(cancel) {
   CLIZ_REQUIRE_CODE(in_.good(), kIo, "cannot open archive: " + path);
+  scratch_.pool.set_governor(limits_, cancel_);
   if (cancel_ != nullptr) cancel_->check();
   if (mode == ArchiveOpenMode::kStrict) {
     open_strict();
@@ -521,33 +521,48 @@ std::size_t ArchiveReader::decodable_index(const std::string& name) const {
   return i;
 }
 
-NdArray<float> ArchiveReader::read(const std::string& name) const {
+template <typename T>
+NdArray<T> ArchiveReader::read_impl(const std::string& name) const {
+  constexpr bool kF32 = std::is_same_v<T, float>;
   const VariableInfo& v = variables_[decodable_index(name)];
-  CLIZ_REQUIRE(v.sample_bytes == 4,
-               "variable '" + name + "' is float64: use read_f64()");
+  CLIZ_REQUIRE(v.sample_bytes == sizeof(T),
+               "variable '" + name +
+                   (kF32 ? "' is float64: use read_f64()"
+                         : "' is float32: use read()"));
   const auto stream = read_raw(name);
-  NdArray<float> data = [&] {
-    // Decode under this reader's governor: the chunked path carries it on
-    // the pool, the single-stream path on the context itself.
-    if (is_chunked_stream(stream)) {
-      ChunkedScratch scratch;
-      scratch.pool.set_governor(limits_, cancel_);
-      return chunked_decompress(stream, &scratch);
+  // Decode through the reader's warm scratch, whose pool carries this
+  // reader's governor to the chunked path and to a single stream's context.
+  NdArray<T> data;
+  if (is_chunked_stream(stream)) {
+    if constexpr (kF32) {
+      data = chunked_decompress(stream, &scratch_);
+    } else {
+      data = chunked_decompress_f64(stream, &scratch_);
     }
-    CodecContext ctx;
-    ctx.limits = limits_;
-    ctx.cancel = cancel_;
-    return ClizCompressor::decompress(stream, ctx);
-  }();
+  } else {
+    const ContextPool::Lease lease = scratch_.pool.acquire();
+    if constexpr (kF32) {
+      data = ClizCompressor::decompress(stream, *lease);
+    } else {
+      data = ClizCompressor::decompress_f64(stream, *lease);
+    }
+  }
   CLIZ_REQUIRE(data.shape().dims() == v.dims,
                "decoded shape disagrees with archive index");
   return data;
 }
 
-const ArchiveReader::RegionView& ArchiveReader::region_view(
-    std::size_t i) const {
+NdArray<float> ArchiveReader::read(const std::string& name) const {
+  return read_impl<float>(name);
+}
+
+NdArray<double> ArchiveReader::read_f64(const std::string& name) const {
+  return read_impl<double>(name);
+}
+
+const ChunkedReader* ArchiveReader::region_view(std::size_t i) const {
   if (views_.empty()) views_.resize(variables_.size());
-  if (views_[i]) return *views_[i];
+  if (views_[i]) return views_[i]->get();
   const VariableInfo& v = variables_[i];
   const std::uint64_t base = offsets_[i];
   const std::uint64_t frame_bytes = v.compressed_bytes;
@@ -571,7 +586,7 @@ const ArchiveReader::RegionView& ArchiveReader::region_view(
   std::vector<std::uint8_t> header(
       static_cast<std::size_t>(std::min<std::uint64_t>(frame_bytes, 4)));
   if (!header.empty()) fetch(0, header.size(), header.data());
-  RegionView view;
+  std::unique_ptr<ChunkedReader> view;
   if (is_chunked_stream(header)) {
     // Chunked frame: parse the index from a bounded header prefix, growing
     // it only when the parser reports truncation (kCorruptStream) — never
@@ -586,7 +601,7 @@ const ArchiveReader::RegionView& ArchiveReader::region_view(
       header.resize(prefix);
       fetch(0, prefix, header.data());
       try {
-        view.reader = std::make_unique<ChunkedReader>(
+        view = std::make_unique<ChunkedReader>(
             std::span<const std::uint8_t>(header), frame_bytes, fetch, limits_,
             cancel_);
         break;
@@ -598,13 +613,10 @@ const ArchiveReader::RegionView& ArchiveReader::region_view(
             std::min<std::uint64_t>(frame_bytes, std::uint64_t{prefix} * 4));
       }
     }
-    CLIZ_REQUIRE(view.reader->shape().dims() == v.dims,
+    CLIZ_REQUIRE(view->shape().dims() == v.dims,
                  "chunked frame shape disagrees with archive index");
-    // Per-variable cache namespace: repeated windows over the same archive
-    // variable hit, same-named tiles of other files or variables cannot.
-    view.cache_var = TileCache::variable_id(path_ + "#" + v.name);
   }
-  return views_[i].emplace(std::move(view));
+  return views_[i].emplace(std::move(view)).get();
 }
 
 template <typename T>
@@ -637,15 +649,10 @@ NdArray<T> ArchiveReader::read_region_impl(
       "declared record size exceeds ResourceLimits::max_record_bytes for '" +
           name + "'");
 
-  const RegionView& view = region_view(i);
+  const ChunkedReader* view = region_view(i);
   NdArray<T> out{Shape(DimVec(extent.begin(), extent.end()))};
-  if (view.reader == nullptr) {
-    NdArray<T> full;
-    if constexpr (std::is_same_v<T, float>) {
-      full = read(name);
-    } else {
-      full = read_f64(name);
-    }
+  if (view == nullptr) {
+    NdArray<T> full = read_impl<T>(name);
     DimVec zeros(nd, 0);
     DimVec hi(nd);
     for (std::size_t d = 0; d < nd; ++d) hi[d] = origin[d] + extent[d];
@@ -666,9 +673,8 @@ NdArray<T> ArchiveReader::read_region_impl(
 
   RegionOptions ropts;
   ropts.cache = cache;
-  ropts.cache_var = view.cache_var;
-  ropts.scratch = &region_scratch_;
-  const RegionStats rs = view.reader->decompress_region(
+  ropts.scratch = &scratch_;
+  const RegionStats rs = view->decompress_region(
       origin, extent, std::span<T>(out.data(), out.size()), ropts);
   if (stats != nullptr) *stats = rs;
   return out;
@@ -693,27 +699,6 @@ NdArray<double> ArchiveReader::read_region_f64(
   CLIZ_REQUIRE_CODE(v.sample_bytes == 8, kBadArgument,
                     "variable '" + name + "' is float32: use read_region()");
   return read_region_impl<double>(name, origin, extent, cache, stats);
-}
-
-NdArray<double> ArchiveReader::read_f64(const std::string& name) const {
-  const VariableInfo& v = variables_[decodable_index(name)];
-  CLIZ_REQUIRE(v.sample_bytes == 8,
-               "variable '" + name + "' is float32: use read()");
-  const auto stream = read_raw(name);
-  NdArray<double> data = [&] {
-    if (is_chunked_stream(stream)) {
-      ChunkedScratch scratch;
-      scratch.pool.set_governor(limits_, cancel_);
-      return chunked_decompress_f64(stream, &scratch);
-    }
-    CodecContext ctx;
-    ctx.limits = limits_;
-    ctx.cancel = cancel_;
-    return ClizCompressor::decompress_f64(stream, ctx);
-  }();
-  CLIZ_REQUIRE(data.shape().dims() == v.dims,
-               "decoded shape disagrees with archive index");
-  return data;
 }
 
 }  // namespace cliz

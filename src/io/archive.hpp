@@ -130,10 +130,6 @@ class ArchiveWriter {
   /// Writes index + trailer and closes the file. Idempotent.
   void finish();
 
-  [[nodiscard]] std::size_t variable_count() const noexcept {
-    return entries_.size();
-  }
-
  private:
   struct Entry {
     VariableInfo info;
@@ -195,6 +191,9 @@ class ArchiveReader {
 
   /// Decompresses one float32 variable (Error if the variable is float64).
   /// Every decoding read refuses a non-"cliz" record with kUnsupported.
+  /// Full reads decode through the reader's one warm scratch (the one
+  /// read_region uses), so repeated reads reuse its contexts; like every
+  /// read, not safe to call concurrently on the same reader.
   [[nodiscard]] NdArray<float> read(const std::string& name) const;
 
   /// Decompresses one float64 variable (Error if the variable is float32).
@@ -211,15 +210,16 @@ class ArchiveReader {
   /// bounded header prefix) and keeps it; every call then seeks straight to
   /// the intersecting tile payloads — compressed bytes touched scale with
   /// the window, not the variable. Per variable the reader keeps only the
-  /// parsed tile records and the cache namespace, never the header bytes,
-  /// and one decode scratch serves all variables; an index that fails
-  /// validation is never kept, so it is refused on every call. Non-chunked
-  /// variables fall back to a full decode followed by a crop. `cache`, when
-  /// given, serves repeated windows from decoded tiles (keyed per archive
-  /// path + variable); `stats` reports tiles touched and compressed bytes
-  /// read. Not safe to call concurrently with other reads on the same
-  /// reader (they share the file stream and the kept views), but region
-  /// decode itself is tile-parallel internally.
+  /// parsed tile records, never the header bytes, and one decode scratch
+  /// serves all variables; an index that fails validation is never kept,
+  /// so it is refused on every call. Non-chunked variables fall back to a
+  /// full decode followed by a crop. `cache`, when given, serves repeated
+  /// windows from decoded tiles (keyed by frame content, so the same
+  /// variable bytes hit from any reader or path); `stats` reports tiles
+  /// touched and compressed bytes read. Not safe to call concurrently with
+  /// other reads on the same reader (they share the file stream, the kept
+  /// views and the scratch), but region decode itself is tile-parallel
+  /// internally.
   [[nodiscard]] NdArray<float> read_region(
       const std::string& name, std::span<const std::size_t> origin,
       std::span<const std::size_t> extent, TileCache* cache = nullptr,
@@ -245,13 +245,11 @@ class ArchiveReader {
   /// index_of() for the decoding reads: refuses non-CliZ records.
   [[nodiscard]] std::size_t decodable_index(const std::string& name) const;
 
-  /// Region-read state of one variable, built by its first read_region
-  /// call. `reader` is null when the variable is not a chunked frame.
-  struct RegionView {
-    std::unique_ptr<ChunkedReader> reader;
-    std::uint64_t cache_var = 0;  ///< TileCache namespace (path + name)
-  };
-  [[nodiscard]] const RegionView& region_view(std::size_t i) const;
+  template <typename T>
+  [[nodiscard]] NdArray<T> read_impl(const std::string& name) const;
+  /// Tile index of one variable, parsed by its first read_region call;
+  /// nullptr when the variable is not a chunked frame.
+  [[nodiscard]] const ChunkedReader* region_view(std::size_t i) const;
   template <typename T>
   [[nodiscard]] NdArray<T> read_region_impl(const std::string& name,
                                             std::span<const std::size_t> origin,
@@ -259,7 +257,6 @@ class ArchiveReader {
                                             TileCache* cache,
                                             RegionStats* stats) const;
 
-  std::string path_;
   mutable std::ifstream in_;
   ResourceLimits limits_;
   const CancelToken* cancel_ = nullptr;
@@ -269,8 +266,10 @@ class ArchiveReader {
   SalvageReport report_;
   /// Region views by variable position; filled only once an index has
   /// validated.
-  mutable std::vector<std::optional<RegionView>> views_;
-  mutable ChunkedScratch region_scratch_;  ///< warm across read_region calls
+  mutable std::vector<std::optional<std::unique_ptr<ChunkedReader>>> views_;
+  /// Decode scratch of every read, warm across calls; its pool carries the
+  /// reader's governor (set once, at construction).
+  mutable ChunkedScratch scratch_;
   mutable std::mutex io_mu_;  ///< serialises tile fetches on in_
 };
 

@@ -91,98 +91,6 @@ void interp_decode(T* data, std::span<const AxisSpec> axes,
                   });
 }
 
-/// QoZ-style per-pass dynamic-fitting encoder: every (scale, axis) pass
-/// probes linear vs cubic on a stride-8 subsample of its actual targets
-/// (masked points skipped), commits the better fit for the whole pass, and
-/// records the choice — one byte per pass appended to `pass_fits` (1 =
-/// cubic) — so the decoder can replay it. `fallback_fit` is used for passes
-/// with nothing to probe. The anchor (offset 0) is quantized first with
-/// prediction 0 when valid, exactly like interp_encode.
-template <typename T, typename BinSink>
-void interp_encode_dynamic(T* data, std::span<const AxisSpec> axes,
-                           std::span<const std::size_t> order,
-                           FittingKind fallback_fit,
-                           const LinearQuantizer<T>& quantizer,
-                           std::vector<T>& outliers,
-                           const std::uint8_t* validity,
-                           std::vector<std::uint8_t>& pass_fits,
-                           BinSink&& sink) {
-  if (validity == nullptr || validity[0] != 0) {
-    sink(std::size_t{0}, quantizer.quantize(data[0], T{0}, outliers));
-  }
-  constexpr std::size_t kProbeStride = 8;
-  interp_traverse_passes(
-      axes, order,
-      [&](std::size_t /*s*/, std::size_t /*h*/, std::size_t /*d*/,
-          auto&& run) {
-        double err_lin = 0.0;
-        double err_cub = 0.0;
-        std::size_t count = 0;
-        std::size_t probed = 0;
-        run([&](std::size_t off, std::size_t, std::size_t,
-                const InterpRefs& refs) {
-          if (count++ % kProbeStride != 0) return;
-          if (validity != nullptr && validity[off] == 0) return;
-          const double v = static_cast<double>(data[off]);
-          err_lin += std::abs(static_cast<double>(interp_predict(
-                         data, refs, validity, FittingKind::kLinear)) -
-                     v);
-          err_cub += std::abs(static_cast<double>(interp_predict(
-                         data, refs, validity, FittingKind::kCubic)) -
-                     v);
-          ++probed;
-        });
-        const FittingKind fit =
-            probed == 0 ? fallback_fit
-                        : (err_cub <= err_lin ? FittingKind::kCubic
-                                              : FittingKind::kLinear);
-        pass_fits.push_back(fit == FittingKind::kCubic ? 1 : 0);
-        run([&](std::size_t off, std::size_t, std::size_t,
-                const InterpRefs& refs) {
-          if (validity != nullptr && validity[off] == 0) return;
-          const T pred = interp_predict(data, refs, validity, fit);
-          sink(off, quantizer.quantize(data[off], pred, outliers));
-        });
-      });
-}
-
-/// Decode side of interp_encode_dynamic: replays the per-pass fitting
-/// choices recorded in `pass_fits`. Throws Error when the table length does
-/// not match the traversal's pass count (corrupt stream).
-template <typename T, typename BinSource>
-void interp_decode_dynamic(T* data, std::span<const AxisSpec> axes,
-                           std::span<const std::size_t> order,
-                           const LinearQuantizer<T>& quantizer,
-                           std::span<const T> outliers,
-                           std::size_t& outlier_cursor,
-                           const std::uint8_t* validity,
-                           std::span<const std::uint8_t> pass_fits,
-                           BinSource&& source) {
-  if (validity == nullptr || validity[0] != 0) {
-    data[0] = quantizer.recover(source(std::size_t{0}), T{0}, outliers,
-                                outlier_cursor);
-  }
-  std::size_t pass_idx = 0;
-  interp_traverse_passes(
-      axes, order,
-      [&](std::size_t /*s*/, std::size_t /*h*/, std::size_t /*d*/,
-          auto&& run) {
-        CLIZ_REQUIRE(pass_idx < pass_fits.size(), "pass-fit table truncated");
-        const FittingKind fit = pass_fits[pass_idx++] != 0
-                                    ? FittingKind::kCubic
-                                    : FittingKind::kLinear;
-        run([&](std::size_t off, std::size_t, std::size_t,
-                const InterpRefs& refs) {
-          if (validity != nullptr && validity[off] == 0) return;
-          const T pred = interp_predict(data, refs, validity, fit);
-          data[off] = quantizer.recover(source(off), pred, outliers,
-                                        outlier_cursor);
-        });
-      });
-  CLIZ_REQUIRE(pass_idx == pass_fits.size(),
-               "pass-fit table not fully consumed");
-}
-
 // ---------------------------------------------------------------------------
 // Line-parallel engine. A pass's targets are partitioned into independent
 // 1-D lines along the active axis: every reference of a target sits at an
@@ -418,12 +326,14 @@ inline void line_code_prefix(std::span<const std::size_t> line_base,
   for (std::size_t i = 0; i < n_lines; ++i) start[i + 1] += start[i];
 }
 
-/// Dynamic-fitting probe of one pass, parallelized by probe slot. Each
-/// slot's |error| terms are computed independently, then summed serially in
-/// slot (== serial probe) order, so the accumulated sums — and therefore
-/// the committed fit — are bit-identical to interp_encode_dynamic's.
-/// Masked slots contribute an exact 0.0, which cannot change a
-/// non-negative accumulation.
+/// Dynamic-fitting probe of one pass, parallelized by probe slot: every
+/// 8th target of the pass in traversal order (masked ones skipped) is
+/// predicted both linearly and cubically, and the fit with the smaller
+/// summed |error| wins (cubic on ties; `fallback` when nothing was probed).
+/// Each slot's |error| terms are computed independently, then summed
+/// serially in slot order, so the sums — and therefore the committed fit —
+/// are bit-identical at every thread count. Masked slots contribute an
+/// exact 0.0, which cannot change a non-negative accumulation.
 template <typename T>
 FittingKind probe_pass_fit(const T* data, const AxisSpec& ax,
                            const InterpPass& pass,
@@ -474,11 +384,12 @@ FittingKind probe_pass_fit(const T* data, const AxisSpec& ax,
 
 }  // namespace detail
 
-/// Line-parallel encode: the drop-in replacement for interp_encode /
-/// interp_encode_dynamic (select with `dynamic`) used by CliZ's predict
-/// stage. Emits (offset, code) pairs by appending to `offsets`/`codes` and
-/// outliers/pass_fits exactly as the serial engines' sink order would —
-/// byte-identical for every thread count, including masked inputs.
+/// Line-parallel encode used by CliZ's predict stage: the interp_encode
+/// traversal, with per-pass dynamic fitting when `dynamic` is set (one
+/// byte per pass appended to `pass_fits`, 1 = cubic). Emits (offset, code)
+/// pairs by appending to `offsets`/`codes`, and outliers/pass_fits, in the
+/// serial traversal order — byte-identical for every thread count,
+/// including masked inputs.
 ///
 /// When `fetch_marks` is non-null, the cumulative code count is recorded at
 /// every boundary the decode side fetches at — after the anchor and after

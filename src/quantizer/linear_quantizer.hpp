@@ -64,20 +64,6 @@ class LinearQuantizer {
     return 0;
   }
 
-  /// Batched quantize over one strided line: element i lives at
-  /// data[i * stride] and is quantized against preds[i], reconstruction
-  /// written back and outliers appended in index order. Exactly equivalent
-  /// to n scalar quantize() calls — the line-parallel encoder relies on
-  /// that equivalence for byte-identical streams — but keeps the whole
-  /// line's control flow in one inlinable loop for the hot path.
-  void quantize_line(T* data, std::size_t stride, const T* preds,
-                     std::uint32_t* codes, std::size_t n,
-                     std::vector<T>& outliers) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      codes[i] = quantize(data[i * stride], preds[i], outliers);
-    }
-  }
-
   /// Inverse of quantize(). `cursor` indexes into the outlier side stream
   /// and advances when code 0 is met.
   T recover(std::uint32_t code, T pred, std::span<const T> outliers,

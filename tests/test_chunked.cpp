@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
 
@@ -183,6 +184,39 @@ TEST(Chunked, PeriodicityDisabledInShortChunks) {
       error_stats(field.data.flat(), recon.flat(), field.mask_ptr())
           .max_abs_error,
       1e-3);
+}
+
+TEST(Chunked, TwoPeriodRuleReadsTheTimeDimOfEveryLayout) {
+  // Time is dim 1 here, so slabs keep its whole 10-step extent: between one
+  // and two periods of 6. Slabs drop the period exactly as tiles of the
+  // same extent do, and the frame equals the period-free one.
+  const auto data = smooth_array({12, 10, 8}, 7);
+  PipelineConfig config = PipelineConfig::defaults(3);
+  config.period = 6;
+  config.time_dim = 1;
+  PipelineConfig plain = config;
+  plain.period = 0;
+  EXPECT_TRUE(detail::drops_period(config, DimVec{6, 10, 8}));
+  EXPECT_FALSE(detail::drops_period(config, DimVec{6, 12, 8}));
+  EXPECT_FALSE(detail::drops_period(plain, DimVec{6, 10, 8}));
+
+  // The whole-array codec would still extract the period (6 < 10), so the
+  // equality below is the chunked layer's rule, not the codec's.
+  EXPECT_NE(ClizCompressor(config).compress(data, 1e-3),
+            ClizCompressor(plain).compress(data, 1e-3));
+
+  ChunkedOptions slabs;
+  slabs.chunks = 2;
+  const auto slab_frame = chunked_compress(data, 1e-3, config, nullptr, slabs);
+  EXPECT_EQ(slab_frame, chunked_compress(data, 1e-3, plain, nullptr, slabs));
+
+  ChunkedOptions tiles;
+  tiles.tile = {6, 0, 0};  // the same two boxes as the slabs
+  const auto tile_frame = chunked_compress(data, 1e-3, config, nullptr, tiles);
+  EXPECT_EQ(tile_frame, chunked_compress(data, 1e-3, plain, nullptr, tiles));
+  const auto from_slabs = chunked_decompress(slab_frame);
+  const auto from_tiles = chunked_decompress(tile_frame);
+  EXPECT_TRUE(std::ranges::equal(from_slabs.flat(), from_tiles.flat()));
 }
 
 TEST(Chunked, EquivalentQualityToMonolithic) {

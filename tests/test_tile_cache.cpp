@@ -97,12 +97,6 @@ TEST(TileCache, ClearEmptiesEverything) {
   EXPECT_EQ(cache.lookup({4, 4, 0}), nullptr);
 }
 
-TEST(TileCache, VariableIdIsStableAndDiscriminates) {
-  EXPECT_EQ(TileCache::variable_id("TEMP"), TileCache::variable_id("TEMP"));
-  EXPECT_NE(TileCache::variable_id("TEMP"), TileCache::variable_id("SALT"));
-  EXPECT_NE(TileCache::variable_id("a#b"), TileCache::variable_id("a#c"));
-}
-
 TEST(TileCache, BudgetIsRespectedAcrossManyInserts) {
   const std::size_t budget = 1 << 14;
   TileCache cache(budget, 4);
