@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/parallel.hpp"
@@ -202,6 +204,66 @@ std::vector<std::uint8_t> make_tiled_stream() {
                           &field.mask, opts);
 }
 
+/// 3-D field with a per-column offset pattern (the structure bin
+/// classification keys on) over a smooth trend. 14x48x100 = 67200 points:
+/// a raster predictor fetches all codes in one interval, which the framed
+/// container splits into two segments (one per 2^15 symbols).
+template <typename T>
+NdArray<T> framed_field() {
+  const Shape shape({14, 48, 100});
+  NdArray<T> a(shape);
+  Rng rng(7007);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double v = 0.004 * static_cast<double>(i % 100) +
+                     0.003 * static_cast<double>((i / 100) % 48) -
+                     0.002 * static_cast<double>(i / 4800) +
+                     0.0015 * static_cast<double>(i % 7) +
+                     0.0003 * rng.uniform();
+    a[i] = static_cast<T>(v);
+  }
+  return a;
+}
+
+ClizOptions backend_options(PredictorBackend predictor,
+                            EntropyBackend entropy, bool frame_passes) {
+  ClizOptions o;
+  o.predictor = predictor;
+  o.entropy = entropy;
+  o.frame_passes = frame_passes;
+  return o;
+}
+
+/// interp + tANS serial, classified, over the masked period-6 field.
+std::vector<std::uint8_t> make_tans_stream() {
+  const auto field = masked_periodic_field();
+  return ClizCompressor(masked_periodic_config(),
+                        backend_options(PredictorBackend::kInterp,
+                                        EntropyBackend::kTans, false))
+      .compress(field.data, kEb, &field.mask);
+}
+
+PipelineConfig classified_config() {
+  PipelineConfig c = PipelineConfig::defaults(3);
+  c.classify_bins = true;
+  return c;
+}
+
+/// lorenzo1 + Huffman framed, classified, f32.
+std::vector<std::uint8_t> make_lorenzo_framed_stream() {
+  return ClizCompressor(classified_config(),
+                        backend_options(PredictorBackend::kLorenzo1,
+                                        EntropyBackend::kHuffman, true))
+      .compress(framed_field<float>(), kEb);
+}
+
+/// regression + tANS framed, unclassified, f64.
+std::vector<std::uint8_t> make_regression_framed_stream() {
+  return ClizCompressor(PipelineConfig::defaults(3),
+                        backend_options(PredictorBackend::kRegression,
+                                        EntropyBackend::kTans, true))
+      .compress(framed_field<double>(), kEb);
+}
+
 /// True when the frame holds pieces both under and at least two periods
 /// long along dim 0, so both hoisted codecs wrote into it.
 bool mixes_period_outcomes(std::span<const std::uint8_t> frame,
@@ -236,6 +298,11 @@ TEST(GoldenStreams, Regenerate) {
   write_file(golden_path("golden_chunked_periodic.clk2"),
              make_periodic_chunked_stream());
   write_file(golden_path("golden_tiled.clk3"), make_tiled_stream());
+  write_file(golden_path("golden_tans.cliz"), make_tans_stream());
+  write_file(golden_path("golden_lorenzo_framed.cliz"),
+             make_lorenzo_framed_stream());
+  write_file(golden_path("golden_regression_framed.cliz"),
+             make_regression_framed_stream());
 }
 
 // --- the locks ----------------------------------------------------------
@@ -344,6 +411,90 @@ TEST(GoldenStreams, TiledFrameDecodesAndReproduces) {
       << "tiled frame drifted from the committed stream";
 }
 
+// --- non-default stage backends -------------------------------------------
+// The corpus above is all interp + serial Huffman. These pin the other
+// predictor and entropy backends and the framed entropy container.
+
+/// Decodes `stream` and reads the stage telemetry the decoder recorded.
+template <typename T>
+NdArray<T> decode_with_stats(std::span<const std::uint8_t> stream,
+                             CodecContext& ctx) {
+  if constexpr (std::is_same_v<T, float>) {
+    return ClizCompressor::decompress(stream, ctx);
+  } else {
+    return ClizCompressor::decompress_f64(stream, ctx);
+  }
+}
+
+TEST(GoldenStreams, TansStreamDecodesAndReproduces) {
+  const auto stream = read_file(golden_path("golden_tans.cliz"));
+  ASSERT_FALSE(stream.empty());
+  const auto field = masked_periodic_field();
+
+  CodecContext ctx;
+  const auto out = decode_with_stats<float>(stream, ctx);
+  EXPECT_EQ(ctx.stats.entropy_backend,
+            static_cast<std::uint8_t>(EntropyBackend::kTans));
+  EXPECT_FALSE(ctx.stats.frame_passes);
+  ASSERT_EQ(out.shape(), field.data.shape());
+  EXPECT_LE(
+      error_stats(field.data.flat(), out.flat(), &field.mask).max_abs_error,
+      kEb);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!field.mask.valid(i)) {
+      ASSERT_EQ(out[i], kFill) << "masked point " << i;
+    }
+  }
+
+  EXPECT_EQ(make_tans_stream(), stream)
+      << "tANS stream drifted from the committed stream";
+}
+
+TEST(GoldenStreams, LorenzoFramedStreamDecodesAndReproduces) {
+  const auto stream = read_file(golden_path("golden_lorenzo_framed.cliz"));
+  ASSERT_FALSE(stream.empty());
+  const auto data = framed_field<float>();
+
+  CodecContext ctx;
+  const auto out = decode_with_stats<float>(stream, ctx);
+  EXPECT_EQ(ctx.stats.predictor_backend,
+            static_cast<std::uint8_t>(PredictorBackend::kLorenzo1));
+  EXPECT_EQ(ctx.stats.entropy_backend,
+            static_cast<std::uint8_t>(EntropyBackend::kHuffman));
+  EXPECT_TRUE(ctx.stats.frame_passes);
+  EXPECT_EQ(ctx.stats.frame_segments, 2u);
+  ASSERT_EQ(out.shape(), data.shape());
+  EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
+
+  EXPECT_EQ(make_lorenzo_framed_stream(), stream)
+      << "lorenzo1 framed stream drifted from the committed stream";
+}
+
+TEST(GoldenStreams, RegressionFramedStreamDecodesAndReproduces) {
+  const auto stream =
+      read_file(golden_path("golden_regression_framed.cliz"));
+  ASSERT_FALSE(stream.empty());
+  const auto data = framed_field<double>();
+
+  CodecContext ctx;
+  const auto out = decode_with_stats<double>(stream, ctx);
+  EXPECT_EQ(ctx.stats.predictor_backend,
+            static_cast<std::uint8_t>(PredictorBackend::kRegression));
+  EXPECT_EQ(ctx.stats.entropy_backend,
+            static_cast<std::uint8_t>(EntropyBackend::kTans));
+  EXPECT_TRUE(ctx.stats.frame_passes);
+  EXPECT_EQ(ctx.stats.frame_segments, 2u);
+  ASSERT_EQ(out.shape(), data.shape());
+  double max_err = 0.0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    max_err = std::max(max_err, std::abs(data[i] - out[i]));
+  }
+  EXPECT_LE(max_err, kEb);
+
+  EXPECT_EQ(make_regression_framed_stream(), stream)
+      << "regression framed stream drifted from the committed stream";
+}
+
 // --- thread-count invariance --------------------------------------------
 // The line-parallel engine, block-split lossless backend, and chunked path
 // partition work by size only, never by worker count, so every stream must
@@ -375,6 +526,12 @@ TEST(GoldenStreams, StreamsAreThreadCountInvariant) {
       read_file(golden_path("golden_chunked_periodic.clk2"));
   const std::vector<std::uint8_t> golden_tiled =
       read_file(golden_path("golden_tiled.clk3"));
+  const std::vector<std::uint8_t> golden_tans =
+      read_file(golden_path("golden_tans.cliz"));
+  const std::vector<std::uint8_t> golden_lorenzo_framed =
+      read_file(golden_path("golden_lorenzo_framed.cliz"));
+  const std::vector<std::uint8_t> golden_regression_framed =
+      read_file(golden_path("golden_regression_framed.cliz"));
   ASSERT_FALSE(golden_plain.empty());
 
   ThreadCountGuard guard;
@@ -397,6 +554,13 @@ TEST(GoldenStreams, StreamsAreThreadCountInvariant) {
         << "periodic chunked frame differs at " << threads << " thread(s)";
     EXPECT_EQ(make_tiled_stream(), golden_tiled)
         << "tiled frame differs at " << threads << " thread(s)";
+    EXPECT_EQ(make_tans_stream(), golden_tans)
+        << "tANS stream differs at " << threads << " thread(s)";
+    EXPECT_EQ(make_lorenzo_framed_stream(), golden_lorenzo_framed)
+        << "lorenzo1 framed stream differs at " << threads << " thread(s)";
+    EXPECT_EQ(make_regression_framed_stream(), golden_regression_framed)
+        << "regression framed stream differs at " << threads
+        << " thread(s)";
   }
 }
 
