@@ -5,20 +5,16 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
 
-#include "src/common/bitio.hpp"
 #include "src/common/cpu_features.hpp"
 #include "src/core/bin_classify.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/core/periodic.hpp"
 #include "src/core/stage_backends.hpp"
-#include "src/huffman/huffman.hpp"
 #include "src/lossless/lossless.hpp"
-#include "src/predictor/interp_engine.hpp"
 
 namespace cliz {
 
@@ -187,14 +183,8 @@ void stage_predict(NdArray<T>& work, double quant_eb, const MaskMap* mask,
   outliers.clear();
   ctx.fetch_marks.clear();
   const std::uint8_t* validity = mask != nullptr ? mask->data() : nullptr;
-  const PredictorBackendOps& ops = predictor_backend_ops(options.predictor);
-  if constexpr (std::is_same_v<T, float>) {
-    ops.encode_f32(work.data(), work.shape(), config, quantizer, validity,
-                   ctx, out);
-  } else {
-    ops.encode_f64(work.data(), work.shape(), config, quantizer, validity,
-                   ctx, out);
-  }
+  predictor_encode(options.predictor, work.data(), work.shape(), config,
+                   quantizer, validity, ctx, out);
   out.put_varint(outliers.size());
   for (const T v : outliers) out.put(v);
   out.put_varint(codes.size());
@@ -214,8 +204,8 @@ void stage_predict(NdArray<T>& work, double quant_eb, const MaskMap* mask,
 /// yields the symbol-stream entropy recorded in ctx.stats.
 ///
 /// The stage opens with the entropy byte — (backend id << 1) | classified,
-/// with bit 7 flagging the per-pass framed container — which doubles as the
-/// registry key for decode dispatch. The Huffman id is 0 and framing is off
+/// with bit 7 flagging the per-pass framed container — whose id drives the
+/// decoder's backend dispatch. The Huffman id is 0 and framing is off
 /// by default, so default streams keep the historical 0/1 values
 /// byte-for-byte. Returns the byte's stream offset so stage_encode can
 /// patch the id if the requested backend turns out to be infeasible for
@@ -294,7 +284,7 @@ std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
 }
 
 /// Stage 4 (kEncode): entropy coding of the symbol stream through the
-/// backend registry (multi-Huffman by default, tANS on request). Tables are
+/// entropy backend (multi-Huffman by default, tANS on request). Tables are
 /// rebuilt in place from the stage-3 censuses (one per group, or the single
 /// table in unclassified mode), serialized, and the symbol stream is
 /// bit-packed. When the requested backend cannot represent the census (tANS
@@ -312,23 +302,20 @@ void stage_encode(const ClizOptions& options,
   const bool classified = classification.has_value();
   const std::size_t n_groups =
       classified ? options.classify.group_types() : 1;
-  const EntropyBackendOps* ops = &entropy_backend_ops(options.entropy);
-  if (!ops->encodable(ctx, n_groups)) {
-    ops = &entropy_backend_ops(EntropyBackend::kHuffman);
+  EntropyBackend backend = options.entropy;
+  if (!entropy_encodable(backend, ctx, n_groups)) {
+    backend = EntropyBackend::kHuffman;
     out.overwrite_u8(entropy_byte_pos,
                      static_cast<std::uint8_t>(
-                         (static_cast<std::uint8_t>(ops->id) << 1) |
+                         (static_cast<std::uint8_t>(backend) << 1) |
                          (classified ? 1u : 0u) |
                          (options.frame_passes ? 0x80u : 0u)));
     ctx.stats.entropy_downgraded = true;
   }
-  if (options.frame_passes) {
-    framed_entropy_encode(*ops, classified, n_groups, ctx, out);
-  } else {
-    ops->encode(classified, n_groups, ctx, out);
-  }
+  entropy_encode(backend, classified, options.frame_passes, n_groups, ctx,
+                 out);
   ctx.stats.frame_passes = options.frame_passes;
-  ctx.stats.entropy_backend = static_cast<std::uint8_t>(ops->id);
+  ctx.stats.entropy_backend = static_cast<std::uint8_t>(backend);
 
   st.output_bytes = out.size() - base;
   st.seconds = seconds_since(t0);
@@ -405,8 +392,10 @@ void compress_impl(const NdArray<T>& data, double abs_error_bound,
 
 // ---------------------------------------------------------------------------
 // Decompression. The inverse stages run bottom-up; entropy decoding is
-// interleaved with prediction (the decoder pulls one symbol per point), so
-// kPredict's time covers both and kEncode's covers table parsing only.
+// interleaved with prediction (the predictor pulls each batch of codes
+// through entropy_fetch, serial or framed), so kPredict's time covers both
+// and kEncode's covers parsing the classification block, coding tables and
+// framing only.
 // ---------------------------------------------------------------------------
 
 template <typename T, typename BindOut>
@@ -473,13 +462,9 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   // future version) is a clean error, never UB.
   const std::uint8_t predictor_byte = in.get_u8();
   const bool has_mask = (predictor_byte & 1u) != 0;
-  const auto predictor_id = static_cast<std::uint8_t>(predictor_byte >> 1);
-  CLIZ_REQUIRE_CODE(predictor_id != kRetiredLorenzo2Id, kUnsupported,
-                    "predictor backend id 2 (2nd-order Lorenzo) is retired "
-                    "and no longer decodable");
-  const PredictorBackendOps* pred_ops = find_predictor_backend(predictor_id);
-  CLIZ_REQUIRE(pred_ops != nullptr, "unknown predictor backend id");
-  ctx.stats.predictor_backend = predictor_id;
+  const PredictorBackend predictor = predictor_backend_from_wire(
+      static_cast<std::uint8_t>(predictor_byte >> 1));
+  ctx.stats.predictor_backend = static_cast<std::uint8_t>(predictor);
   std::unique_ptr<MaskMap> mask;
   if (has_mask) {
     mask = std::make_unique<MaskMap>(MaskMap::deserialize(in));
@@ -506,7 +491,7 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
 
   // The predictor backend's side block (kPredict's encode-side framing):
   // the interp pass-fit table, regression block side + coefficients, ...
-  pred_ops->parse(in, shape, config, validity, ctx);
+  predictor_parse(predictor, in, shape, config, validity, ctx);
 
   const std::size_t n_outliers = static_cast<std::size_t>(in.get_varint());
   CLIZ_REQUIRE(n_outliers <= shape.size(), "corrupt outlier count");
@@ -521,13 +506,13 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   // never UB.
   const std::uint8_t entropy_byte = in.get_u8();
   const bool classify = (entropy_byte & 1u) != 0;
-  const bool framed = (entropy_byte & 0x80u) != 0;
-  const EntropyBackendOps* entropy_ops = find_entropy_backend(
+  EntropyDecodeState entropy_state;
+  entropy_state.ctx = &ctx;
+  entropy_state.backend = entropy_backend_from_wire(
       static_cast<std::uint8_t>((entropy_byte >> 1) & 0x3Fu));
-  CLIZ_REQUIRE(entropy_ops != nullptr, "unknown entropy backend id");
-  ctx.stats.entropy_backend =
-      static_cast<std::uint8_t>((entropy_byte >> 1) & 0x3Fu);
-  ctx.stats.frame_passes = framed;
+  entropy_state.framed = (entropy_byte & 0x80u) != 0;
+  ctx.stats.entropy_backend = static_cast<std::uint8_t>(entropy_state.backend);
+  ctx.stats.frame_passes = entropy_state.framed;
   ctx.stats.code_count = n_codes;
   ctx.stats.outlier_count = n_outliers;
 
@@ -545,8 +530,6 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   // inverse), into the context's codec pools.
   const auto t_tables = Clock::now();
   std::optional<BinClassification> classification;
-  EntropyDecodeState entropy_state;
-  entropy_state.ctx = &ctx;
   std::size_t n_trees = 1;
   if (classify) {
     const std::size_t plane = classification_plane(shape);
@@ -560,53 +543,19 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
     entropy_state.escape =
         entropy_escape_symbol(radius, classification->params().j);
   }
-  if (framed) {
-    framed_entropy_parse(*entropy_ops, in, n_trees, n_codes, entropy_state);
-    ctx.stats.frame_segments = entropy_state.segments.size();
-  } else {
-    entropy_ops->parse(in, n_trees, entropy_state);
-  }
+  entropy_parse(in, n_trees, n_codes, entropy_state);
   ctx.stats.at(CodecStage::kEncode).seconds = seconds_since(t_tables);
-  // Batched symbol source for the quantization codes, classified or plain.
-  // The line-parallel decoder hands over a whole pass of target offsets at
-  // once. Serial streams drain one bitstream in order (the backends batch
-  // internally — the unclassified Huffman path runs through the
-  // multi-symbol fast-table decoder); framed streams split each fetch into
-  // the encoder-recorded segments and decode them on parallel workers, each
-  // with a private bit reader over its own payload slice and a disjoint
-  // offs/dst range.
-  std::size_t fetch_pos = 0;   // symbols consumed by earlier fetches
-  std::size_t seg_cursor = 0;  // segments consumed by earlier fetches
+  // Batched symbol source for the quantization codes: the line-parallel
+  // decoder hands over a whole pass of target offsets at once, and
+  // entropy_fetch drains the serial bitstream or fans the fetch's framed
+  // segments out to parallel workers.
   auto fetch_impl = [&](const std::uint64_t* offs, std::uint32_t* dst,
                         std::size_t n) {
     // Cancellation checkpoint at fetch (= pass/line-batch) granularity, so
     // even the serial entropy path aborts within one decode batch.
     if (ctx.cancel != nullptr) ctx.cancel->check();
     decoded += n;
-    if (!framed) {
-      entropy_ops->fetch(entropy_state, offs, dst, n);
-      return;
-    }
-    const auto segs = entropy_state.segments;
-    const std::size_t first = seg_cursor;
-    std::size_t covered = 0;
-    while (covered < n) {
-      CLIZ_REQUIRE(seg_cursor < segs.size() &&
-                       segs[seg_cursor].sym_base == fetch_pos + covered,
-                   "entropy framing misaligned with fetch");
-      covered += segs[seg_cursor].n_syms;
-      ++seg_cursor;
-    }
-    CLIZ_REQUIRE(covered == n, "entropy framing misaligned with fetch");
-    parallel_for_cancellable(first, seg_cursor, ctx.cancel, [&](std::size_t si) {
-      const FramedSegment& seg = segs[si];
-      const std::size_t rel = seg.sym_base - fetch_pos;
-      entropy_ops->decode_segment(
-          entropy_state,
-          entropy_state.payload.subspan(seg.byte_off, seg.n_bytes),
-          offs + rel, dst + rel, seg.n_syms);
-    });
-    fetch_pos += n;
+    entropy_fetch(entropy_state, offs, dst, n);
   };
   const PredictorFetch fetch{
       &fetch_impl,
@@ -616,15 +565,8 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
       }};
 
   const auto t_decode = Clock::now();
-  if constexpr (std::is_same_v<T, float>) {
-    pred_ops->decode_f32(out, shape, config, quantizer,
-                         std::span<const T>(outliers), cursor, validity, ctx,
-                         fetch);
-  } else {
-    pred_ops->decode_f64(out, shape, config, quantizer,
-                         std::span<const T>(outliers), cursor, validity, ctx,
-                         fetch);
-  }
+  predictor_decode(predictor, out, shape, config, quantizer,
+                   std::span<const T>(outliers), cursor, validity, ctx, fetch);
   CLIZ_REQUIRE(decoded == n_codes, "code count mismatch after decode");
   {
     auto& st = ctx.stats.at(CodecStage::kPredict);

@@ -68,7 +68,7 @@ class CodecContext {
   std::vector<std::uint8_t> pass_fits;  ///< dynamic-fitting choice per pass
   InterpLineScratch interp;             ///< line-parallel engine scratch
   /// Decode: view into `raw` of the interp backend's pass-fit table (set by
-  /// its parse hook; valid until the next decode through this context).
+  /// predictor_parse; valid until the next decode through this context).
   std::span<const std::uint8_t> pred_pass_fits;
   std::vector<LorenzoTerm> lorenzo_terms;  ///< Lorenzo stencil scratch
   /// Decode batch staging for the raster-scan predictor backends (Lorenzo,
@@ -97,7 +97,7 @@ class CodecContext {
 
   // --- per-pass entropy framing (ClizOptions::frame_passes) ---
   /// Encode: cumulative code counts at each decode-fetch boundary, recorded
-  /// by the predictor encode hooks (one per interp pass + anchor, one for
+  /// by predictor_encode (one per interp pass + anchor, one for
   /// the single-batch raster predictors). Segment boundaries of the framed
   /// container sub-split these intervals.
   std::vector<std::size_t> fetch_marks;

@@ -1,10 +1,11 @@
 #include "src/core/stage_backends.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <span>
+#include <string>
 #include <unordered_map>
 
+#include "src/common/parallel.hpp"
 #include "src/common/status.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/entropy/tans.hpp"
@@ -16,6 +17,12 @@ namespace cliz {
 
 namespace {
 
+/// Reached only when a caller casts an unlisted value into a backend enum;
+/// stored ids are validated by the *_backend_from_wire functions first.
+[[noreturn]] void unregistered_backend(const char* stage) {
+  throw Error(std::string("cliz: unregistered ") + stage + " backend");
+}
+
 std::size_t census_alphabet(
     const std::unordered_map<std::uint32_t, std::uint64_t>& freq) {
   std::size_t n = 0;
@@ -26,12 +33,8 @@ std::size_t census_alphabet(
 }
 
 // --- Huffman (id 0) --------------------------------------------------------
-// Byte-identical to the pre-registry direct calls: same table order, same
-// per-symbol encode calls, same block framing. The serial hooks are built
-// from the segment-restartable pieces — a Huffman payload is byte-aligned
-// and stateless between symbols, so a "segment" is just a symbol range.
-
-bool huffman_encodable(const CodecContext&, std::size_t) { return true; }
+// A Huffman payload is byte-aligned and stateless between symbols, so a
+// segment is just a symbol range.
 
 void huffman_encode_tables(std::size_t n_groups, CodecContext& ctx,
                            ByteWriter& out) {
@@ -58,18 +61,8 @@ void huffman_encode_segment(bool classified, std::size_t lo, std::size_t hi,
   }
 }
 
-void huffman_encode(bool classified, std::size_t n_groups, CodecContext& ctx,
-                    ByteWriter& out) {
-  huffman_encode_tables(n_groups, ctx, out);
-  ctx.bits.reset();
-  huffman_encode_segment(
-      classified, 0, classified ? ctx.shifted.size() : ctx.codes.size(), ctx);
-  out.put_block(ctx.bits.finish_view());
-}
-
 void huffman_parse_tables(ByteReader& in, std::size_t n_tables,
-                          EntropyDecodeState& state) {
-  CodecContext& ctx = *state.ctx;
+                          CodecContext& ctx) {
   ctx.reserve_trees(n_tables);
   for (std::size_t g = 0; g < n_tables; ++g) {
     ByteReader table_reader(in.get_block());
@@ -77,70 +70,12 @@ void huffman_parse_tables(ByteReader& in, std::size_t n_tables,
   }
 }
 
-void huffman_parse(ByteReader& in, std::size_t n_tables,
-                   EntropyDecodeState& state) {
-  huffman_parse_tables(in, n_tables, state);
-  state.bits.emplace(in.get_block());
-}
-
-void huffman_decode_segment(const EntropyDecodeState& state,
-                            std::span<const std::uint8_t> payload,
-                            const std::uint64_t* offs, std::uint32_t* dst,
-                            std::size_t n) {
-  const CodecContext& ctx = *state.ctx;
-  BitReader bits(payload);
-  if (state.classification == nullptr) {
-    ctx.trees[0].decode_batch(bits, dst, n);
-    return;
-  }
-  const BinClassification& cls = *state.classification;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t col =
-        static_cast<std::size_t>(offs[i]) % state.plane;
-    const HuffmanCodec& tree = ctx.trees[cls.group_of(col)];
-    const std::uint32_t sym = tree.decode_one(bits);
-    if (sym == state.escape) {
-      dst[i] = 0;
-      continue;
-    }
-    const int shift = cls.shift_of(col);
-    dst[i] = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(sym) + shift -
-        static_cast<std::int64_t>(cls.params().j));
-  }
-}
-
-void huffman_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
-                   std::uint32_t* dst, std::size_t n) {
-  CodecContext& ctx = *state.ctx;
-  if (state.classification == nullptr) {
-    ctx.trees[0].decode_batch(*state.bits, dst, n);
-    return;
-  }
-  const BinClassification& cls = *state.classification;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t col =
-        static_cast<std::size_t>(offs[i]) % state.plane;
-    const HuffmanCodec& tree = ctx.trees[cls.group_of(col)];
-    const std::uint32_t sym = tree.decode_one(*state.bits);
-    if (sym == state.escape) {
-      dst[i] = 0;
-      continue;
-    }
-    const int shift = cls.shift_of(col);
-    dst[i] = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(sym) + shift -
-        static_cast<std::int64_t>(cls.params().j));
-  }
-}
-
 // --- tANS (id 1) -----------------------------------------------------------
-// Stream layout after the classification block:
-//   u8 table_log                  (shared by every group's table)
-//   n_tables x block              (normalized count tables)
-//   block payload: [final encoder state: table_log bits][refill bits...]
-// One interleaved state walks all groups (ANS is LIFO: encode runs in
-// reverse, so the decoder reads the stream strictly forward).
+// Tables: u8 table_log (shared by every group's table), then one block of
+// normalized counts per group. A segment payload is [final encoder state
+// - L: table_log bits][refill bits...]. One interleaved state walks all
+// groups (ANS is LIFO: encode runs in reverse within the segment, so the
+// decoder reads each segment strictly forward).
 
 bool tans_encodable(const CodecContext& ctx, std::size_t n_groups) {
   for (std::size_t g = 0; g < n_groups; ++g) {
@@ -172,10 +107,6 @@ void tans_encode_tables(std::size_t n_groups, CodecContext& ctx,
   }
 }
 
-// One self-contained segment: [final state - L in table_log bits][refill
-// bits], the serial payload layout restarted at `lo`. Encoding still runs
-// in reverse, but only within the segment, so segments decode forward
-// independently of each other.
 void tans_encode_segment(bool classified, std::size_t lo, std::size_t hi,
                          CodecContext& ctx) {
   const unsigned table_log = ctx.tans[0].table_log();
@@ -197,18 +128,8 @@ void tans_encode_segment(bool classified, std::size_t lo, std::size_t hi,
   }
 }
 
-void tans_encode(bool classified, std::size_t n_groups, CodecContext& ctx,
-                 ByteWriter& out) {
-  tans_encode_tables(n_groups, ctx, out);
-  ctx.bits.reset();
-  tans_encode_segment(
-      classified, 0, classified ? ctx.shifted.size() : ctx.codes.size(), ctx);
-  out.put_block(ctx.bits.finish_view());
-}
-
-void tans_parse_tables(ByteReader& in, std::size_t n_tables,
-                       EntropyDecodeState& state) {
-  CodecContext& ctx = *state.ctx;
+unsigned tans_parse_tables(ByteReader& in, std::size_t n_tables,
+                           CodecContext& ctx) {
   const unsigned table_log = in.get_u8();
   CLIZ_REQUIRE(table_log >= TansCodec::kMinTableLog &&
                    table_log <= TansCodec::kMaxTableLog,
@@ -218,88 +139,127 @@ void tans_parse_tables(ByteReader& in, std::size_t n_tables,
     ByteReader table_reader(in.get_block());
     ctx.tans[g].parse(table_reader, table_log);
   }
-  state.table_log = table_log;
+  return table_log;
 }
 
-void tans_parse(ByteReader& in, std::size_t n_tables,
-                EntropyDecodeState& state) {
-  tans_parse_tables(in, n_tables, state);
-  state.bits.emplace(in.get_block());
-  state.tans_state =
-      (1u << state.table_log) +
-      static_cast<std::uint32_t>(state.bits->get_bits(
-          static_cast<int>(state.table_log)));
-}
+// --- symbol decoding --------------------------------------------------------
 
-void tans_decode_segment(const EntropyDecodeState& state,
-                         std::span<const std::uint8_t> payload,
-                         const std::uint64_t* offs, std::uint32_t* dst,
-                         std::size_t n) {
-  const CodecContext& ctx = *state.ctx;
-  BitReader bits(payload);
-  std::uint32_t walk =
-      (1u << state.table_log) +
-      static_cast<std::uint32_t>(
-          bits.get_bits(static_cast<int>(state.table_log)));
-  if (state.classification == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = ctx.tans[0].decode_symbol(walk, bits);
-    }
-    return;
-  }
+/// Classified resolution shared by every coder: each point's column picks
+/// the group whose table decodes its symbol (`decode_sym(group)`), then the
+/// escape maps back to code 0 and any other symbol to sym + shift - j.
+template <typename DecodeSym>
+inline void decode_classified(const EntropyDecodeState& state,
+                              const std::uint64_t* offs, std::uint32_t* dst,
+                              std::size_t n, DecodeSym&& decode_sym) {
   const BinClassification& cls = *state.classification;
+  const std::size_t plane = state.plane;
+  const std::uint32_t escape = state.escape;
+  const auto j = static_cast<std::int64_t>(cls.params().j);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t col =
-        static_cast<std::size_t>(offs[i]) % state.plane;
-    const TansCodec& codec = ctx.tans[cls.group_of(col)];
-    const std::uint32_t sym = codec.decode_symbol(walk, bits);
-    if (sym == state.escape) {
+    const std::size_t col = static_cast<std::size_t>(offs[i]) % plane;
+    const std::uint32_t sym = decode_sym(cls.group_of(col));
+    if (sym == escape) {
       dst[i] = 0;
       continue;
     }
-    const int shift = cls.shift_of(col);
-    dst[i] = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(sym) + shift -
-        static_cast<std::int64_t>(cls.params().j));
+    dst[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(sym) +
+                                        cls.shift_of(col) - j);
   }
 }
 
-void tans_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
-                std::uint32_t* dst, std::size_t n) {
-  CodecContext& ctx = *state.ctx;
+void huffman_decode(const EntropyDecodeState& state, EntropyCursor& cur,
+                    const std::uint64_t* offs, std::uint32_t* dst,
+                    std::size_t n) {
+  const auto& trees = state.ctx->trees;
+  if (state.classification == nullptr) {
+    trees[0].decode_batch(cur.bits, dst, n);
+    return;
+  }
+  decode_classified(state, offs, dst, n, [&](std::size_t g) {
+    return trees[g].decode_one(cur.bits);
+  });
+}
+
+void tans_decode(const EntropyDecodeState& state, EntropyCursor& cur,
+                 const std::uint64_t* offs, std::uint32_t* dst,
+                 std::size_t n) {
+  const auto& tans = state.ctx->tans;
   if (state.classification == nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = ctx.tans[0].decode_symbol(state.tans_state, *state.bits);
+      dst[i] = tans[0].decode_symbol(cur.walk, cur.bits);
     }
     return;
   }
-  const BinClassification& cls = *state.classification;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t col =
-        static_cast<std::size_t>(offs[i]) % state.plane;
-    const TansCodec& codec = ctx.tans[cls.group_of(col)];
-    const std::uint32_t sym =
-        codec.decode_symbol(state.tans_state, *state.bits);
-    if (sym == state.escape) {
-      dst[i] = 0;
-      continue;
-    }
-    const int shift = cls.shift_of(col);
-    dst[i] = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(sym) + shift -
-        static_cast<std::int64_t>(cls.params().j));
-  }
+  decode_classified(state, offs, dst, n, [&](std::size_t g) {
+    return tans[g].decode_symbol(cur.walk, cur.bits);
+  });
 }
 
-// Dense by wire id: kOps[id] is the backend the entropy byte names.
-const EntropyBackendOps kOps[] = {
-    {EntropyBackend::kHuffman, "huffman", huffman_encodable, huffman_encode,
-     huffman_parse, huffman_fetch, huffman_encode_tables,
-     huffman_encode_segment, huffman_parse_tables, huffman_decode_segment},
-    {EntropyBackend::kTans, "tans", tans_encodable, tans_encode, tans_parse,
-     tans_fetch, tans_encode_tables, tans_encode_segment, tans_parse_tables,
-     tans_decode_segment},
-};
+// --- backend dispatch -------------------------------------------------------
+
+void encode_tables(EntropyBackend backend, std::size_t n_groups,
+                   CodecContext& ctx, ByteWriter& out) {
+  switch (backend) {
+    case EntropyBackend::kHuffman:
+      return huffman_encode_tables(n_groups, ctx, out);
+    case EntropyBackend::kTans:
+      return tans_encode_tables(n_groups, ctx, out);
+  }
+  unregistered_backend("entropy");
+}
+
+/// Encodes symbols [lo, hi) into ctx.bits as one self-contained segment
+/// (tANS restarts its state). The caller resets ctx.bits first.
+void encode_segment(EntropyBackend backend, bool classified, std::size_t lo,
+                    std::size_t hi, CodecContext& ctx) {
+  switch (backend) {
+    case EntropyBackend::kHuffman:
+      return huffman_encode_segment(classified, lo, hi, ctx);
+    case EntropyBackend::kTans:
+      return tans_encode_segment(classified, lo, hi, ctx);
+  }
+  unregistered_backend("entropy");
+}
+
+void parse_tables(ByteReader& in, std::size_t n_tables,
+                  EntropyDecodeState& state) {
+  switch (state.backend) {
+    case EntropyBackend::kHuffman:
+      return huffman_parse_tables(in, n_tables, *state.ctx);
+    case EntropyBackend::kTans:
+      state.table_log = tans_parse_tables(in, n_tables, *state.ctx);
+      return;
+  }
+  unregistered_backend("entropy");
+}
+
+/// Starts a cursor at the head of a payload: the serial block or one
+/// framed segment's slice.
+EntropyCursor start_cursor(const EntropyDecodeState& state,
+                           std::span<const std::uint8_t> payload) {
+  EntropyCursor cur{BitReader(payload)};
+  if (state.backend == EntropyBackend::kTans) {
+    cur.walk = (1u << state.table_log) +
+               static_cast<std::uint32_t>(
+                   cur.bits.get_bits(static_cast<int>(state.table_log)));
+  }
+  return cur;
+}
+
+/// Decodes the next `n` symbols at `cur`. Reads `state` and the context's
+/// codecs const-only, so framed segments decode concurrently, each with
+/// its own cursor.
+void decode_symbols(const EntropyDecodeState& state, EntropyCursor& cur,
+                    const std::uint64_t* offs, std::uint32_t* dst,
+                    std::size_t n) {
+  switch (state.backend) {
+    case EntropyBackend::kHuffman:
+      return huffman_decode(state, cur, offs, dst, n);
+    case EntropyBackend::kTans:
+      return tans_decode(state, cur, offs, dst, n);
+  }
+  unregistered_backend("entropy");
+}
 
 // --- framed container (entropy byte bit 7) ---------------------------------
 
@@ -314,162 +274,9 @@ constexpr std::uint8_t kFramingLayoutId = 1;
 /// big passes still fan out across workers.
 constexpr std::size_t kFrameSegmentSyms = std::size_t{1} << 15;
 
-// --- predictor backends ----------------------------------------------------
-
-// --- interpolation (id 0) --------------------------------------------------
-// The original engine behind the registry: byte-identical to the
-// pre-registry direct calls — the side block is the pass-fit table in its
-// historical position, written with the same varint + raw bytes framing.
-
-template <typename T>
-void interp_predict_encode(T* work, const Shape& shape,
-                           const PipelineConfig& config,
-                           const LinearQuantizer<T>& quantizer,
-                           const std::uint8_t* validity, CodecContext& ctx,
-                           ByteWriter& out) {
-  fused_axes_into(shape, config.fusion, ctx.axes);
-  induced_axis_order_into(config.fusion, config.permutation, ctx.axis_order);
-  auto& pass_fits = ctx.pass_fits;  // 1 = cubic, one entry per pass
-  pass_fits.clear();
-  interp_encode_lines(work, ctx.axes, ctx.axis_order, config.dynamic_fitting,
-                      config.fitting, quantizer, validity, ctx.offsets,
-                      ctx.codes, ctx.outliers<T>(), pass_fits, ctx.interp,
-                      &ctx.fetch_marks);
-  out.put_varint(pass_fits.size());
-  out.put_bytes(pass_fits);
-}
-
-void interp_predict_parse(ByteReader& in, const Shape& /*shape*/,
-                          const PipelineConfig& config,
-                          const std::uint8_t* /*validity*/,
-                          CodecContext& ctx) {
-  const std::size_t n_passes = static_cast<std::size_t>(in.get_varint());
-  CLIZ_REQUIRE(n_passes <= 64 * kMaxAxes, "corrupt pass count");
-  ctx.pred_pass_fits = in.get_bytes(n_passes);
-  CLIZ_REQUIRE(config.dynamic_fitting || n_passes == 0,
-               "pass-fit table on a static-fitting stream");
-}
-
-template <typename T>
-void interp_predict_decode(T* out, const Shape& shape,
-                           const PipelineConfig& config,
-                           const LinearQuantizer<T>& quantizer,
-                           std::span<const T> outliers, std::size_t& cursor,
-                           const std::uint8_t* validity, CodecContext& ctx,
-                           const PredictorFetch& fetch) {
-  fused_axes_into(shape, config.fusion, ctx.axes);
-  induced_axis_order_into(config.fusion, config.permutation, ctx.axis_order);
-  interp_decode_lines(out, ctx.axes, ctx.axis_order, config.dynamic_fitting,
-                      config.fitting, ctx.pred_pass_fits, quantizer, outliers,
-                      cursor, validity, ctx.interp, fetch);
-}
-
-// --- Lorenzo (id 1) ---------------------------------------------------------
-// No side block: the first-order stencil is derived from the shape. The
-// pipeline's permutation/fusion axes do not apply — the raster scan is its
-// own traversal.
-
-template <typename T>
-void lorenzo_predict_encode(T* work, const Shape& shape,
-                            const PipelineConfig& /*config*/,
-                            const LinearQuantizer<T>& quantizer,
-                            const std::uint8_t* validity, CodecContext& ctx,
-                            ByteWriter& /*out*/) {
-  lorenzo_encode(work, shape, quantizer, validity, ctx.offsets, ctx.codes,
-                 ctx.outliers<T>(), ctx.lorenzo_terms, ctx.cancel);
-  // The decode side fetches the whole code stream in one batch.
-  if (!ctx.codes.empty()) ctx.fetch_marks.push_back(ctx.codes.size());
-}
-
-void lorenzo_predict_parse(ByteReader& /*in*/, const Shape& /*shape*/,
-                           const PipelineConfig& /*config*/,
-                           const std::uint8_t* /*validity*/,
-                           CodecContext& /*ctx*/) {}
-
-template <typename T>
-void lorenzo_predict_decode(T* out, const Shape& shape,
-                            const PipelineConfig& /*config*/,
-                            const LinearQuantizer<T>& quantizer,
-                            std::span<const T> outliers, std::size_t& cursor,
-                            const std::uint8_t* validity, CodecContext& ctx,
-                            const PredictorFetch& fetch) {
-  lorenzo_decode(out, shape, quantizer, outliers, cursor, validity,
-                 ctx.pred_offs, ctx.pred_codes, ctx.lorenzo_terms, fetch,
-                 ctx.cancel);
-}
-
-// --- block regression (id 3) -----------------------------------------------
-// Side block: varint block side, then one zigzag-varint coefficient tuple
-// (intercept + one slope per dim) per occupied block in raster order.
-
-template <typename T>
-void regression_predict_encode(T* work, const Shape& shape,
-                               const PipelineConfig& /*config*/,
-                               const LinearQuantizer<T>& quantizer,
-                               const std::uint8_t* validity, CodecContext& ctx,
-                               ByteWriter& out) {
-  regression_encode(work, shape, quantizer, validity, ctx.offsets, ctx.codes,
-                    ctx.outliers<T>(), out);
-  // The decode side fetches the whole code stream in one batch.
-  if (!ctx.codes.empty()) ctx.fetch_marks.push_back(ctx.codes.size());
-}
-
-void regression_predict_parse(ByteReader& in, const Shape& shape,
-                              const PipelineConfig& /*config*/,
-                              const std::uint8_t* validity,
-                              CodecContext& ctx) {
-  regression_parse(in, shape, validity, ctx.reg_block_side, ctx.reg_qcoeffs,
-                   ctx.limits.max_side_block_bytes);
-}
-
-template <typename T>
-void regression_predict_decode(T* out, const Shape& shape,
-                               const PipelineConfig& /*config*/,
-                               const LinearQuantizer<T>& quantizer,
-                               std::span<const T> outliers,
-                               std::size_t& cursor,
-                               const std::uint8_t* validity, CodecContext& ctx,
-                               const PredictorFetch& fetch) {
-  regression_decode(out, shape, quantizer, ctx.reg_block_side,
-                    std::span<const std::int64_t>(ctx.reg_qcoeffs), outliers,
-                    cursor, validity, ctx.pred_offs, ctx.pred_codes, fetch);
-}
-
-// Keyed by PredictorBackendOps::id, the wire id the predictor byte names.
-// Not dense: retired id 2 has no entry, so streams naming it are refused.
-const PredictorBackendOps kPredictorOps[] = {
-    {PredictorBackend::kInterp, "interp", &interp_predict_encode<float>,
-     &interp_predict_encode<double>, interp_predict_parse,
-     &interp_predict_decode<float>, &interp_predict_decode<double>},
-    {PredictorBackend::kLorenzo1, "lorenzo1", &lorenzo_predict_encode<float>,
-     &lorenzo_predict_encode<double>, lorenzo_predict_parse,
-     &lorenzo_predict_decode<float>, &lorenzo_predict_decode<double>},
-    {PredictorBackend::kRegression, "regression",
-     &regression_predict_encode<float>, &regression_predict_encode<double>,
-     regression_predict_parse, &regression_predict_decode<float>,
-     &regression_predict_decode<double>},
-};
-
-}  // namespace
-
-const EntropyBackendOps* find_entropy_backend(std::uint8_t id) {
-  if (id >= std::size(kOps)) return nullptr;
-  return &kOps[id];
-}
-
-const EntropyBackendOps& entropy_backend_ops(EntropyBackend backend) {
-  const EntropyBackendOps* ops =
-      find_entropy_backend(static_cast<std::uint8_t>(backend));
-  CLIZ_REQUIRE(ops != nullptr, "unregistered entropy backend");
-  return *ops;
-}
-
-void framed_entropy_encode(const EntropyBackendOps& ops, bool classified,
-                           std::size_t n_groups, CodecContext& ctx,
-                           ByteWriter& out) {
-  const std::size_t n_syms =
-      classified ? ctx.shifted.size() : ctx.codes.size();
-
+void framed_encode(EntropyBackend backend, bool classified,
+                   std::size_t n_groups, std::size_t n_syms,
+                   CodecContext& ctx, ByteWriter& out) {
   // Segment boundaries: sub-split each recorded fetch interval so no
   // segment straddles a decode-side fetch call.
   auto& segs = ctx.frame_segments;
@@ -492,15 +299,15 @@ void framed_entropy_encode(const EntropyBackendOps& ops, bool classified,
   // Tables are staged: the container's segment table precedes them in the
   // stream, but the segment byte lengths are only known after encoding.
   ctx.frame_tables.clear();
-  ops.encode_tables(n_groups, ctx, ctx.frame_tables);
+  encode_tables(backend, n_groups, ctx, ctx.frame_tables);
 
   auto& payload = ctx.frame_payload;
   payload.clear();
   for (auto& seg : segs) {
     seg.byte_off = payload.size();
     ctx.bits.reset();
-    ops.encode_segment(classified, seg.sym_base, seg.sym_base + seg.n_syms,
-                       ctx);
+    encode_segment(backend, classified, seg.sym_base,
+                   seg.sym_base + seg.n_syms, ctx);
     const auto bytes = ctx.bits.finish_view();
     payload.insert(payload.end(), bytes.begin(), bytes.end());
     seg.n_bytes = payload.size() - seg.byte_off;
@@ -517,9 +324,8 @@ void framed_entropy_encode(const EntropyBackendOps& ops, bool classified,
   ctx.stats.frame_segments = segs.size();
 }
 
-void framed_entropy_parse(const EntropyBackendOps& ops, ByteReader& in,
-                          std::size_t n_tables, std::size_t n_codes,
-                          EntropyDecodeState& state) {
+void framed_parse(ByteReader& in, std::size_t n_tables, std::size_t n_codes,
+                  EntropyDecodeState& state) {
   CodecContext& ctx = *state.ctx;
   CLIZ_REQUIRE(in.get_u8() == kFramingLayoutId,
                "unknown entropy framing layout");
@@ -553,27 +359,243 @@ void framed_entropy_parse(const EntropyBackendOps& ops, ByteReader& in,
     byte_off += static_cast<std::size_t>(nbyte);
   }
   CLIZ_REQUIRE(sym_base == n_codes, "framing segment bounds out of range");
-  ops.parse_tables(in, n_tables, state);
+  parse_tables(in, n_tables, state);
   state.payload = in.get_block();
   // The per-segment lengths must tile the payload exactly; anything else
   // (truncated table, overlapping or dangling slices) is corruption.
   CLIZ_REQUIRE(byte_off == state.payload.size(),
                "framing segment bounds out of range");
   state.segments = segs;
+  state.fetch_pos = 0;
+  state.next_segment = 0;
+  ctx.stats.frame_segments = segs.size();
 }
 
-const PredictorBackendOps* find_predictor_backend(std::uint8_t id) {
-  for (const PredictorBackendOps& ops : kPredictorOps) {
-    if (static_cast<std::uint8_t>(ops.id) == id) return &ops;
+/// Splits one fetch into the segments it covers — they must start exactly
+/// at the fetch position and end exactly at its last symbol — and decodes
+/// them on parallel workers over disjoint offs/dst ranges.
+void framed_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
+                  std::uint32_t* dst, std::size_t n) {
+  const auto segs = state.segments;
+  const std::size_t first = state.next_segment;
+  std::size_t covered = 0;
+  while (covered < n) {
+    CLIZ_REQUIRE(state.next_segment < segs.size() &&
+                     segs[state.next_segment].sym_base ==
+                         state.fetch_pos + covered,
+                 "entropy framing misaligned with fetch");
+    covered += segs[state.next_segment].n_syms;
+    ++state.next_segment;
   }
-  return nullptr;
+  CLIZ_REQUIRE(covered == n, "entropy framing misaligned with fetch");
+  parallel_for_cancellable(
+      first, state.next_segment, state.ctx->cancel, [&](std::size_t si) {
+        const FramedSegment& seg = segs[si];
+        const std::size_t rel = seg.sym_base - state.fetch_pos;
+        EntropyCursor cur = start_cursor(
+            state, state.payload.subspan(seg.byte_off, seg.n_bytes));
+        decode_symbols(state, cur, offs + rel, dst + rel, seg.n_syms);
+      });
+  state.fetch_pos += n;
 }
 
-const PredictorBackendOps& predictor_backend_ops(PredictorBackend backend) {
-  const PredictorBackendOps* ops =
-      find_predictor_backend(static_cast<std::uint8_t>(backend));
-  CLIZ_REQUIRE(ops != nullptr, "unregistered predictor backend");
-  return *ops;
+}  // namespace
+
+EntropyBackend entropy_backend_from_wire(std::uint8_t id) {
+  const auto backend = static_cast<EntropyBackend>(id);
+  switch (backend) {
+    case EntropyBackend::kHuffman:
+    case EntropyBackend::kTans:
+      return backend;
+  }
+  throw Error("cliz: unknown entropy backend id " + std::to_string(id));
 }
+
+bool entropy_encodable(EntropyBackend backend, const CodecContext& ctx,
+                       std::size_t n_groups) {
+  switch (backend) {
+    case EntropyBackend::kHuffman:
+      return true;
+    case EntropyBackend::kTans:
+      return tans_encodable(ctx, n_groups);
+  }
+  unregistered_backend("entropy");
+}
+
+void entropy_encode(EntropyBackend backend, bool classified, bool framed,
+                    std::size_t n_groups, CodecContext& ctx,
+                    ByteWriter& out) {
+  const std::size_t n_syms =
+      classified ? ctx.shifted.size() : ctx.codes.size();
+  if (framed) {
+    framed_encode(backend, classified, n_groups, n_syms, ctx, out);
+    return;
+  }
+  // Serial: the tables, then the whole stream as one segment in one block.
+  encode_tables(backend, n_groups, ctx, out);
+  ctx.bits.reset();
+  encode_segment(backend, classified, 0, n_syms, ctx);
+  out.put_block(ctx.bits.finish_view());
+}
+
+void entropy_parse(ByteReader& in, std::size_t n_tables, std::size_t n_codes,
+                   EntropyDecodeState& state) {
+  if (state.framed) {
+    framed_parse(in, n_tables, n_codes, state);
+    return;
+  }
+  parse_tables(in, n_tables, state);
+  state.serial.emplace(start_cursor(state, in.get_block()));
+}
+
+void entropy_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
+                   std::uint32_t* dst, std::size_t n) {
+  if (state.framed) {
+    framed_fetch(state, offs, dst, n);
+    return;
+  }
+  decode_symbols(state, *state.serial, offs, dst, n);
+}
+
+// --- predictor stage --------------------------------------------------------
+
+PredictorBackend predictor_backend_from_wire(std::uint8_t id) {
+  CLIZ_REQUIRE_CODE(id != kRetiredLorenzo2Id, kUnsupported,
+                    "predictor backend id 2 (2nd-order Lorenzo) is retired "
+                    "and no longer decodable");
+  const auto backend = static_cast<PredictorBackend>(id);
+  switch (backend) {
+    case PredictorBackend::kInterp:
+    case PredictorBackend::kLorenzo1:
+    case PredictorBackend::kRegression:
+      return backend;
+  }
+  throw Error("cliz: unknown predictor backend id " + std::to_string(id));
+}
+
+// Side blocks: interpolation (id 0) writes its pass-fit table (varint
+// count + one byte per pass, 1 = cubic); block regression (id 3) writes a
+// varint block side, then one zigzag-varint coefficient tuple (intercept +
+// one slope per dim) per occupied block in raster order; Lorenzo (id 1)
+// writes nothing — its first-order stencil follows from the shape, and the
+// pipeline's permutation/fusion axes do not apply to either raster scan.
+
+namespace {
+
+/// The raster predictors' decode side fetches the whole code stream in one
+/// batch.
+void mark_single_fetch(CodecContext& ctx) {
+  if (!ctx.codes.empty()) ctx.fetch_marks.push_back(ctx.codes.size());
+}
+
+}  // namespace
+
+template <typename T>
+void predictor_encode(PredictorBackend backend, T* work, const Shape& shape,
+                      const PipelineConfig& config,
+                      const LinearQuantizer<T>& quantizer,
+                      const std::uint8_t* validity, CodecContext& ctx,
+                      ByteWriter& out) {
+  switch (backend) {
+    case PredictorBackend::kInterp:
+      fused_axes_into(shape, config.fusion, ctx.axes);
+      induced_axis_order_into(config.fusion, config.permutation,
+                              ctx.axis_order);
+      ctx.pass_fits.clear();
+      interp_encode_lines(work, ctx.axes, ctx.axis_order,
+                          config.dynamic_fitting, config.fitting, quantizer,
+                          validity, ctx.offsets, ctx.codes, ctx.outliers<T>(),
+                          ctx.pass_fits, ctx.interp, &ctx.fetch_marks);
+      out.put_varint(ctx.pass_fits.size());
+      out.put_bytes(ctx.pass_fits);
+      return;
+    case PredictorBackend::kLorenzo1:
+      lorenzo_encode(work, shape, quantizer, validity, ctx.offsets, ctx.codes,
+                     ctx.outliers<T>(), ctx.lorenzo_terms, ctx.cancel);
+      return mark_single_fetch(ctx);
+    case PredictorBackend::kRegression:
+      regression_encode(work, shape, quantizer, validity, ctx.offsets,
+                        ctx.codes, ctx.outliers<T>(), out);
+      return mark_single_fetch(ctx);
+  }
+  unregistered_backend("predictor");
+}
+
+void predictor_parse(PredictorBackend backend, ByteReader& in,
+                     const Shape& shape, const PipelineConfig& config,
+                     const std::uint8_t* validity, CodecContext& ctx) {
+  switch (backend) {
+    case PredictorBackend::kInterp: {
+      const std::size_t n_passes = static_cast<std::size_t>(in.get_varint());
+      CLIZ_REQUIRE(n_passes <= 64 * kMaxAxes, "corrupt pass count");
+      ctx.pred_pass_fits = in.get_bytes(n_passes);
+      CLIZ_REQUIRE(config.dynamic_fitting || n_passes == 0,
+                   "pass-fit table on a static-fitting stream");
+      return;
+    }
+    case PredictorBackend::kLorenzo1:
+      return;
+    case PredictorBackend::kRegression:
+      regression_parse(in, shape, validity, ctx.reg_block_side,
+                       ctx.reg_qcoeffs, ctx.limits.max_side_block_bytes);
+      return;
+  }
+  unregistered_backend("predictor");
+}
+
+template <typename T>
+void predictor_decode(PredictorBackend backend, T* out, const Shape& shape,
+                      const PipelineConfig& config,
+                      const LinearQuantizer<T>& quantizer,
+                      std::span<const T> outliers, std::size_t& cursor,
+                      const std::uint8_t* validity, CodecContext& ctx,
+                      const PredictorFetch& fetch) {
+  switch (backend) {
+    case PredictorBackend::kInterp:
+      fused_axes_into(shape, config.fusion, ctx.axes);
+      induced_axis_order_into(config.fusion, config.permutation,
+                              ctx.axis_order);
+      interp_decode_lines(out, ctx.axes, ctx.axis_order,
+                          config.dynamic_fitting, config.fitting,
+                          ctx.pred_pass_fits, quantizer, outliers, cursor,
+                          validity, ctx.interp, fetch);
+      return;
+    case PredictorBackend::kLorenzo1:
+      lorenzo_decode(out, shape, quantizer, outliers, cursor, validity,
+                     ctx.pred_offs, ctx.pred_codes, ctx.lorenzo_terms, fetch,
+                     ctx.cancel);
+      return;
+    case PredictorBackend::kRegression:
+      regression_decode(out, shape, quantizer, ctx.reg_block_side,
+                        std::span<const std::int64_t>(ctx.reg_qcoeffs),
+                        outliers, cursor, validity, ctx.pred_offs,
+                        ctx.pred_codes, fetch);
+      return;
+  }
+  unregistered_backend("predictor");
+}
+
+template void predictor_encode<float>(PredictorBackend, float*, const Shape&,
+                                      const PipelineConfig&,
+                                      const LinearQuantizer<float>&,
+                                      const std::uint8_t*, CodecContext&,
+                                      ByteWriter&);
+template void predictor_encode<double>(PredictorBackend, double*,
+                                       const Shape&, const PipelineConfig&,
+                                       const LinearQuantizer<double>&,
+                                       const std::uint8_t*, CodecContext&,
+                                       ByteWriter&);
+template void predictor_decode<float>(PredictorBackend, float*, const Shape&,
+                                      const PipelineConfig&,
+                                      const LinearQuantizer<float>&,
+                                      std::span<const float>, std::size_t&,
+                                      const std::uint8_t*, CodecContext&,
+                                      const PredictorFetch&);
+template void predictor_decode<double>(PredictorBackend, double*,
+                                       const Shape&, const PipelineConfig&,
+                                       const LinearQuantizer<double>&,
+                                       std::span<const double>, std::size_t&,
+                                       const std::uint8_t*, CodecContext&,
+                                       const PredictorFetch&);
 
 }  // namespace cliz

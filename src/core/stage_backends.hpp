@@ -10,7 +10,6 @@
 #include "src/core/bin_classify.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/entropy/backend.hpp"
-#include "src/lossless/lossless.hpp"
 #include "src/ndarray/shape.hpp"
 #include "src/predictor/backend.hpp"
 #include "src/quantizer/linear_quantizer.hpp"
@@ -40,109 +39,96 @@ struct FramedSegment {
   std::size_t n_bytes = 0;   ///< payload bytes of this segment
 };
 
+/// Read position in one entropy payload: the bit reader plus the tANS
+/// walking state (unused by Huffman). A serial stream is one cursor over
+/// the whole payload block that persists across fetch calls; a framed
+/// segment starts a fresh cursor over its own slice. Both start the same
+/// way: a tANS cursor reads its initial state from the first table_log
+/// bits.
+struct EntropyCursor {
+  BitReader bits;
+  std::uint32_t walk = 0;  ///< tANS walking state in [L, 2L)
+};
+
 /// Decode-side state of one entropy stream, shared across fetch calls. The
-/// classification fields are filled by the caller (the classification block
-/// itself is backend-independent); `bits` and any backend-private state are
-/// set up by the backend's parse hook.
+/// backend, framing and classification fields are filled by the caller
+/// from the entropy byte and the classification block (which is
+/// backend-independent); entropy_parse fills the rest.
 struct EntropyDecodeState {
   CodecContext* ctx = nullptr;
-  std::optional<BitReader> bits;
+  EntropyBackend backend = EntropyBackend::kHuffman;
+  bool framed = false;  ///< entropy byte bit 7
   /// Non-null in classified mode; drives per-point group/shift resolution.
   const BinClassification* classification = nullptr;
   std::size_t plane = 0;       ///< classification column period
   std::uint32_t escape = 0;    ///< outlier escape symbol
-  std::uint32_t tans_state = 0;  ///< tANS walking state in [L, 2L)
-  // --- framed container only (entropy byte bit 7) ---
+  unsigned table_log = 0;      ///< tANS table log (each cursor start reads it)
+  /// Serial streams: the one cursor over the payload block.
+  std::optional<EntropyCursor> serial;
+  // --- framed container only ---
   /// Parsed segment table (backed by ctx.frame_segments).
   std::span<const FramedSegment> segments;
   /// The concatenated per-segment payload block.
   std::span<const std::uint8_t> payload;
-  /// tANS table log, needed to restart the walking state per segment.
-  unsigned table_log = 0;
+  std::size_t fetch_pos = 0;     ///< symbols consumed by earlier fetches
+  std::size_t next_segment = 0;  ///< segments consumed by earlier fetches
 };
 
-/// One entry of the entropy-stage backend registry. Backends are plain
-/// function tables (no virtual dispatch, no per-call allocation — scratch
-/// lives in the CodecContext) keyed by the wire id the stream's entropy
-/// byte records. The encode/parse hooks own everything after the
-/// classification block: table serialization and the code payload.
-struct EntropyBackendOps {
-  EntropyBackend id;
-  const char* name;
-  /// True when the stage-3 census in ctx.freq can be represented by this
-  /// backend. When false the encoder falls back to Huffman (always
-  /// encodable) and patches the stream's entropy byte.
-  bool (*encodable)(const CodecContext& ctx, std::size_t n_groups);
-  /// Serializes the per-group coding tables and the symbol payload
-  /// (ctx.shifted/ctx.group when classified, ctx.codes otherwise).
-  void (*encode)(bool classified, std::size_t n_groups, CodecContext& ctx,
-                 ByteWriter& out);
-  /// Parses the tables + payload framing written by encode and positions
-  /// `state` for fetches.
-  void (*parse)(ByteReader& in, std::size_t n_tables,
-                EntropyDecodeState& state);
-  /// Decodes `n` symbols into `dst`; in classified mode `offs` locates each
-  /// point's column for group/shift resolution.
-  void (*fetch)(EntropyDecodeState& state, const std::uint64_t* offs,
-                std::uint32_t* dst, std::size_t n);
-  // --- framed container hooks (ClizOptions::frame_passes) ---
-  /// Builds the per-group codecs from the stage-3 censuses and serializes
-  /// the coding tables — the exact byte sequence the serial encode hook
-  /// writes ahead of its payload.
-  void (*encode_tables)(std::size_t n_groups, CodecContext& ctx,
-                        ByteWriter& out);
-  /// Encodes symbols [lo, hi) of the stream into ctx.bits as one
-  /// self-contained segment (tANS restarts its state). The caller resets
-  /// ctx.bits first and byte-aligns/appends the result.
-  void (*encode_segment)(bool classified, std::size_t lo, std::size_t hi,
-                         CodecContext& ctx);
-  /// Parses the table prefix written by encode_tables (no payload framing).
-  void (*parse_tables)(ByteReader& in, std::size_t n_tables,
-                       EntropyDecodeState& state);
-  /// Decodes one whole segment from its payload slice. Thread-safe: reads
-  /// `state` and the context's codecs const-only, with a private bit reader
-  /// (and tANS walking state) per call — segments decode concurrently.
-  void (*decode_segment)(const EntropyDecodeState& state,
-                         std::span<const std::uint8_t> payload,
-                         const std::uint64_t* offs, std::uint32_t* dst,
-                         std::size_t n);
-};
+// --- entropy stage ----------------------------------------------------------
+// Each backend (Huffman id 0, tANS id 1) has one table writer/reader, one
+// segment encoder and one symbol decoder; the functions below dispatch on
+// the backend id and own the container around them. Serial layout after
+// the classification block:
+//   coding tables, then block: the symbol payload (one segment)
+// Framed container (entropy byte bit 7), in its place:
+//   u8 layout id (currently 1)
+//   varint n_segments
+//   n_segments x (varint n_syms, varint n_bytes)
+//   coding tables (byte-identical to the serial prefix)
+//   block: concatenated byte-aligned per-segment payloads
+// Segments are sub-splits of ctx.fetch_marks (the decode-fetch intervals
+// the predictor encode recorded), so a fetch decodes whole segments on
+// parallel workers.
 
-/// Registry lookup by the stream's stored id; nullptr for unknown ids (the
-/// decoder turns that into a clean cliz::Error, never UB).
-[[nodiscard]] const EntropyBackendOps* find_entropy_backend(std::uint8_t id);
+/// Validates a stored entropy backend id (the entropy byte's bits 1..6);
+/// an id this build does not know is a clean kCorruptStream Error.
+[[nodiscard]] EntropyBackend entropy_backend_from_wire(std::uint8_t id);
 
-/// Framed entropy container (selected by bit 7 of the entropy byte),
-/// written in place of the backend's serial tables + payload:
-///   u8 layout id (currently 1)
-///   varint n_segments
-///   n_segments x (varint n_syms, varint n_bytes)
-///   coding tables (encode_tables — byte-identical to serial mode's prefix)
-///   block: concatenated byte-aligned per-segment payloads
-/// Segments are sub-splits of ctx.fetch_marks (the decode-fetch intervals
-/// the predictor encode recorded), so the decoder can hand whole segments
-/// to parallel workers inside each fetch. Sets ctx.stats.frame_segments.
-void framed_entropy_encode(const EntropyBackendOps& ops, bool classified,
-                           std::size_t n_groups, CodecContext& ctx,
-                           ByteWriter& out);
+/// True when the stage-3 census in ctx.freq can be represented by
+/// `backend`. When false the encoder falls back to Huffman (always
+/// encodable) and patches the stream's entropy byte.
+[[nodiscard]] bool entropy_encodable(EntropyBackend backend,
+                                     const CodecContext& ctx,
+                                     std::size_t n_groups);
 
-/// Parses and validates the framed container written by
-/// framed_entropy_encode: unknown layout ids, segment counts/bounds that do
-/// not tile [0, n_codes), and payload-size mismatches are all clean
-/// cliz::Errors. Fills state.segments/payload (and the tANS table log).
-void framed_entropy_parse(const EntropyBackendOps& ops, ByteReader& in,
-                          std::size_t n_tables, std::size_t n_codes,
-                          EntropyDecodeState& state);
+/// Builds the per-group codecs from the stage-3 censuses and writes the
+/// coding tables and the symbol payload (ctx.shifted/ctx.group when
+/// classified, ctx.codes otherwise), serial or framed. Framed encodes set
+/// ctx.stats.frame_segments.
+void entropy_encode(EntropyBackend backend, bool classified, bool framed,
+                    std::size_t n_groups, CodecContext& ctx,
+                    ByteWriter& out);
 
-/// Lookup by enum for encode-side callers; throws on an unregistered value.
-[[nodiscard]] const EntropyBackendOps& entropy_backend_ops(
-    EntropyBackend backend);
+/// Parses what entropy_encode wrote and positions `state` for fetches.
+/// Framing errors — unknown layout ids, segment counts/bounds that do not
+/// tile [0, n_codes), payload-size mismatches — are clean cliz::Errors; a
+/// declared segment count past ResourceLimits::max_frame_segments is
+/// kLimitExceeded.
+void entropy_parse(ByteReader& in, std::size_t n_tables, std::size_t n_codes,
+                   EntropyDecodeState& state);
 
-/// Type-erased symbol source handed to the predictor decode hooks (plain
-/// function pointer + state, matching the registry's no-virtuals shape).
-/// `fn` must fill `dst` with the next `n` quantization codes in stream
-/// order; `offs` identifies the target of each code for classified entropy
-/// sources.
+/// Decodes the next `n` symbols into `dst`; in classified mode `offs`
+/// locates each point's column for group/shift resolution. A framed
+/// stream requires the fetch to cover whole segments (else a clean Error)
+/// and decodes them on parallel workers, checking ctx.cancel.
+void entropy_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
+                   std::uint32_t* dst, std::size_t n);
+
+/// Type-erased symbol source handed to predictor_decode (plain function
+/// pointer + state), so the predictor engines need no template parameter
+/// for the entropy source. `fn` must fill `dst` with the next `n`
+/// quantization codes in stream order; `offs` identifies the target of
+/// each code for classified entropy sources.
 struct PredictorFetch {
   void* self = nullptr;
   void (*fn)(void* self, const std::uint64_t* offs, std::uint32_t* dst,
@@ -153,55 +139,40 @@ struct PredictorFetch {
   }
 };
 
-/// One entry of the predictor-stage backend registry, keyed by the wire id
-/// in the high bits of the stream's predictor byte. Same design as the
-/// entropy table: plain function pointers, scratch in the CodecContext.
-///
-/// The encode hook owns the stage's backend side block (written before the
-/// generic outlier stream): the interpolation backend's pass-fit table, the
-/// regression backend's block side + quantized plane coefficients, nothing
-/// for Lorenzo. It fills ctx.offsets / ctx.codes / ctx.outliers<T>() (the
-/// caller has cleared them) and mutates `work` to the reconstruction. The
-/// parse hook is the side block's reader (state into the context); the
-/// decode hook reconstructs every valid point, pulling codes through
-/// `fetch`. Hooks come in f32/f64 pairs because the op table itself cannot
-/// be a template.
-struct PredictorBackendOps {
-  PredictorBackend id;
-  const char* name;
-  void (*encode_f32)(float* work, const Shape& shape,
-                     const PipelineConfig& config,
-                     const LinearQuantizer<float>& quantizer,
-                     const std::uint8_t* validity, CodecContext& ctx,
-                     ByteWriter& out);
-  void (*encode_f64)(double* work, const Shape& shape,
-                     const PipelineConfig& config,
-                     const LinearQuantizer<double>& quantizer,
-                     const std::uint8_t* validity, CodecContext& ctx,
-                     ByteWriter& out);
-  void (*parse)(ByteReader& in, const Shape& shape,
-                const PipelineConfig& config, const std::uint8_t* validity,
-                CodecContext& ctx);
-  void (*decode_f32)(float* out, const Shape& shape,
-                     const PipelineConfig& config,
-                     const LinearQuantizer<float>& quantizer,
-                     std::span<const float> outliers, std::size_t& cursor,
-                     const std::uint8_t* validity, CodecContext& ctx,
-                     const PredictorFetch& fetch);
-  void (*decode_f64)(double* out, const Shape& shape,
-                     const PipelineConfig& config,
-                     const LinearQuantizer<double>& quantizer,
-                     std::span<const double> outliers, std::size_t& cursor,
-                     const std::uint8_t* validity, CodecContext& ctx,
-                     const PredictorFetch& fetch);
-};
+// --- predictor stage ------------------------------------------------------
+// Dispatch on the wire id in the high bits of the stream's predictor byte;
+// scratch lives in the CodecContext. The templates are explicitly
+// instantiated for float and double in stage_backends.cpp.
 
-/// Registry lookup by the stream's stored id; nullptr for unknown ids.
-[[nodiscard]] const PredictorBackendOps* find_predictor_backend(
-    std::uint8_t id);
+/// Validates a stored predictor backend id: the retired id 2 is
+/// kUnsupported, any other id this build does not know is kCorruptStream.
+[[nodiscard]] PredictorBackend predictor_backend_from_wire(std::uint8_t id);
 
-/// Lookup by enum for encode-side callers; throws on an unregistered value.
-[[nodiscard]] const PredictorBackendOps& predictor_backend_ops(
-    PredictorBackend backend);
+/// Predicts and quantizes `work` in place (it becomes the reconstruction),
+/// filling ctx.offsets / ctx.codes / ctx.outliers<T>() (cleared by the
+/// caller) and ctx.fetch_marks. Writes the backend's side block ahead of
+/// the generic outlier stream: the interpolation pass-fit table, the
+/// regression block side + quantized plane coefficients, nothing for
+/// Lorenzo.
+template <typename T>
+void predictor_encode(PredictorBackend backend, T* work, const Shape& shape,
+                      const PipelineConfig& config,
+                      const LinearQuantizer<T>& quantizer,
+                      const std::uint8_t* validity, CodecContext& ctx,
+                      ByteWriter& out);
+
+/// Reads the side block predictor_encode wrote (state into the context).
+void predictor_parse(PredictorBackend backend, ByteReader& in,
+                     const Shape& shape, const PipelineConfig& config,
+                     const std::uint8_t* validity, CodecContext& ctx);
+
+/// Reconstructs every valid point, pulling codes through `fetch`.
+template <typename T>
+void predictor_decode(PredictorBackend backend, T* out, const Shape& shape,
+                      const PipelineConfig& config,
+                      const LinearQuantizer<T>& quantizer,
+                      std::span<const T> outliers, std::size_t& cursor,
+                      const std::uint8_t* validity, CodecContext& ctx,
+                      const PredictorFetch& fetch);
 
 }  // namespace cliz

@@ -10,7 +10,7 @@
 namespace cliz {
 
 /// Table-based asymmetric numeral system (tANS) coder over an arbitrary
-/// alphabet of 32-bit symbols — the registry's alternative to HuffmanCodec
+/// alphabet of 32-bit symbols — the alternative to HuffmanCodec
 /// for the quant-code entropy stage. Frequencies are normalized to sum to
 /// L = 2^table_log with every present symbol getting at least one slot, so
 /// the whole decode step is one table lookup plus a bit refill.

@@ -156,10 +156,12 @@ TEST(FuzzClizHeader, RejectsOutOfRangeQuantizerRadius) {
 }
 
 TEST(FuzzClizHeader, RejectsUnknownEntropyBackendId) {
-  // The entropy byte carries (backend_id << 1) | classified. Locate it as
-  // the first byte where Huffman and tANS compressions of the same input
-  // diverge, then sweep hostile ids through it: each must be rejected with
-  // a clean Error (never a crash, never garbage output).
+  // The entropy byte carries (backend_id << 1) | classified, with bit 7
+  // selecting the framed container. Locate it as the first byte where
+  // Huffman and tANS compressions of the same input diverge, then sweep
+  // hostile ids through it, plain, with the classified bit and with the
+  // framed bit: each must be refused as corruption by the id check itself,
+  // before the classification block or any framing is parsed.
   const auto data = sample_data();
   ClizOptions tans_opts;
   tans_opts.entropy = EntropyBackend::kTans;
@@ -172,12 +174,25 @@ TEST(FuzzClizHeader, RejectsUnknownEntropyBackendId) {
   ASSERT_LT(pos, huffman_raw.size());
   ASSERT_EQ(huffman_raw[pos], 0u);  // (huffman id << 1) | unclassified
 
-  for (const std::uint8_t id : {2, 3, 7, 63, 127}) {
-    auto mutated = huffman_raw;
-    mutated[pos] = static_cast<std::uint8_t>(id << 1);
-    const auto stream = lossless_compress(mutated);
-    EXPECT_THROW((void)ClizCompressor::decompress(stream), Error)
-        << "backend id " << static_cast<int>(id);
+  std::vector<std::uint8_t> hostile;
+  for (const std::uint8_t id : {2, 3, 7, 63}) {
+    for (const unsigned flags : {0x00u, 0x01u, 0x80u, 0x81u}) {
+      hostile.push_back(static_cast<std::uint8_t>((id << 1) | flags));
+    }
+  }
+  for (const auto& fault :
+       fault::byte_override_cases(huffman_raw, pos, hostile)) {
+    const auto stream = lossless_compress(fault.bytes);
+    try {
+      (void)ClizCompressor::decompress(stream);
+      ADD_FAILURE() << fault.label << " decoded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptStream)
+          << fault.label << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("unknown entropy backend id"),
+                std::string::npos)
+          << fault.label << ": " << e.what();
+    }
   }
 }
 

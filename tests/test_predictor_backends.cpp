@@ -1,4 +1,4 @@
-// Predictor-stage registry tests: every predictor backend must round-trip
+// Predictor-stage backend tests: every predictor backend must round-trip
 // the golden-corpus datasets within the bound (float32 and float64, plain
 // and chunked frames), streams must stay thread-count invariant for the
 // non-default backends (interp is locked byte-exactly by
@@ -292,21 +292,7 @@ TEST(PredictorBackends, PredictorByteKeepsHistoricalMaskByteValues) {
   EXPECT_EQ(masked_lorenzo[mpos], 3u);  // (lorenzo1 1 << 1) | mask
 }
 
-// --- registry lookups ----------------------------------------------------
-
-TEST(PredictorBackends, RegistryCoversExactlyTheWireIds) {
-  for (const PredictorBackend predictor : kAllPredictors) {
-    const PredictorBackendOps* ops =
-        find_predictor_backend(static_cast<std::uint8_t>(predictor));
-    ASSERT_NE(ops, nullptr);
-    EXPECT_EQ(ops->id, predictor);
-    EXPECT_STREQ(ops->name, predictor_backend_name(predictor));
-  }
-  EXPECT_EQ(find_predictor_backend(2), nullptr);  // retired 2nd-order Lorenzo
-  EXPECT_EQ(find_predictor_backend(4), nullptr);
-  EXPECT_EQ(find_predictor_backend(0x7F), nullptr);
-  EXPECT_EQ(find_predictor_backend(0xFF), nullptr);
-}
+// --- backend names -------------------------------------------------------
 
 TEST(PredictorBackends, NamesParseBackToIds) {
   for (const PredictorBackend predictor : kAllPredictors) {
