@@ -37,7 +37,7 @@ void run() {
       s32 = codec.compress(field.data, eb, field.mask_ptr()).size();
     }
     const auto stream64 = codec.compress(data64, eb, field.mask_ptr());
-    const auto recon = ClizCompressor::decompress_f64(stream64);
+    const auto recon = ClizCompressor::decompress<double>(stream64);
     double max_err = 0.0;
     for (std::size_t i = 0; i < data64.size(); ++i) {
       if (!field.mask->valid(i)) continue;

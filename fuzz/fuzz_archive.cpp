@@ -1,8 +1,9 @@
 // libFuzzer target over ArchiveReader: each input becomes an on-disk
 // archive candidate opened strictly and tolerantly, with every variable
-// the tolerant pass claims to have recovered read back. cliz::Error is the
-// only acceptable failure; tight reader limits keep hostile declarations
-// from stalling the fuzzer in the allocator.
+// the tolerant pass claims to have recovered read back at the sample width
+// its index entry records. cliz::Error is the only acceptable failure;
+// tight reader limits keep hostile declarations from stalling the fuzzer
+// in the allocator.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -33,7 +34,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   try {
     cliz::ArchiveReader strict(path, cliz::ArchiveOpenMode::kStrict, limits);
     for (const auto& v : strict.variables()) {
-      if (v.sample_bytes == 4) (void)strict.read(v.name);
+      cliz::with_sample_type(v.sample_bytes, [&]<typename T>() {
+        (void)strict.read<T>(v.name);
+      });
     }
   } catch (const cliz::Error&) {
   }
@@ -41,7 +44,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     cliz::ArchiveReader tolerant(path, cliz::ArchiveOpenMode::kTolerant,
                                  limits);
     for (const auto& name : tolerant.salvage().recovered) {
-      if (tolerant.info(name).sample_bytes == 4) (void)tolerant.read(name);
+      cliz::with_sample_type(tolerant.info(name).sample_bytes,
+                             [&]<typename T>() {
+                               (void)tolerant.read<T>(name);
+                             });
     }
   } catch (const cliz::Error&) {
   }

@@ -10,6 +10,7 @@
 
 #include "src/common/status.hpp"
 #include "src/core/chunked.hpp"
+#include "src/core/chunked_reader.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 
@@ -23,20 +24,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   limits.max_frame_segments = 1u << 14;
   limits.max_side_block_bytes = std::uint64_t{1} << 24;
   try {
-    if (cliz::is_chunked_stream(stream)) {
-      cliz::ChunkedScratch scratch;
-      scratch.pool.set_governor(limits, nullptr);
-      (void)cliz::chunked_decompress(stream, &scratch);
-    } else {
-      cliz::CodecContext ctx;
-      ctx.limits = limits;
-      try {
-        (void)cliz::ClizCompressor::decompress(stream, ctx);
-      } catch (const cliz::Error&) {
-        // Retry as float64: the width byte routes the two variants.
-        (void)cliz::ClizCompressor::decompress_f64(stream, ctx);
+    // Probe the sample width the stream records, then decode at that width.
+    const bool chunked = cliz::is_chunked_stream(stream);
+    const unsigned width =
+        chunked ? cliz::ChunkedReader(stream, limits).sample_bytes()
+                : cliz::detect_sample_bytes(stream, limits);
+    cliz::with_sample_type(width, [&]<typename T>() {
+      if (chunked) {
+        cliz::ChunkedScratch scratch;
+        scratch.pool.set_governor(limits, nullptr);
+        (void)cliz::chunked_decompress<T>(stream, &scratch);
+      } else {
+        cliz::CodecContext ctx;
+        ctx.limits = limits;
+        (void)cliz::ClizCompressor::decompress<T>(stream, ctx);
       }
-    }
+    });
   } catch (const cliz::Error&) {
     // Clean rejection: the contract for hostile bytes.
   }

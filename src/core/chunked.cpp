@@ -124,13 +124,11 @@ void detail::write_slab_frame(
   out = std::move(w).take();
 }
 
-namespace {
-
 /// Compresses every box of the frame as an independent CliZ stream, then
 /// assembles the frame: CLK3 when a tiling is set, CLK2 dim-0 slabs (boxes
 /// spanning every inner dim) otherwise.
-template <typename T>
-void chunked_compress_impl(const NdArray<T>& data, double abs_error_bound,
+template <Sample T>
+void chunked_compress_into(const NdArray<T>& data, double abs_error_bound,
                            const PipelineConfig& config, const MaskMap* mask,
                            const ChunkedOptions& options,
                            std::vector<std::uint8_t>& out) {
@@ -229,6 +227,8 @@ void chunked_compress_impl(const NdArray<T>& data, double abs_error_bound,
   }
 }
 
+namespace {
+
 template <typename T>
 void chunked_decompress_core(std::span<const std::uint8_t> stream,
                              ChunkedScratch* scratch_opt, NdArray<T>& out,
@@ -273,76 +273,51 @@ void chunked_decompress_core(std::span<const std::uint8_t> stream,
 
 }  // namespace
 
-std::vector<std::uint8_t> chunked_compress(const NdArray<float>& data,
+template <Sample T>
+std::vector<std::uint8_t> chunked_compress(const NdArray<T>& data,
                                            double abs_error_bound,
                                            const PipelineConfig& config,
                                            const MaskMap* mask,
                                            const ChunkedOptions& options) {
   std::vector<std::uint8_t> out;
-  chunked_compress_impl(data, abs_error_bound, config, mask, options, out);
+  chunked_compress_into(data, abs_error_bound, config, mask, options, out);
   return out;
 }
 
-std::vector<std::uint8_t> chunked_compress(const NdArray<double>& data,
-                                           double abs_error_bound,
-                                           const PipelineConfig& config,
-                                           const MaskMap* mask,
-                                           const ChunkedOptions& options) {
-  std::vector<std::uint8_t> out;
-  chunked_compress_impl(data, abs_error_bound, config, mask, options, out);
-  return out;
-}
-
-void chunked_compress_into(const NdArray<float>& data, double abs_error_bound,
-                           const PipelineConfig& config, const MaskMap* mask,
-                           const ChunkedOptions& options,
-                           std::vector<std::uint8_t>& out) {
-  chunked_compress_impl(data, abs_error_bound, config, mask, options, out);
-}
-
-void chunked_compress_into(const NdArray<double>& data, double abs_error_bound,
-                           const PipelineConfig& config, const MaskMap* mask,
-                           const ChunkedOptions& options,
-                           std::vector<std::uint8_t>& out) {
-  chunked_compress_impl(data, abs_error_bound, config, mask, options, out);
-}
-
-NdArray<float> chunked_decompress(std::span<const std::uint8_t> stream,
-                                  ChunkedScratch* scratch) {
-  NdArray<float> out;
+template <Sample T>
+NdArray<T> chunked_decompress(std::span<const std::uint8_t> stream,
+                              ChunkedScratch* scratch) {
+  NdArray<T> out;
   chunked_decompress_core(stream, scratch, out, /*require_shape_match=*/false);
   return out;
 }
 
-NdArray<double> chunked_decompress_f64(std::span<const std::uint8_t> stream,
-                                       ChunkedScratch* scratch) {
-  NdArray<double> out;
-  chunked_decompress_core(stream, scratch, out, /*require_shape_match=*/false);
-  return out;
-}
-
+template <Sample T>
 void chunked_decompress_into(std::span<const std::uint8_t> stream,
-                             NdArray<float>& out, ChunkedScratch* scratch) {
+                             NdArray<T>& out, ChunkedScratch* scratch) {
   chunked_decompress_core(stream, scratch, out, /*require_shape_match=*/true);
 }
 
-void chunked_decompress_into(std::span<const std::uint8_t> stream,
-                             NdArray<double>& out, ChunkedScratch* scratch) {
-  chunked_decompress_core(stream, scratch, out, /*require_shape_match=*/true);
-}
+#define CLIZ_INSTANTIATE(T)                                                  \
+  template std::vector<std::uint8_t> chunked_compress<T>(                    \
+      const NdArray<T>&, double, const PipelineConfig&, const MaskMap*,      \
+      const ChunkedOptions&);                                                \
+  template void chunked_compress_into<T>(                                    \
+      const NdArray<T>&, double, const PipelineConfig&, const MaskMap*,      \
+      const ChunkedOptions&, std::vector<std::uint8_t>&);                    \
+  template NdArray<T> chunked_decompress<T>(std::span<const std::uint8_t>,   \
+                                            ChunkedScratch*);                \
+  template void chunked_decompress_into<T>(std::span<const std::uint8_t>,    \
+                                           NdArray<T>&, ChunkedScratch*);
+CLIZ_INSTANTIATE(float)
+CLIZ_INSTANTIATE(double)
+#undef CLIZ_INSTANTIATE
 
 bool is_chunked_stream(std::span<const std::uint8_t> stream) {
   if (stream.size() < sizeof(std::uint32_t)) return false;
   std::uint32_t magic = 0;
   std::memcpy(&magic, stream.data(), sizeof(magic));
   return magic == kMagic || magic == kMagicV2 || magic == kMagicV3;
-}
-
-unsigned chunked_sample_bytes(std::span<const std::uint8_t> stream,
-                              const ResourceLimits& limits) {
-  // The frame header is width-agnostic; the per-chunk CliZ streams record
-  // the sample type right after their (lossless-wrapped) magic.
-  return ChunkedReader(stream, limits).sample_bytes();
 }
 
 }  // namespace cliz

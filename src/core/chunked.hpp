@@ -68,44 +68,35 @@ struct ChunkedOptions {
 /// OpenMP is enabled). Error bound semantics identical to ClizCompressor.
 /// Both sample types share one frame format; the width is recorded by the
 /// per-chunk CliZ streams and must match on decompression.
-std::vector<std::uint8_t> chunked_compress(const NdArray<float>& data,
-                                           double abs_error_bound,
-                                           const PipelineConfig& config,
-                                           const MaskMap* mask = nullptr,
-                                           const ChunkedOptions& options = {});
-std::vector<std::uint8_t> chunked_compress(const NdArray<double>& data,
+template <Sample T>
+std::vector<std::uint8_t> chunked_compress(const NdArray<T>& data,
                                            double abs_error_bound,
                                            const PipelineConfig& config,
                                            const MaskMap* mask = nullptr,
                                            const ChunkedOptions& options = {});
 
-/// Capacity-reusing variants: the frame is assembled into `out` (contents
+/// Capacity-reusing variant: the frame is assembled into `out` (contents
 /// replaced, storage reused), completing the allocation-free steady state
 /// when paired with an options.scratch.
-void chunked_compress_into(const NdArray<float>& data, double abs_error_bound,
-                           const PipelineConfig& config, const MaskMap* mask,
-                           const ChunkedOptions& options,
-                           std::vector<std::uint8_t>& out);
-void chunked_compress_into(const NdArray<double>& data, double abs_error_bound,
+template <Sample T>
+void chunked_compress_into(const NdArray<T>& data, double abs_error_bound,
                            const PipelineConfig& config, const MaskMap* mask,
                            const ChunkedOptions& options,
                            std::vector<std::uint8_t>& out);
 
 /// Inverse of chunked_compress (chunks decoded in parallel through the
-/// scratch's context pool when one is supplied).
-NdArray<float> chunked_decompress(std::span<const std::uint8_t> stream,
-                                  ChunkedScratch* scratch = nullptr);
-NdArray<double> chunked_decompress_f64(std::span<const std::uint8_t> stream,
-                                       ChunkedScratch* scratch = nullptr);
+/// scratch's context pool when one is supplied). T must be the frame's
+/// sample type: ChunkedReader::sample_bytes() tells which it is.
+template <Sample T = float>
+NdArray<T> chunked_decompress(std::span<const std::uint8_t> stream,
+                              ChunkedScratch* scratch = nullptr);
 
 /// Caller-supplied-output decompression: `out` must already carry the
 /// frame's exact shape (throws Error otherwise). Each chunk decodes
 /// straight into its slab of `out` — no per-chunk staging copies.
+template <Sample T>
 void chunked_decompress_into(std::span<const std::uint8_t> stream,
-                             NdArray<float>& out,
-                             ChunkedScratch* scratch = nullptr);
-void chunked_decompress_into(std::span<const std::uint8_t> stream,
-                             NdArray<double>& out,
+                             NdArray<T>& out,
                              ChunkedScratch* scratch = nullptr);
 
 /// True when `stream` starts with a chunked frame magic ("CLK3" for the
@@ -133,12 +124,5 @@ void write_slab_frame(
     std::span<const std::vector<std::uint8_t>> streams,
     std::vector<std::uint8_t>& out);
 }  // namespace detail
-
-/// Bytes per sample of a chunked frame (4 = float32, 8 = float64), read
-/// from the first chunk's embedded CliZ stream. The probe parses the frame
-/// header, so governed callers should pass their tightened `limits` — the
-/// same budgets the subsequent decode will run under.
-[[nodiscard]] unsigned chunked_sample_bytes(
-    std::span<const std::uint8_t> stream, const ResourceLimits& limits = {});
 
 }  // namespace cliz

@@ -364,11 +364,10 @@ unsigned ChunkedReader::sample_bytes() const {
   return width;
 }
 
-template <typename T>
-RegionStats ChunkedReader::region_impl(std::span<const std::size_t> origin,
-                                       std::span<const std::size_t> extent,
-                                       std::span<T> out,
-                                       const RegionOptions& options) const {
+template <Sample T>
+RegionStats ChunkedReader::decompress_region(
+    std::span<const std::size_t> origin, std::span<const std::size_t> extent,
+    std::span<T> out, const RegionOptions& options) const {
   const std::size_t nd = shape_.ndims();
   CLIZ_REQUIRE_CODE(origin.size() == nd && extent.size() == nd, kBadArgument,
                     "region arity does not match frame dimensionality");
@@ -516,16 +515,11 @@ RegionStats ChunkedReader::region_impl(std::span<const std::size_t> origin,
   return st;
 }
 
-RegionStats ChunkedReader::decompress_region(
-    std::span<const std::size_t> origin, std::span<const std::size_t> extent,
-    std::span<float> out, const RegionOptions& options) const {
-  return region_impl(origin, extent, out, options);
-}
-
-RegionStats ChunkedReader::decompress_region(
-    std::span<const std::size_t> origin, std::span<const std::size_t> extent,
-    std::span<double> out, const RegionOptions& options) const {
-  return region_impl(origin, extent, out, options);
-}
+template RegionStats ChunkedReader::decompress_region<float>(
+    std::span<const std::size_t>, std::span<const std::size_t>,
+    std::span<float>, const RegionOptions&) const;
+template RegionStats ChunkedReader::decompress_region<double>(
+    std::span<const std::size_t>, std::span<const std::size_t>,
+    std::span<double>, const RegionOptions&) const;
 
 }  // namespace cliz

@@ -125,22 +125,15 @@ class ChunkedReader {
   /// Decodes the window [origin, origin+extent) into `out` (row-major,
   /// exactly prod(extent) elements — kBadArgument otherwise). Only tiles
   /// intersecting the window are read and decoded; each decoded tile's
-  /// payload CRC is verified first. Returns the call's cost telemetry.
+  /// payload CRC is verified first. T must be the frame's sample type
+  /// (sample_bytes()). Returns the call's cost telemetry.
+  template <Sample T>
   RegionStats decompress_region(std::span<const std::size_t> origin,
                                 std::span<const std::size_t> extent,
-                                std::span<float> out,
-                                const RegionOptions& options = {}) const;
-  RegionStats decompress_region(std::span<const std::size_t> origin,
-                                std::span<const std::size_t> extent,
-                                std::span<double> out,
+                                std::span<T> out,
                                 const RegionOptions& options = {}) const;
 
  private:
-  template <typename T>
-  RegionStats region_impl(std::span<const std::size_t> origin,
-                          std::span<const std::size_t> extent, std::span<T> out,
-                          const RegionOptions& options) const;
-
   void parse_and_validate(std::span<const std::uint8_t> header);
 
   Shape shape_;

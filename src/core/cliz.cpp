@@ -346,8 +346,10 @@ void compress_impl(const NdArray<T>& data, double abs_error_bound,
   ctx.limits = options.limits;
   ctx.cancel = options.cancel;
   if (ctx.cancel != nullptr) ctx.cancel->check();
-  CLIZ_REQUIRE_CODE(abs_error_bound > 0, kBadArgument,
-                    "error bound must be positive");
+  // An infinite bound leaves the quantizer no usable bin width; refuse it
+  // like a non-positive one.
+  CLIZ_REQUIRE_CODE(std::isfinite(abs_error_bound) && abs_error_bound > 0,
+                    kBadArgument, "error bound must be positive and finite");
   const Shape& shape = data.shape();
   CLIZ_REQUIRE_CODE(config.permutation.size() == shape.ndims(), kBadArgument,
                     "pipeline arity does not match data");
@@ -691,121 +693,91 @@ struct SpanBind {
   }
 };
 
-template <typename T>
-NdArray<T> decompress_impl(std::span<const std::uint8_t> stream,
-                           CodecContext& ctx) {
+}  // namespace
+
+template <Sample T>
+std::vector<std::uint8_t> ClizCompressor::compress(
+    const NdArray<T>& data, double abs_error_bound,
+    const MaskMap* mask) const {
+  CodecContext ctx;
+  std::vector<std::uint8_t> out;
+  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
+  last_stats_ = ctx.stats;
+  return out;
+}
+
+template <Sample T>
+std::vector<std::uint8_t> ClizCompressor::compress(const NdArray<T>& data,
+                                                   double abs_error_bound,
+                                                   const MaskMap* mask,
+                                                   CodecContext& ctx) const {
+  std::vector<std::uint8_t> out;
+  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
+  return out;
+}
+
+template <Sample T>
+void ClizCompressor::compress_into(const NdArray<T>& data,
+                                   double abs_error_bound,
+                                   const MaskMap* mask, CodecContext& ctx,
+                                   std::vector<std::uint8_t>& out) const {
+  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
+}
+
+template <Sample T>
+NdArray<T> ClizCompressor::decompress(std::span<const std::uint8_t> stream) {
+  CodecContext ctx;
+  return decompress<T>(stream, ctx);
+}
+
+template <Sample T>
+NdArray<T> ClizCompressor::decompress(std::span<const std::uint8_t> stream,
+                                      CodecContext& ctx) {
   NdArray<T> out;
   decompress_core<T>(stream, ctx, ReshapeBind<T>{&out});
   return out;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> ClizCompressor::compress(
-    const NdArray<float>& data, double abs_error_bound,
-    const MaskMap* mask) const {
-  CodecContext ctx;
-  std::vector<std::uint8_t> out;
-  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
-  last_stats_ = ctx.stats;
-  return out;
-}
-
-std::vector<std::uint8_t> ClizCompressor::compress(
-    const NdArray<double>& data, double abs_error_bound,
-    const MaskMap* mask) const {
-  CodecContext ctx;
-  std::vector<std::uint8_t> out;
-  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
-  last_stats_ = ctx.stats;
-  return out;
-}
-
-std::vector<std::uint8_t> ClizCompressor::compress(
-    const NdArray<float>& data, double abs_error_bound, const MaskMap* mask,
-    CodecContext& ctx) const {
-  std::vector<std::uint8_t> out;
-  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
-  return out;
-}
-
-std::vector<std::uint8_t> ClizCompressor::compress(
-    const NdArray<double>& data, double abs_error_bound, const MaskMap* mask,
-    CodecContext& ctx) const {
-  std::vector<std::uint8_t> out;
-  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
-  return out;
-}
-
-void ClizCompressor::compress_into(const NdArray<float>& data,
-                                   double abs_error_bound,
-                                   const MaskMap* mask, CodecContext& ctx,
-                                   std::vector<std::uint8_t>& out) const {
-  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
-}
-
-void ClizCompressor::compress_into(const NdArray<double>& data,
-                                   double abs_error_bound,
-                                   const MaskMap* mask, CodecContext& ctx,
-                                   std::vector<std::uint8_t>& out) const {
-  compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
-}
-
-NdArray<float> ClizCompressor::decompress(
-    std::span<const std::uint8_t> stream) {
-  CodecContext ctx;
-  return decompress_impl<float>(stream, ctx);
-}
-
-NdArray<double> ClizCompressor::decompress_f64(
-    std::span<const std::uint8_t> stream) {
-  CodecContext ctx;
-  return decompress_impl<double>(stream, ctx);
-}
-
-NdArray<float> ClizCompressor::decompress(std::span<const std::uint8_t> stream,
-                                          CodecContext& ctx) {
-  return decompress_impl<float>(stream, ctx);
-}
-
-NdArray<double> ClizCompressor::decompress_f64(
-    std::span<const std::uint8_t> stream, CodecContext& ctx) {
-  return decompress_impl<double>(stream, ctx);
-}
-
+template <Sample T>
 void ClizCompressor::decompress_into(std::span<const std::uint8_t> stream,
-                                     NdArray<float>& out) {
+                                     NdArray<T>& out) {
   CodecContext ctx;
-  decompress_core<float>(stream, ctx, MatchShapeBind<float>{&out});
+  decompress_core<T>(stream, ctx, MatchShapeBind<T>{&out});
 }
 
+template <Sample T>
 void ClizCompressor::decompress_into(std::span<const std::uint8_t> stream,
-                                     NdArray<double>& out) {
-  CodecContext ctx;
-  decompress_core<double>(stream, ctx, MatchShapeBind<double>{&out});
+                                     CodecContext& ctx, NdArray<T>& out) {
+  decompress_core<T>(stream, ctx, MatchShapeBind<T>{&out});
 }
 
-void ClizCompressor::decompress_into(std::span<const std::uint8_t> stream,
-                                     CodecContext& ctx, NdArray<float>& out) {
-  decompress_core<float>(stream, ctx, MatchShapeBind<float>{&out});
-}
-
-void ClizCompressor::decompress_into(std::span<const std::uint8_t> stream,
-                                     CodecContext& ctx, NdArray<double>& out) {
-  decompress_core<double>(stream, ctx, MatchShapeBind<double>{&out});
-}
-
+template <Sample T>
 Shape ClizCompressor::decompress_into(std::span<const std::uint8_t> stream,
-                                      CodecContext& ctx,
-                                      std::span<float> out) {
-  return decompress_core<float>(stream, ctx, SpanBind<float>{out});
+                                      CodecContext& ctx, std::span<T> out) {
+  return decompress_core<T>(stream, ctx, SpanBind<T>{out});
 }
 
-Shape ClizCompressor::decompress_into(std::span<const std::uint8_t> stream,
-                                      CodecContext& ctx,
-                                      std::span<double> out) {
-  return decompress_core<double>(stream, ctx, SpanBind<double>{out});
-}
+#define CLIZ_INSTANTIATE(T)                                                  \
+  template std::vector<std::uint8_t> ClizCompressor::compress<T>(            \
+      const NdArray<T>&, double, const MaskMap*) const;                      \
+  template std::vector<std::uint8_t> ClizCompressor::compress<T>(            \
+      const NdArray<T>&, double, const MaskMap*, CodecContext&) const;       \
+  template void ClizCompressor::compress_into<T>(                            \
+      const NdArray<T>&, double, const MaskMap*, CodecContext&,              \
+      std::vector<std::uint8_t>&) const;                                     \
+  template NdArray<T> ClizCompressor::decompress<T>(                         \
+      std::span<const std::uint8_t>);                                        \
+  template NdArray<T> ClizCompressor::decompress<T>(                         \
+      std::span<const std::uint8_t>, CodecContext&);                         \
+  template void ClizCompressor::decompress_into<T>(                          \
+      std::span<const std::uint8_t>, NdArray<T>&);                           \
+  template void ClizCompressor::decompress_into<T>(                          \
+      std::span<const std::uint8_t>, CodecContext&, NdArray<T>&);            \
+  template Shape ClizCompressor::decompress_into<T>(                         \
+      std::span<const std::uint8_t>, CodecContext&, std::span<T>);
+CLIZ_INSTANTIATE(float)
+CLIZ_INSTANTIATE(double)
+#undef CLIZ_INSTANTIATE
 
 unsigned detect_sample_bytes(std::span<const std::uint8_t> stream,
                              const ResourceLimits& limits) {

@@ -80,9 +80,9 @@ struct ClizOptions {
 ///
 /// Guarantee: every *valid* reconstructed point differs from the original
 /// by at most the absolute error bound. Masked points decompress to
-/// options.fill_value. Both float32 and float64 data are supported; the
-/// stream records the sample type and the matching decompress entry point
-/// must be used.
+/// options.fill_value. Every entry point is a template over the sample
+/// type (float or double); the stream records it, and a decode must ask
+/// for the same type.
 class ClizCompressor {
  public:
   explicit ClizCompressor(PipelineConfig config, ClizOptions options = {})
@@ -92,43 +92,36 @@ class ClizCompressor {
   /// mask is given it is embedded (run-length coded) in the stream.
   /// Runs on a private scratch context; per-stage telemetry of the call is
   /// available afterwards via last_stats().
-  [[nodiscard]] std::vector<std::uint8_t> compress(const NdArray<float>& data,
-                                                   double abs_error_bound,
-                                                   const MaskMap* mask = nullptr) const;
+  template <Sample T>
   [[nodiscard]] std::vector<std::uint8_t> compress(
-      const NdArray<double>& data, double abs_error_bound,
+      const NdArray<T>& data, double abs_error_bound,
       const MaskMap* mask = nullptr) const;
 
-  /// Context-reusing variants: all scratch state is drawn from `ctx`, so
+  /// Context-reusing variant: all scratch state is drawn from `ctx`, so
   /// repeated same-shape compressions allocate nothing in steady state.
-  /// Telemetry lands in ctx.stats (last_stats() is NOT updated — these
-  /// overloads stay safe to call from concurrent threads with distinct
-  /// contexts). Streams are byte-identical to the convenience overloads.
-  [[nodiscard]] std::vector<std::uint8_t> compress(const NdArray<float>& data,
+  /// Telemetry lands in ctx.stats (last_stats() is NOT updated — this
+  /// overload stays safe to call from concurrent threads with distinct
+  /// contexts). Streams are byte-identical to the convenience overload.
+  template <Sample T>
+  [[nodiscard]] std::vector<std::uint8_t> compress(const NdArray<T>& data,
                                                    double abs_error_bound,
                                                    const MaskMap* mask,
                                                    CodecContext& ctx) const;
-  [[nodiscard]] std::vector<std::uint8_t> compress(
-      const NdArray<double>& data, double abs_error_bound,
-      const MaskMap* mask, CodecContext& ctx) const;
 
   /// Fully allocation-free steady state: also reuses `out`'s capacity.
-  void compress_into(const NdArray<float>& data, double abs_error_bound,
-                     const MaskMap* mask, CodecContext& ctx,
-                     std::vector<std::uint8_t>& out) const;
-  void compress_into(const NdArray<double>& data, double abs_error_bound,
+  template <Sample T>
+  void compress_into(const NdArray<T>& data, double abs_error_bound,
                      const MaskMap* mask, CodecContext& ctx,
                      std::vector<std::uint8_t>& out) const;
 
-  [[nodiscard]] static NdArray<float> decompress(
+  /// Decodes a stream whose recorded sample type is T (kCorruptStream
+  /// otherwise; detect_sample_bytes() tells which T a stream holds). The
+  /// context-taking form reports telemetry in ctx.stats.
+  template <Sample T = float>
+  [[nodiscard]] static NdArray<T> decompress(
       std::span<const std::uint8_t> stream);
-  [[nodiscard]] static NdArray<double> decompress_f64(
-      std::span<const std::uint8_t> stream);
-
-  /// Context-reusing decompression (telemetry in ctx.stats).
-  [[nodiscard]] static NdArray<float> decompress(
-      std::span<const std::uint8_t> stream, CodecContext& ctx);
-  [[nodiscard]] static NdArray<double> decompress_f64(
+  template <Sample T = float>
+  [[nodiscard]] static NdArray<T> decompress(
       std::span<const std::uint8_t> stream, CodecContext& ctx);
 
   /// Caller-supplied-output decompression: decodes into `out`, which must
@@ -136,22 +129,19 @@ class ClizCompressor {
   /// is only written after the header validates). With a reused context,
   /// repeated same-shape decodes reach a single-digit-allocation steady
   /// state — the decode-side mirror of compress_into.
+  template <Sample T>
   static void decompress_into(std::span<const std::uint8_t> stream,
-                              NdArray<float>& out);
+                              NdArray<T>& out);
+  template <Sample T>
   static void decompress_into(std::span<const std::uint8_t> stream,
-                              NdArray<double>& out);
-  static void decompress_into(std::span<const std::uint8_t> stream,
-                              CodecContext& ctx, NdArray<float>& out);
-  static void decompress_into(std::span<const std::uint8_t> stream,
-                              CodecContext& ctx, NdArray<double>& out);
+                              CodecContext& ctx, NdArray<T>& out);
 
-  /// Span variants for callers that own raw storage (e.g. a chunk slab of
-  /// a larger array): `out.size()` must equal the stream's element count.
+  /// Span variant for callers that own raw storage (e.g. a chunk slab of a
+  /// larger array): `out.size()` must equal the stream's element count.
   /// Returns the decoded shape.
+  template <Sample T>
   static Shape decompress_into(std::span<const std::uint8_t> stream,
-                               CodecContext& ctx, std::span<float> out);
-  static Shape decompress_into(std::span<const std::uint8_t> stream,
-                               CodecContext& ctx, std::span<double> out);
+                               CodecContext& ctx, std::span<T> out);
 
   [[nodiscard]] const PipelineConfig& config() const noexcept {
     return config_;
@@ -170,9 +160,9 @@ class ClizCompressor {
 };
 
 /// Bytes per sample recorded in a CliZ stream (4 = float32, 8 = float64),
-/// so a caller can pick the matching decompress entry point. The lossless
-/// unwrap runs under `limits`, the budgets the decode itself will use;
-/// anything that is not a CliZ stream is refused.
+/// so a caller can pick the matching decompress<T> (see with_sample_type).
+/// The lossless unwrap runs under `limits`, the budgets the decode itself
+/// will use; anything that is not a CliZ stream is refused.
 [[nodiscard]] unsigned detect_sample_bytes(
     std::span<const std::uint8_t> stream, const ResourceLimits& limits = {});
 

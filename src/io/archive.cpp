@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
-#include <type_traits>
 
 #include "src/common/bytestream.hpp"
 #include "src/common/crc32c.hpp"
@@ -131,12 +130,14 @@ ArchiveWriter::~ArchiveWriter() {
   }
 }
 
-template <typename T>
-void ArchiveWriter::add_cliz_variable(
-    const std::string& name, const NdArray<T>& data, double abs_error_bound,
-    const PipelineConfig& pipeline, const MaskMap* mask,
-    std::map<std::string, std::string> attributes,
-    const ClizOptions& options) {
+template <Sample T>
+void ArchiveWriter::add_variable(const std::string& name,
+                                 const NdArray<T>& data,
+                                 double abs_error_bound,
+                                 const PipelineConfig& pipeline,
+                                 const MaskMap* mask,
+                                 std::map<std::string, std::string> attributes,
+                                 const ClizOptions& options) {
   const std::size_t raw_bytes = data.size() * sizeof(T);
   // set_tile is an explicit opt-in to the tile-indexed layout and applies
   // regardless of the size threshold (the point is addressability, not
@@ -160,28 +161,6 @@ void ArchiveWriter::add_cliz_variable(
   }
   append_stream(name, data.shape(), abs_error_bound, std::move(attributes),
                 stream_buf_, sizeof(T));
-}
-
-void ArchiveWriter::add_variable(const std::string& name,
-                                 const NdArray<float>& data,
-                                 double abs_error_bound,
-                                 const PipelineConfig& pipeline,
-                                 const MaskMap* mask,
-                                 std::map<std::string, std::string> attributes,
-                                 const ClizOptions& options) {
-  add_cliz_variable(name, data, abs_error_bound, pipeline, mask,
-                    std::move(attributes), options);
-}
-
-void ArchiveWriter::add_variable(const std::string& name,
-                                 const NdArray<double>& data,
-                                 double abs_error_bound,
-                                 const PipelineConfig& pipeline,
-                                 const MaskMap* mask,
-                                 std::map<std::string, std::string> attributes,
-                                 const ClizOptions& options) {
-  add_cliz_variable(name, data, abs_error_bound, pipeline, mask,
-                    std::move(attributes), options);
 }
 
 void ArchiveWriter::append_stream(
@@ -513,51 +492,42 @@ std::vector<std::uint8_t> ArchiveReader::read_raw(
   return stream;
 }
 
-std::size_t ArchiveReader::decodable_index(const std::string& name) const {
+std::size_t ArchiveReader::decodable_index(const std::string& name,
+                                           std::size_t sample_bytes) const {
   const std::size_t i = index_of(name);
-  CLIZ_REQUIRE_CODE(variables_[i].codec == "cliz", kUnsupported,
-                    "archive variable '" + name + "' uses codec '" +
-                        variables_[i].codec + "'; only cliz records decode");
+  const VariableInfo& v = variables_[i];
+  CLIZ_REQUIRE_CODE(v.codec == "cliz", kUnsupported,
+                    "archive variable '" + name + "' uses codec '" + v.codec +
+                        "'; only cliz records decode");
+  CLIZ_REQUIRE_CODE(v.sample_bytes == sample_bytes, kBadArgument,
+                    "archive variable '" + name + "' holds float" +
+                        std::to_string(8 * v.sample_bytes) +
+                        " samples, not float" +
+                        std::to_string(8 * sample_bytes));
   return i;
 }
 
-template <typename T>
-NdArray<T> ArchiveReader::read_impl(const std::string& name) const {
-  constexpr bool kF32 = std::is_same_v<T, float>;
-  const VariableInfo& v = variables_[decodable_index(name)];
-  CLIZ_REQUIRE(v.sample_bytes == sizeof(T),
-               "variable '" + name +
-                   (kF32 ? "' is float64: use read_f64()"
-                         : "' is float32: use read()"));
-  const auto stream = read_raw(name);
+template <Sample T>
+NdArray<T> ArchiveReader::decode_record(std::size_t i) const {
+  const VariableInfo& v = variables_[i];
+  const auto stream = read_raw(v.name);
   // Decode through the reader's warm scratch, whose pool carries this
   // reader's governor to the chunked path and to a single stream's context.
   NdArray<T> data;
   if (is_chunked_stream(stream)) {
-    if constexpr (kF32) {
-      data = chunked_decompress(stream, &scratch_);
-    } else {
-      data = chunked_decompress_f64(stream, &scratch_);
-    }
+    data = chunked_decompress<T>(stream, &scratch_);
   } else {
     const ContextPool::Lease lease = scratch_.pool.acquire();
-    if constexpr (kF32) {
-      data = ClizCompressor::decompress(stream, *lease);
-    } else {
-      data = ClizCompressor::decompress_f64(stream, *lease);
-    }
+    data = ClizCompressor::decompress<T>(stream, *lease);
   }
   CLIZ_REQUIRE(data.shape().dims() == v.dims,
                "decoded shape disagrees with archive index");
   return data;
 }
 
-NdArray<float> ArchiveReader::read(const std::string& name) const {
-  return read_impl<float>(name);
-}
-
-NdArray<double> ArchiveReader::read_f64(const std::string& name) const {
-  return read_impl<double>(name);
+template <Sample T>
+NdArray<T> ArchiveReader::read(const std::string& name) const {
+  return decode_record<T>(decodable_index(name, sizeof(T)));
 }
 
 const ChunkedReader* ArchiveReader::region_view(std::size_t i) const {
@@ -619,12 +589,13 @@ const ChunkedReader* ArchiveReader::region_view(std::size_t i) const {
   return views_[i].emplace(std::move(view)).get();
 }
 
-template <typename T>
-NdArray<T> ArchiveReader::read_region_impl(
-    const std::string& name, std::span<const std::size_t> origin,
-    std::span<const std::size_t> extent, TileCache* cache,
-    RegionStats* stats) const {
-  const std::size_t i = decodable_index(name);
+template <Sample T>
+NdArray<T> ArchiveReader::read_region(const std::string& name,
+                                      std::span<const std::size_t> origin,
+                                      std::span<const std::size_t> extent,
+                                      TileCache* cache,
+                                      RegionStats* stats) const {
+  const std::size_t i = decodable_index(name, sizeof(T));
   const VariableInfo& v = variables_[i];
   if (cancel_ != nullptr) cancel_->check();
   const std::size_t nd = v.dims.size();
@@ -652,7 +623,7 @@ NdArray<T> ArchiveReader::read_region_impl(
   const ChunkedReader* view = region_view(i);
   NdArray<T> out{Shape(DimVec(extent.begin(), extent.end()))};
   if (view == nullptr) {
-    NdArray<T> full = read_impl<T>(name);
+    NdArray<T> full = decode_record<T>(i);
     DimVec zeros(nd, 0);
     DimVec hi(nd);
     for (std::size_t d = 0; d < nd; ++d) hi[d] = origin[d] + extent[d];
@@ -680,25 +651,17 @@ NdArray<T> ArchiveReader::read_region_impl(
   return out;
 }
 
-NdArray<float> ArchiveReader::read_region(const std::string& name,
-                                          std::span<const std::size_t> origin,
-                                          std::span<const std::size_t> extent,
-                                          TileCache* cache,
-                                          RegionStats* stats) const {
-  const VariableInfo& v = info(name);
-  CLIZ_REQUIRE_CODE(v.sample_bytes == 4, kBadArgument,
-                    "variable '" + name + "' is float64: use read_region_f64()");
-  return read_region_impl<float>(name, origin, extent, cache, stats);
-}
-
-NdArray<double> ArchiveReader::read_region_f64(
-    const std::string& name, std::span<const std::size_t> origin,
-    std::span<const std::size_t> extent, TileCache* cache,
-    RegionStats* stats) const {
-  const VariableInfo& v = info(name);
-  CLIZ_REQUIRE_CODE(v.sample_bytes == 8, kBadArgument,
-                    "variable '" + name + "' is float32: use read_region()");
-  return read_region_impl<double>(name, origin, extent, cache, stats);
-}
+#define CLIZ_INSTANTIATE(T)                                                  \
+  template void ArchiveWriter::add_variable<T>(                              \
+      const std::string&, const NdArray<T>&, double, const PipelineConfig&,  \
+      const MaskMap*, std::map<std::string, std::string>,                    \
+      const ClizOptions&);                                                   \
+  template NdArray<T> ArchiveReader::read<T>(const std::string&) const;      \
+  template NdArray<T> ArchiveReader::read_region<T>(                         \
+      const std::string&, std::span<const std::size_t>,                      \
+      std::span<const std::size_t>, TileCache*, RegionStats*) const;
+CLIZ_INSTANTIATE(float)
+CLIZ_INSTANTIATE(double)
+#undef CLIZ_INSTANTIATE
 
 }  // namespace cliz

@@ -58,7 +58,7 @@ struct SalvageReport {
   /// True when the trailer and index parsed (and, for v2, the index CRC
   /// verified); false when variables were recovered by scanning records.
   bool index_intact = false;
-  /// Names readable through read()/read_f64()/read_raw(), in file order.
+  /// Names readable through read()/read_raw(), in file order.
   std::vector<std::string> recovered;
   struct Quarantined {
     std::string name;          ///< empty when the name itself was damaged
@@ -111,17 +111,12 @@ class ArchiveWriter {
   /// restores them for everything.
   void set_tile(DimVec tile) { tile_ = std::move(tile); }
 
-  /// Compresses `data` with CliZ under `pipeline` and appends it. `options`
-  /// carries the codec knobs — notably the predictor/entropy backend choice
-  /// (e.g. autotune's best_predictor/best_entropy) and encode verification.
-  void add_variable(const std::string& name, const NdArray<float>& data,
-                    double abs_error_bound, const PipelineConfig& pipeline,
-                    const MaskMap* mask = nullptr,
-                    std::map<std::string, std::string> attributes = {},
-                    const ClizOptions& options = {});
-
-  /// float64 variant (CliZ only).
-  void add_variable(const std::string& name, const NdArray<double>& data,
+  /// Compresses `data` with CliZ under `pipeline` and appends it, recording
+  /// its sample type in the index. `options` carries the codec knobs —
+  /// notably the predictor/entropy backend choice (e.g. autotune's
+  /// best_predictor/best_entropy) and encode verification.
+  template <Sample T>
+  void add_variable(const std::string& name, const NdArray<T>& data,
                     double abs_error_bound, const PipelineConfig& pipeline,
                     const MaskMap* mask = nullptr,
                     std::map<std::string, std::string> attributes = {},
@@ -141,13 +136,6 @@ class ArchiveWriter {
                      std::map<std::string, std::string> attributes,
                      const std::vector<std::uint8_t>& stream,
                      std::uint32_t sample_bytes);
-
-  template <typename T>
-  void add_cliz_variable(const std::string& name, const NdArray<T>& data,
-                         double abs_error_bound,
-                         const PipelineConfig& pipeline, const MaskMap* mask,
-                         std::map<std::string, std::string> attributes,
-                         const ClizOptions& options);
 
   std::string path_;
   std::ofstream out_;
@@ -189,47 +177,41 @@ class ArchiveReader {
   [[nodiscard]] bool contains(const std::string& name) const;
   [[nodiscard]] const VariableInfo& info(const std::string& name) const;
 
-  /// Decompresses one float32 variable (Error if the variable is float64).
+  /// Decompresses one variable stored with sample type T (kBadArgument
+  /// otherwise; VariableInfo::sample_bytes tells which T to ask for).
   /// Every decoding read refuses a non-"cliz" record with kUnsupported.
   /// Full reads decode through the reader's one warm scratch (the one
   /// read_region uses), so repeated reads reuse its contexts; like every
   /// read, not safe to call concurrently on the same reader.
-  [[nodiscard]] NdArray<float> read(const std::string& name) const;
-
-  /// Decompresses one float64 variable (Error if the variable is float32).
-  [[nodiscard]] NdArray<double> read_f64(const std::string& name) const;
+  template <Sample T = float>
+  [[nodiscard]] NdArray<T> read(const std::string& name) const;
 
   /// Raw compressed stream of one variable (for retransmission). Verifies
   /// the payload CRC for v2 archives.
   [[nodiscard]] std::vector<std::uint8_t> read_raw(
       const std::string& name) const;
 
-  /// Decompresses one N-D window `[origin, origin+extent)` of a float32
-  /// variable without decoding the rest of it. For chunked variables the
-  /// first call parses and validates the frame's tile index (from a
-  /// bounded header prefix) and keeps it; every call then seeks straight to
-  /// the intersecting tile payloads — compressed bytes touched scale with
-  /// the window, not the variable. Per variable the reader keeps only the
-  /// parsed tile records, never the header bytes, and one decode scratch
-  /// serves all variables; an index that fails validation is never kept,
-  /// so it is refused on every call. Non-chunked variables fall back to a
-  /// full decode followed by a crop. `cache`, when given, serves repeated
-  /// windows from decoded tiles (keyed by frame content, so the same
-  /// variable bytes hit from any reader or path); `stats` reports tiles
-  /// touched and compressed bytes read. Not safe to call concurrently with
-  /// other reads on the same reader (they share the file stream, the kept
-  /// views and the scratch), but region decode itself is tile-parallel
-  /// internally.
-  [[nodiscard]] NdArray<float> read_region(
-      const std::string& name, std::span<const std::size_t> origin,
-      std::span<const std::size_t> extent, TileCache* cache = nullptr,
-      RegionStats* stats = nullptr) const;
-
-  /// float64 variant of read_region().
-  [[nodiscard]] NdArray<double> read_region_f64(
-      const std::string& name, std::span<const std::size_t> origin,
-      std::span<const std::size_t> extent, TileCache* cache = nullptr,
-      RegionStats* stats = nullptr) const;
+  /// Decompresses one N-D window `[origin, origin+extent)` of a variable stored
+  /// with sample type T without decoding the rest of it. For chunked variables
+  /// the first call parses and validates the frame's tile index (from a bounded
+  /// header prefix) and keeps it; every call then seeks straight to the
+  /// intersecting tile payloads — compressed bytes touched scale with the
+  /// window, not the variable. Per variable the reader keeps only the parsed
+  /// tile records, never the header bytes, and one decode scratch serves all
+  /// variables; an index that fails validation is never kept, so it is refused
+  /// on every call. Non-chunked variables fall back to a full decode followed
+  /// by a crop. `cache`, when given, serves repeated windows from decoded tiles
+  /// (keyed by frame content, so the same variable bytes hit from any reader or
+  /// path); `stats` reports tiles touched and compressed bytes read. Not safe
+  /// to call concurrently with other reads on the same reader (they share the
+  /// file stream, the kept views and the scratch), but region decode itself is
+  /// tile-parallel internally.
+  template <Sample T = float>
+  [[nodiscard]] NdArray<T> read_region(const std::string& name,
+                                       std::span<const std::size_t> origin,
+                                       std::span<const std::size_t> extent,
+                                       TileCache* cache = nullptr,
+                                       RegionStats* stats = nullptr) const;
 
   /// What a tolerant open recovered. For a strict open (or a tolerant open
   /// of a clean archive) index_intact is true and nothing is quarantined.
@@ -242,20 +224,16 @@ class ArchiveReader {
   void scan_records();
   void verify_payloads();
   [[nodiscard]] std::size_t index_of(const std::string& name) const;
-  /// index_of() for the decoding reads: refuses non-CliZ records.
-  [[nodiscard]] std::size_t decodable_index(const std::string& name) const;
-
-  template <typename T>
-  [[nodiscard]] NdArray<T> read_impl(const std::string& name) const;
+  /// index_of() for the decoding reads: refuses non-CliZ records, and
+  /// records whose sample width is not `sample_bytes`.
+  [[nodiscard]] std::size_t decodable_index(const std::string& name,
+                                            std::size_t sample_bytes) const;
+  /// Full decode of the variable at position `i`, already type-checked.
+  template <Sample T>
+  [[nodiscard]] NdArray<T> decode_record(std::size_t i) const;
   /// Tile index of one variable, parsed by its first read_region call;
   /// nullptr when the variable is not a chunked frame.
   [[nodiscard]] const ChunkedReader* region_view(std::size_t i) const;
-  template <typename T>
-  [[nodiscard]] NdArray<T> read_region_impl(const std::string& name,
-                                            std::span<const std::size_t> origin,
-                                            std::span<const std::size_t> extent,
-                                            TileCache* cache,
-                                            RegionStats* stats) const;
 
   mutable std::ifstream in_;
   ResourceLimits limits_;

@@ -152,24 +152,46 @@ double wasserstein_distance(std::span<const float> original,
   return total / static_cast<double>(a.size());
 }
 
-double value_range(std::span<const float> data, const MaskMap* mask) {
+namespace {
+
+template <typename T>
+double finite_range(std::span<const T> data, const MaskMap* mask) {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < data.size(); ++i) {
     if (mask != nullptr && !mask->valid(i)) continue;
     const double v = static_cast<double>(data[i]);
+    if (!std::isfinite(v)) continue;
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
   return hi >= lo ? hi - lo : 0.0;
 }
 
-double abs_bound_from_relative(std::span<const float> data, double rel_bound,
-                               const MaskMap* mask) {
+double bound_from_range(double range, double rel_bound) {
   CLIZ_REQUIRE(rel_bound > 0, "relative bound must be positive");
-  const double range = value_range(data, mask);
   // Degenerate constant fields still need a positive absolute bound.
   return range > 0.0 ? rel_bound * range : rel_bound;
+}
+
+}  // namespace
+
+double value_range(std::span<const float> data, const MaskMap* mask) {
+  return finite_range(data, mask);
+}
+
+double value_range(std::span<const double> data, const MaskMap* mask) {
+  return finite_range(data, mask);
+}
+
+double abs_bound_from_relative(std::span<const float> data, double rel_bound,
+                               const MaskMap* mask) {
+  return bound_from_range(value_range(data, mask), rel_bound);
+}
+
+double abs_bound_from_relative(std::span<const double> data, double rel_bound,
+                               const MaskMap* mask) {
+  return bound_from_range(value_range(data, mask), rel_bound);
 }
 
 }  // namespace cliz

@@ -61,11 +61,17 @@ double wasserstein_distance(std::span<const float> original,
                             const MaskMap* mask = nullptr);
 
 /// Valid-value range of a dataset; the base for relative error bounds
-/// (paper: "relative error bound" = ratio x (max - min)).
+/// (paper: "relative error bound" = ratio x (max - min)). Non-finite values
+/// are skipped, so one NaN or Inf cannot make the range (and with it a
+/// relative bound) infinite.
 double value_range(std::span<const float> data, const MaskMap* mask = nullptr);
+double value_range(std::span<const double> data,
+                   const MaskMap* mask = nullptr);
 
 /// Absolute bound equivalent to a relative bound for this data.
 double abs_bound_from_relative(std::span<const float> data, double rel_bound,
+                               const MaskMap* mask = nullptr);
+double abs_bound_from_relative(std::span<const double> data, double rel_bound,
                                const MaskMap* mask = nullptr);
 
 }  // namespace cliz

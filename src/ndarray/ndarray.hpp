@@ -1,7 +1,9 @@
 #pragma once
 
+#include <concepts>
 #include <initializer_list>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/ndarray/shape.hpp"
@@ -62,5 +64,27 @@ class NdArray {
   Shape shape_;
   std::vector<T> data_;
 };
+
+/// The sample types a CliZ stream stores. Every codec entry point is one
+/// template over a Sample, instantiated for both.
+template <typename T>
+concept Sample = std::same_as<T, float> || std::same_as<T, double>;
+
+/// Turns a runtime sample width (4 = float, 8 = double: a stream header, an
+/// archive index entry, a CLI flag) into a type by calling
+/// `f.template operator()<T>()`, so callers write one generic body:
+///
+///   with_sample_type(width, [&]<typename T>() { ... });
+template <typename F>
+decltype(auto) with_sample_type(unsigned width, F&& f) {
+  switch (width) {
+    case sizeof(float):
+      return f.template operator()<float>();
+    case sizeof(double):
+      return f.template operator()<double>();
+  }
+  throw Error(ErrorCode::kCorruptStream,
+              "cliz: unsupported sample width " + std::to_string(width));
+}
 
 }  // namespace cliz

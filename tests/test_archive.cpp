@@ -120,7 +120,7 @@ TEST(Archive, MultipleVariablesMixedCodecs) {
     const DimVec extent(dims.size(), 1);
     EXPECT_EQ(refusal_code([&] { (void)r.read(name); }),
               ErrorCode::kUnsupported);
-    EXPECT_EQ(refusal_code([&] { (void)r.read_f64(name); }),
+    EXPECT_EQ(refusal_code([&] { (void)r.read<double>(name); }),
               ErrorCode::kUnsupported);
     EXPECT_EQ(refusal_code([&] { (void)r.read_region(name, origin, extent); }),
               ErrorCode::kUnsupported);
@@ -204,12 +204,18 @@ TEST(Archive, Float64VariableRoundTrip) {
   }
   ArchiveReader r(file.path());
   EXPECT_EQ(r.info("PRECISE").sample_bytes, 8u);
-  const auto recon = r.read_f64("PRECISE");
+  const auto recon = r.read<double>("PRECISE");
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_LE(std::abs(recon[i] - data[i]), eb);
   }
-  // The wrong-typed reader must refuse.
-  EXPECT_THROW((void)r.read("PRECISE"), Error);
+  // The wrong-typed reads must refuse, full and region alike, as a bad
+  // argument: the stored bytes are fine.
+  EXPECT_EQ(refusal_code([&] { (void)r.read("PRECISE"); }),
+            ErrorCode::kBadArgument);
+  EXPECT_EQ(refusal_code([&] {
+              (void)r.read_region("PRECISE", DimVec{0, 0}, DimVec{2, 2});
+            }),
+            ErrorCode::kBadArgument);
 }
 
 TEST(Archive, Float32ReadRefusedByF64Reader) {
@@ -221,7 +227,12 @@ TEST(Archive, Float32ReadRefusedByF64Reader) {
   }
   ArchiveReader r(file.path());
   EXPECT_EQ(r.info("X").sample_bytes, 4u);
-  EXPECT_THROW((void)r.read_f64("X"), Error);
+  EXPECT_EQ(refusal_code([&] { (void)r.read<double>("X"); }),
+            ErrorCode::kBadArgument);
+  EXPECT_EQ(refusal_code([&] {
+              (void)r.read_region<double>("X", DimVec{0, 0}, DimVec{2, 2});
+            }),
+            ErrorCode::kBadArgument);
 }
 
 TEST(Archive, DuplicateNameRejected) {
@@ -593,7 +604,7 @@ TEST(ArchiveRegion, TiledVariableWindowMatchesFullRead) {
   // with full reads, must all match a fresh reader's full decode.
   ArchiveReader fresh(file.path());
   const auto temp = fresh.read("TEMP");
-  const auto z = fresh.read_f64("Z");
+  const auto z = fresh.read<double>("Z");
   const auto small = fresh.read("S");
   const auto slab = fresh.read("SLAB");
   for (int round = 0; round < 2; ++round) {
@@ -602,7 +613,7 @@ TEST(ArchiveRegion, TiledVariableWindowMatchesFullRead) {
                         r.read_region("TEMP", DimVec{k, 3, 2},
                                       DimVec{20, 9, 7}));
     expect_window_equal(z, {2, k, 5}, {6, 11, 5},
-                        r.read_region_f64("Z", DimVec{2, k, 5},
+                        r.read_region<double>("Z", DimVec{2, k, 5},
                                           DimVec{6, 11, 5}));
     expect_window_equal(slab, {7 + k, 1}, {25, 10},
                         r.read_region("SLAB", DimVec{7 + k, 1},
@@ -610,7 +621,7 @@ TEST(ArchiveRegion, TiledVariableWindowMatchesFullRead) {
     expect_window_equal(small, {1, k}, {6, 7},
                         r.read_region("S", DimVec{1, k}, DimVec{6, 7}));
     expect_window_equal(slab, {0, 0}, {40, 12}, r.read("SLAB"));
-    expect_window_equal(z, {0, 0, 0}, {16, 12, 10}, r.read_f64("Z"));
+    expect_window_equal(z, {0, 0, 0}, {16, 12, 10}, r.read<double>("Z"));
     expect_window_equal(temp, {16, 19, 15}, {8, 1, 1},
                         r.read_region("TEMP", DimVec{16, 19, 15},
                                       DimVec{8, 1, 1}));
@@ -747,8 +758,8 @@ TEST(ArchiveRegion, Float64WindowAndWidthChecks) {
   ArchiveReader r(file.path());
   const DimVec lo{3, 4, 2};
   const DimVec ext{9, 6, 7};
-  const auto win = r.read_region_f64("Z", lo, ext);
-  expect_window_equal(r.read_f64("Z"), lo, ext, win);
+  const auto win = r.read_region<double>("Z", lo, ext);
+  expect_window_equal(r.read<double>("Z"), lo, ext, win);
   // The float32 entry point must refuse a float64 variable, not garble it.
   try {
     (void)r.read_region("Z", lo, ext);

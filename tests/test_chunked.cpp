@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 
 #include "src/climate/datasets.hpp"
 #include "src/common/rng.hpp"
@@ -93,13 +92,7 @@ void sweep_round_trip(const DimVec& dims, std::size_t chunks) {
     ASSERT_EQ(pooled_stream, stream) << "round " << round;
   }
 
-  const auto recon = [&] {
-    if constexpr (std::is_same_v<T, double>) {
-      return chunked_decompress_f64(stream, &scratch);
-    } else {
-      return chunked_decompress(stream, &scratch);
-    }
-  }();
+  const auto recon = chunked_decompress<T>(stream, &scratch);
   ASSERT_EQ(recon.shape(), data.shape());
   double max_err = 0.0;
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -84,18 +84,9 @@ void random_window(Rng& rng, const DimVec& dims, DimVec& lo, DimVec& ext) {
 }
 
 template <typename T>
-NdArray<T> full_decode(std::span<const std::uint8_t> frame) {
-  if constexpr (std::is_same_v<T, double>) {
-    return chunked_decompress_f64(frame);
-  } else {
-    return chunked_decompress(frame);
-  }
-}
-
-template <typename T>
 void check_region_equivalence(std::span<const std::uint8_t> frame,
                               std::uint64_t seed, int n_regions) {
-  const NdArray<T> full = full_decode<T>(frame);
+  const NdArray<T> full = chunked_decompress<T>(frame);
   const ChunkedReader reader(frame);
   ASSERT_EQ(reader.shape(), full.shape());
   Rng rng(seed);

@@ -329,6 +329,55 @@ TEST_F(CliTest, VerifyAcceptsNonFiniteInput) {
   EXPECT_EQ(recon[n - 5], -std::numeric_limits<float>::infinity());
 }
 
+TEST_F(CliTest, RelativeBoundIgnoresNonFiniteValues) {
+  // One +Inf in a smooth field must not make -r's bound infinite (which
+  // stored the field at ratio 1), and an infinite -e is a bad argument.
+  const std::size_t n = 12 * 40 * 48;
+  std::vector<float> f32(n);
+  std::vector<double> f64(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i / (40 * 48));
+    const double y = static_cast<double>((i / 48) % 40);
+    const double x = static_cast<double>(i % 48);
+    f64[i] = std::sin(0.3 * t) + std::cos(0.1 * y) + std::sin(0.07 * x);
+    f32[i] = static_cast<float>(f64[i]);
+  }
+  f32[1234] = std::numeric_limits<float>::infinity();
+  f64[1234] = std::numeric_limits<double>::infinity();
+  {
+    std::ofstream out(path("inf.f32"), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(f32.data()),
+              static_cast<std::streamsize>(n * sizeof(float)));
+  }
+  {
+    std::ofstream out(path("inf.f64"), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(f64.data()),
+              static_cast<std::streamsize>(n * sizeof(double)));
+  }
+  const double range = value_range(f64);
+  ASSERT_GT(range, 1.0);
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "--f64" : "f32");
+    const std::string in = path(wide ? "inf.f64" : "inf.f32");
+    const std::string flags = std::string(" -d 12,40,48 --tune 0.1") +
+                              (wide ? " --f64" : "");
+    const auto [code, text] = run_capture("compress " + in + " -o " +
+                                          path("inf.cliz") + " -r 1e-3" +
+                                          flags);
+    ASSERT_EQ(code, 0) << text;
+    const std::size_t at = text.find("abs bound ");
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_NEAR(std::atof(text.c_str() + at + 10), 1e-3 * range,
+                1e-6 * range)
+        << text;
+    const std::size_t raw_bytes = n * (wide ? sizeof(double) : sizeof(float));
+    EXPECT_LT(4 * fs::file_size(path("inf.cliz")), raw_bytes) << text;
+    EXPECT_EQ(run_exit("compress " + in + " -o " + path("x.cliz") +
+                       " -e inf" + flags),
+              2);
+  }
+}
+
 TEST_F(CliTest, SalvageFlagRecoversFromCorruptTrailer) {
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   ASSERT_EQ(run("archive-create " + path("a.clza") + " HURR=" +
@@ -480,6 +529,51 @@ TEST_F(CliTest, ArchiveExtractRegionMatchesFullExtract) {
   EXPECT_EQ(run_exit("archive-extract " + path("a.clza") + " SSH -o " +
                      path("bad.f32") + " --region 0:100,0:2,0:2"),
             2);
+}
+
+TEST_F(CliTest, ArchiveExtractWritesFloat64Variables) {
+  // archive-extract writes a variable at the sample width the index
+  // records, full and --region alike.
+  NdArray<double> data(Shape({12, 16, 20}));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = 1.0 + 1e-3 * std::sin(0.05 * static_cast<double>(i));
+  }
+  {
+    ArchiveWriter w(path("d.clza"));
+    w.set_tile({4, 8, 8});
+    w.add_variable("D", data, 1e-9, PipelineConfig::defaults(3));
+  }
+  const auto expected = ArchiveReader(path("d.clza")).read<double>("D");
+  const auto read_doubles = [&](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    std::vector<char> bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    std::vector<double> out(bytes.size() / sizeof(double));
+    std::memcpy(out.data(), bytes.data(), out.size() * sizeof(double));
+    return out;
+  };
+  ASSERT_EQ(run_exit("archive-extract " + path("d.clza") + " D -o " +
+                     path("d.f64")),
+            0);
+  const auto full = read_doubles(path("d.f64"));
+  ASSERT_EQ(full.size(), data.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_EQ(full[i], expected[i]) << "point " << i;
+  }
+  ASSERT_EQ(run_exit("archive-extract " + path("d.clza") + " D -o " +
+                     path("w.f64") + " --region 2:9,3:13,5:17"),
+            0);
+  const auto win = read_doubles(path("w.f64"));
+  ASSERT_EQ(win.size(), 7u * 10 * 12);
+  std::size_t k = 0;
+  for (std::size_t t = 2; t < 9; ++t) {
+    for (std::size_t y = 3; y < 13; ++y) {
+      for (std::size_t x = 5; x < 17; ++x) {
+        ASSERT_EQ(win[k++], expected[(t * 16 + y) * 20 + x])
+            << "mismatch at t=" << t << " y=" << y << " x=" << x;
+      }
+    }
+  }
 }
 
 TEST_F(CliTest, BadInvocationsFailCleanly) {

@@ -348,6 +348,26 @@ TEST(Cliz, MismatchedConfigArityThrows) {
   EXPECT_THROW((void)ClizCompressor(config).compress(data, 1e-3), Error);
 }
 
+TEST(Cliz, NonPositiveOrNonFiniteBoundRefused) {
+  // Only a positive finite bound is usable, for either sample type; an
+  // infinite one used to be accepted and stored the data at ratio 1.
+  const ClizCompressor codec(PipelineConfig::defaults(3));
+  const auto check = [&](const auto& data) {
+    for (const double eb : {0.0, -1e-3, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+      SCOPED_TRACE(eb);
+      try {
+        (void)codec.compress(data, eb);
+        ADD_FAILURE() << "bound accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBadArgument) << e.what();
+      }
+    }
+  };
+  check(NdArray<float>(Shape({4, 6, 8})));
+  check(NdArray<double>(Shape({4, 6, 8})));
+}
+
 TEST(Cliz, CorruptAndTruncatedStreamsThrow) {
   const auto field = make_field(12, 8, 8, 11);
   const auto config = config3({0, 1, 2}, FusionSpec::none(3),
@@ -406,7 +426,7 @@ TEST(Cliz, VerifiedEncodeF64RoundTrips) {
                               FittingKind::kCubic, 0, false);
   const auto stream =
       ClizCompressor(config, opts).compress(data, 1e-4);
-  const auto recon = ClizCompressor::decompress_f64(stream);
+  const auto recon = ClizCompressor::decompress<double>(stream);
   ASSERT_EQ(recon.shape(), shape);
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_LE(std::abs(recon[i] - data[i]), 1e-4);
@@ -447,24 +467,6 @@ void expect_non_finite_round_trip(const NdArray<T>& data,
 }
 
 template <typename T>
-NdArray<T> decode_whole(const std::vector<std::uint8_t>& stream) {
-  if constexpr (std::is_same_v<T, float>) {
-    return ClizCompressor::decompress(stream);
-  } else {
-    return ClizCompressor::decompress_f64(stream);
-  }
-}
-
-template <typename T>
-NdArray<T> decode_chunked(const std::vector<std::uint8_t>& stream) {
-  if constexpr (std::is_same_v<T, float>) {
-    return chunked_decompress(stream);
-  } else {
-    return chunked_decompress_f64(stream);
-  }
-}
-
-template <typename T>
 void check_verified_non_finite() {
   const auto data = non_finite_field<T>();
   const double eb = 1e-3;
@@ -483,7 +485,8 @@ void check_verified_non_finite() {
                                  .compress(data, eb, nullptr, ctx));
     EXPECT_TRUE(ctx.stats.verified);
     EXPECT_EQ(ctx.stats.verify_downgrades, 0u);
-    expect_non_finite_round_trip(data, decode_whole<T>(stream), eb);
+    expect_non_finite_round_trip(data, ClizCompressor::decompress<T>(stream),
+                                 eb);
 
     // Chunked: every slab is verified on its own.
     ChunkedOptions copts;
@@ -493,7 +496,7 @@ void check_verified_non_finite() {
     ASSERT_NO_THROW(frame = chunked_compress(data, eb,
                                              PipelineConfig::defaults(3),
                                              nullptr, copts));
-    expect_non_finite_round_trip(data, decode_chunked<T>(frame), eb);
+    expect_non_finite_round_trip(data, chunked_decompress<T>(frame), eb);
   }
 }
 

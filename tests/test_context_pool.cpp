@@ -378,7 +378,7 @@ TEST(ContextPool, PooledChunkedFrameMatchesSerialReferenceF64) {
   opts.scratch = &scratch;
   EXPECT_EQ(chunked_compress(data, eb, config, nullptr, opts), expected);
 
-  const auto recon = chunked_decompress_f64(expected, &scratch);
+  const auto recon = chunked_decompress<double>(expected, &scratch);
   EXPECT_LE(max_abs_err(data, recon), eb);
 }
 

@@ -111,7 +111,7 @@ TEST(DecompressInto, Float64MatchesReturningVariant) {
   }
   const auto stream =
       ClizCompressor(PipelineConfig::defaults(3)).compress(data, 1e-5);
-  const auto expected = ClizCompressor::decompress_f64(stream);
+  const auto expected = ClizCompressor::decompress<double>(stream);
 
   CodecContext ctx;
   NdArray<double> out(data.shape());

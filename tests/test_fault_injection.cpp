@@ -25,6 +25,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/core/chunked.hpp"
+#include "src/core/chunked_reader.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/io/archive.hpp"
@@ -465,8 +466,9 @@ TEST(FaultLimits, ChunkedAggregateOutputBudget) {
   // The width probe parses the same header and honours the same budgets.
   ResourceLimits probe;
   probe.max_chunks = 0;
-  expect_limit_refusal([&] { (void)chunked_sample_bytes(stream, probe); },
-                       stream.size(), std::uint64_t{1} << 20);
+  expect_limit_refusal(
+      [&] { (void)ChunkedReader(stream, probe).sample_bytes(); },
+      stream.size(), std::uint64_t{1} << 20);
   EXPECT_NO_THROW((void)chunked_decompress(stream));
 }
 

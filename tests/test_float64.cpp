@@ -51,7 +51,7 @@ TEST_P(F64BoundSweep, ClizHonoursSubFloatBounds) {
   PipelineConfig config = PipelineConfig::defaults(3);
   config.classify_bins = true;
   const auto stream = ClizCompressor(config).compress(data, eb);
-  const auto recon = ClizCompressor::decompress_f64(stream);
+  const auto recon = ClizCompressor::decompress<double>(stream);
   ASSERT_EQ(recon.shape(), data.shape());
   EXPECT_LE(max_err(data, recon), eb);
 }
@@ -75,7 +75,7 @@ TEST(Float64, PrecisionActuallyExceedsFloat32) {
   const double eb = 1e-12;
   const auto stream = ClizCompressor(PipelineConfig::defaults(2))
                           .compress(data, eb);
-  const auto recon = ClizCompressor::decompress_f64(stream);
+  const auto recon = ClizCompressor::decompress<double>(stream);
   EXPECT_LE(max_err(data, recon), eb);
   // Sanity: casting to float32 would already violate the bound.
   double cast_err = 0.0;
@@ -107,7 +107,7 @@ TEST(Float64, MaskedPeriodicClassifiedRoundTrip) {
   config.classify_bins = true;
   const double eb = 1e-9;
   const auto stream = ClizCompressor(config).compress(data, eb, &mask);
-  const auto recon = ClizCompressor::decompress_f64(stream);
+  const auto recon = ClizCompressor::decompress<double>(stream);
   EXPECT_LE(max_err(data, recon, &mask), eb);
   for (std::size_t i = 0; i < recon.size(); ++i) {
     if (!mask.valid(i)) {
@@ -166,7 +166,7 @@ TEST(Float64, DtypeMismatchRejected) {
   const auto s64 = codec.compress(d64, 1e-6);
   const auto s32 = codec.compress(d32, 1e-6);
   EXPECT_THROW((void)ClizCompressor::decompress(s64), Error);
-  EXPECT_THROW((void)ClizCompressor::decompress_f64(s32), Error);
+  EXPECT_THROW((void)ClizCompressor::decompress<double>(s32), Error);
   const auto s64_sz3 = Sz3Compressor().compress(d64, 1e-6);
   EXPECT_THROW((void)Sz3Compressor::decompress(s64_sz3), Error);
 }

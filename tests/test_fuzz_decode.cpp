@@ -14,6 +14,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/core/chunked.hpp"
+#include "src/core/chunked_reader.hpp"
 #include "src/core/cliz.hpp"
 #include "src/baselines/compressor.hpp"
 #include "src/huffman/huffman.hpp"
@@ -573,13 +574,13 @@ TEST(FuzzChunked, WrongDecoderAndSampleWidth) {
   const auto f64_frame = chunked_compress(f64_data, 1e-3,
                                           PipelineConfig::defaults(3),
                                           nullptr, opts);
-  EXPECT_EQ(chunked_sample_bytes(f32_frame), 4u);
-  EXPECT_EQ(chunked_sample_bytes(f64_frame), 8u);
+  EXPECT_EQ(ChunkedReader(f32_frame).sample_bytes(), 4u);
+  EXPECT_EQ(ChunkedReader(f64_frame).sample_bytes(), 8u);
 
   // Sample-width mismatches are clean errors through the pooled decode.
   ChunkedScratch scratch;
   EXPECT_THROW((void)chunked_decompress(f64_frame, &scratch), Error);
-  EXPECT_THROW((void)chunked_decompress_f64(f32_frame, &scratch), Error);
+  EXPECT_THROW((void)chunked_decompress<double>(f32_frame, &scratch), Error);
 
   // Chunked frames into plain decoders and vice versa: clean rejects.
   EXPECT_FALSE(is_chunked_stream(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "src/common/rng.hpp"
@@ -261,6 +262,24 @@ TEST(Metrics, AbsBoundFromRelative) {
   std::vector<float> flat{2.0f, 2.0f};
   EXPECT_DOUBLE_EQ(abs_bound_from_relative(flat, 0.01), 0.01);
   EXPECT_THROW((void)abs_bound_from_relative(data, 0.0), Error);
+}
+
+TEST(Metrics, RangeAndRelativeBoundSkipNonFinite) {
+  // One Inf or NaN must not make the range, and with it a relative bound,
+  // infinite: both sample types see only the finite values.
+  const std::vector<float> f32{0.0f, std::numeric_limits<float>::infinity(),
+                               50.0f, std::numeric_limits<float>::quiet_NaN(),
+                               -std::numeric_limits<float>::infinity()};
+  EXPECT_DOUBLE_EQ(value_range(f32), 50.0);
+  EXPECT_DOUBLE_EQ(abs_bound_from_relative(f32, 0.01), 0.5);
+  const std::vector<double> f64{0.0, std::numeric_limits<double>::infinity(),
+                                50.0, std::numeric_limits<double>::quiet_NaN(),
+                                -std::numeric_limits<double>::infinity()};
+  EXPECT_DOUBLE_EQ(value_range(f64), 50.0);
+  EXPECT_DOUBLE_EQ(abs_bound_from_relative(f64, 0.01), 0.5);
+  // No finite value at all: the constant-field fallback.
+  const std::vector<float> none{std::numeric_limits<float>::infinity()};
+  EXPECT_DOUBLE_EQ(abs_bound_from_relative(none, 0.01), 0.01);
 }
 
 }  // namespace

@@ -181,7 +181,7 @@ TEST(PredictorBackends, AllBackendsRoundTripFloat64) {
     const auto stream =
         ClizCompressor(PipelineConfig::defaults(2), options_for(predictor))
             .compress(data, kEb);
-    const auto out = ClizCompressor::decompress_f64(stream);
+    const auto out = ClizCompressor::decompress<double>(stream);
     ASSERT_EQ(out.shape(), data.shape());
     double max_err = 0.0;
     for (std::size_t i = 0; i < data.size(); ++i) {

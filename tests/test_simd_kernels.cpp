@@ -122,11 +122,7 @@ void run_at_tier(const KernelCase<T>& c, SimdTier tier,
   const MaskMap* mask = c.mask.has_value() ? &*c.mask : nullptr;
   const ClizCompressor codec(c.config, c.options);
   stream = codec.compress(c.data, c.eb, mask);
-  if constexpr (sizeof(T) == 8) {
-    recon = ClizCompressor::decompress_f64(stream);
-  } else {
-    recon = ClizCompressor::decompress(stream);
-  }
+  recon = ClizCompressor::decompress<T>(stream);
 }
 
 template <typename T>

@@ -1,14 +1,22 @@
 // clizc — command-line front end for the CliZ compression library.
 //
-//   clizc compress   <in.f32>  -d T,Y,X -o <out> [-e ABS | -r REL]
+//   clizc compress   <in.raw>  -d T,Y,X -o <out> [-e ABS | -r REL] [--f64]
 //                    [--mask-fill] [--tune RATE] [--time-dim N]
-//   clizc decompress <in>      -o <out.f32>
+//                    [--chunks N | --tile AxBx...] [--stats] [...]
+//   clizc decompress <in>      -o <out.raw>
+//   clizc extract    <in>      --region a:b,c:d,... -o <out.raw>
 //   clizc info       <in>                      (compressed stream or .clza)
+//   clizc analyze    <orig.f32> <recon.f32> -d T,Y,X [-e ABS]
 //   clizc gen        <dataset> -o <out.f32> [--scale S]
+//   clizc archive-create  <out.clza> NAME=FILE:DIMS ... [-r REL | -e ABS]
 //   clizc archive-list    <in.clza>
-//   clizc archive-extract <in.clza> <var> -o <out.f32>
+//   clizc archive-extract <in.clza> <var> -o <out.raw> [--region ...]
+//   clizc version
 //
-// Raw data files are flat little-endian float32 in row-major order.
+// `usage()` below lists every option. Raw data files are flat little-endian
+// samples in row-major order: float32, or float64 for `compress --f64`.
+// decompress, extract and archive-extract write the sample type the stream
+// or archive variable records; analyze, gen and archive-create are float32.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -108,7 +116,9 @@ every tier.
 decoded size above N bytes (exit 4) before anything is allocated.
 --deadline-ms N (any command) aborts decode/tune work cooperatively after
 N milliseconds (exit 6).
-raw files are flat little-endian float32, row-major.
+raw files are flat little-endian float32, row-major (float64 with
+compress --f64; decompress, extract and archive-extract write the sample
+type the stream records).
 
 exit codes: 0 ok, 2 bad arguments, 3 corrupt stream, 4 resource limit,
 5 cancelled, 6 deadline, 7 I/O, 8 unsupported, 1 other error.
@@ -267,7 +277,7 @@ struct Args {
 };
 
 template <typename T>
-NdArray<T> load_raw_t(const std::string& path, const DimVec& dims) {
+NdArray<T> load_raw(const std::string& path, const DimVec& dims) {
   const Shape shape(dims);
   const auto bytes = read_file(path);
   if (bytes.size() != shape.size() * sizeof(T)) {
@@ -282,8 +292,16 @@ NdArray<T> load_raw_t(const std::string& path, const DimVec& dims) {
   return NdArray<T>(shape, std::move(values));
 }
 
-NdArray<float> load_raw(const std::string& path, const DimVec& dims) {
-  return load_raw_t<float>(path, dims);
+/// The tuner ranks pipelines on float32 samples: float32 data is tuned in
+/// place, float64 data on a downcast copy (ranking only, so the lost
+/// precision is harmless).
+const NdArray<float>& tuning_view(const NdArray<float>& data) { return data; }
+NdArray<float> tuning_view(const NdArray<double>& data) {
+  NdArray<float> view(data.shape());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    view[i] = static_cast<float>(data[i]);
+  }
+  return view;
 }
 
 int cmd_compress(Args& args) {
@@ -371,19 +389,25 @@ int cmd_compress(Args& args) {
   const bool tune_predictor = !predictor.has_value();
   const bool tune_backends = !entropy.has_value();
 
-  // Tunes on a float32 view of the data (tuning only ranks pipelines, so a
-  // float64 downcast is harmless), adopts the tuner's backend choices and
-  // compresses `data` as one stream or a chunked frame.
-  const auto compress_tuned = [&](const auto& data,
-                                  const NdArray<float>& tune_view, double eb,
-                                  const MaskMap* mask_ptr) {
+  return with_sample_type(f64 ? 8 : 4, [&]<typename T>() {
+    const auto data = load_raw<T>(input, *dims);
+    std::optional<MaskMap> mask;
+    if (mask_fill) mask = MaskMap::from_fill_values(data);
+    const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
+    const double eb =
+        abs_eb.has_value()
+            ? *abs_eb
+            : abs_bound_from_relative(data.flat(), rel_eb, mask_ptr);
+
+    // Tune, adopt the tuner's backend choices, then compress `data` as one
+    // stream or a chunked frame.
     AutotuneOptions opts;
     opts.sampling_rate = tune_rate;
     opts.time_dim = time_dim;
     opts.codec = cliz_opts;
     opts.consider_backends = tune_backends;
     opts.consider_predictors = tune_predictor;
-    const auto tuned = autotune(tune_view, eb, mask_ptr, opts);
+    const auto tuned = autotune(tuning_view(data), eb, mask_ptr, opts);
     if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
     if (tune_backends) cliz_opts.entropy = tuned.best_entropy;
     // The tuner keeps framing only when the sampled offset-table overhead
@@ -399,6 +423,7 @@ int cmd_compress(Args& args) {
     if (show_stats) {
       std::fprintf(stderr, "autotune: %s\n", tuned.to_json().c_str());
     }
+    std::vector<std::uint8_t> stream;
     if (chunked) {
       ChunkedScratch scratch;
       ChunkedOptions copts;
@@ -406,69 +431,26 @@ int cmd_compress(Args& args) {
       copts.tile = tile;
       copts.scratch = &scratch;
       copts.codec = cliz_opts;
-      auto stream = chunked_compress(data, eb, tuned.best, mask_ptr, copts);
+      stream = chunked_compress(data, eb, tuned.best, mask_ptr, copts);
       if (show_stats) {
         std::fputs(scratch.stats.to_text().c_str(), stderr);
         print_pool_stats(scratch);
       }
-      return stream;
+    } else {
+      CodecContext cctx;
+      stream = ClizCompressor(tuned.best, cliz_opts)
+                   .compress(data, eb, mask_ptr, cctx);
+      if (show_stats) std::fputs(cctx.stats.to_text().c_str(), stderr);
     }
-    CodecContext cctx;
-    auto stream = ClizCompressor(tuned.best, cliz_opts)
-                      .compress(data, eb, mask_ptr, cctx);
-    if (show_stats) std::fputs(cctx.stats.to_text().c_str(), stderr);
-    return stream;
-  };
-
-  if (f64) {
-    const auto data = load_raw_t<double>(input, *dims);
-    std::optional<MaskMap> mask;
-    if (mask_fill) mask = MaskMap::from_fill_values(data);
-    const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
-    double eb = abs_eb.has_value() ? *abs_eb : 0.0;
-    if (!abs_eb.has_value()) {
-      double lo = 1e300;
-      double hi = -1e300;
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        if (mask_ptr != nullptr && !mask_ptr->valid(i)) continue;
-        lo = std::min(lo, data[i]);
-        hi = std::max(hi, data[i]);
-      }
-      eb = hi > lo ? rel_eb * (hi - lo) : rel_eb;
-    }
-    NdArray<float> downcast(data.shape());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      downcast[i] = static_cast<float>(data[i]);
-    }
-    const auto stream = compress_tuned(data, downcast, eb, mask_ptr);
     write_file(output, stream.data(), stream.size());
     std::fprintf(stderr,
-                 "cliz (f64): %zu -> %zu bytes (ratio %.2fx, abs bound %.4g)\n",
-                 data.size() * sizeof(double), stream.size(),
-                 compression_ratio(data.size() * sizeof(double),
-                                   stream.size()),
-                 eb);
+                 "cliz: %zu -> %zu bytes (float%zu, ratio %.2fx, %.3f "
+                 "bits/value, abs bound %.4g)\n",
+                 data.size() * sizeof(T), stream.size(), 8 * sizeof(T),
+                 compression_ratio(data.size() * sizeof(T), stream.size()),
+                 bit_rate(data.size(), stream.size()), eb);
     return 0;
-  }
-
-  const auto data = load_raw(input, *dims);
-  std::optional<MaskMap> mask;
-  if (mask_fill) mask = MaskMap::from_fill_values(data);
-  const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
-
-  const double eb = abs_eb.has_value()
-                        ? *abs_eb
-                        : abs_bound_from_relative(data.flat(), rel_eb,
-                                                  mask_ptr);
-  const auto stream = compress_tuned(data, data, eb, mask_ptr);
-  write_file(output, stream.data(), stream.size());
-  std::fprintf(stderr,
-               "cliz: %zu -> %zu bytes (ratio %.2fx, %.3f bits/value, "
-               "abs bound %.4g)\n",
-               data.size() * sizeof(float), stream.size(),
-               compression_ratio(data.size() * sizeof(float), stream.size()),
-               bit_rate(data.size(), stream.size()), eb);
-  return 0;
+  });
 }
 
 int cmd_decompress(Args& args) {
@@ -488,48 +470,32 @@ int cmd_decompress(Args& args) {
   if (output.empty()) usage("decompress needs -o OUTPUT");
 
   const auto stream = read_file(input);
-
-  if (is_chunked_stream(stream)) {
-    ChunkedScratch scratch;
-    scratch.pool.set_governor(g_limits, governor_cancel());
-    if (chunked_sample_bytes(stream, g_limits) == 8) {
-      const auto data = chunked_decompress_f64(stream, &scratch);
-      write_file(output, data.data(), data.size() * sizeof(double));
-      std::fprintf(stderr, "%s -> %s %s (%zu float64 values, chunked)\n",
-                   input.c_str(), output.c_str(),
-                   data.shape().to_string().c_str(), data.size());
+  const bool chunked = is_chunked_stream(stream);
+  const unsigned width =
+      chunked ? ChunkedReader(stream, g_limits).sample_bytes()
+              : detect_sample_bytes(stream, g_limits);
+  return with_sample_type(width, [&]<typename T>() {
+    // Both paths decode under the global limit / deadline flags.
+    NdArray<T> data;
+    if (chunked) {
+      ChunkedScratch scratch;
+      scratch.pool.set_governor(g_limits, governor_cancel());
+      data = chunked_decompress<T>(stream, &scratch);
+      if (show_stats) print_pool_stats(scratch);
     } else {
-      const auto data = chunked_decompress(stream, &scratch);
-      write_file(output, data.data(), data.size() * sizeof(float));
-      std::fprintf(stderr, "%s -> %s %s (%zu values, chunked)\n",
-                   input.c_str(), output.c_str(),
-                   data.shape().to_string().c_str(), data.size());
+      CodecContext ctx;
+      ctx.limits = g_limits;
+      ctx.cancel = governor_cancel();
+      data = ClizCompressor::decompress<T>(stream, ctx);
+      if (show_stats) std::fputs(ctx.stats.to_text().c_str(), stderr);
     }
-    if (show_stats) print_pool_stats(scratch);
+    write_file(output, data.data(), data.size() * sizeof(T));
+    std::fprintf(stderr, "%s -> %s %s (%zu float%zu values%s)\n",
+                 input.c_str(), output.c_str(),
+                 data.shape().to_string().c_str(), data.size(), 8 * sizeof(T),
+                 chunked ? ", chunked" : "");
     return 0;
-  }
-
-  // Single CliZ streams decode through a governed context so the global
-  // limit / deadline flags apply.
-  CodecContext ctx;
-  ctx.limits = g_limits;
-  ctx.cancel = governor_cancel();
-  if (detect_sample_bytes(stream, g_limits) == 8) {
-    const auto data = ClizCompressor::decompress_f64(stream, ctx);
-    if (show_stats) std::fputs(ctx.stats.to_text().c_str(), stderr);
-    write_file(output, data.data(), data.size() * sizeof(double));
-    std::fprintf(stderr, "%s -> %s %s (%zu float64 values)\n", input.c_str(),
-                 output.c_str(), data.shape().to_string().c_str(),
-                 data.size());
-    return 0;
-  }
-  const auto data = ClizCompressor::decompress(stream, ctx);
-  if (show_stats) std::fputs(ctx.stats.to_text().c_str(), stderr);
-  write_file(output, data.data(), data.size() * sizeof(float));
-  std::fprintf(stderr, "%s -> %s %s (%zu values)\n", input.c_str(),
-               output.c_str(), data.shape().to_string().c_str(),
-               data.size());
-  return 0;
+  });
 }
 
 int cmd_extract(Args& args) {
@@ -563,18 +529,14 @@ int cmd_extract(Args& args) {
   RegionOptions ropts;
   ropts.scratch = &scratch;
   const Shape out_shape{DimVec(region->extent)};
-  RegionStats rs;
-  if (reader.sample_bytes() == 8) {
-    std::vector<double> out(out_shape.size());
-    rs = reader.decompress_region(region->origin, region->extent,
-                                  std::span<double>(out), ropts);
-    write_file(output, out.data(), out.size() * sizeof(double));
-  } else {
-    std::vector<float> out(out_shape.size());
-    rs = reader.decompress_region(region->origin, region->extent,
-                                  std::span<float>(out), ropts);
-    write_file(output, out.data(), out.size() * sizeof(float));
-  }
+  const RegionStats rs =
+      with_sample_type(reader.sample_bytes(), [&]<typename T>() {
+        std::vector<T> out(out_shape.size());
+        const RegionStats stats = reader.decompress_region(
+            region->origin, region->extent, std::span<T>(out), ropts);
+        write_file(output, out.data(), out.size() * sizeof(T));
+        return stats;
+      });
   std::fprintf(stderr, "%s [%s from %s] -> %s (%zu values)\n", input.c_str(),
                out_shape.to_string().c_str(),
                reader.shape().to_string().c_str(), output.c_str(),
@@ -605,7 +567,7 @@ int cmd_info(Args& args) {
                   v.name.c_str(), shape.to_string().c_str(), v.codec.c_str(),
                   v.error_bound,
                   static_cast<unsigned long long>(v.compressed_bytes),
-                  compression_ratio(shape.size() * sizeof(float),
+                  compression_ratio(shape.size() * v.sample_bytes,
                                     static_cast<std::size_t>(
                                         v.compressed_bytes)));
       if (v.codec != "cliz") continue;
@@ -634,9 +596,9 @@ int cmd_info(Args& args) {
   ctx.limits = g_limits;
   ctx.cancel = governor_cancel();
   const unsigned width = detect_sample_bytes(bytes, g_limits);
-  const Shape shape = width == 8
-                          ? ClizCompressor::decompress_f64(bytes, ctx).shape()
-                          : ClizCompressor::decompress(bytes, ctx).shape();
+  const Shape shape = with_sample_type(width, [&]<typename T>() {
+    return ClizCompressor::decompress<T>(bytes, ctx).shape();
+  });
   std::printf(
       "cliz stream: %s, %zu float%u values, %zu compressed bytes (%.2fx)\n",
       shape.to_string().c_str(), shape.size(), width * 8, bytes.size(),
@@ -693,8 +655,8 @@ int cmd_analyze(Args& args) {
   }
   if (!dims.has_value()) usage("analyze needs -d DIMS");
 
-  const auto original = load_raw(orig_path, *dims);
-  const auto recon = load_raw(recon_path, *dims);
+  const auto original = load_raw<float>(orig_path, *dims);
+  const auto recon = load_raw<float>(recon_path, *dims);
   std::optional<MaskMap> mask;
   if (mask_fill) mask = MaskMap::from_fill_values(original);
   const auto report =
@@ -745,7 +707,7 @@ int cmd_archive_create(Args& args) {
     const std::string name = spec.substr(0, eq);
     const std::string file = spec.substr(eq + 1, colon - eq - 1);
     const DimVec dims = parse_dims(spec.substr(colon + 1));
-    const auto data = load_raw(file, dims);
+    const auto data = load_raw<float>(file, dims);
     std::optional<MaskMap> mask;
     if (mask_fill) mask = MaskMap::from_fill_values(data);
     const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
@@ -819,31 +781,23 @@ int cmd_archive_extract(Args& args) {
       input, salvage ? ArchiveOpenMode::kTolerant : ArchiveOpenMode::kStrict,
       g_limits, governor_cancel());
   if (salvage) std::fputs(reader.salvage().to_text().c_str(), stderr);
-  if (region.has_value()) {
-    const VariableInfo& v = reader.info(var);
-    RegionStats rs;
-    Shape out_shape;
-    if (v.sample_bytes == 8) {
-      const auto data = reader.read_region_f64(var, region->origin,
-                                               region->extent, nullptr, &rs);
-      write_file(output, data.data(), data.size() * sizeof(double));
-      out_shape = data.shape();
-    } else {
-      const auto data = reader.read_region(var, region->origin,
-                                           region->extent, nullptr, &rs);
-      write_file(output, data.data(), data.size() * sizeof(float));
-      out_shape = data.shape();
+  return with_sample_type(reader.info(var).sample_bytes, [&]<typename T>() {
+    if (region.has_value()) {
+      RegionStats rs;
+      const auto data = reader.read_region<T>(var, region->origin,
+                                              region->extent, nullptr, &rs);
+      write_file(output, data.data(), data.size() * sizeof(T));
+      std::fprintf(stderr, "extracted %s [%s] -> %s\n", var.c_str(),
+                   data.shape().to_string().c_str(), output.c_str());
+      if (show_stats) print_region_stats(rs);
+      return 0;
     }
-    std::fprintf(stderr, "extracted %s [%s] -> %s\n", var.c_str(),
-                 out_shape.to_string().c_str(), output.c_str());
-    if (show_stats) print_region_stats(rs);
+    const auto data = reader.read<T>(var);
+    write_file(output, data.data(), data.size() * sizeof(T));
+    std::fprintf(stderr, "extracted %s %s -> %s\n", var.c_str(),
+                 data.shape().to_string().c_str(), output.c_str());
     return 0;
-  }
-  const auto data = reader.read(var);
-  write_file(output, data.data(), data.size() * sizeof(float));
-  std::fprintf(stderr, "extracted %s %s -> %s\n", var.c_str(),
-               data.shape().to_string().c_str(), output.c_str());
-  return 0;
+  });
 }
 
 }  // namespace
