@@ -136,7 +136,7 @@ class ContextPool {
         // plain bool is race-free; a warm hit means the caller inherits
         // already-sized scratch buffers.
         if (slots_[s]->warmed) {
-          warm_hits_.fetch_add(1, std::memory_order_relaxed);
+          warm_hits_.fetch_add(1, std::memory_order_release);
         }
         slots_[s]->warmed = true;
         slots_[s]->ctx.limits = limits_;
@@ -159,8 +159,11 @@ class ContextPool {
   };
 
   [[nodiscard]] Stats stats() const {
-    return {checkouts_.load(std::memory_order_relaxed),
-            warm_hits_.load(std::memory_order_relaxed), slots_.size()};
+    // Warm hits first: every hit this load sees released its checkout
+    // increment, so the checkouts load below sees it too and a snapshot
+    // taken mid-run never reports more warm hits than checkouts.
+    const std::uint64_t warm = warm_hits_.load(std::memory_order_acquire);
+    return {checkouts_.load(std::memory_order_relaxed), warm, slots_.size()};
   }
 
   void reset_stats() {
