@@ -18,6 +18,8 @@ namespace {
 
 /// Rows sampled along the time dimension for FFT period detection.
 constexpr std::size_t kPeriodProbeRows = 10;
+/// Seed of the pseudo-random row positions of the period probe.
+constexpr std::uint64_t kPeriodProbeSeed = 42;
 /// Largest acceptable relative size growth of the framed *sampled* stream
 /// over the serial one before the tuner drops framing. The per-pass table
 /// cost is fixed, so it is over-represented on the small trial stream
@@ -176,10 +178,9 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   // Periodicity probe on full-length rows (the constant-cost part of the
   // tuning budget).
   std::vector<std::size_t> periods{0};
-  if (opts.consider_periodicity && opts.time_dim < nd &&
-      shape.dim(opts.time_dim) >= 8) {
+  if (opts.time_dim < nd && shape.dim(opts.time_dim) >= 8) {
     const auto rows = sample_time_rows(data, mask, opts.time_dim,
-                                       kPeriodProbeRows, opts.seed);
+                                       kPeriodProbeRows, kPeriodProbeSeed);
     if (!rows.empty()) {
       result.period = detect_period(rows);
       if (result.period.has_value()) {
@@ -198,23 +199,13 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   }
   result.sample_points = sample.data.size();
 
-  // Search space.
-  std::vector<std::vector<std::size_t>> perms;
-  if (opts.consider_permutation) {
-    perms = all_permutations(nd);
-  } else {
-    perms.push_back(PipelineConfig::defaults(nd).permutation);
-  }
-  std::vector<FusionSpec> fusions;
-  if (opts.consider_fusion) {
-    fusions = all_fusions(nd);
-  } else {
-    fusions.push_back(FusionSpec::none(nd));
-  }
-  std::vector<FittingKind> fittings{FittingKind::kCubic};
-  if (opts.consider_fitting) fittings.push_back(FittingKind::kLinear);
+  // Search space: the paper's whole grid.
+  const std::vector<std::vector<std::size_t>> perms = all_permutations(nd);
+  const std::vector<FusionSpec> fusions = all_fusions(nd);
+  const std::vector<FittingKind> fittings{FittingKind::kCubic,
+                                          FittingKind::kLinear};
   std::vector<bool> classifications{false};
-  if (opts.consider_classification && nd >= 3) classifications.push_back(true);
+  if (nd >= 3) classifications.push_back(true);
 
   // Flatten the search grid into an indexed trial list so the trial loop
   // can run in parallel while the result order (and therefore every
@@ -279,38 +270,6 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
                      return a.estimated_ratio > b.estimated_ratio;
                    });
   CLIZ_REQUIRE(!result.candidates.empty(), "empty pipeline search space");
-
-  // Optional refinement: re-rank the leaders on a 10x larger sample, where
-  // close calls (classification on/off, near-tied permutations) resolve
-  // more reliably.
-  if (opts.refine_top_k > 0 && result.candidates.size() > 1) {
-    if (opts.codec.cancel != nullptr) opts.codec.cancel->check();
-    const double refine_rate = std::min(1.0, opts.sampling_rate * 10.0);
-    const SampledData refine =
-        sample_blocks(data, mask, refine_rate);
-    std::optional<SampledData> refine_periodic;
-    const std::size_t k =
-        std::min(opts.refine_top_k, result.candidates.size());
-    for (std::size_t i = 0; i < k; ++i) {
-      PipelineCandidate& cand = result.candidates[i];
-      const SampledData* s = &refine;
-      if (cand.config.period > 0) {
-        if (!refine_periodic.has_value()) {
-          refine_periodic = sample_time_preserving(data, mask, refine_rate,
-                                                   opts.time_dim);
-        }
-        s = &*refine_periodic;
-      }
-      cand.estimated_ratio = trial(cand.config, opts.codec, *s, pool[0]);
-      cand.stats = pool[0].stats;
-    }
-    std::stable_sort(result.candidates.begin(),
-                     result.candidates.begin() + static_cast<std::ptrdiff_t>(k),
-                     [](const PipelineCandidate& a,
-                        const PipelineCandidate& b) {
-                       return a.estimated_ratio > b.estimated_ratio;
-                     });
-  }
 
   result.best = result.candidates.front().config;
   result.best_estimated_ratio = result.candidates.front().estimated_ratio;

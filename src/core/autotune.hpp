@@ -11,25 +11,16 @@
 
 namespace cliz {
 
-/// Options steering the offline auto-tuning stage (paper VI-A).
+/// Options steering the offline auto-tuning stage (paper VI-A). The
+/// pipeline search always covers the paper's whole space: the FFT period
+/// candidate (when time_dim has at least 8 steps), bin classification
+/// (when the data has at least 3 dims), every dimension permutation, every
+/// fusion and both fittings.
 struct AutotuneOptions {
   /// Target ratio between the sample volume and the full dataset volume.
   double sampling_rate = 0.01;
   /// Physical dim treated as time when probing periodicity.
   std::size_t time_dim = 0;
-  /// Strategy toggles (the ablation benches flip these).
-  bool consider_periodicity = true;
-  bool consider_classification = true;
-  bool consider_permutation = true;
-  bool consider_fusion = true;
-  bool consider_fitting = true;
-  /// When > 0, re-evaluate the top-K candidates of the first pass on a
-  /// sample 10x larger (capped at rate 1.0) and re-rank. Sharpens the
-  /// close calls (e.g. the classification toggle) that small samples
-  /// misjudge, at the cost of K extra trial compressions.
-  std::size_t refine_top_k = 0;
-  /// Seed for the deterministic row sampling.
-  std::uint64_t seed = 42;
   /// After the pipeline search, trial each entropy backend (huffman, tans)
   /// on the winning configuration and record the strict-best in
   /// best_entropy. Ties keep the default (huffman), so a stream produced
@@ -56,8 +47,7 @@ struct AutotuneOptions {
 struct PipelineCandidate {
   PipelineConfig config;
   double estimated_ratio = 0.0;
-  /// Per-stage breakdown of this candidate's trial compression (refined
-  /// candidates keep the stats of the refinement run).
+  /// Per-stage breakdown of this candidate's trial compression.
   StageStats stats;
 };
 
@@ -105,8 +95,8 @@ struct AutotuneResult {
   bool best_frame_passes = false;
   double tuning_seconds = 0.0;
   std::size_t sample_points = 0;
-  /// FFT period estimate over the probed rows (nullopt: not periodic or
-  /// periodicity not considered).
+  /// FFT period estimate over the probed rows (nullopt: not periodic, or
+  /// time_dim too short to probe).
   std::optional<PeriodEstimate> period;
 
   /// Single JSON object with the chosen backends and the per-backend

@@ -147,9 +147,10 @@ void chunked_compress_into(const NdArray<T>& data, double abs_error_bound,
     boxes = tile_grid(shape, options.tile);
     requested = boxes.size();
   } else {
-    requested = options.chunks > 0
-                    ? options.chunks
-                    : static_cast<std::size_t>(hardware_threads());
+    const std::size_t raw_bytes = data.size() * sizeof(T);
+    requested = options.chunks > 0 ? options.chunks
+                                    : (raw_bytes + kDefaultChunkBytes - 1) /
+                                          kDefaultChunkBytes;
     ranges = slabs(shape.dim(0), requested);
     boxes.resize(ranges.size(), {DimVec(nd, 0), shape.dims()});
     for (std::size_t c = 0; c < ranges.size(); ++c) {

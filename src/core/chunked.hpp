@@ -45,10 +45,16 @@ struct ChunkedScratch {
   StageStats stats;
 };
 
+/// Raw bytes per slab when ChunkedOptions::chunks is 0, and
+/// ArchiveWriter's default chunk threshold.
+inline constexpr std::size_t kDefaultChunkBytes = std::size_t{8} << 20;
+
 struct ChunkedOptions {
-  /// Number of slabs along dim 0; 0 = one per hardware thread. The
-  /// effective count is clamped to [1, dims[0]] — the clamp is reported
-  /// via ChunkedScratch::stats (chunks_requested / chunks_effective).
+  /// Number of slabs along dim 0; 0 = one per kDefaultChunkBytes of raw
+  /// data (rounded up), so the frame depends on the data alone and never
+  /// on the worker-thread count. The effective count is clamped to
+  /// [1, dims[0]] — the clamp is reported via ChunkedScratch::stats
+  /// (chunks_requested / chunks_effective).
   std::size_t chunks = 0;
   /// Optional N-D tile extents, one per dimension of the data (arity must
   /// match; kBadArgument otherwise). Empty (the default) keeps the dim-0

@@ -21,6 +21,10 @@ namespace cliz {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x434C495Au;  // "CLIZ"
+/// Quantizer radius of every stream this encoder writes (codes span
+/// [0, 2 * radius)). The header records it and the decoder accepts any
+/// valid radius, so the format does not depend on this constant.
+constexpr std::uint32_t kQuantRadius = 1u << 15;
 
 using Clock = std::chrono::steady_clock;
 
@@ -84,7 +88,7 @@ void write_header(const NdArray<T>& data, double abs_error_bound,
   out.put_varint(shape.ndims());
   for (const std::size_t d : shape.dims()) out.put_varint(d);
   out.put(abs_error_bound);
-  out.put_varint(options.radius);
+  out.put_varint(kQuantRadius);
   out.put(static_cast<T>(options.fill_value));
   config.serialize(out);
   // Predictor byte: (backend id << 1) | has_mask. The interpolation id is
@@ -172,7 +176,7 @@ void stage_predict(NdArray<T>& work, double quant_eb, const MaskMap* mask,
   st.input_bytes = work.size() * sizeof(T);
   const std::size_t base = out.size();
 
-  const LinearQuantizer<T> quantizer(quant_eb, options.radius);
+  const LinearQuantizer<T> quantizer(quant_eb, kQuantRadius);
   auto& offsets = ctx.offsets;
   auto& codes = ctx.codes;
   auto& outliers = ctx.outliers<T>();
@@ -228,14 +232,14 @@ std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
 
   if (classify) {
     classification.emplace(BinClassification::build(
-        ctx.offsets, ctx.codes, plane, options.radius, options.classify));
+        ctx.offsets, ctx.codes, plane, kQuantRadius, options.classify));
     classification->serialize(out);
     n_groups = options.classify.group_types();
     ctx.reset_freq(n_groups);
 
     // Shift codes per column and split the census by group.
     const std::uint32_t escape =
-        entropy_escape_symbol(options.radius, options.classify.j);
+        entropy_escape_symbol(kQuantRadius, options.classify.j);
     auto& shifted = ctx.shifted;
     auto& group = ctx.group;
     shifted.resize(ctx.codes.size());
@@ -702,7 +706,6 @@ std::vector<std::uint8_t> ClizCompressor::compress(
   CodecContext ctx;
   std::vector<std::uint8_t> out;
   compress_checked(data, abs_error_bound, mask, config_, options_, ctx, out);
-  last_stats_ = ctx.stats;
   return out;
 }
 

@@ -20,8 +20,6 @@ class CodecContext;
 
 /// Options orthogonal to the tuned pipeline.
 struct ClizOptions {
-  /// Quantizer radius (codes span [0, 2*radius)).
-  std::uint32_t radius = 1u << 15;
   /// Value written at masked positions on decompression (CESM missing
   /// value by default).
   float fill_value = 9.96921e36f;
@@ -90,8 +88,8 @@ class ClizCompressor {
 
   /// Compresses `data`; `mask` may be nullptr (all points valid). When a
   /// mask is given it is embedded (run-length coded) in the stream.
-  /// Runs on a private scratch context; per-stage telemetry of the call is
-  /// available afterwards via last_stats().
+  /// Runs on a private scratch context; callers that want the per-stage
+  /// telemetry pass their own context to the overload below.
   template <Sample T>
   [[nodiscard]] std::vector<std::uint8_t> compress(
       const NdArray<T>& data, double abs_error_bound,
@@ -99,9 +97,8 @@ class ClizCompressor {
 
   /// Context-reusing variant: all scratch state is drawn from `ctx`, so
   /// repeated same-shape compressions allocate nothing in steady state.
-  /// Telemetry lands in ctx.stats (last_stats() is NOT updated — this
-  /// overload stays safe to call from concurrent threads with distinct
-  /// contexts). Streams are byte-identical to the convenience overload.
+  /// Telemetry lands in ctx.stats. Streams are byte-identical to the
+  /// convenience overload.
   template <Sample T>
   [[nodiscard]] std::vector<std::uint8_t> compress(const NdArray<T>& data,
                                                    double abs_error_bound,
@@ -147,16 +144,9 @@ class ClizCompressor {
     return config_;
   }
 
-  /// Per-stage telemetry of the most recent convenience compress() call on
-  /// this object. Context-taking overloads report through ctx.stats instead.
-  [[nodiscard]] const StageStats& last_stats() const noexcept {
-    return last_stats_;
-  }
-
  private:
   PipelineConfig config_;
   ClizOptions options_;
-  mutable StageStats last_stats_;
 };
 
 /// Bytes per sample recorded in a CliZ stream (4 = float32, 8 = float64),

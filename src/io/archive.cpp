@@ -150,7 +150,11 @@ void ArchiveWriter::add_variable(const std::string& name,
     ChunkedOptions opts;
     opts.scratch = &scratch_;
     opts.codec = options;
-    if (tiled) opts.tile = tile_;
+    if (tiled) {
+      opts.tile = tile_;
+    } else {
+      opts.chunks = (raw_bytes + chunk_threshold_ - 1) / chunk_threshold_;
+    }
     chunked_compress_into(data, abs_error_bound, pipeline, mask, opts,
                           stream_buf_);
   } else {

@@ -97,7 +97,8 @@ class ArchiveWriter {
   ArchiveWriter& operator=(const ArchiveWriter&) = delete;
 
   /// Raw-byte size at or above which a CliZ variable is stored as a
-  /// chunked frame (default 8 MiB). 0 disables chunking. Takes effect for
+  /// chunked frame of one slab per `bytes` of raw data, rounded up
+  /// (default kDefaultChunkBytes). 0 disables chunking. Takes effect for
   /// variables added after the call; arrays whose dim 0 extent is 1 are
   /// never chunked (nothing to slice).
   void set_chunk_threshold(std::size_t bytes) { chunk_threshold_ = bytes; }
@@ -146,7 +147,7 @@ class ArchiveWriter {
   /// staging for the chunked path, context lease for the single-stream one.
   ChunkedScratch scratch_;
   std::vector<std::uint8_t> stream_buf_;  ///< compressed-stream staging
-  std::size_t chunk_threshold_ = std::size_t{8} << 20;
+  std::size_t chunk_threshold_ = kDefaultChunkBytes;
   DimVec tile_;  ///< non-empty: CLK3 tiling for rank-matching variables
 };
 

@@ -15,9 +15,11 @@
 #include "src/climate/datasets.hpp"
 #include "src/common/bytestream.hpp"
 #include "src/common/crc32c.hpp"
+#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/baselines/compressor.hpp"
+#include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
 #include "src/metrics/metrics.hpp"
 #include "tests/alloc_guard.hpp"
@@ -264,7 +266,7 @@ TEST(Archive, EveryWrittenRecordIsCliz) {
     ArchiveWriter w(file.path());
     w.add_variable("S", smooth_array({8, 8}, 8), 1e-3,
                    PipelineConfig::defaults(2));
-    w.set_chunk_threshold(1);
+    w.set_chunk_threshold(8 * 8 * sizeof(float) / 4);  // 4 slabs
     w.add_variable("C", smooth_array({8, 8}, 9), 1e-3,
                    PipelineConfig::defaults(2));
     w.add_variable("D", smooth_array<double>({8, 8}, 10), 1e-3,
@@ -337,6 +339,30 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+TEST(Archive, ThreadCountDoesNotChangeBytes) {
+  // The slab count of a default chunked frame and of an archive's chunked
+  // variable follows the data size, never the worker-thread count.
+  const auto data = smooth_array({24, 16, 12}, 90);
+  const int saved = hardware_threads();
+  const auto write = [&](int threads) {
+    set_thread_count(threads);
+    const auto frame =
+        chunked_compress(data, 1e-3, PipelineConfig::defaults(3));
+    TempFile file("threads" + std::to_string(threads));
+    {
+      ArchiveWriter w(file.path());
+      w.set_chunk_threshold(data.size() * sizeof(float) / 2);  // 2 slabs
+      w.add_variable("V", data, 1e-3, PipelineConfig::defaults(3));
+    }
+    return std::make_pair(frame, slurp(file.path()));
+  };
+  const auto one = write(1);
+  const auto three = write(3);
+  set_thread_count(saved);
+  EXPECT_EQ(one.first, three.first) << "chunked_compress default slabs";
+  EXPECT_EQ(one.second, three.second) << "archive chunked variable";
 }
 
 void dump(const std::string& path, const std::vector<std::uint8_t>& bytes) {
@@ -577,7 +603,7 @@ void write_mixed_region_archive(const std::string& path) {
                  PipelineConfig::defaults(3));
   w.add_variable("S", smooth_array({10, 8}, 70), 1e-3,
                  PipelineConfig::defaults(2));
-  w.set_chunk_threshold(1);
+  w.set_chunk_threshold(40 * 12 * sizeof(float) / 4);  // 4 slabs
   w.add_variable("SLAB", smooth_array({40, 12}, 71), 1e-3,
                  PipelineConfig::defaults(2));
   w.finish();
@@ -686,7 +712,7 @@ TEST(Archive, RepeatedFullReadReusesDecodeScratch) {
   const auto data = smooth_array({48, 32, 32}, 67);
   {
     ArchiveWriter w(file.path());
-    w.set_chunk_threshold(1);
+    w.set_chunk_threshold(data.size() * sizeof(float) / 4);  // 4 slabs
     w.add_variable("SLAB", data, 1e-3, PipelineConfig::defaults(3));
     w.finish();
   }

@@ -448,6 +448,17 @@ TEST_F(CliTest, GovernorFlagsMapToExitCodes) {
             3);
 }
 
+TEST_F(CliTest, DeadlineFlagStopsEncodes) {
+  ASSERT_EQ(run("gen SSH --scale 0.1 -o " + path("s.f32")), 0);
+  // A 1 ms budget expires inside the tuner's trial compressions: exit 6.
+  EXPECT_EQ(run_exit("compress " + path("s.f32") + " -d 48,38,32 -o " +
+                     path("s.cliz") + " -r 1e-3 --deadline-ms 1"),
+            6);
+  EXPECT_EQ(run_exit("archive-create " + path("s.clza") + " S=" +
+                     path("s.f32") + ":48,38,32 -r 1e-3 --deadline-ms 1"),
+            6);
+}
+
 TEST_F(CliTest, TiledCompressExtractRegionMatchesWindow) {
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   ASSERT_EQ(run("compress " + path("h.f32") + " -d 24,48,48 --tile 8x16x16 "

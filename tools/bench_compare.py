@@ -6,12 +6,14 @@ Usage:
   tools/bench_compare.py run.json BENCH_codec_speed.json          # compare
   tools/bench_compare.py run.json BENCH_codec_speed.json --write-baseline
 
-Comparison is on bytes_per_second (throughput) when a benchmark reports
-it, falling back to real_time (lower is better). A benchmark regresses
-when its throughput drops more than --threshold (default 0.20) below the
-baseline. Benchmarks present on only one side are reported but never
-fail the run, so the baseline does not have to be regenerated for every
-added bench.
+Every benchmark is gated on its wall-clock real_time, normalised by its
+time_unit. google-benchmark derives bytes_per_second from CPU time on
+rows without UseRealTime(), so throughput is never the gate. A benchmark
+regresses when its time exceeds baseline / (1 - --threshold): the same
+throughput drop (default 0.20) expressed in time. Benchmarks present on
+only one side are reported but never fail the run, so the baseline does
+not have to be regenerated for every added bench. The per-backend,
+kernel and region summaries are informational.
 
 The committed baseline is a trimmed map (name -> metrics), not the full
 google-benchmark report, so diffs stay readable. --write-baseline
@@ -64,6 +66,18 @@ def load_benchmarks(path):
         return doc
     print(f"bench_compare: {path} is not a benchmark report", file=sys.stderr)
     sys.exit(2)
+
+
+# google-benchmark time_unit values, in nanoseconds.
+TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def real_time_ns(metrics):
+    """Wall-clock time of one benchmark row in ns (None when absent)."""
+    t = metrics.get("real_time")
+    if not t:
+        return None
+    return t * TIME_UNIT_NS[metrics.get("time_unit", "ns")]
 
 
 def backend_summary(run):
@@ -182,8 +196,9 @@ def main():
         "--threshold",
         type=float,
         default=0.20,
-        help="allowed fractional throughput drop before failing "
-        "(default 0.20; CI uses a looser value for shared runners)",
+        help="allowed fractional throughput drop, measured in wall time, "
+        "before failing (default 0.20; CI uses a looser value for shared "
+        "runners)",
     )
     ap.add_argument(
         "--write-baseline",
@@ -223,25 +238,16 @@ def main():
         if name not in base:
             print(f"{name:<{width}}  {'-':>12}  {'-':>12}  new (no baseline)")
             continue
-        r, b = run[name], base[name]
-        if r.get("bytes_per_second") and b.get("bytes_per_second"):
-            # Throughput: higher is better.
-            new, old = r["bytes_per_second"], b["bytes_per_second"]
-            change = new / old - 1.0
-            fmt = lambda v: f"{v / 1e6:.1f}MB/s"  # noqa: E731
-            regressed = change < -args.threshold
-        elif r.get("real_time") and b.get("real_time"):
-            # Wall time: lower is better.
-            new, old = r["real_time"], b["real_time"]
-            change = old / new - 1.0
-            fmt = lambda v: f"{v:.3g}{r.get('time_unit', '')}"  # noqa: E731
-            regressed = change < -args.threshold
-        else:
-            print(f"{name:<{width}}  {'-':>12}  {'-':>12}  no common metric")
+        new, old = real_time_ns(run[name]), real_time_ns(base[name])
+        if new is None or old is None:
+            print(f"{name:<{width}}  {'-':>12}  {'-':>12}  no real_time")
             continue
+        # Wall time: lower is better; change is the throughput equivalent.
+        change = old / new - 1.0
+        regressed = change < -args.threshold
         mark = "  REGRESSED" if regressed else ""
         print(
-            f"{name:<{width}}  {fmt(old):>12}  {fmt(new):>12}  "
+            f"{name:<{width}}  {old / 1e6:>10.4g}ms  {new / 1e6:>10.4g}ms  "
             f"{change:+.1%}{mark}"
         )
         if regressed:

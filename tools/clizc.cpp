@@ -58,7 +58,9 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
   std::fprintf(stderr, R"(usage:
   clizc compress   <in.f32>  -d T,Y,X -o <out> [-e ABS | -r REL]
                    [--mask-fill] [--f64] [--tune RATE] [--time-dim N]
-                   [--chunks N] [--stats]
+                   [--chunks N] (N slabs along dim 0; 0 = one slab per
+                                 8 MiB of raw data)
+                   [--stats]
                    [--tile AxBx...]
                                 (write the tile-indexed chunked layout —
                                  N-D tiles of the given per-dim size,
@@ -715,10 +717,13 @@ int cmd_archive_create(Args& args) {
                           ? *abs_eb
                           : abs_bound_from_relative(data.flat(), rel_eb,
                                                     mask_ptr);
+    // --deadline-ms covers the tuning trials and the variable's encode.
     AutotuneOptions opts;
     opts.sampling_rate = tune_rate;
+    opts.codec.cancel = governor_cancel();
     const auto tuned = autotune(data, eb, mask_ptr, opts);
     ClizOptions var_opts;
+    var_opts.cancel = governor_cancel();
     var_opts.predictor = tuned.best_predictor;
     var_opts.entropy = tuned.best_entropy;
     writer.add_variable(name, data, eb, tuned.best, mask_ptr,
