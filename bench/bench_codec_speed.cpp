@@ -5,6 +5,7 @@
 // SPERR.
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_host.hpp"
 #include "bench/bench_util.hpp"
 #include "src/climate/datasets.hpp"
 #include "src/common/cpu_features.hpp"
@@ -644,6 +645,7 @@ int main(int argc, char** argv) {
                                cliz::BM_Wavelet)
       ->Unit(benchmark::kMillisecond);
 
+  cliz::bench::add_host_context();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

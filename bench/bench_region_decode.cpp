@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 
+#include "bench/bench_host.hpp"
 #include "bench/bench_util.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/chunked.hpp"
@@ -219,6 +220,7 @@ int main(int argc, char** argv) {
                                cliz::BM_ArchiveReadRegion, true)
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime();
+  cliz::bench::add_host_context();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

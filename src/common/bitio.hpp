@@ -18,9 +18,26 @@ class BitWriter {
     if (++nbits_ == 64) flush_word();
   }
 
-  /// Writes the low `n` bits of `v`, most significant of those first.
+  /// Writes the low `n` bits of `v` (n in [0, 64]), most significant of
+  /// those first; bits of `v` above `n` are ignored. The accumulator holds
+  /// exactly `nbits_` < 64 bits, so one call fills it at most once.
   void put_bits(std::uint64_t v, int n) {
-    for (int i = n - 1; i >= 0; --i) put_bit(((v >> i) & 1u) != 0);
+    if (n == 0) return;
+    const auto un = static_cast<unsigned>(n);
+    if (un < 64) v &= (std::uint64_t{1} << un) - 1;
+    const unsigned room = 64 - nbits_;
+    if (un < room) {
+      acc_ = (acc_ << un) | v;
+      nbits_ += un;
+      return;
+    }
+    // The top `room` bits of the field complete the word; the rest start
+    // the next one. room == 64 only when the accumulator is empty.
+    const unsigned rest = un - room;
+    acc_ = (room == 64 ? 0 : acc_ << room) | (v >> rest);
+    flush_word();
+    acc_ = v & ((std::uint64_t{1} << rest) - 1);  // rest <= 63
+    nbits_ = rest;
   }
 
   /// Pads to a byte boundary and returns the assembled buffer.
@@ -57,9 +74,13 @@ class BitWriter {
 
  private:
   void flush_word() {
-    for (int i = 56; i >= 0; i -= 8) {
-      out_.push_back(static_cast<std::uint8_t>(acc_ >> i));
+    std::uint64_t be = acc_;
+    if constexpr (std::endian::native == std::endian::little) {
+      be = __builtin_bswap64(be);
     }
+    const std::size_t at = out_.size();
+    out_.resize(at + 8);
+    std::memcpy(out_.data() + at, &be, 8);
     acc_ = 0;
     nbits_ = 0;
   }

@@ -164,8 +164,8 @@ void HuffmanCodec::build_canonical() {
            (static_cast<std::uint32_t>(i) - first_index_[l]);
   };
 
-  // Encode table: canonical indices re-sorted by symbol value, so lookups
-  // are a binary search and serialize() walks it directly.
+  // Encode table: canonical indices re-sorted by symbol value, so the
+  // fallback lookup is a binary search and serialize() walks it directly.
   order.resize(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
@@ -176,8 +176,9 @@ void HuffmanCodec::build_canonical() {
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint32_t i = order[k];
     enc_symbols_[k] = symbols_[i];
-    enc_codes_[k] = Code{code_at(i), lengths_[i]};
+    enc_codes_[k] = (code_at(i) << 6) | lengths_[i];
   }
+  build_direct_table();
 
   // One-shot decode table: every kTableBits-bit prefix of a short code maps
   // straight to its canonical index; longer codes leave a miss marker.
@@ -213,15 +214,44 @@ void HuffmanCodec::build_canonical() {
   }
 }
 
-const HuffmanCodec::Code* HuffmanCodec::find_code(std::uint32_t symbol) const {
+void HuffmanCodec::build_direct_table() {
+  const std::size_t n = enc_symbols_.size();
+  if (n == 0) {
+    direct_.clear();
+    return;
+  }
+  const std::uint64_t cap =
+      std::max(kDirectMinSpan, kDirectSpanPerSymbol * n);
+  // Two-pointer sweep over the sorted symbols: the window [a, b] holding
+  // the most symbols within a span of `cap` (the first such on ties).
+  std::size_t best_a = 0;
+  std::size_t best_count = 0;
+  for (std::size_t a = 0, b = 0; b < n; ++b) {
+    while (std::uint64_t{enc_symbols_[b]} - enc_symbols_[a] >= cap) ++a;
+    if (b - a + 1 > best_count) {
+      best_count = b - a + 1;
+      best_a = a;
+    }
+  }
+  const std::size_t best_b = best_a + best_count - 1;
+  direct_lo_ = enc_symbols_[best_a];
+  direct_.assign(enc_symbols_[best_b] - direct_lo_ + std::size_t{1}, 0);
+  for (std::size_t k = best_a; k <= best_b; ++k) {
+    direct_[enc_symbols_[k] - direct_lo_] = enc_codes_[k];
+  }
+}
+
+std::uint64_t HuffmanCodec::find_code(std::uint32_t symbol) const {
+  const std::uint32_t off = symbol - direct_lo_;
+  if (off < direct_.size()) return direct_[off];
   const auto it =
       std::lower_bound(enc_symbols_.begin(), enc_symbols_.end(), symbol);
-  if (it == enc_symbols_.end() || *it != symbol) return nullptr;
-  return &enc_codes_[static_cast<std::size_t>(it - enc_symbols_.begin())];
+  if (it == enc_symbols_.end() || *it != symbol) return 0;
+  return enc_codes_[static_cast<std::size_t>(it - enc_symbols_.begin())];
 }
 
 bool HuffmanCodec::contains(std::uint32_t symbol) const {
-  return find_code(symbol) != nullptr;
+  return find_code(symbol) != 0;
 }
 
 void HuffmanCodec::serialize(ByteWriter& out) const {
@@ -231,7 +261,7 @@ void HuffmanCodec::serialize(ByteWriter& out) const {
   std::uint32_t prev = 0;
   for (std::size_t k = 0; k < enc_symbols_.size(); ++k) {
     out.put_varint(enc_symbols_[k] - prev);
-    out.put_varint(enc_codes_[k].length);
+    out.put_varint(enc_codes_[k] & 63);
     prev = enc_symbols_[k];
   }
 }
@@ -273,9 +303,9 @@ void HuffmanCodec::parse(ByteReader& in) {
 void HuffmanCodec::encode(std::span<const std::uint32_t> symbols,
                           BitWriter& bits) const {
   for (const std::uint32_t s : symbols) {
-    const Code* c = find_code(s);
-    CLIZ_REQUIRE(c != nullptr, "symbol not in huffman table");
-    bits.put_bits(c->bits, c->length);
+    const std::uint64_t c = find_code(s);
+    CLIZ_REQUIRE(c != 0, "symbol not in huffman table");
+    bits.put_bits(c >> 6, static_cast<int>(c & 63));
   }
 }
 
@@ -336,9 +366,9 @@ std::uint64_t HuffmanCodec::encoded_bits(
     std::span<const std::uint32_t> symbols) const {
   std::uint64_t total = 0;
   for (const std::uint32_t s : symbols) {
-    const Code* c = find_code(s);
-    CLIZ_REQUIRE(c != nullptr, "symbol not in huffman table");
-    total += c->length;
+    const std::uint64_t c = find_code(s);
+    CLIZ_REQUIRE(c != 0, "symbol not in huffman table");
+    total += c & 63;
   }
   return total;
 }
@@ -348,9 +378,9 @@ std::uint64_t HuffmanCodec::payload_bits(
   std::uint64_t total = 0;
   for (const auto& [sym, f] : freq) {
     if (f == 0) continue;
-    const Code* c = find_code(sym);
-    CLIZ_REQUIRE(c != nullptr, "symbol not in huffman table");
-    total += f * c->length;
+    const std::uint64_t c = find_code(sym);
+    CLIZ_REQUIRE(c != 0, "symbol not in huffman table");
+    total += f * (c & 63);
   }
   return total;
 }

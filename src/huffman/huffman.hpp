@@ -70,16 +70,13 @@ class HuffmanCodec {
   [[nodiscard]] bool contains(std::uint32_t symbol) const;
 
  private:
-  struct Code {
-    std::uint64_t bits = 0;
-    std::uint8_t length = 0;
-  };
-
   void build_canonical();
+  void build_direct_table();
   void compute_code_lengths(const std::vector<std::uint64_t>& freqs,
                             std::vector<std::uint8_t>& lengths);
-  /// Encode-table lookup; nullptr when the symbol is not in the alphabet.
-  [[nodiscard]] const Code* find_code(std::uint32_t symbol) const;
+  /// Encode-table lookup: the packed `(code << 6) | length` entry, or 0 when
+  /// the symbol is not in the alphabet (every code is at least 1 bit long).
+  [[nodiscard]] std::uint64_t find_code(std::uint32_t symbol) const;
   [[nodiscard]] std::uint32_t decode_slow(BitReader& bits) const;
 
   /// Width of the one-shot decode table: codes up to this length decode
@@ -89,10 +86,20 @@ class HuffmanCodec {
   // Symbols sorted by (code length, symbol value) — the canonical order.
   std::vector<std::uint32_t> symbols_;
   std::vector<std::uint8_t> lengths_;  // parallel to symbols_
-  // Encode lookup, sorted by symbol value (binary search); doubles as the
-  // serialization order.
+  // Encode entries `(code << 6) | length`, sorted by symbol value: the
+  // serialization order and the binary-search fallback of find_code().
   std::vector<std::uint32_t> enc_symbols_;
-  std::vector<Code> enc_codes_;
+  std::vector<std::uint64_t> enc_codes_;
+  // Direct encode lookup: direct_[s - direct_lo_] is the entry of symbol s
+  // (0 = not in the alphabet) over the densest window of the alphabet whose
+  // span is at most max(kDirectMinSpan, kDirectSpanPerSymbol * n). Symbols
+  // outside the window (escapes far from the quantization bins, sparse
+  // alphabets) take the binary search, so a rebuild costs O(n), never
+  // O(span).
+  static constexpr std::size_t kDirectMinSpan = 4096;
+  static constexpr std::size_t kDirectSpanPerSymbol = 4;
+  std::vector<std::uint64_t> direct_;
+  std::uint32_t direct_lo_ = 0;
   // Canonical decode tables indexed by code length.
   std::vector<std::uint64_t> first_code_;   // first canonical code per length
   std::vector<std::uint32_t> first_index_;  // index into symbols_ per length

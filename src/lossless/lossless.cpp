@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
+#include <limits>
 
 #include "src/common/crc32c.hpp"
 #include "src/common/parallel.hpp"
@@ -13,6 +15,8 @@ namespace cliz {
 namespace {
 
 constexpr std::size_t kWindow = 1u << 16;
+constexpr std::size_t kRingMask = kWindow - 1;  // `prev` ring index
+constexpr std::size_t kHashSize = 1u << 16;     // hash4() buckets
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxMatch = 1u << 12;
 constexpr int kMaxChain = 64;
@@ -47,24 +51,53 @@ std::uint32_t hash4(const std::uint8_t* p) {
   return (v * 2654435761u) >> 16;  // Knuth multiplicative, 16-bit bucket
 }
 
+/// Length of the common prefix of `a` and `b`, capped at `limit`; compares
+/// 8 bytes per step and locates the first differing byte of a word from
+/// its XOR.
+std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t limit) {
+  std::size_t len = 0;
+  while (len + 8 <= limit) {
+    std::uint64_t x;
+    std::uint64_t y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    const std::uint64_t diff = x ^ y;
+    if (diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<std::size_t>(std::countr_zero(diff)) / 8;
+      } else {
+        return len + static_cast<std::size_t>(std::countl_zero(diff)) / 8;
+      }
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
 /// Huffman-compresses a byte section with a raw fallback, staging through
 /// the scratch buffers.
 void put_section(ByteWriter& out, std::span<const std::uint8_t> bytes,
                  LosslessScratch& ctx) {
   if (bytes.size() >= 32) {
-    ctx.section_symbols.assign(bytes.begin(), bytes.end());
-    // Zero rather than clear: keeps the map nodes alive so the census of
-    // the next section reuses them (rebuild skips zero-count entries).
+    std::array<std::uint64_t, 256> census{};
+    for (const std::uint8_t b : bytes) ++census[b];
+    // Zero rather than clear: keeps the map nodes alive so the next
+    // section reuses them (rebuild skips zero-count entries).
     for (auto& [sym, f] : ctx.section_freq) f = 0;
-    for (const std::uint32_t s : ctx.section_symbols) ++ctx.section_freq[s];
+    for (std::uint32_t b = 0; b < census.size(); ++b) {
+      if (census[b] != 0) ctx.section_freq[b] = census[b];
+    }
     ctx.section_codec.rebuild_from_frequencies(ctx.section_freq);
     ctx.section_table.clear();
     ctx.section_codec.serialize(ctx.section_table);
     const std::uint64_t payload_bits =
-        ctx.section_codec.encoded_bits(ctx.section_symbols);
+        ctx.section_codec.payload_bits(ctx.section_freq);
     const std::size_t huff_size =
         ctx.section_table.size() + (payload_bits + 7) / 8;
     if (huff_size + 8 < bytes.size()) {
+      ctx.section_symbols.assign(bytes.begin(), bytes.end());
       ctx.section_bits.reset();
       ctx.section_codec.encode(ctx.section_symbols, ctx.section_bits);
       out.put_u8(kSectionHuff);
@@ -90,12 +123,20 @@ void get_section(ByteReader& in, LosslessScratch& ctx,
   CLIZ_REQUIRE(mode == kSectionHuff, "corrupt lossless section mode");
   const std::uint64_t n = in.get_varint();
   ByteReader table_reader(in.get_block());
+  const auto payload = in.get_block();
+  // Every Huffman code is at least 1 bit long, so a section holds at most
+  // 8 symbols per payload byte; refuse a larger count before sizing any
+  // buffer for it.
+  CLIZ_REQUIRE(n <= 8 * std::uint64_t{payload.size()},
+               "lossless section count exceeds its payload");
   ctx.section_codec.parse(table_reader);
-  BitReader bits(in.get_block());
-  out.clear();
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<std::uint8_t>(ctx.section_codec.decode_one(bits)));
+  BitReader bits(payload);
+  auto& symbols = ctx.section_symbols;
+  symbols.resize(static_cast<std::size_t>(n));
+  ctx.section_codec.decode_batch(bits, symbols.data(), symbols.size());
+  out.resize(symbols.size());
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(symbols[i]);
   }
 }
 
@@ -113,37 +154,53 @@ void compress_single_into(std::span<const std::uint8_t> in,
   std::size_t n_ops = 0;
 
   if (n >= kMinMatch) {
-    ctx.head.assign(1u << 16, -1);
-    ctx.prev.assign(n, -1);
+    // This call's positions are stored as base + pos. Every entry an
+    // earlier call left is below base and reads as empty; the table is
+    // cleared only on first use and when base + n would pass 2^32.
+    std::uint32_t base = ctx.lz_epoch;
+    if (ctx.head.size() != kHashSize || base == 0 ||
+        n > std::numeric_limits<std::uint32_t>::max() - base) {
+      ctx.head.assign(kHashSize, 0);
+      base = 1;
+    }
+    ctx.lz_epoch = base + static_cast<std::uint32_t>(n);
+    // The ring is never cleared: a slot is read only for a position
+    // inserted by this call, within one window of the search, and the next
+    // write to that slot is one window later.
+    if (ctx.prev.size() != kWindow) ctx.prev.assign(kWindow, 0);
     auto& head = ctx.head;
     auto& prev = ctx.prev;
+    const std::uint8_t* const src = in.data();
 
     std::size_t i = 0;
     const auto insert = [&](std::size_t pos) {
-      const std::uint32_t h = hash4(in.data() + pos);
-      prev[pos] = head[h];
-      head[h] = static_cast<std::int64_t>(pos);
+      const std::uint32_t h = hash4(src + pos);
+      prev[pos & kRingMask] = head[h];
+      head[h] = base + static_cast<std::uint32_t>(pos);
     };
 
     while (i < n) {
       std::size_t best_len = 0;
       std::size_t best_dist = 0;
       if (i + kMinMatch <= n) {
-        const std::uint32_t h = hash4(in.data() + i);
-        std::int64_t cand = head[h];
+        const std::uint32_t h = hash4(src + i);
+        std::uint32_t cand = head[h];
         int chain = 0;
         const std::size_t limit = std::min(kMaxMatch, n - i);
-        while (cand >= 0 && chain++ < kMaxChain &&
-               i - static_cast<std::size_t>(cand) <= kWindow) {
-          const auto c = static_cast<std::size_t>(cand);
-          std::size_t len = 0;
-          while (len < limit && in[c + len] == in[i + len]) ++len;
-          if (len > best_len) {
-            best_len = len;
-            best_dist = i - c;
-            if (len == limit) break;
+        while (cand >= base && chain++ < kMaxChain) {
+          const std::size_t c = cand - base;
+          if (i - c > kWindow) break;
+          // A candidate that differs at byte best_len cannot beat the
+          // best match, so only the others are measured.
+          if (src[c + best_len] == src[i + best_len]) {
+            const std::size_t len = match_length(src + c, src + i, limit);
+            if (len > best_len) {
+              best_len = len;
+              best_dist = i - c;
+              if (len == limit) break;
+            }
           }
-          cand = prev[c];
+          cand = prev[c & kRingMask];
         }
       }
 

@@ -28,9 +28,16 @@ enum class LosslessBackend : std::uint8_t {
 /// reused freely across calls and input sizes; it must not be shared by
 /// concurrent calls.
 struct LosslessScratch {
-  // LZ77 hash chains over 4-byte prefixes.
-  std::vector<std::int64_t> head;
-  std::vector<std::int64_t> prev;
+  // LZ77 hash chains over 4-byte prefixes. A call stores position p as
+  // `lz_epoch + p` and then advances lz_epoch past its last position, so
+  // every entry below the current lz_epoch reads as empty and `head` is
+  // cleared only on first use, when lz_epoch is 0, or when it would pass
+  // 2^32. lz_epoch may be raised between calls but never lowered. `prev`
+  // is a ring of one window: a chain step never follows a position more
+  // than one window back, so its slot has not yet been reused.
+  std::vector<std::uint32_t> head;
+  std::vector<std::uint32_t> prev;
+  std::uint32_t lz_epoch = 0;
   // Parse output staging.
   BitWriter flags;
   std::vector<std::uint8_t> literals;

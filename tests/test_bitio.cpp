@@ -93,5 +93,34 @@ TEST(BitIo, LongStreamCrossesWordBoundaries) {
   }
 }
 
+TEST(BitIo, PutBitsMatchesBitByBitReference) {
+  // Every field width 0..64, with junk above the width, written at every
+  // accumulator fill level 0..63, must produce the bytes of writing the
+  // same field one bit at a time (the writer's original loop).
+  Rng rng(2024);
+  for (unsigned fill = 0; fill < 64; ++fill) {
+    for (int n = 0; n <= 64; ++n) {
+      const std::uint64_t prefix = rng.next_u64();
+      const std::uint64_t value = rng.next_u64();  // junk above bit n
+      const std::uint64_t trailer = rng.next_u64();
+      BitWriter fast;
+      BitWriter slow;
+      for (unsigned i = 0; i < fill; ++i) {
+        fast.put_bit(((prefix >> i) & 1u) != 0);
+        slow.put_bit(((prefix >> i) & 1u) != 0);
+      }
+      fast.put_bits(value, n);
+      for (int i = n - 1; i >= 0; --i) slow.put_bit(((value >> i) & 1u) != 0);
+      // A full word after the field checks what the field left in the
+      // accumulator.
+      fast.put_bits(trailer, 64);
+      for (int i = 63; i >= 0; --i) slow.put_bit(((trailer >> i) & 1u) != 0);
+      ASSERT_EQ(fast.bit_count(), slow.bit_count())
+          << "fill " << fill << " n " << n;
+      ASSERT_EQ(fast.finish(), slow.finish()) << "fill " << fill << " n " << n;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cliz

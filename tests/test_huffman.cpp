@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/rng.hpp"
@@ -282,6 +283,118 @@ TEST(Huffman, PathologicalSkewStaysWithinLengthCap) {
   std::vector<std::uint32_t> syms;
   for (const auto& [sym, f] : freq) syms.push_back(sym);
   EXPECT_EQ(roundtrip(syms), syms);
+}
+
+/// Writes `symbols` with codes derived independently from the serialized
+/// table (canonical assignment over (length, symbol) order), one bit at a
+/// time: the reference for the codec's table lookups.
+std::vector<std::uint8_t> reference_bits(
+    const HuffmanCodec& codec, const std::vector<std::uint32_t>& symbols) {
+  ByteWriter table;
+  codec.serialize(table);
+  ByteReader r(table.bytes());
+  const std::uint64_t n = r.get_varint();
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> by_length;
+  std::uint32_t sym = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    sym += static_cast<std::uint32_t>(r.get_varint());
+    by_length.emplace_back(r.get_varint(), sym);
+  }
+  std::sort(by_length.begin(), by_length.end());
+  std::unordered_map<std::uint32_t, std::pair<std::uint64_t, int>> codes;
+  std::uint64_t code = 0;
+  std::uint64_t prev_len = by_length.empty() ? 0 : by_length[0].first;
+  for (const auto& [len, s] : by_length) {
+    code <<= (len - prev_len);
+    codes[s] = {code++, static_cast<int>(len)};
+    prev_len = len;
+  }
+  BitWriter bits;
+  for (const std::uint32_t s : symbols) {
+    const auto [c, len] = codes.at(s);
+    for (int i = len - 1; i >= 0; --i) bits.put_bit(((c >> i) & 1u) != 0);
+  }
+  return bits.finish();
+}
+
+/// Rebuilds `codec` (reused across alphabets, as the encoder's contexts
+/// do) for `syms` and checks its bits and bit counts against the reference.
+void expect_encode_matches_reference(HuffmanCodec& codec,
+                                     const std::vector<std::uint32_t>& syms) {
+  std::unordered_map<std::uint32_t, std::uint64_t> freq;
+  for (const std::uint32_t s : syms) ++freq[s];
+  codec.rebuild_from_frequencies(freq);
+  BitWriter bits;
+  codec.encode(syms, bits);
+  const std::uint64_t n_bits = bits.bit_count();
+  EXPECT_EQ(bits.finish(), reference_bits(codec, syms));
+  EXPECT_EQ(codec.encoded_bits(syms), n_bits);
+  EXPECT_EQ(codec.payload_bits(freq), n_bits);
+}
+
+TEST(Huffman, EncodeMatchesCanonicalReferenceOnWideSpans) {
+  constexpr std::uint32_t kRadius = 1u << 15;
+  Rng rng(31);
+  HuffmanCodec codec;
+  // Quantization codes around the radius plus the escape code 0: the
+  // escape lies 2^15 below the dense bins.
+  std::vector<std::uint32_t> quant;
+  for (int i = 0; i < 20000; ++i) {
+    const double u = rng.uniform();
+    const int mag = static_cast<int>(std::floor(-std::log2(1.0 - u) * 3.0));
+    const int sign = rng.uniform() < 0.5 ? -1 : 1;
+    quant.push_back(i % 97 == 0 ? 0u
+                                : static_cast<std::uint32_t>(
+                                      static_cast<int>(kRadius) + sign * mag));
+  }
+  expect_encode_matches_reference(codec, quant);
+  // Classified groups: small shifted codes plus the classified escape
+  // 2 * radius + 2j + 2, far above them.
+  for (const std::uint32_t j : {0u, 1u, 3u}) {
+    std::vector<std::uint32_t> classified;
+    for (int i = 0; i < 5000; ++i) {
+      classified.push_back(i % 50 == 0 ? 2 * kRadius + 2 * j + 2
+                                       : static_cast<std::uint32_t>(
+                                             rng.uniform_index(2 * j + 5)));
+    }
+    expect_encode_matches_reference(codec, classified);
+  }
+  // Both ends of the 32-bit range, and a sparse random alphabet.
+  std::vector<std::uint32_t> extremes{0u, 0xFFFFFFFFu, 0x80000000u, 1u,
+                                      0xFFFFFFFEu, 0u, 0u};
+  expect_encode_matches_reference(codec, extremes);
+  std::vector<std::uint32_t> pool(300);
+  for (auto& v : pool) v = static_cast<std::uint32_t>(rng.next_u64());
+  std::vector<std::uint32_t> sparse;
+  for (int i = 0; i < 3000; ++i) {
+    sparse.push_back(pool[rng.uniform_index(pool.size())]);
+  }
+  expect_encode_matches_reference(codec, sparse);
+  // Back to the dense alphabet: the rebuilt lookup must not keep entries
+  // of the previous one.
+  expect_encode_matches_reference(codec, quant);
+}
+
+TEST(Huffman, SymbolsMissingFromAWideAlphabetThrowOnEncode) {
+  // Symbols absent from the alphabet, inside and outside the densely
+  // indexed range, must still be refused, also by a codec rebuilt from a
+  // dense alphabet that had them.
+  std::unordered_map<std::uint32_t, std::uint64_t> dense;
+  for (std::uint32_t s = 0; s < 100; ++s) dense[s] = 1 + s % 7;
+  for (std::uint32_t s = 32700; s < 32800; ++s) dense[s] = 1 + s % 5;
+  HuffmanCodec codec = HuffmanCodec::from_frequencies(dense);
+  const std::vector<std::uint32_t> syms{0, 32760, 32761, 32763, 32770, 65540};
+  std::unordered_map<std::uint32_t, std::uint64_t> freq;
+  for (const std::uint32_t s : syms) ++freq[s];
+  codec.rebuild_from_frequencies(freq);
+  for (const std::uint32_t bad :
+       {1u, 32759u, 32762u, 32771u, 65539u, 65541u, 0xFFFFFFFFu}) {
+    BitWriter bits;
+    const std::vector<std::uint32_t> one{bad};
+    EXPECT_FALSE(codec.contains(bad)) << bad;
+    EXPECT_THROW(codec.encode(one, bits), Error) << bad;
+  }
+  for (const std::uint32_t good : syms) EXPECT_TRUE(codec.contains(good));
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 #include "src/climate/datasets.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
-#include "src/common/timer.hpp"
+#include "src/core/autotune.hpp"
+#include "src/core/cliz.hpp"
 #include "src/metrics/metrics.hpp"
 
 namespace cliz {
@@ -75,19 +76,28 @@ TEST(Registry, ClizUsesMaskWhenProvided) {
 }
 
 TEST(Registry, ClizReusesTunedPipelineAcrossCalls) {
+  // The first compress() per shape tunes; later calls with that shape reuse
+  // the tuned pipeline. The second field tunes to a different pipeline on
+  // its own, so its stream shows whose tuning was used.
   auto field = make_ssh(0.12, 601);
+  const auto other = smooth_array(field.data.shape().dims(), 602);
+  const double eb = 1e-3;
+  AutotuneOptions opts;
+  opts.time_dim = field.time_dim;
+  const ClizCompressor tuned_first(
+      autotune(field.data, eb, field.mask_ptr(), opts).best);
+  const ClizCompressor tuned_other(
+      autotune(other, eb, field.mask_ptr(), opts).best);
+  const auto other_reused = tuned_first.compress(other, eb, field.mask_ptr());
+  ASSERT_NE(other_reused, tuned_other.compress(other, eb, field.mask_ptr()))
+      << "the two fields must tune to different pipelines";
+
   auto comp = make_compressor("cliz");
   comp->set_mask(field.mask_ptr());
   comp->set_time_dim(field.time_dim);
-  const double eb = 1e-3;
-  // First call tunes; the second must be noticeably cheaper (no tuning).
-  Timer t1;
-  (void)comp->compress(field.data, eb);
-  const double first = t1.seconds();
-  Timer t2;
-  (void)comp->compress(field.data, eb);
-  const double second = t2.seconds();
-  EXPECT_LT(second, first);
+  EXPECT_EQ(comp->compress(field.data, eb),
+            tuned_first.compress(field.data, eb, field.mask_ptr()));
+  EXPECT_EQ(comp->compress(other, eb), other_reused);
 }
 
 TEST(Registry, BaselinesIgnoreMask) {

@@ -17,28 +17,59 @@ kernel and region summaries are informational.
 
 The committed baseline is a trimmed map (name -> metrics), not the full
 google-benchmark report, so diffs stay readable. --write-baseline
-accepts either format and writes the trimmed one.
+accepts either format and merges the run into the baseline: rows in the
+run are replaced or added, rows only in the baseline are kept (one file
+holds the rows of several bench binaries; run one with
+--benchmark_filter to re-record only the rows a change moves). It also
+stores a "host" entry from the report's google-benchmark context: nproc,
+SIMD tier, compiler and build type of the last re-recording. The
+comparison skips that entry.
 
 Exit status: 0 ok, 1 regression(s), 2 usage/input error.
 """
 
 import argparse
 import json
+import os
 import sys
+
+
+# Baseline key of the host record; not a benchmark row.
+HOST_KEY = "host"
+
+
+def read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
+        sys.exit(2)
+
+
+def host_record(path):
+    """nproc, SIMD tier, compiler and build type from a google-benchmark
+    report's context (None for a trimmed map). The bench binaries add the
+    last three as custom context entries."""
+    doc = read_json(path)
+    if not isinstance(doc, dict) or "context" not in doc:
+        return None
+    ctx = doc["context"]
+    return {
+        "nproc": ctx.get("num_cpus"),
+        "simd_tier": ctx.get("simd_tier"),
+        "compiler": ctx.get("compiler"),
+        "build_type": ctx.get("build_type"),
+    }
 
 
 def load_benchmarks(path):
     """Returns {name: {"bytes_per_second": float|None, "real_time": float}}.
 
     Accepts a full google-benchmark JSON report or an already-trimmed
-    baseline map.
+    baseline map; the baseline's host record is left out.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
+    doc = read_json(path)
 
     if isinstance(doc, dict) and "benchmarks" in doc:
         entries = doc["benchmarks"]
@@ -63,7 +94,7 @@ def load_benchmarks(path):
             out[b["name"]] = entry
         return out
     if isinstance(doc, dict):
-        return doc
+        return {k: v for k, v in doc.items() if k != HOST_KEY}
     print(f"bench_compare: {path} is not a benchmark report", file=sys.stderr)
     sys.exit(2)
 
@@ -203,7 +234,8 @@ def main():
     ap.add_argument(
         "--write-baseline",
         action="store_true",
-        help="trim the run report and overwrite the baseline file",
+        help="trim the run report and merge it into the baseline file, "
+        "with the run's host record",
     )
     args = ap.parse_args()
 
@@ -213,10 +245,21 @@ def main():
         return 2
 
     if args.write_baseline:
+        merged = {}
+        if os.path.exists(args.baseline):
+            merged = load_benchmarks(args.baseline)
+        merged.update(run)
+        total = len(merged)
+        host = host_record(args.run)
+        if host is not None:
+            merged[HOST_KEY] = host
         with open(args.baseline, "w", encoding="utf-8") as f:
-            json.dump(run, f, indent=1, sort_keys=True)
+            json.dump(merged, f, indent=1, sort_keys=True)
             f.write("\n")
-        print(f"bench_compare: wrote {len(run)} baselines to {args.baseline}")
+        print(
+            f"bench_compare: wrote {len(run)} of {total} baselines "
+            f"to {args.baseline}"
+        )
         return 0
 
     base = load_benchmarks(args.baseline)
