@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
-#include <unordered_map>
 
 #include "src/common/cpu_features.hpp"
 #include "src/core/bin_classify.hpp"
@@ -235,11 +234,11 @@ std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
         ctx.offsets, ctx.codes, plane, kQuantRadius, options.classify));
     classification->serialize(out);
     n_groups = options.classify.group_types();
-    ctx.reset_freq(n_groups);
 
     // Shift codes per column and split the census by group.
     const std::uint32_t escape =
         entropy_escape_symbol(kQuantRadius, options.classify.j);
+    ctx.reset_freq(n_groups, std::size_t{escape} + 1);
     auto& shifted = ctx.shifted;
     auto& group = ctx.group;
     shifted.resize(ctx.codes.size());
@@ -256,22 +255,21 @@ std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
                     static_cast<std::int64_t>(options.classify.j));
       shifted[i] = sym;
       group[i] = static_cast<std::uint8_t>(classification->group_of(col));
-      ++ctx.freq[group[i]][sym];
+      ctx.freq[group[i]].add(sym);
     }
   } else {
-    ctx.reset_freq(1);
-    for (const std::uint32_t c : ctx.codes) ++ctx.freq[0][c];
+    ctx.reset_freq(1, 2 * std::size_t{kQuantRadius});
+    for (const std::uint32_t c : ctx.codes) ctx.freq[0].add(c);
   }
 
   // Per-group-weighted Shannon entropy of the stream the entropy coder will
   // see: sum_g (n_g/n) * H_g, the lower bound for the multi-Huffman stage.
   double entropy_num = 0.0;
   for (std::size_t g = 0; g < n_groups; ++g) {
+    const auto census = ctx.freq[g].counts();
     std::uint64_t n_g = 0;
-    for (const auto& [sym, f] : ctx.freq[g]) n_g += f;
-    if (n_g == 0) continue;
-    for (const auto& [sym, f] : ctx.freq[g]) {
-      if (f == 0) continue;  // zeroed node kept alive by reset_freq
+    for (const auto& [sym, f] : census) n_g += f;
+    for (const auto& [sym, f] : census) {
       entropy_num += static_cast<double>(f) *
                      std::log2(static_cast<double>(n_g) /
                                static_cast<double>(f));

@@ -2,11 +2,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/bitio.hpp"
 #include "src/common/bytestream.hpp"
+#include "src/common/census.hpp"
 #include "src/common/governor.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/stage_backends.hpp"
@@ -25,8 +25,9 @@ namespace cliz {
 /// instead of allocating locals, so repeated (de)compressions of same-shape
 /// data through one context perform no steady-state heap allocations for
 /// the hot buffers: the work copy, offset/code/outlier vectors, the
-/// classification shift/group arrays, Huffman frequency tables and trees,
-/// the bit/byte stream staging, and the lossless backend's hash chains.
+/// classification shift/group arrays, the per-group symbol censuses (flat
+/// count arrays over the code alphabet), the Huffman and tANS tables, the
+/// bit/byte stream staging, and the lossless backend's hash chains.
 ///
 /// Ownership rules:
 ///  - A context may be reused across any sequence of compress/decompress
@@ -85,7 +86,7 @@ class CodecContext {
   std::vector<std::uint8_t> group;     ///< per-point Huffman group id
   /// Per-group symbol census; index 0 doubles as the single-tree census
   /// (and the entropy histogram) in unclassified mode.
-  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> freq;
+  std::vector<SymbolCensus> freq;
   /// Huffman codecs, rebuilt in place each run (capacity retained).
   std::vector<HuffmanCodec> trees;
   /// tANS codecs (EntropyBackend::kTans), rebuilt in place each run.
@@ -155,15 +156,11 @@ class CodecContext {
     return *child_;
   }
 
-  /// Ensures `freq` holds at least `n` maps and zeroes the counts of the
-  /// first `n`. Entries are zeroed rather than erased so the map nodes are
-  /// reused by the next census (steady-state: no per-symbol allocations);
-  /// every consumer of the census skips zero-count entries.
-  void reset_freq(std::size_t n) {
+  /// Ensures `freq` holds at least `n` censuses and empties the first `n`
+  /// over the symbol alphabet [0, alphabet).
+  void reset_freq(std::size_t n, std::size_t alphabet) {
     if (freq.size() < n) freq.resize(n);
-    for (std::size_t g = 0; g < n; ++g) {
-      for (auto& [sym, f] : freq[g]) f = 0;
-    }
+    for (std::size_t g = 0; g < n; ++g) freq[g].reset(alphabet);
   }
 
   /// Ensures `trees` holds at least `n` codecs (existing codecs keep their

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 #include <string>
-#include <unordered_map>
 
 #include "src/common/parallel.hpp"
 #include "src/common/status.hpp"
@@ -23,15 +22,6 @@ namespace {
   throw Error(std::string("cliz: unregistered ") + stage + " backend");
 }
 
-std::size_t census_alphabet(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& freq) {
-  std::size_t n = 0;
-  for (const auto& [sym, f] : freq) {
-    if (f != 0) ++n;  // zeroed nodes kept alive by reset_freq
-  }
-  return n;
-}
-
 // --- Huffman (id 0) --------------------------------------------------------
 // A Huffman payload is byte-aligned and stateless between symbols, so a
 // segment is just a symbol range.
@@ -40,7 +30,7 @@ void huffman_encode_tables(std::size_t n_groups, CodecContext& ctx,
                            ByteWriter& out) {
   ctx.reserve_trees(n_groups);
   for (std::size_t g = 0; g < n_groups; ++g) {
-    ctx.trees[g].rebuild_from_frequencies(ctx.freq[g]);
+    ctx.trees[g].rebuild_from_frequencies(ctx.freq[g].counts());
     ctx.tree_bytes.clear();
     ctx.trees[g].serialize(ctx.tree_bytes);
     out.put_block(ctx.tree_bytes.bytes());
@@ -79,7 +69,7 @@ void huffman_parse_tables(ByteReader& in, std::size_t n_tables,
 
 bool tans_encodable(const CodecContext& ctx, std::size_t n_groups) {
   for (std::size_t g = 0; g < n_groups; ++g) {
-    if (census_alphabet(ctx.freq[g]) >
+    if (ctx.freq[g].size() >
         (std::size_t{1} << TansCodec::kMaxTableLog)) {
       return false;
     }
@@ -91,15 +81,15 @@ void tans_encode_tables(std::size_t n_groups, CodecContext& ctx,
                         ByteWriter& out) {
   std::size_t max_alphabet = 0;
   for (std::size_t g = 0; g < n_groups; ++g) {
-    max_alphabet = std::max(max_alphabet, census_alphabet(ctx.freq[g]));
+    max_alphabet = std::max(max_alphabet, ctx.freq[g].size());
   }
   const unsigned table_log = TansCodec::pick_table_log(max_alphabet);
 
   ctx.reserve_tans(n_groups);
   out.put_u8(static_cast<std::uint8_t>(table_log));
   for (std::size_t g = 0; g < n_groups; ++g) {
-    const bool ok = ctx.tans[g].rebuild_from_frequencies(ctx.freq[g],
-                                                         table_log);
+    const bool ok =
+        ctx.tans[g].rebuild_from_frequencies(ctx.freq[g].counts(), table_log);
     CLIZ_REQUIRE(ok, "tANS alphabet exceeds the table");
     ctx.tree_bytes.clear();
     ctx.tans[g].serialize(ctx.tree_bytes);

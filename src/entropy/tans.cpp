@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "src/common/status.hpp"
 
@@ -22,22 +21,16 @@ unsigned TansCodec::pick_table_log(std::size_t max_alphabet) {
   return std::clamp(want, kMinTableLog, kMaxTableLog);
 }
 
-bool TansCodec::rebuild_from_frequencies(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& freq,
-    unsigned table_log) {
+bool TansCodec::rebuild_from_frequencies(std::span<const SymbolCount> census,
+                                         unsigned table_log) {
   CLIZ_REQUIRE(table_log >= kMinTableLog && table_log <= kMaxTableLog,
                "tANS table log out of range");
+  require_valid_census(census);
   table_log_ = table_log;
   table_size_ = 1u << table_log;
 
-  entry_scratch_.clear();
-  for (const auto& [symbol, count] : freq) {
-    if (count != 0) entry_scratch_.emplace_back(symbol, count);
-  }
-  const std::size_t n = entry_scratch_.size();
+  const std::size_t n = census.size();
   if (n > table_size_) return false;  // cannot give every symbol a slot
-  std::sort(entry_scratch_.begin(), entry_scratch_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 
   symbols_.resize(n);
   norm_.resize(n);
@@ -47,15 +40,15 @@ bool TansCodec::rebuild_from_frequencies(
 
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    symbols_[i] = entry_scratch_[i].first;
-    total += entry_scratch_[i].second;
+    symbols_[i] = census[i].symbol;
+    total += census[i].count;
   }
 
   // Largest-remainder style normalization to exactly L slots, minimum one
   // slot per symbol, fully deterministic (ties broken by symbol order).
   std::uint64_t assigned = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t share = entry_scratch_[i].second * table_size_ / total;
+    std::uint64_t share = census[i].count * table_size_ / total;
     if (share == 0) share = 1;
     norm_[i] = static_cast<std::uint32_t>(share);
     assigned += share;
@@ -83,7 +76,7 @@ bool TansCodec::rebuild_from_frequencies(
     // Give the whole deficit to the most frequent symbol.
     std::size_t argmax = 0;
     for (std::size_t i = 1; i < n; ++i) {
-      if (entry_scratch_[i].second > entry_scratch_[argmax].second) argmax = i;
+      if (census[i].count > census[argmax].count) argmax = i;
     }
     norm_[argmax] += static_cast<std::uint32_t>(table_size_ - assigned);
   }
@@ -190,19 +183,6 @@ std::uint32_t TansCodec::decode_symbol(std::uint32_t& state,
   bits.skip_bits(e.nbits);
   state = e.base | static_cast<std::uint32_t>(refill);
   return e.symbol;
-}
-
-double TansCodec::payload_bits(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& freq) const {
-  double bits = 0.0;
-  const double log_l = static_cast<double>(table_log_);
-  for (const auto& [symbol, count] : freq) {
-    if (count == 0) continue;
-    const std::size_t i = find_index(symbol);
-    bits += static_cast<double>(count) *
-            (log_l - std::log2(static_cast<double>(norm_[i])));
-  }
-  return bits;
 }
 
 }  // namespace cliz

@@ -1,11 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/common/bitio.hpp"
 #include "src/common/bytestream.hpp"
+#include "src/common/census.hpp"
 
 namespace cliz {
 
@@ -30,13 +31,12 @@ class TansCodec {
 
   TansCodec() = default;
 
-  /// Rebuilds tables from a frequency census (zero-frequency entries are
-  /// ignored), reusing internal storage. Returns false when the alphabet
-  /// has more symbols than 2^table_log states — the caller falls back to
-  /// the Huffman backend.
-  bool rebuild_from_frequencies(
-      const std::unordered_map<std::uint32_t, std::uint64_t>& freq,
-      unsigned table_log);
+  /// Rebuilds tables from a census (symbols strictly ascending, counts
+  /// positive; cliz::Error otherwise), reusing internal storage. Returns
+  /// false when the alphabet has more symbols than 2^table_log states —
+  /// the caller falls back to the Huffman backend.
+  bool rebuild_from_frequencies(std::span<const SymbolCount> census,
+                                unsigned table_log);
 
   /// Writes the normalized count table (sorted symbols as deltas + counts).
   /// `table_log` itself is stream-global and serialized by the caller.
@@ -58,15 +58,6 @@ class TansCodec {
   [[nodiscard]] std::uint32_t decode_symbol(std::uint32_t& state,
                                             BitReader& bits) const;
 
-  /// Payload size implied by the normalized table for a frequency census,
-  /// as a real-valued bit count (sum freq[s] * log2(L / norm[s])); the
-  /// auto-tuner uses this to estimate sizes without encoding.
-  [[nodiscard]] double payload_bits(
-      const std::unordered_map<std::uint32_t, std::uint64_t>& freq) const;
-
-  [[nodiscard]] std::size_t alphabet_size() const noexcept {
-    return symbols_.size();
-  }
   [[nodiscard]] unsigned table_log() const noexcept { return table_log_; }
 
   /// Table log that fits `max_alphabet` symbols with headroom for precision,
@@ -90,7 +81,6 @@ class TansCodec {
   std::vector<std::uint32_t> cum_;      // exclusive prefix sums, parallel
   std::vector<DecodeEntry> decode_;     // L entries (identity spread)
   // Build-time scratch, retained across rebuilds for steady-state reuse.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> entry_scratch_;
   std::vector<std::uint32_t> order_scratch_;
 };
 

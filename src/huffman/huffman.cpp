@@ -10,6 +10,9 @@ namespace cliz {
 namespace {
 
 constexpr std::uint8_t kMaxCodeLength = 57;  // fits BitWriter's 64-bit staging
+// from_symbols counts alphabets below max(2^16, input size), which holds
+// every quantization-bin alphabet, in a flat array: faster than sorting.
+constexpr std::size_t kDenseCensusSpan = std::size_t{1} << 16;
 
 }  // namespace
 
@@ -66,25 +69,16 @@ void HuffmanCodec::compute_code_lengths(
   }
 }
 
-HuffmanCodec HuffmanCodec::from_frequencies(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& freq) {
-  HuffmanCodec codec;
-  codec.rebuild_from_frequencies(freq);
-  return codec;
-}
-
 void HuffmanCodec::rebuild_from_frequencies(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& freq) {
-  auto& entries = entry_scratch_;
-  entries.clear();
-  for (const auto& [sym, f] : freq) {
-    if (f > 0) entries.emplace_back(sym, f);
-  }
-  std::sort(entries.begin(), entries.end());
-
+    std::span<const SymbolCount> census) {
+  require_valid_census(census);
   auto& freqs = freq_scratch_;
-  freqs.resize(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) freqs[i] = entries[i].second;
+  freqs.resize(census.size());
+  symbols_.resize(census.size());
+  for (std::size_t i = 0; i < census.size(); ++i) {
+    symbols_[i] = census[i].symbol;
+    freqs[i] = census[i].count;
+  }
 
   auto& lengths = length_scratch_;
   compute_code_lengths(freqs, lengths);
@@ -97,19 +91,31 @@ void HuffmanCodec::rebuild_from_frequencies(
     compute_code_lengths(freqs, lengths);
   }
 
-  symbols_.resize(entries.size());
   lengths_.assign(lengths.begin(), lengths.end());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    symbols_[i] = entries[i].first;
-  }
   build_canonical();
 }
 
 HuffmanCodec HuffmanCodec::from_symbols(
     std::span<const std::uint32_t> symbols) {
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
-  for (const std::uint32_t s : symbols) ++freq[s];
-  return from_frequencies(freq);
+  HuffmanCodec codec;
+  const std::size_t top =
+      symbols.empty() ? 0 : *std::max_element(symbols.begin(), symbols.end());
+  if (top < std::max(symbols.size(), kDenseCensusSpan)) {
+    SymbolCensus census;
+    census.reset(top + 1);
+    for (const std::uint32_t s : symbols) census.add(s);
+    codec.rebuild_from_frequencies(census.counts());
+    return codec;
+  }
+  std::vector<std::uint32_t> sorted(symbols.begin(), symbols.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<SymbolCount> census;
+  for (std::size_t i = 0, j = 0; i < sorted.size(); i = j) {
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    census.push_back({sorted[i], j - i});
+  }
+  codec.rebuild_from_frequencies(census);
+  return codec;
 }
 
 void HuffmanCodec::build_canonical() {
@@ -250,10 +256,6 @@ std::uint64_t HuffmanCodec::find_code(std::uint32_t symbol) const {
   return enc_codes_[static_cast<std::size_t>(it - enc_symbols_.begin())];
 }
 
-bool HuffmanCodec::contains(std::uint32_t symbol) const {
-  return find_code(symbol) != 0;
-}
-
 void HuffmanCodec::serialize(ByteWriter& out) const {
   out.put_varint(symbols_.size());
   // The encode table is already sorted by symbol — exactly the delta-coded
@@ -362,22 +364,10 @@ std::uint32_t HuffmanCodec::decode_slow(BitReader& bits) const {
   throw Error("cliz: corrupt huffman stream (no code matched)");
 }
 
-std::uint64_t HuffmanCodec::encoded_bits(
-    std::span<const std::uint32_t> symbols) const {
-  std::uint64_t total = 0;
-  for (const std::uint32_t s : symbols) {
-    const std::uint64_t c = find_code(s);
-    CLIZ_REQUIRE(c != 0, "symbol not in huffman table");
-    total += c & 63;
-  }
-  return total;
-}
-
 std::uint64_t HuffmanCodec::payload_bits(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& freq) const {
+    std::span<const SymbolCount> census) const {
   std::uint64_t total = 0;
-  for (const auto& [sym, f] : freq) {
-    if (f == 0) continue;
+  for (const auto& [sym, f] : census) {
     const std::uint64_t c = find_code(sym);
     CLIZ_REQUIRE(c != 0, "symbol not in huffman table");
     total += f * (c & 63);

@@ -2,11 +2,11 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/bitio.hpp"
 #include "src/common/bytestream.hpp"
+#include "src/common/census.hpp"
 
 namespace cliz {
 
@@ -20,19 +20,15 @@ class HuffmanCodec {
  public:
   HuffmanCodec() = default;
 
-  /// Builds canonical code lengths from frequencies. Zero-frequency entries
-  /// are ignored. Handles the degenerate 0- and 1-symbol alphabets.
-  static HuffmanCodec from_frequencies(
-      const std::unordered_map<std::uint32_t, std::uint64_t>& freq);
-
-  /// Convenience: histogram `symbols` then build.
+  /// Convenience: census `symbols` (a SymbolCensus for quantization-bin
+  /// alphabets, sort and run-length count for wider ones), then build.
   static HuffmanCodec from_symbols(std::span<const std::uint32_t> symbols);
 
-  /// In-place variant of from_frequencies: rebuilds this codec's tables,
-  /// reusing its internal storage (CodecContext steady-state reuse keeps
-  /// one codec per Huffman group and rebuilds it every run).
-  void rebuild_from_frequencies(
-      const std::unordered_map<std::uint32_t, std::uint64_t>& freq);
+  /// Rebuilds this codec's canonical code lengths from a census (symbols
+  /// strictly ascending, counts positive; cliz::Error otherwise), reusing
+  /// its internal storage: CodecContext keeps one codec per Huffman group
+  /// and rebuilds it every run. Handles the 0- and 1-symbol alphabets.
+  void rebuild_from_frequencies(std::span<const SymbolCount> census);
 
   /// Writes the code table (sorted symbols as deltas + code lengths).
   void serialize(ByteWriter& out) const;
@@ -55,19 +51,10 @@ class HuffmanCodec {
   /// for short codes (the common case for quantization-bin streams).
   void decode_batch(BitReader& bits, std::uint32_t* out, std::size_t n) const;
 
-  /// Exact number of payload bits encode() would emit, without emitting.
-  [[nodiscard]] std::uint64_t encoded_bits(
-      std::span<const std::uint32_t> symbols) const;
-
-  /// Payload size implied by the table for a given frequency census
-  /// (sum freq[s] * len[s]); the auto-tuner uses this to estimate sizes.
+  /// Payload size implied by the table for a census (sum count * length);
+  /// the lossless section coder sizes its Huffman mode with it.
   [[nodiscard]] std::uint64_t payload_bits(
-      const std::unordered_map<std::uint32_t, std::uint64_t>& freq) const;
-
-  [[nodiscard]] std::size_t alphabet_size() const noexcept {
-    return symbols_.size();
-  }
-  [[nodiscard]] bool contains(std::uint32_t symbol) const;
+      std::span<const SymbolCount> census) const;
 
  private:
   void build_canonical();
@@ -114,7 +101,6 @@ class HuffmanCodec {
   std::vector<std::uint64_t> fast_table_;
   // Build-time scratch, retained across rebuilds so a codec that lives in a
   // CodecContext rebuilds with zero steady-state allocations.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> entry_scratch_;
   std::vector<std::uint64_t> freq_scratch_;
   std::vector<std::uint8_t> length_scratch_;
   std::vector<std::uint32_t> parent_scratch_;

@@ -83,11 +83,9 @@ void put_section(ByteWriter& out, std::span<const std::uint8_t> bytes,
   if (bytes.size() >= 32) {
     std::array<std::uint64_t, 256> census{};
     for (const std::uint8_t b : bytes) ++census[b];
-    // Zero rather than clear: keeps the map nodes alive so the next
-    // section reuses them (rebuild skips zero-count entries).
-    for (auto& [sym, f] : ctx.section_freq) f = 0;
+    ctx.section_freq.clear();
     for (std::uint32_t b = 0; b < census.size(); ++b) {
-      if (census[b] != 0) ctx.section_freq[b] = census[b];
+      if (census[b] != 0) ctx.section_freq.push_back({b, census[b]});
     }
     ctx.section_codec.rebuild_from_frequencies(ctx.section_freq);
     ctx.section_table.clear();

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/bitio.hpp"
@@ -47,7 +46,7 @@ struct LosslessScratch {
   ByteWriter stored;
   // Section coder staging (Huffman-over-bytes with raw fallback).
   std::vector<std::uint32_t> section_symbols;
-  std::unordered_map<std::uint32_t, std::uint64_t> section_freq;
+  std::vector<SymbolCount> section_freq;
   HuffmanCodec section_codec;
   ByteWriter section_table;
   BitWriter section_bits;

@@ -113,19 +113,27 @@ PipelineConfig make_config(std::size_t nd, bool dynamic, bool classify,
 TEST(CodecContext, ReusedContextStreamsAreByteIdentical) {
   const auto field = make_field(24, 12, 14, 99);
   const double eb = 1e-3;
-  CodecContext ctx;  // shared across every config below
+  CodecContext ctx;  // shared across every config below: one reused census
+                     // feeds both entropy coders, classified and not
 
-  for (const bool dynamic : {false, true}) {
-    for (const bool classify : {false, true}) {
-      for (const std::size_t period : {std::size_t{0}, std::size_t{12}}) {
-        for (const bool with_mask : {false, true}) {
-          const MaskMap* mask = with_mask ? &field.mask : nullptr;
-          const ClizCompressor comp(make_config(3, dynamic, classify, period));
-          const auto fresh = comp.compress(field.data, eb, mask);
-          const auto reused = comp.compress(field.data, eb, mask, ctx);
-          EXPECT_EQ(fresh, reused)
-              << "dynamic=" << dynamic << " classify=" << classify
-              << " period=" << period << " mask=" << with_mask;
+  for (const EntropyBackend entropy :
+       {EntropyBackend::kHuffman, EntropyBackend::kTans}) {
+    for (const bool dynamic : {false, true}) {
+      for (const bool classify : {false, true}) {
+        for (const std::size_t period : {std::size_t{0}, std::size_t{12}}) {
+          for (const bool with_mask : {false, true}) {
+            const MaskMap* mask = with_mask ? &field.mask : nullptr;
+            ClizOptions options;
+            options.entropy = entropy;
+            const ClizCompressor comp(
+                make_config(3, dynamic, classify, period), options);
+            const auto fresh = comp.compress(field.data, eb, mask);
+            const auto reused = comp.compress(field.data, eb, mask, ctx);
+            EXPECT_EQ(fresh, reused)
+                << "entropy=" << entropy_backend_name(entropy)
+                << " dynamic=" << dynamic << " classify=" << classify
+                << " period=" << period << " mask=" << with_mask;
+          }
         }
       }
     }
@@ -283,8 +291,8 @@ TEST(CodecContext, SteadyStateAllocationsCollapse) {
 
   EXPECT_EQ(out, cold_stream);
   EXPECT_EQ(fresh_out, cold_stream);
-  // The hot buffers (work copy, code vectors, census maps, LZ hash chains,
-  // Huffman scratch, stream staging) are all reused: steady-state
+  // The hot buffers (work copy, code vectors, symbol censuses, LZ hash
+  // chains, Huffman scratch, stream staging) are all reused: steady-state
   // allocation volume must collapse versus a cold context. What remains is
   // the periodic template's NdArray round-trips plus a few classification
   // internals (measured: ~56 allocs vs ~2500 cold).

@@ -4,12 +4,40 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <unordered_map>
 
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 
 namespace cliz {
 namespace {
+
+/// Census of `syms` in the coders' input form, for alphabets too wide for
+/// a SymbolCensus count array.
+std::vector<SymbolCount> census_of(const std::vector<std::uint32_t>& syms) {
+  std::map<std::uint32_t, std::uint64_t> counts;
+  for (const std::uint32_t s : syms) ++counts[s];
+  std::vector<SymbolCount> census;
+  for (const auto& [sym, count] : counts) census.push_back({sym, count});
+  return census;
+}
+
+/// Number of symbols in the codec's serialized table.
+std::uint64_t table_symbols(const HuffmanCodec& codec) {
+  ByteWriter table;
+  codec.serialize(table);
+  ByteReader r(table.bytes());
+  return r.get_varint();
+}
+
+/// Bits encode() emits for `syms`.
+std::uint64_t emitted_bits(const HuffmanCodec& codec,
+                           const std::vector<std::uint32_t>& syms) {
+  BitWriter bits;
+  codec.encode(syms, bits);
+  return bits.bit_count();
+}
 
 std::vector<std::uint32_t> roundtrip(const std::vector<std::uint32_t>& syms) {
   const auto codec = HuffmanCodec::from_symbols(syms);
@@ -53,26 +81,25 @@ TEST(Huffman, SkewedDistributionRoundTrip) {
 }
 
 TEST(Huffman, SkewedCodesShorterThanRareCodes) {
-  std::unordered_map<std::uint32_t, std::uint64_t> freq{
+  const std::vector<SymbolCount> census{
       {1, 1000}, {2, 10}, {3, 10}, {4, 1}};
-  const auto codec = HuffmanCodec::from_frequencies(freq);
-  const std::vector<std::uint32_t> common{1};
-  const std::vector<std::uint32_t> rare{4};
-  EXPECT_LT(codec.encoded_bits(common), codec.encoded_bits(rare));
+  HuffmanCodec codec;
+  codec.rebuild_from_frequencies(census);
+  EXPECT_LT(emitted_bits(codec, {1}), emitted_bits(codec, {4}));
 }
 
 TEST(Huffman, SingleSymbolAlphabet) {
   const std::vector<std::uint32_t> syms(100, 7);
   EXPECT_EQ(roundtrip(syms), syms);
   const auto codec = HuffmanCodec::from_symbols(syms);
-  EXPECT_EQ(codec.alphabet_size(), 1u);
+  EXPECT_EQ(table_symbols(codec), 1u);
   // One-symbol codes still cost one bit each.
-  EXPECT_EQ(codec.encoded_bits(syms), 100u);
+  EXPECT_EQ(emitted_bits(codec, syms), 100u);
 }
 
 TEST(Huffman, EmptyInputProducesEmptyCodec) {
   const auto codec = HuffmanCodec::from_symbols({});
-  EXPECT_EQ(codec.alphabet_size(), 0u);
+  EXPECT_EQ(table_symbols(codec), 0u);
   BitWriter bits;
   codec.encode({}, bits);  // no-op
   EXPECT_EQ(bits.bit_count(), 0u);
@@ -82,6 +109,33 @@ TEST(Huffman, LargeSymbolValues) {
   std::vector<std::uint32_t> syms{0, 0xFFFFFFFFu, 0x80000000u, 0, 42,
                                   0xFFFFFFFFu};
   EXPECT_EQ(roundtrip(syms), syms);
+}
+
+TEST(Huffman, FromSymbolsMatchesCensusRebuildOnDenseAndSparseAlphabets) {
+  // from_symbols counts quantization-bin alphabets in a flat array and
+  // sorts wider ones; both must yield the table a rebuild from the
+  // census gives.
+  Rng rng(8);
+  std::vector<std::uint32_t> dense(5000);
+  for (auto& s : dense) {
+    s = 32768 + static_cast<std::uint32_t>(rng.uniform_index(40));
+  }
+  std::vector<std::uint32_t> sparse(5000);
+  for (auto& s : sparse) {
+    s = static_cast<std::uint32_t>(rng.next_u64()) | 0x10000u;
+    if (rng.uniform_index(4) == 0) s = 7;
+  }
+  for (const auto* syms : {&dense, &sparse}) {
+    HuffmanCodec rebuilt;
+    rebuilt.rebuild_from_frequencies(census_of(*syms));
+    ByteWriter want;
+    rebuilt.serialize(want);
+    ByteWriter got;
+    HuffmanCodec::from_symbols(*syms).serialize(got);
+    const auto g = got.bytes();
+    const auto w = want.bytes();
+    EXPECT_TRUE(std::equal(g.begin(), g.end(), w.begin(), w.end()));
+  }
 }
 
 TEST(Huffman, RandomAlphabetsRoundTrip) {
@@ -102,39 +156,38 @@ TEST(Huffman, UnknownSymbolThrowsOnEncode) {
   const std::vector<std::uint32_t> bad{99};
   BitWriter bits;
   EXPECT_THROW(codec.encode(bad, bits), Error);
-  EXPECT_THROW((void)codec.encoded_bits(bad), Error);
+  EXPECT_THROW((void)codec.payload_bits(census_of(bad)), Error);
 }
 
 TEST(Huffman, PayloadBitsMatchesEncodedBits) {
   Rng rng(17);
   std::vector<std::uint32_t> syms(3000);
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
+  SymbolCensus census;
+  census.reset(50);
   for (auto& s : syms) {
     s = static_cast<std::uint32_t>(rng.uniform_index(50));
-    ++freq[s];
+    census.add(s);
   }
   const auto codec = HuffmanCodec::from_symbols(syms);
-  EXPECT_EQ(codec.payload_bits(freq), codec.encoded_bits(syms));
+  EXPECT_EQ(codec.payload_bits(census.counts()), emitted_bits(codec, syms));
 }
 
 TEST(Huffman, NearEntropyOnSkewedData) {
   // A heavily skewed stream must code close to its empirical entropy.
   std::vector<std::uint32_t> syms;
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
   const std::vector<std::pair<std::uint32_t, int>> spec{
       {0, 9000}, {1, 500}, {2, 300}, {3, 150}, {4, 50}};
   for (const auto& [sym, count] : spec) {
     for (int i = 0; i < count; ++i) syms.push_back(sym);
-    freq[sym] = static_cast<std::uint64_t>(count);
   }
   double entropy_bits = 0.0;
   const double total = static_cast<double>(syms.size());
-  for (const auto& [sym, f] : freq) {
+  for (const auto& [sym, f] : spec) {
     const double p = static_cast<double>(f) / total;
     entropy_bits += -static_cast<double>(f) * std::log2(p);
   }
   const auto codec = HuffmanCodec::from_symbols(syms);
-  const double coded = static_cast<double>(codec.encoded_bits(syms));
+  const double coded = static_cast<double>(emitted_bits(codec, syms));
   // Huffman cannot beat one bit per symbol; within that floor it must sit
   // close to the entropy (redundancy < 1 bit/symbol by Huffman's theorem).
   const double floor_bits =
@@ -143,9 +196,10 @@ TEST(Huffman, NearEntropyOnSkewedData) {
   EXPECT_LT(coded, floor_bits + static_cast<double>(syms.size()) * 0.25);
 }
 
-// Property: for any encodable stream, encoded_bits() must equal the bit
-// count encode() actually emits — the size estimator and the emitter may
-// never drift apart (the stream layout depends on the estimate). Runs over
+// Property: for any encodable stream, payload_bits() of its census must
+// equal the bit count encode() actually emits — the size estimator and the
+// emitter may never drift apart (the lossless section coder picks its mode
+// from the estimate). Runs over
 // distributions chosen to populate every decode path: near-uniform (short
 // codes, pair-table hits), geometric skew (mixed lengths), Fibonacci skew
 // (codes past the 11-bit fast-table width), and a single-symbol alphabet.
@@ -192,7 +246,7 @@ TEST(Huffman, EncodedBitsMatchesEmittedBitsProperty) {
     const auto codec = HuffmanCodec::from_symbols(syms);
     BitWriter bits;
     codec.encode(syms, bits);
-    EXPECT_EQ(codec.encoded_bits(syms), bits.bit_count())
+    EXPECT_EQ(codec.payload_bits(census_of(syms)), bits.bit_count())
         << "stream " << i;
 
     // The batched decoder (pair-augmented fast table + wide peek) must
@@ -269,19 +323,20 @@ TEST(Huffman, DecodeWithEmptyTableThrows) {
 TEST(Huffman, PathologicalSkewStaysWithinLengthCap) {
   // Fibonacci-like frequencies force maximal code lengths; the rebuild
   // loop must cap them without breaking decodability.
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
+  std::vector<SymbolCount> census;
   std::uint64_t a = 1;
   std::uint64_t b = 1;
   for (std::uint32_t s = 0; s < 80; ++s) {
-    freq[s] = a;
+    census.push_back({s, a});
     const std::uint64_t next = a + b;
     a = b;
     b = next;
     if (b > (1ull << 55)) break;
   }
-  const auto codec = HuffmanCodec::from_frequencies(freq);
+  HuffmanCodec codec;
+  codec.rebuild_from_frequencies(census);
   std::vector<std::uint32_t> syms;
-  for (const auto& [sym, f] : freq) syms.push_back(sym);
+  for (const auto& [sym, f] : census) syms.push_back(sym);
   EXPECT_EQ(roundtrip(syms), syms);
 }
 
@@ -321,15 +376,13 @@ std::vector<std::uint8_t> reference_bits(
 /// do) for `syms` and checks its bits and bit counts against the reference.
 void expect_encode_matches_reference(HuffmanCodec& codec,
                                      const std::vector<std::uint32_t>& syms) {
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
-  for (const std::uint32_t s : syms) ++freq[s];
-  codec.rebuild_from_frequencies(freq);
+  const auto census = census_of(syms);
+  codec.rebuild_from_frequencies(census);
   BitWriter bits;
   codec.encode(syms, bits);
   const std::uint64_t n_bits = bits.bit_count();
   EXPECT_EQ(bits.finish(), reference_bits(codec, syms));
-  EXPECT_EQ(codec.encoded_bits(syms), n_bits);
-  EXPECT_EQ(codec.payload_bits(freq), n_bits);
+  EXPECT_EQ(codec.payload_bits(census), n_bits);
 }
 
 TEST(Huffman, EncodeMatchesCanonicalReferenceOnWideSpans) {
@@ -379,22 +432,70 @@ TEST(Huffman, SymbolsMissingFromAWideAlphabetThrowOnEncode) {
   // Symbols absent from the alphabet, inside and outside the densely
   // indexed range, must still be refused, also by a codec rebuilt from a
   // dense alphabet that had them.
-  std::unordered_map<std::uint32_t, std::uint64_t> dense;
-  for (std::uint32_t s = 0; s < 100; ++s) dense[s] = 1 + s % 7;
-  for (std::uint32_t s = 32700; s < 32800; ++s) dense[s] = 1 + s % 5;
-  HuffmanCodec codec = HuffmanCodec::from_frequencies(dense);
+  std::vector<SymbolCount> dense;
+  for (std::uint32_t s = 0; s < 100; ++s) dense.push_back({s, 1 + s % 7});
+  for (std::uint32_t s = 32700; s < 32800; ++s) {
+    dense.push_back({s, 1 + s % 5});
+  }
+  HuffmanCodec codec;
+  codec.rebuild_from_frequencies(dense);
   const std::vector<std::uint32_t> syms{0, 32760, 32761, 32763, 32770, 65540};
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
-  for (const std::uint32_t s : syms) ++freq[s];
-  codec.rebuild_from_frequencies(freq);
+  codec.rebuild_from_frequencies(census_of(syms));
   for (const std::uint32_t bad :
        {1u, 32759u, 32762u, 32771u, 65539u, 65541u, 0xFFFFFFFFu}) {
     BitWriter bits;
     const std::vector<std::uint32_t> one{bad};
-    EXPECT_FALSE(codec.contains(bad)) << bad;
     EXPECT_THROW(codec.encode(one, bits), Error) << bad;
   }
-  for (const std::uint32_t good : syms) EXPECT_TRUE(codec.contains(good));
+  BitWriter bits;
+  EXPECT_NO_THROW(codec.encode(syms, bits));
+}
+
+TEST(Huffman, MalformedCensusIsRefused) {
+  const std::vector<std::vector<SymbolCount>> bad{
+      {{3, 5}, {1, 2}},          // descending
+      {{1, 5}, {1, 2}},          // duplicate symbol
+      {{1, 5}, {2, 0}, {3, 1}},  // zero count
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    HuffmanCodec codec;
+    EXPECT_THROW(codec.rebuild_from_frequencies(bad[i]), Error) << i;
+  }
+}
+
+TEST(SymbolCensus, ListsSeenSymbolsAscendingAcrossResets) {
+  SymbolCensus census;
+  census.reset(100);
+  for (const std::uint32_t s : {42u, 7u, 42u, 99u, 0u, 7u, 42u}) census.add(s);
+  EXPECT_EQ(census.size(), 4u);
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> want{
+      {0, 1}, {7, 2}, {42, 3}, {99, 1}};
+  auto got = census.counts();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].symbol, want[i].first);
+    EXPECT_EQ(got[i].count, want[i].second);
+  }
+  // Symbols added after a read are merged into the next one.
+  census.add(5);
+  census.add(99);
+  got = census.counts();
+  ASSERT_EQ(got.size(), 5u);
+  EXPECT_EQ(got[1].symbol, 5u);
+  EXPECT_EQ(got[4].count, 2u);
+
+  // A reset forgets every count, and the alphabet bounds the symbols.
+  census.reset(100);
+  EXPECT_EQ(census.size(), 0u);
+  EXPECT_TRUE(census.counts().empty());
+  census.add(42);
+  got = census.counts();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].symbol, 42u);
+  EXPECT_EQ(got[0].count, 1u);
+  census.reset(10);
+  census.add(9);
+  EXPECT_THROW(census.add(10), Error);
 }
 
 }  // namespace

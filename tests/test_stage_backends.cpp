@@ -425,7 +425,8 @@ TEST(StageBackends, RleFrameFaultsAreCleanErrors) {
 // --- tANS unit behaviour -------------------------------------------------
 
 TEST(StageBackends, TansCodecRoundTripsSkewedSymbols) {
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
+  SymbolCensus census;
+  census.reset(220);
   std::vector<std::uint32_t> symbols;
   Rng rng(99);
   for (std::size_t i = 0; i < 5000; ++i) {
@@ -435,11 +436,11 @@ TEST(StageBackends, TansCodecRoundTripsSkewedSymbols) {
             ? static_cast<std::uint32_t>(100 + rng.uniform_index(40) * 3)
             : static_cast<std::uint32_t>(rng.uniform_index(4));
     symbols.push_back(sym);
-    ++freq[sym];
+    census.add(sym);
   }
   TansCodec codec;
-  const unsigned table_log = TansCodec::pick_table_log(freq.size());
-  ASSERT_TRUE(codec.rebuild_from_frequencies(freq, table_log));
+  const unsigned table_log = TansCodec::pick_table_log(census.size());
+  ASSERT_TRUE(codec.rebuild_from_frequencies(census.counts(), table_log));
 
   std::uint32_t state = 1u << table_log;
   std::vector<std::uint32_t> stack;
@@ -470,11 +471,25 @@ TEST(StageBackends, TansCodecRoundTripsSkewedSymbols) {
 }
 
 TEST(StageBackends, TansRejectsOversizedAlphabet) {
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
-  for (std::uint32_t s = 0; s < 40; ++s) freq[s] = 1;
+  SymbolCensus census;
+  census.reset(40);
+  for (std::uint32_t s = 0; s < 40; ++s) census.add(s);
   TansCodec codec;
-  EXPECT_FALSE(codec.rebuild_from_frequencies(freq, 5));  // 40 > 2^5
-  EXPECT_TRUE(codec.rebuild_from_frequencies(freq, 6));
+  // 40 symbols need more than 2^5 states.
+  EXPECT_FALSE(codec.rebuild_from_frequencies(census.counts(), 5));
+  EXPECT_TRUE(codec.rebuild_from_frequencies(census.counts(), 6));
+}
+
+TEST(StageBackends, TansRefusesMalformedCensus) {
+  const std::vector<std::vector<SymbolCount>> bad{
+      {{3, 5}, {1, 2}},          // descending
+      {{1, 5}, {1, 2}},          // duplicate symbol
+      {{1, 5}, {2, 0}, {3, 1}},  // zero count
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    TansCodec codec;
+    EXPECT_THROW((void)codec.rebuild_from_frequencies(bad[i], 6), Error) << i;
+  }
 }
 
 // --- autotune backend grid -----------------------------------------------
