@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -29,19 +32,29 @@ inline void require_valid_census(std::span<const SymbolCount> census) {
 /// array indexed by symbol, and the symbols seen since reset() are listed,
 /// so reset() and counts() touch only those, never the whole alphabet.
 /// Storage is kept across resets: a census owned by a CodecContext recounts
-/// with no steady-state allocations.
+/// with no steady-state allocations. The count array comes from calloc, so
+/// pages no symbol lands on stay unmapped, and growing it replaces the
+/// all-zero array instead of copying it.
 class SymbolCensus {
  public:
   /// Empties the census and sizes it for symbols in [0, alphabet).
   void reset(std::size_t alphabet) {
     for (const std::uint32_t s : seen_) counts_[s] = 0;
     seen_.clear();
-    counts_.resize(alphabet);
+    if (counts_ == nullptr || alphabet > capacity_) {
+      // Every count is zero here, so the array is replaced, not copied.
+      counts_.reset();
+      counts_.reset(static_cast<std::uint64_t*>(std::calloc(
+          std::max<std::size_t>(alphabet, 1), sizeof(std::uint64_t))));
+      if (counts_ == nullptr) throw std::bad_alloc();
+      capacity_ = alphabet;
+    }
+    alphabet_ = alphabet;
   }
 
   /// Counts one occurrence of `symbol` (Error when outside the alphabet).
   void add(std::uint32_t symbol) {
-    CLIZ_REQUIRE(symbol < counts_.size(), "symbol outside census alphabet");
+    CLIZ_REQUIRE(symbol < alphabet_, "symbol outside census alphabet");
     if (counts_[symbol]++ == 0) seen_.push_back(symbol);
   }
 
@@ -60,7 +73,12 @@ class SymbolCensus {
   }
 
  private:
-  std::vector<std::uint64_t> counts_;  // indexed by symbol; 0 = unseen
+  struct Free {
+    void operator()(std::uint64_t* p) const noexcept { std::free(p); }
+  };
+  std::unique_ptr<std::uint64_t[], Free> counts_;  // by symbol; 0 = unseen
+  std::size_t capacity_ = 0;  // entries allocated in counts_
+  std::size_t alphabet_ = 0;  // symbols accepted since reset()
   std::vector<std::uint32_t> seen_;    // symbols with a nonzero count
   std::vector<SymbolCount> entries_;   // counts() output
 };

@@ -17,7 +17,9 @@ enum class ErrorCode : std::uint8_t {
   kCancelled = 2,        ///< CancelToken::cancel() observed mid-operation
   kDeadlineExceeded = 3, ///< CancelToken deadline passed mid-operation
   kIo = 4,               ///< filesystem/stream I/O failure
-  kUnsupported = 5,      ///< valid but unknown to this build (future version)
+  kUnsupported = 5,      ///< valid but not decodable by this build (future
+                         ///< version, or a retired format such as v1
+                         ///< lossless modes, CLKS frames, CLZA v1, RLE)
   kBadArgument = 6,      ///< caller misuse of the public API
 };
 
@@ -77,7 +79,7 @@ class Error : public std::runtime_error {
 
 /// Code-carrying variant for checks whose failure is not stream
 /// corruption: argument validation (kBadArgument), governor budgets
-/// (kLimitExceeded), unknown-version fields (kUnsupported), ...
+/// (kLimitExceeded), unknown-version or retired formats (kUnsupported), ...
 #define CLIZ_REQUIRE_CODE(cond, code, msg)                             \
   do {                                                                 \
     if (!(cond)) {                                                     \

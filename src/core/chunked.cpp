@@ -13,7 +13,8 @@ namespace cliz {
 
 namespace {
 
-constexpr std::uint32_t kMagic = detail::kChunkedMagicV1;    // "CLKS"
+// Retired v1 frame: still recognised, refused by ChunkedReader.
+constexpr std::uint32_t kMagicV1 = detail::kChunkedMagicV1;  // "CLKS"
 // v2 frame: the header (dims, chunk ranges, per-chunk payload CRCs) is
 // front-loaded and covered by its own CRC32C, then the payload blocks
 // follow. Covering the payload digests by the header digest means a spliced
@@ -245,8 +246,8 @@ void chunked_decompress_core(std::span<const std::uint8_t> stream,
   if (cancel != nullptr) cancel->check();
 
   // One validated parse serves full and region decodes alike; a full
-  // decode is simply the all-covering window (slab tiles of the v1/v2
-  // layouts decode straight into their output runs, so this stays
+  // decode is simply the all-covering window (slab tiles of the v2
+  // layout decode straight into their output runs, so this stays
   // staging-copy-free for the classic frames).
   const ChunkedReader reader(stream, limits, cancel);
   const Shape& shape = reader.shape();
@@ -318,7 +319,7 @@ bool is_chunked_stream(std::span<const std::uint8_t> stream) {
   if (stream.size() < sizeof(std::uint32_t)) return false;
   std::uint32_t magic = 0;
   std::memcpy(&magic, stream.data(), sizeof(magic));
-  return magic == kMagic || magic == kMagicV2 || magic == kMagicV3;
+  return magic == kMagicV1 || magic == kMagicV2 || magic == kMagicV3;
 }
 
 }  // namespace cliz

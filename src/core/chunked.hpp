@@ -107,7 +107,8 @@ void chunked_decompress_into(std::span<const std::uint8_t> stream,
 
 /// True when `stream` starts with a chunked frame magic ("CLK3" for the
 /// tile-indexed random-access layout, "CLK2" for the CRC-framed slab
-/// layout, or legacy checksum-less "CLKS").
+/// layout, or the retired checksum-less "CLKS", which decoding refuses
+/// with kUnsupported).
 [[nodiscard]] bool is_chunked_stream(std::span<const std::uint8_t> stream);
 
 namespace detail {

@@ -28,6 +28,15 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
   return h;
 }
 
+/// TileCache namespace of a frame: digest of its index bytes and its size.
+std::uint64_t index_digest(std::span<const std::uint8_t> index,
+                           std::uint64_t frame_bytes) {
+  return fnv1a(std::span<const std::uint8_t>(
+                   reinterpret_cast<const std::uint8_t*>(&frame_bytes),
+                   sizeof(frame_bytes)),
+               fnv1a(index));
+}
+
 /// Row-major strides (in elements) of an extent vector.
 DimVec strides_of(std::span<const std::size_t> extent) {
   DimVec s(extent.size());
@@ -137,8 +146,12 @@ ChunkedReader::ChunkedReader(std::span<const std::uint8_t> header,
 void ChunkedReader::parse_and_validate(std::span<const std::uint8_t> header) {
   ByteReader in(header);
   const std::uint32_t magic = in.get<std::uint32_t>();
-  CLIZ_REQUIRE(magic == kMagicV1 || magic == kMagicV2 || magic == kMagicV3,
-               "not a chunked stream");
+  // The checksum-less v1 layout is retired: refused before anything is
+  // sized from the frame.
+  CLIZ_REQUIRE_CODE(magic != kMagicV1, kUnsupported,
+                    "retired CLKS chunked frame (v1, no CRCs) is no longer "
+                    "decodable");
+  CLIZ_REQUIRE(magic == kMagicV2 || magic == kMagicV3, "not a chunked stream");
   const std::size_t ndims = static_cast<std::size_t>(in.get_varint());
   CLIZ_REQUIRE(ndims >= 1 && ndims <= 8, "corrupt dimensionality");
   DimVec dims(ndims);
@@ -169,7 +182,7 @@ void ChunkedReader::parse_and_validate(std::span<const std::uint8_t> header) {
                         std::to_string(in.pos()) + ")");
 
   if (magic != kMagicV3) {
-    // v1/v2: dim-0 slabs. Ranges must tile dim 0 exactly, in order.
+    // v2: dim-0 slabs. Ranges must tile dim 0 exactly, in order.
     CLIZ_REQUIRE(n_tiles >= 1 && n_tiles <= shape_.dim(0),
                  "corrupt chunk count");
     tiles_.resize(n_tiles);
@@ -184,68 +197,49 @@ void ChunkedReader::parse_and_validate(std::span<const std::uint8_t> header) {
       t.origin[0] = lo;
       t.extent = shape_.dims();
       t.extent[0] = hi - lo;
-      if (magic == kMagicV2) {
-        t.crc = in.get<std::uint32_t>();
-        t.has_crc = true;
-      } else {
-        // v1 interleaves the payload with the index: record where the
-        // block landed. File-backed callers must hand the whole frame as
-        // the header span for these legacy frames.
-        const std::uint64_t n = in.get_varint();
-        CLIZ_REQUIRE(n <= in.remaining(), "block length exceeds stream");
-        t.offset = in.pos();
-        t.n_bytes = n;
-        (void)in.get_bytes(static_cast<std::size_t>(n));
-      }
+      t.crc = in.get<std::uint32_t>();
     }
     CLIZ_REQUIRE(expected == shape_.dim(0), "chunks do not cover dim 0");
     const std::size_t header_end = in.pos();
-    if (magic == kMagicV2) {
-      const std::uint32_t header_crc = in.get<std::uint32_t>();
-      CLIZ_REQUIRE(crc32c(header.subspan(sizeof(kMagicV2),
-                                         header_end - sizeof(kMagicV2))) ==
-                       header_crc,
-                   "chunked frame header CRC mismatch");
-      // v2 records no payload offsets: recover them by walking the
-      // length-prefixed block chain — a few bytes per chunk, fetched on
-      // demand in file-backed mode, never the payloads themselves.
-      std::uint64_t cursor = in.pos();
-      for (auto& t : tiles_) {
-        std::uint8_t buf[10];
-        const std::uint64_t avail =
-            std::min<std::uint64_t>(sizeof(buf), frame_bytes_ - cursor);
-        CLIZ_REQUIRE(avail > 0, "stream truncated (u8)");
-        if (!frame_.empty()) {
-          std::memcpy(buf, frame_.data() + cursor,
-                      static_cast<std::size_t>(avail));
-        } else {
-          fetch_(cursor, avail, buf);
-        }
-        std::uint64_t len = 0;
-        std::uint64_t used = 0;
-        int shift = 0;
-        for (;;) {
-          CLIZ_REQUIRE(used < avail, "stream truncated (u8)");
-          CLIZ_REQUIRE(shift < 64, "varint overlong");
-          const std::uint8_t b = buf[used++];
-          len |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
-          if ((b & 0x80u) == 0) break;
-          shift += 7;
-        }
-        cursor += used;
-        CLIZ_REQUIRE(len <= frame_bytes_ - cursor,
-                     "block length exceeds stream");
-        t.offset = cursor;
-        t.n_bytes = len;
-        cursor += len;
+    const std::uint32_t header_crc = in.get<std::uint32_t>();
+    CLIZ_REQUIRE(crc32c(header.subspan(sizeof(kMagicV2),
+                                       header_end - sizeof(kMagicV2))) ==
+                     header_crc,
+                 "chunked frame header CRC mismatch");
+    // v2 records no payload offsets: recover them by walking the
+    // length-prefixed block chain — a few bytes per chunk, fetched on
+    // demand in file-backed mode, never the payloads themselves.
+    std::uint64_t cursor = in.pos();
+    for (auto& t : tiles_) {
+      std::uint8_t buf[10];
+      const std::uint64_t avail =
+          std::min<std::uint64_t>(sizeof(buf), frame_bytes_ - cursor);
+      CLIZ_REQUIRE(avail > 0, "stream truncated (u8)");
+      if (!frame_.empty()) {
+        std::memcpy(buf, frame_.data() + cursor,
+                    static_cast<std::size_t>(avail));
+      } else {
+        fetch_(cursor, avail, buf);
       }
+      std::uint64_t len = 0;
+      std::uint64_t used = 0;
+      int shift = 0;
+      for (;;) {
+        CLIZ_REQUIRE(used < avail, "stream truncated (u8)");
+        CLIZ_REQUIRE(shift < 64, "varint overlong");
+        const std::uint8_t b = buf[used++];
+        len |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
+        if ((b & 0x80u) == 0) break;
+        shift += 7;
+      }
+      cursor += used;
+      CLIZ_REQUIRE(len <= frame_bytes_ - cursor,
+                   "block length exceeds stream");
+      t.offset = cursor;
+      t.n_bytes = len;
+      cursor += len;
     }
-    frame_digest_ = fnv1a(header.subspan(0, header_end));
-    frame_digest_ = fnv1a(
-        std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(&frame_bytes_),
-            sizeof(frame_bytes_)),
-        frame_digest_);
+    frame_digest_ = index_digest(header.subspan(0, header_end), frame_bytes_);
     return;
   }
 
@@ -262,7 +256,6 @@ void ChunkedReader::parse_and_validate(std::span<const std::uint8_t> header) {
     t.offset = in.get_varint();  // relative to the payload base for now
     t.n_bytes = in.get_varint();
     t.crc = in.get<std::uint32_t>();
-    t.has_crc = true;
   }
   const std::size_t header_end = in.pos();
   const std::uint32_t header_crc = in.get<std::uint32_t>();
@@ -337,12 +330,7 @@ void ChunkedReader::parse_and_validate(std::span<const std::uint8_t> header) {
                  "overlapping tile payload ranges");
   }
 
-  frame_digest_ = fnv1a(header.subspan(0, header_end));
-  frame_digest_ = fnv1a(
-      std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(&frame_bytes_),
-          sizeof(frame_bytes_)),
-      frame_digest_);
+  frame_digest_ = index_digest(header.subspan(0, header_end), frame_bytes_);
 }
 
 unsigned ChunkedReader::sample_bytes() const {
@@ -462,7 +450,7 @@ RegionStats ChunkedReader::decompress_region(
       fetch_(t.offset, t.n_bytes, fbuf.data());
       payload = fbuf;
     }
-    CLIZ_REQUIRE(!t.has_crc || crc32c(payload) == t.crc,
+    CLIZ_REQUIRE(crc32c(payload) == t.crc,
                  "chunk payload CRC mismatch");
 
     T* tile_samples = nullptr;

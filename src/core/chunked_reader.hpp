@@ -7,7 +7,7 @@
 // over a tiled variable touches a handful of tiles instead of the whole
 // payload.
 //
-// All three frame generations are addressable:
+// Both written frame generations are addressable:
 //  - "CLK3": tile-indexed layout — per-tile origin/extent AND byte
 //    offset/length live in the CRC-protected header, so any tile is one
 //    seek away (written when ChunkedOptions::tile is set).
@@ -15,9 +15,7 @@
 //    header but block byte offsets are not; the reader recovers them by
 //    walking the length-prefixed block chain (a few bytes per chunk, not
 //    the payload itself), after which slabs address like tiles.
-//  - "CLKS": legacy v1 — blocks are interleaved with the header, so the
-//    walk spans the whole frame; random access still works, it just needs
-//    the full frame bytes in memory.
+// The retired checksum-less "CLKS" layout is refused with kUnsupported.
 //
 // The index is validated under the resource governor before anything
 // payload-proportional is allocated: declared extents and tile counts are
@@ -45,8 +43,7 @@ struct TileRecord {
   DimVec extent;               ///< per-dim length, in samples
   std::uint64_t offset = 0;    ///< compressed payload start within the frame
   std::uint64_t n_bytes = 0;   ///< compressed payload length
-  std::uint32_t crc = 0;       ///< CRC32C of the payload (v2/v3)
-  bool has_crc = false;        ///< false only for legacy v1 frames
+  std::uint32_t crc = 0;       ///< CRC32C of the payload
 };
 
 /// Telemetry of one decompress_region call: how much of the frame a window
@@ -103,8 +100,7 @@ class ChunkedReader {
   /// parsed tile records are kept; every payload, the probe in
   /// sample_bytes() included, comes through `fetch`), so the caller may
   /// free it as soon as the constructor returns. `fetch` is kept and must
-  /// stay callable for the reader's lifetime. Legacy v1 frames interleave
-  /// payload with the index and therefore need the whole frame in `header`.
+  /// stay callable for the reader's lifetime.
   ChunkedReader(std::span<const std::uint8_t> header, std::uint64_t frame_bytes,
                 Fetch fetch, const ResourceLimits& limits = {},
                 const CancelToken* cancel = nullptr);
@@ -167,6 +163,8 @@ void copy_tile_box(std::uint8_t* tile_buf, std::span<const std::size_t> torigin,
                    bool gather);
 
 /// Chunked-frame magics, shared by the writer (chunked.cpp) and the reader.
+/// "CLKS" is retired: is_chunked_stream still recognises it so that such a
+/// frame reaches the reader's kUnsupported refusal.
 inline constexpr std::uint32_t kChunkedMagicV1 = 0x434C4B53u;  // "CLKS"
 inline constexpr std::uint32_t kChunkedMagicV2 = 0x434C4B32u;  // "CLK2"
 inline constexpr std::uint32_t kChunkedMagicV3 = 0x434C4B33u;  // "CLK3"

@@ -101,20 +101,20 @@ void write_header(const NdArray<T>& data, double abs_error_bound,
 
 /// Stage 1 (kPeriodic): extract the periodic component. The template is
 /// compressed recursively (at half the bound, through ctx.child()), its
-/// reconstruction subtracted from `work`, and the residual bound tightened
-/// by the float-rounding slack of the add-back. Returns the residual
-/// quantizer bound.
+/// reconstruction subtracted from `work` (a copy of `data` on entry), and
+/// the residual bound tightened by the float-rounding slack of the
+/// add-back. Returns the residual quantizer bound.
 template <typename T>
-double stage_periodic(NdArray<T>& work, double abs_error_bound,
-                      const MaskMap* mask, const PipelineConfig& config,
-                      const ClizOptions& options, CodecContext& ctx,
-                      ByteWriter& out) {
+double stage_periodic(const NdArray<T>& data, NdArray<T>& work,
+                      double abs_error_bound, const MaskMap* mask,
+                      const PipelineConfig& config, const ClizOptions& options,
+                      CodecContext& ctx, ByteWriter& out) {
   const auto t0 = Clock::now();
   auto& st = ctx.stats.at(CodecStage::kPeriodic);
   st.input_bytes = work.size() * sizeof(T);
 
   const auto tmpl =
-      periodic_template(work, config.time_dim, config.period, mask);
+      periodic_template(data, config.time_dim, config.period, mask);
   PipelineConfig tconfig = config;
   tconfig.period = 0;
   tconfig.classify_bins = false;
@@ -127,24 +127,21 @@ double stage_periodic(NdArray<T>& work, double abs_error_bound,
     compress_impl<T>(tmpl, abs_error_bound / 2.0, nullptr, tconfig, options,
                      ctx.child(), ctx.template_stream);
   }
-  // Code the residual against the *reconstructed* template so the
-  // template's own error does not eat into the budget. The reconstruction
-  // lands in the context's template scratch (reused across runs).
-  auto& tmpl_recon = ctx.tmpl_work<T>();
-  const Shape tmpl_shape = decompress_core<T>(
-      ctx.template_stream, ctx.child(), VectorBind<T>{&tmpl_recon});
   out.put_block(ctx.template_stream);
+  // Code the residual against the *reconstructed* template so the
+  // template's own error does not eat into the budget. The nested encode
+  // leaves that reconstruction in the child's work buffer: prediction
+  // rewrites every valid template point to exactly what the decoder
+  // rebuilds, and every valid data point maps to a valid template point.
+  subtract_template(work.data(), work.shape(), ctx.child().work<T>().data(),
+                    tmpl.shape(), config.time_dim, mask);
 
+  const std::uint8_t* valid = mask != nullptr ? mask->data() : nullptr;
   double max_abs = 0.0;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    if (mask != nullptr && !mask->valid(i)) continue;
-    max_abs = std::max(max_abs, std::abs(static_cast<double>(work[i])));
-  }
-  subtract_template(work.data(), work.shape(), tmpl_recon.data(), tmpl_shape,
-                    config.time_dim, mask);
   double max_res = 0.0;
   for (std::size_t i = 0; i < work.size(); ++i) {
-    if (mask != nullptr && !mask->valid(i)) continue;
+    if (valid != nullptr && valid[i] == 0) continue;
+    max_abs = std::max(max_abs, std::abs(static_cast<double>(data[i])));
     max_res = std::max(max_res, std::abs(static_cast<double>(work[i])));
   }
   // The decoder computes data = template + residual in the sample type, so
@@ -375,8 +372,8 @@ void compress_impl(const NdArray<T>& data, double abs_error_bound,
       config.period < shape.dim(config.time_dim);
   double quant_eb = abs_error_bound;
   if (periodic) {
-    quant_eb =
-        stage_periodic(work, abs_error_bound, mask, config, options, ctx, raw);
+    quant_eb = stage_periodic(data, work, abs_error_bound, mask, config,
+                              options, ctx, raw);
   }
   raw.put(quant_eb);
 

@@ -127,7 +127,9 @@ class CodecContext {
   std::vector<std::size_t> axis_order; ///< induced pass order over the axes
 
   /// Work copy of the data (mutated to the reconstruction during
-  /// prediction), selected by sample type.
+  /// prediction, which it still holds after a compress call; the periodic
+  /// stage reads the template's reconstruction from the child's), selected
+  /// by sample type.
   template <typename T>
   [[nodiscard]] std::vector<T>& work();
 
@@ -135,8 +137,7 @@ class CodecContext {
   template <typename T>
   [[nodiscard]] std::vector<T>& outliers();
 
-  /// Reconstruction buffer for the recursive periodic template (both the
-  /// encode-side round trip and the decode-side template expansion),
+  /// Decode-side reconstruction buffer for the recursive periodic template,
   /// selected by sample type.
   template <typename T>
   [[nodiscard]] std::vector<T>& tmpl_work();

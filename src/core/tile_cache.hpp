@@ -26,7 +26,7 @@ namespace cliz {
 class TileCache {
  public:
   /// Identity of one decoded tile. `digest` is the tile's compressed-payload
-  /// CRC32C (0 for digest-less v1 frames): two frames that collide on
+  /// CRC32C: two frames that collide on
   /// `frame` still miss each other unless their payload bytes also collide,
   /// so a stale or cross-variable hit cannot silently serve wrong samples.
   struct Key {

@@ -14,7 +14,7 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x434C5A41u;        // "CLZA"
 constexpr std::uint32_t kRecordMagic = 0x434C5A56u;  // "CLZV"
-constexpr std::uint32_t kVersionV1 = 1;              // read-only
+constexpr std::uint32_t kVersionV1 = 1;              // retired, refused
 constexpr std::uint32_t kVersion = 2;
 // Trailer: index offset (8 bytes) + magic (4 bytes).
 constexpr std::size_t kTrailerBytes = 12;
@@ -23,8 +23,8 @@ constexpr std::size_t kTrailerBytes = 12;
 // grow the report without bound.
 constexpr std::size_t kMaxQuarantined = 64;
 
-/// v2 info serialization: no offset — the record frame is self-contained
-/// and the index carries the payload offset beside the info block.
+/// Info serialization: no offset — the record frame is self-contained and
+/// the index carries the payload offset beside the info block.
 void serialize_info(ByteWriter& w, const VariableInfo& info) {
   w.put_string(info.name);
   w.put_varint(info.dims.size());
@@ -56,30 +56,6 @@ VariableInfo deserialize_info(ByteReader& r) {
   info.codec = r.get_string();
   info.error_bound = r.get<double>();
   info.compressed_bytes = r.get_varint();
-  info.sample_bytes = static_cast<std::uint32_t>(r.get_varint());
-  const std::size_t nattr = static_cast<std::size_t>(r.get_varint());
-  CLIZ_REQUIRE(nattr <= 4096, "implausible attribute count");
-  for (std::size_t i = 0; i < nattr; ++i) {
-    std::string key = r.get_string();
-    info.attributes[std::move(key)] = r.get_string();
-  }
-  validate_info(info, nd);
-  return info;
-}
-
-/// v1 index entry: same fields with the offset interleaved after
-/// compressed_bytes. Kept verbatim so v1 archives stay readable.
-VariableInfo deserialize_info_v1(ByteReader& r, std::uint64_t& offset) {
-  VariableInfo info;
-  info.name = r.get_string();
-  const std::size_t nd = static_cast<std::size_t>(r.get_varint());
-  CLIZ_REQUIRE(nd >= 1 && nd <= 8, "corrupt archive dims");
-  info.dims.resize(nd);
-  for (auto& d : info.dims) d = static_cast<std::size_t>(r.get_varint());
-  info.codec = r.get_string();
-  info.error_bound = r.get<double>();
-  info.compressed_bytes = r.get_varint();
-  offset = r.get_varint();
   info.sample_bytes = static_cast<std::uint32_t>(r.get_varint());
   const std::size_t nattr = static_cast<std::size_t>(r.get_varint());
   CLIZ_REQUIRE(nattr <= 4096, "implausible attribute count");
@@ -270,6 +246,21 @@ void ArchiveReader::open_strict() {
   const auto file_size = static_cast<std::uint64_t>(in_.tellg());
   CLIZ_REQUIRE(file_size >= 8 + kTrailerBytes, "archive too small");
 
+  // Header magic and version. The checksum-less v1 layout is retired and
+  // refused before the trailer or index is read, so a tolerant open does
+  // not fall through to a record scan (kUnsupported is not damage).
+  in_.seekg(0);
+  std::uint8_t header[8];
+  in_.read(reinterpret_cast<char*>(header), 8);
+  ByteReader hr(header);
+  CLIZ_REQUIRE(hr.get<std::uint32_t>() == kMagic,
+               "not a CLZA archive (bad header)");
+  const std::uint32_t version = hr.get<std::uint32_t>();
+  CLIZ_REQUIRE_CODE(version != kVersionV1, kUnsupported,
+                    "retired CLZA version 1 archive (no CRCs) is no longer "
+                    "readable");
+  CLIZ_REQUIRE(version == kVersion, "unsupported archive version");
+
   // Trailer: index offset + magic.
   in_.seekg(static_cast<std::streamoff>(file_size - kTrailerBytes));
   std::uint8_t trailer[kTrailerBytes];
@@ -281,17 +272,6 @@ void ArchiveReader::open_strict() {
   CLIZ_REQUIRE(index_offset >= 8 && index_offset < file_size - kTrailerBytes,
                "corrupt index offset");
 
-  // Header magic.
-  in_.seekg(0);
-  std::uint8_t header[8];
-  in_.read(reinterpret_cast<char*>(header), 8);
-  ByteReader hr(header);
-  CLIZ_REQUIRE(hr.get<std::uint32_t>() == kMagic,
-               "not a CLZA archive (bad header)");
-  const std::uint32_t version = hr.get<std::uint32_t>();
-  CLIZ_REQUIRE(version == kVersionV1 || version == kVersion,
-               "unsupported archive version");
-
   // Index block.
   const std::size_t index_size =
       static_cast<std::size_t>(file_size - kTrailerBytes - index_offset);
@@ -301,18 +281,15 @@ void ArchiveReader::open_strict() {
            static_cast<std::streamsize>(index_size));
   CLIZ_REQUIRE(in_.good(), "archive index read failed");
 
-  std::span<const std::uint8_t> index_view(index_bytes);
-  if (version == kVersion) {
-    // The index CRC is the last 4 bytes; everything before it is covered.
-    CLIZ_REQUIRE(index_size >= sizeof(std::uint32_t) + 1,
-                 "archive index too small");
-    std::uint32_t expected = 0;
-    std::memcpy(&expected, index_bytes.data() + index_size - sizeof(expected),
-                sizeof(expected));
-    index_view = index_view.first(index_size - sizeof(expected));
-    CLIZ_REQUIRE(crc32c(index_view) == expected,
-                 "archive index CRC mismatch");
-  }
+  // The index CRC is the last 4 bytes; everything before it is covered.
+  CLIZ_REQUIRE(index_size >= sizeof(std::uint32_t) + 1,
+               "archive index too small");
+  std::uint32_t expected = 0;
+  std::memcpy(&expected, index_bytes.data() + index_size - sizeof(expected),
+              sizeof(expected));
+  const auto index_view = std::span<const std::uint8_t>(index_bytes).first(
+      index_size - sizeof(expected));
+  CLIZ_REQUIRE(crc32c(index_view) == expected, "archive index CRC mismatch");
 
   ByteReader ir(index_view);
   const std::size_t count = static_cast<std::size_t>(ir.get_varint());
@@ -326,16 +303,11 @@ void ArchiveReader::open_strict() {
                     "ResourceLimits::max_archive_variables");
   variables_.reserve(count);
   offsets_.reserve(count);
-  if (version == kVersion) payload_crcs_.reserve(count);
+  payload_crcs_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t offset = 0;
-    if (version == kVersion) {
-      variables_.push_back(deserialize_info(ir));
-      offset = ir.get_varint();
-      payload_crcs_.push_back(ir.get<std::uint32_t>());
-    } else {
-      variables_.push_back(deserialize_info_v1(ir, offset));
-    }
+    variables_.push_back(deserialize_info(ir));
+    const std::uint64_t offset = ir.get_varint();
+    payload_crcs_.push_back(ir.get<std::uint32_t>());
     // Governor: the declared record size is what read_raw/verify_payloads
     // will allocate — cap it here so an over-limit record is refused at
     // open, long before any read touches it.
@@ -431,9 +403,8 @@ void ArchiveReader::scan_records() {
 
 void ArchiveReader::verify_payloads() {
   // Eager CRC sweep so a tolerant open's `recovered` list is a promise:
-  // every name in it reads back bit-exact framing. v1 archives carry no
-  // CRCs and are kept as-is.
-  for (std::size_t i = payload_crcs_.size(); i-- > 0;) {
+  // every name in it reads back bit-exact framing.
+  for (std::size_t i = variables_.size(); i-- > 0;) {
     if (cancel_ != nullptr) cancel_->check();
     CLIZ_REQUIRE_CODE(
         variables_[i].compressed_bytes <= limits_.max_record_bytes,
@@ -490,8 +461,7 @@ std::vector<std::uint8_t> ArchiveReader::read_raw(
   in_.read(reinterpret_cast<char*>(stream.data()),
            static_cast<std::streamsize>(stream.size()));
   CLIZ_REQUIRE(in_.good(), "archive stream read failed");
-  CLIZ_REQUIRE(i >= payload_crcs_.size() ||
-                   crc32c(stream) == payload_crcs_[i],
+  CLIZ_REQUIRE(crc32c(stream) == payload_crcs_[i],
                "archive payload CRC mismatch for '" + name + "'");
   return stream;
 }
@@ -565,8 +535,7 @@ const ChunkedReader* ArchiveReader::region_view(std::size_t i) const {
     // Chunked frame: parse the index from a bounded header prefix, growing
     // it only when the parser reports truncation (kCorruptStream) — never
     // past the record itself, so genuinely corrupt indexes still surface.
-    // Legacy v1 frames interleave payload with the index and converge on
-    // the whole record; v2/v3 settle within a few KiB per thousand tiles.
+    // The index settles within a few KiB per thousand tiles.
     // The file-backed reader reads `header` only while constructing, so the
     // prefix is dropped once the index has validated.
     std::size_t prefix = static_cast<std::size_t>(

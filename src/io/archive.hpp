@@ -7,7 +7,7 @@
 // chunked frame), with free-form string attributes (units, model name, ...)
 // and the validity mask embedded in the stream.
 //
-// v2 layout: [magic "CLZA"] [version=2] [framed records...]
+// Layout: [magic "CLZA"] [version=2] [framed records...]
 //            [index block + CRC32C] [index offset u64] [magic]
 // where each record is self-describing:
 //            [record magic "CLZV"] [info block] [info CRC32C]
@@ -15,8 +15,9 @@
 // The index is written last so archives stream to disk without seeks; the
 // strict reader locates it from the fixed-size trailer, while the tolerant
 // reader can rebuild it from the record frames alone when the trailer or
-// index is damaged (see ArchiveOpenMode::kTolerant). v1 archives
-// (checksum-less, unframed records) remain readable in strict mode.
+// index is damaged (see ArchiveOpenMode::kTolerant). Retired version-1
+// archives (checksum-less, unframed records) are refused with
+// ErrorCode::kUnsupported in both open modes.
 
 #include <cstdint>
 #include <fstream>
@@ -55,8 +56,8 @@ struct VariableInfo {
 /// record sites were damaged, and whether the trailer-located index itself
 /// survived. Returned by ArchiveReader::salvage().
 struct SalvageReport {
-  /// True when the trailer and index parsed (and, for v2, the index CRC
-  /// verified); false when variables were recovered by scanning records.
+  /// True when the trailer and index parsed and the index CRC verified;
+  /// false when variables were recovered by scanning records.
   bool index_intact = false;
   /// Names readable through read()/read_raw(), in file order.
   std::vector<std::string> recovered;
@@ -241,7 +242,7 @@ class ArchiveReader {
   const CancelToken* cancel_ = nullptr;
   std::vector<VariableInfo> variables_;
   std::vector<std::uint64_t> offsets_;
-  std::vector<std::uint32_t> payload_crcs_;  ///< empty for v1 archives
+  std::vector<std::uint32_t> payload_crcs_;
   SalvageReport report_;
   /// Region views by variable position; filled only once an index has
   /// validated.

@@ -21,23 +21,17 @@ constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxMatch = 1u << 12;
 constexpr int kMaxChain = 64;
 
-// v1 container modes (no checksum). Still read, never written.
-constexpr std::uint8_t kModeStored = 0;
-constexpr std::uint8_t kModeLz = 1;
-// v2 container modes: same layout with a CRC32C of the *uncompressed*
-// payload between the size varint and the body, so any corruption of the
-// container that survives the structural checks is still caught before the
-// decoded bytes reach a consumer.
+// Every written mode carries a CRC32C of the *uncompressed* payload
+// between the size varint and the body, so any corruption of the container
+// that survives the structural checks is still caught before the decoded
+// bytes reach a consumer.
 constexpr std::uint8_t kModeStoredCrc = 2;
 constexpr std::uint8_t kModeLzCrc = 3;
 // Block-split container: the payload is cut into fixed-size blocks, each
-// carried as an independent single-block v2 frame, so blocks (de)compress
-// on separate threads. The split is purely size-driven — the same bytes go
-// out for every thread count.
+// carried as an independent single-block frame (mode 2 or 3), so blocks
+// (de)compress on separate threads. The split is purely size-driven — the
+// same bytes go out for every thread count.
 constexpr std::uint8_t kModeBlocksCrc = 4;
-// Legacy RLE frame from the retired store backend: byte-level runs as
-// (u8 value, varint run) pairs. Still read, never written.
-constexpr std::uint8_t kModeRleCrc = 5;
 constexpr std::size_t kBlockSize = std::size_t{1} << 18;
 constexpr std::size_t kBlockSplitThreshold = std::size_t{1} << 20;
 
@@ -138,7 +132,7 @@ void get_section(ByteReader& in, LosslessScratch& ctx,
   }
 }
 
-/// Compresses `in` as one single-block v2 frame (mode 2 or 3) into `out`.
+/// Compresses `in` as one single-block frame (mode 2 or 3) into `out`.
 void compress_single_into(std::span<const std::uint8_t> in,
                           LosslessScratch& ctx,
                           std::vector<std::uint8_t>& out) {
@@ -235,8 +229,8 @@ void compress_single_into(std::span<const std::uint8_t> in,
   put_section(lz, ctx.literals, ctx);
   put_section(lz, ctx.matches.bytes(), ctx);
 
-  // Both candidates carry the 4-byte CRC, so the v1 break-even point
-  // (lz < n + 2) shifts by exactly sizeof(payload_crc).
+  // LZ is kept when it is smaller than the stored frame: mode byte, size
+  // varint (counted as one byte), CRC and payload.
   if (lz.size() < n + 2 + sizeof(payload_crc)) {
     out.assign(lz.bytes().begin(), lz.bytes().end());
     return;
@@ -321,23 +315,26 @@ void lossless_decompress_into(std::span<const std::uint8_t> in,
                               const ResourceLimits& limits) {
   ByteReader r(in);
   const std::uint8_t mode = r.get_u8();
+  // Modes 0 and 1 (v1, no CRC) and 5 (RLE) are retired: refused before
+  // anything is sized from the frame.
+  CLIZ_REQUIRE_CODE(mode != 0 && mode != 1 && mode != 5, kUnsupported,
+                    "retired lossless mode " + std::to_string(mode) +
+                        (mode == 5 ? " (RLE)" : " (v1, no CRC)") +
+                        " is no longer decodable");
+  CLIZ_REQUIRE(mode >= kModeStoredCrc && mode <= kModeBlocksCrc,
+               "corrupt lossless mode byte");
   const std::uint64_t n = r.get_varint();
-  // Governor: the RLE, LZ and block modes size `out` from this declaration
+  // Governor: the LZ and block modes size `out` from this declaration
   // before a single payload byte is decoded.
   CLIZ_REQUIRE_CODE(n <= limits.max_output_bytes, kLimitExceeded,
                     "declared lossless size exceeds "
                     "ResourceLimits::max_output_bytes");
-  const bool has_crc = mode == kModeStoredCrc || mode == kModeLzCrc ||
-                       mode == kModeBlocksCrc || mode == kModeRleCrc;
-  std::uint32_t expected_crc = 0;
-  if (has_crc) expected_crc = r.get<std::uint32_t>();
+  const auto expected_crc = r.get<std::uint32_t>();
 
-  if (mode == kModeStored || mode == kModeStoredCrc) {
+  if (mode == kModeStoredCrc) {
     auto b = r.get_bytes(static_cast<std::size_t>(n));
-    if (has_crc) {
-      CLIZ_REQUIRE(crc32c(b) == expected_crc,
-                   "lossless payload CRC mismatch (stored)");
-    }
+    CLIZ_REQUIRE(crc32c(b) == expected_crc,
+                 "lossless payload CRC mismatch (stored)");
     out.assign(b.begin(), b.end());
     return;
   }
@@ -380,23 +377,7 @@ void lossless_decompress_into(std::span<const std::uint8_t> in,
                  "lossless payload CRC mismatch (blocks)");
     return;
   }
-  if (mode == kModeRleCrc) {
-    out.clear();
-    out.reserve(static_cast<std::size_t>(n));
-    while (out.size() < n) {
-      const std::uint8_t value = r.get_u8();
-      const std::uint64_t run = r.get_varint();
-      CLIZ_REQUIRE(run >= 1 && out.size() + run <= n,
-                   "corrupt lossless RLE run");
-      out.insert(out.end(), static_cast<std::size_t>(run), value);
-    }
-    CLIZ_REQUIRE(crc32c(out) == expected_crc,
-                 "lossless payload CRC mismatch (rle)");
-    return;
-  }
-  CLIZ_REQUIRE(mode == kModeLz || mode == kModeLzCrc,
-               "corrupt lossless mode byte");
-
+  // kModeLzCrc: LZ77 ops over the literal and match sections.
   const std::uint64_t n_ops = r.get_varint();
   BitReader flags(r.get_block());
   get_section(r, ctx, ctx.dec_literals);
@@ -423,10 +404,7 @@ void lossless_decompress_into(std::span<const std::uint8_t> in,
     }
   }
   CLIZ_REQUIRE(out.size() == n, "lossless size mismatch after decode");
-  if (has_crc) {
-    CLIZ_REQUIRE(crc32c(out) == expected_crc,
-                 "lossless payload CRC mismatch");
-  }
+  CLIZ_REQUIRE(crc32c(out) == expected_crc, "lossless payload CRC mismatch");
 }
 
 std::vector<std::uint8_t> lossless_decompress(

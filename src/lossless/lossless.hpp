@@ -14,8 +14,7 @@ namespace cliz {
 
 /// Lossless-stage backend. LZ is the only one: the enum survives as the
 /// type of ClizOptions::lossless and AutotuneResult::best_lossless, which
-/// existing callers assign. Frames are self-describing by their mode byte,
-/// so readers still decode legacy RLE frames (mode 5) that nothing writes.
+/// existing callers assign.
 enum class LosslessBackend : std::uint8_t {
   kLz = 0,  ///< LZ77 + Huffman with stored/block-split modes
 };
@@ -67,11 +66,12 @@ struct LosslessScratch {
 /// when compression would not help, so output is never much larger than
 /// input (small header + payload).
 ///
-/// The container is versioned by its mode byte: v2 modes (the only ones
-/// written) carry a CRC32C of the uncompressed payload that decompression
+/// The container is versioned by its mode byte. Every decodable mode
+/// carries a CRC32C of the uncompressed payload that decompression
 /// verifies, so a corrupted frame that slips past the structural checks is
-/// still rejected with cliz::Error. v1 (checksum-less) modes remain
-/// readable. See docs/FORMAT.md.
+/// still rejected with cliz::Error. The retired modes (0 and 1 without a
+/// CRC, 5 RLE) are refused with ErrorCode::kUnsupported. See
+/// docs/FORMAT.md.
 std::vector<std::uint8_t> lossless_compress(std::span<const std::uint8_t> in);
 
 /// Scratch-reusing variant: compresses `in` into `out` (replaced, capacity

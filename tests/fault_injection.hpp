@@ -6,6 +6,8 @@
 // failing case reproduces from its label alone. Test-only header — lives
 // beside the tests, not in src/.
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <span>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/common/status.hpp"
 
 namespace cliz::fault {
 
@@ -142,6 +145,21 @@ inline std::vector<Fault> splice_cases(std::span<const std::uint8_t> stream,
     out.push_back(std::move(f));
   }
   return out;
+}
+
+/// Asserts that `decode` is refused with ErrorCode::kUnsupported and a
+/// message naming the retired input format ("retired <format> ...").
+template <typename Fn>
+void expect_retired(const Fn& decode, const std::string& format) {
+  try {
+    decode();
+    ADD_FAILURE() << "retired " << format << " input was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << e.what();
+    EXPECT_NE(std::string(e.what()).find("retired " + format),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace cliz::fault

@@ -23,6 +23,7 @@
 #include "src/core/cliz.hpp"
 #include "src/metrics/metrics.hpp"
 #include "tests/alloc_guard.hpp"
+#include "tests/fault_injection.hpp"
 #include "tests/foreign_archive.hpp"
 
 namespace cliz {
@@ -488,66 +489,45 @@ TEST(Archive, SalvageOfGarbageFileRecoversNothing) {
   EXPECT_TRUE(r.variables().empty());
 }
 
-// --- v1 backward compatibility ------------------------------------------
+// --- retired v1 archives -------------------------------------------------
 
-/// Writes an archive in the exact v1 layout (unframed payloads, plain
-/// index with interleaved offsets, no checksums anywhere).
-void write_v1_archive(
-    const std::string& path,
-    const std::vector<std::pair<std::string, NdArray<float>>>& vars,
-    double eb) {
-  ByteWriter w;
-  w.put(std::uint32_t{0x434C5A41u});  // "CLZA"
-  w.put(std::uint32_t{1});            // version 1
-  struct Rec {
-    std::string name;
-    DimVec dims;
-    std::uint64_t offset;
-    std::uint64_t size;
-  };
-  std::vector<Rec> recs;
-  for (const auto& [name, data] : vars) {
-    const auto stream =
-        ClizCompressor(PipelineConfig::defaults(data.shape().ndims()))
-            .compress(data, eb);
-    recs.push_back({name, data.shape().dims(), w.size(), stream.size()});
-    w.put_bytes(stream);
-  }
-  const std::uint64_t index_offset = w.size();
-  w.put_varint(recs.size());
-  for (const auto& rec : recs) {
-    w.put_string(rec.name);
-    w.put_varint(rec.dims.size());
-    for (const std::size_t d : rec.dims) w.put_varint(d);
-    w.put_string("cliz");
-    w.put(eb);
-    w.put_varint(rec.size);
-    w.put_varint(rec.offset);
-    w.put_varint(std::uint64_t{4});  // sample_bytes
-    w.put_varint(std::uint64_t{0});  // no attributes
-  }
-  w.put(index_offset);
-  w.put(std::uint32_t{0x434C5A41u});
-  dump(path, {w.bytes().begin(), w.bytes().end()});
-}
-
-TEST(Archive, V1ArchiveStillReads) {
+TEST(Archive, V1ArchiveRefused) {
   TempFile file("v1_compat");
-  const auto a = smooth_array({10, 12}, 77);
-  const auto b = smooth_array({6, 8, 10}, 78);
-  write_v1_archive(file.path(), {{"A", a}, {"B", b}}, 1e-3);
+  std::vector<test::ArchiveRecord> records;
+  for (const auto& [name, data] :
+       {std::pair{"A", smooth_array({10, 12}, 77)},
+        std::pair{"B", smooth_array({6, 8, 10}, 78)}}) {
+    records.push_back(
+        {name, "cliz", data.shape().dims(),
+         ClizCompressor(PipelineConfig::defaults(data.shape().ndims()))
+             .compress(data, 1e-3)});
+  }
+  test::write_v1_archive(file.path(), records);
+  const auto pristine = slurp(file.path());
 
-  ArchiveReader r(file.path());
-  ASSERT_EQ(r.variables().size(), 2u);
-  EXPECT_EQ(r.info("B").dims, (DimVec{6, 8, 10}));
-  EXPECT_LE(error_stats(a.flat(), r.read("A").flat()).max_abs_error, 1e-3);
-  EXPECT_LE(error_stats(b.flat(), r.read("B").flat()).max_abs_error, 1e-3);
-
-  // Tolerant open of a clean v1 archive keeps everything (no CRCs to
-  // check) and reports the index intact.
-  ArchiveReader t(file.path(), ArchiveOpenMode::kTolerant);
-  EXPECT_TRUE(t.salvage().index_intact);
-  EXPECT_EQ(t.salvage().recovered.size(), 2u);
+  // The checksum-less layout is retired. Tolerant mode refuses it too:
+  // kUnsupported is not damage, so it never falls through to a record scan.
+  // Damage anywhere behind the version field changes nothing.
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases{
+      {"pristine", pristine}};
+  auto bad_trailer = pristine;
+  bad_trailer[bad_trailer.size() - 1] ^= 0x40;
+  cases.emplace_back("bad trailer magic", bad_trailer);
+  auto bad_index = pristine;
+  bad_index[bad_index.size() - 13] ^= 0x01;
+  cases.emplace_back("index byte flipped", bad_index);
+  auto bad_offset = pristine;
+  bad_offset[bad_offset.size() - 12] ^= 0x80;
+  cases.emplace_back("index offset flipped", bad_offset);
+  for (const auto& [label, bytes] : cases) {
+    SCOPED_TRACE(label);
+    dump(file.path(), bytes);
+    for (const auto mode :
+         {ArchiveOpenMode::kStrict, ArchiveOpenMode::kTolerant}) {
+      fault::expect_retired([&] { ArchiveReader r(file.path(), mode); },
+                            "CLZA version 1");
+    }
+  }
 }
 
 TEST(Archive, HostileIndexCountRejectedBeforeAllocation) {

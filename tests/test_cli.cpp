@@ -655,5 +655,36 @@ TEST_F(CliTest, ForeignArchiveRecordsAreUnsupported) {
             8);
 }
 
+TEST_F(CliTest, RetiredFormatsAreUnsupported) {
+  // The checksum-less v1 fixtures, an RLE lossless frame and a v1 CLZA
+  // archive are refused as unsupported (exit 8), and the message names the
+  // retired format.
+  const auto expect_retired = [&](const std::string& args) {
+    const auto [code, text] = run_capture(args);
+    EXPECT_EQ(code, 8) << args << "\n" << text;
+    EXPECT_NE(text.find("retired"), std::string::npos) << args << "\n"
+                                                       << text;
+  };
+  for (const char* file : {"v1_plain.cliz", "v1_masked.cliz",
+                           "v1_periodic.cliz", "v1_chunked.clks"}) {
+    const std::string in = std::string(CLIZ_GOLDEN_DIR) + "/" + file;
+    expect_retired("decompress " + in + " -o " + path("x.f32"));
+    expect_retired("info " + in);
+  }
+  write_bytes(path("rle.cliz"), {5, 4, 0, 0, 0, 0, 7, 4});
+  expect_retired("decompress " + path("rle.cliz") + " -o " + path("x.f32"));
+
+  const NdArray<float> data = small_field();
+  test::write_v1_archive(
+      path("v1.clza"),
+      {{"C", "cliz", data.shape().dims(),
+        ClizCompressor(PipelineConfig::defaults(3)).compress(data, 1e-3)}});
+  const std::string archive = path("v1.clza");
+  expect_retired("archive-list " + archive);
+  expect_retired("archive-list " + archive + " --salvage");
+  expect_retired("info " + archive);
+  expect_retired("archive-extract " + archive + " C -o " + path("c.f32"));
+}
+
 }  // namespace
 }  // namespace cliz

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <new>
@@ -18,6 +19,7 @@
 #include "src/common/rng.hpp"
 #include "src/core/autotune.hpp"
 #include "src/core/cliz.hpp"
+#include "src/core/periodic.hpp"
 #include "src/metrics/metrics.hpp"
 
 // --- global allocation counters (this test binary only) -------------------
@@ -136,6 +138,61 @@ TEST(CodecContext, ReusedContextStreamsAreByteIdentical) {
           }
         }
       }
+    }
+  }
+}
+
+// The periodic stage subtracts the nested template encode's reconstruction,
+// which the child context's work buffer holds after the encode, instead of
+// decoding the template stream it just wrote. That is sound only while the
+// two agree bit for bit at every valid template point.
+template <typename T>
+void expect_template_recon_matches_decode(const TestField& field,
+                                          PredictorBackend predictor,
+                                          const MaskMap* mask) {
+  using Bits =
+      std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  NdArray<T> data(field.data.shape());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<T>(field.data[i]);
+  }
+  constexpr std::size_t kPeriod = 12;
+  ClizOptions options;
+  options.predictor = predictor;
+  CodecContext ctx;
+  (void)ClizCompressor(make_config(3, true, true, kPeriod), options)
+      .compress(data, 1e-3, mask, ctx);
+
+  const std::vector<T>& recon = ctx.child().work<T>();
+  const NdArray<T> decoded =
+      ClizCompressor::decompress<T>(ctx.template_stream);
+  ASSERT_EQ(decoded.shape(),
+            detail::template_shape(data.shape(), 0, kPeriod));
+  ASSERT_EQ(recon.size(), decoded.size());
+  const MaskMap tmask =
+      mask != nullptr ? periodic_template_mask(*mask, 0, kPeriod)
+                      : MaskMap::all_valid(decoded.shape());
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    if (!tmask.valid(i)) continue;
+    ASSERT_EQ(std::bit_cast<Bits>(recon[i]), std::bit_cast<Bits>(decoded[i]))
+        << "template point " << i;
+    ++compared;
+  }
+  EXPECT_GT(compared, decoded.size() / 2);
+}
+
+TEST(CodecContext, PeriodicNestedReconstructionMatchesDecodedTemplate) {
+  const auto field = make_field(36, 12, 14, 41);
+  for (const PredictorBackend predictor :
+       {PredictorBackend::kInterp, PredictorBackend::kLorenzo1,
+        PredictorBackend::kRegression}) {
+    for (const MaskMap* mask : {static_cast<const MaskMap*>(nullptr),
+                                &field.mask}) {
+      SCOPED_TRACE(std::string(predictor_backend_name(predictor)) +
+                   (mask != nullptr ? " masked" : " unmasked"));
+      expect_template_recon_matches_decode<float>(field, predictor, mask);
+      expect_template_recon_matches_decode<double>(field, predictor, mask);
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "src/common/bytestream.hpp"
+#include "src/common/crc32c.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/core/chunked.hpp"
@@ -470,47 +471,65 @@ TEST(FuzzChunked, GarbageTruncationsAndBitFlips) {
 }
 
 TEST(FuzzChunked, HostileHeaders) {
-  constexpr std::uint32_t kChunkedMagic = 0x434C4B53u;  // "CLKS"
+  constexpr std::uint32_t kChunkedMagic = 0x434C4B32u;  // "CLK2"
   const auto data = sample_data();  // shape {16, 12, 10}
   const auto valid_chunk = ClizCompressor(PipelineConfig::defaults(3))
                                .compress(data, 1e-3);
+  const std::uint32_t valid_crc = crc32c(valid_chunk);
   ChunkedScratch scratch;
 
-  // Each writer builds one hostile frame; every one must be rejected (or
-  // at worst decode to garbage) without crashing through the pooled path.
-  const auto hostile = [&](auto&& build) {
+  // Each case builds one hostile CLK2 frame: `header` writes the fields the
+  // header CRC covers (sealed with a valid CRC, so the structural checks
+  // are what must catch the damage) and `blocks` the block chain after
+  // it. Every frame must be rejected (or at worst decode to garbage)
+  // without crashing through the pooled path.
+  const auto hostile = [&](auto&& header, auto&& blocks) {
+    ByteWriter h;
+    header(h);
     ByteWriter w;
     w.put(kChunkedMagic);
-    build(w);
+    w.put_bytes(h.bytes());
+    w.put(crc32c(h.bytes()));
+    blocks(w);
     const auto frame = w.bytes();
     expect_no_crash([&] {
       (void)chunked_decompress(
           std::vector<std::uint8_t>(frame.begin(), frame.end()), &scratch);
     });
   };
+  const auto no_blocks = [](ByteWriter&) {};
+  const auto shape_16_12_10 = [](ByteWriter& w) {
+    w.put_varint(3);
+    for (const std::size_t d : {16, 12, 10}) w.put_varint(d);
+  };
 
   // Zero / oversized dimensionality.
-  hostile([&](ByteWriter& w) { w.put_varint(0); });
-  hostile([&](ByteWriter& w) { w.put_varint(9); });
+  hostile([&](ByteWriter& w) { w.put_varint(0); }, no_blocks);
+  hostile([&](ByteWriter& w) { w.put_varint(9); }, no_blocks);
   // Huge dims (allocation bombs must be caught or bounded).
-  hostile([&](ByteWriter& w) {
-    w.put_varint(3);
-    w.put_varint(std::uint64_t{1} << 40);
-    w.put_varint(std::uint64_t{1} << 40);
-    w.put_varint(std::uint64_t{1} << 40);
-    w.put_varint(1);
-  });
+  hostile(
+      [&](ByteWriter& w) {
+        w.put_varint(3);
+        w.put_varint(std::uint64_t{1} << 40);
+        w.put_varint(std::uint64_t{1} << 40);
+        w.put_varint(std::uint64_t{1} << 40);
+        w.put_varint(1);
+      },
+      no_blocks);
   // Chunk count of zero, and more chunks than dim-0 rows.
-  hostile([&](ByteWriter& w) {
-    w.put_varint(3);
-    for (const std::size_t d : {16, 12, 10}) w.put_varint(d);
-    w.put_varint(0);
-  });
-  hostile([&](ByteWriter& w) {
-    w.put_varint(3);
-    for (const std::size_t d : {16, 12, 10}) w.put_varint(d);
-    w.put_varint(17);
-  });
+  hostile(
+      [&](ByteWriter& w) {
+        shape_16_12_10(w);
+        w.put_varint(0);
+      },
+      no_blocks);
+  hostile(
+      [&](ByteWriter& w) {
+        shape_16_12_10(w);
+        w.put_varint(17);
+      },
+      no_blocks);
+  const auto one_block = [&](ByteWriter& w) { w.put_block(valid_chunk); };
   // Ranges that gap, overlap, invert, or overshoot dim 0.
   for (const auto& [lo, hi] : std::vector<std::pair<std::uint64_t,
                                                     std::uint64_t>>{
@@ -518,46 +537,51 @@ TEST(FuzzChunked, HostileHeaders) {
            {0, 0},     // empty
            {4, 2},     // inverted
            {0, 99}}) {  // overshoot
-    hostile([&](ByteWriter& w) {
-      w.put_varint(3);
-      for (const std::size_t d : {16, 12, 10}) w.put_varint(d);
-      w.put_varint(1);
-      w.put_varint(lo);
-      w.put_varint(hi);
-      w.put_block(valid_chunk);
-    });
+    hostile(
+        [&](ByteWriter& w) {
+          shape_16_12_10(w);
+          w.put_varint(1);
+          w.put_varint(lo);
+          w.put_varint(hi);
+          w.put(valid_crc);
+        },
+        one_block);
   }
+  const auto whole_dim0 = [&](std::uint32_t crc) {
+    return [&, crc](ByteWriter& w) {
+      shape_16_12_10(w);
+      w.put_varint(1);
+      w.put_varint(0);
+      w.put_varint(16);
+      w.put(crc);
+    };
+  };
   // Block length overrunning the frame.
-  hostile([&](ByteWriter& w) {
-    w.put_varint(3);
-    for (const std::size_t d : {16, 12, 10}) w.put_varint(d);
-    w.put_varint(1);
-    w.put_varint(0);
-    w.put_varint(16);
+  hostile(whole_dim0(valid_crc), [](ByteWriter& w) {
     w.put_varint(1 << 20);  // promised block length; no payload follows
   });
-  // Well-formed header whose chunk payload is garbage.
-  hostile([&](ByteWriter& w) {
-    w.put_varint(3);
-    for (const std::size_t d : {16, 12, 10}) w.put_varint(d);
-    w.put_varint(1);
-    w.put_varint(0);
-    w.put_varint(16);
-    w.put_block(random_bytes(200, 31337));
-  });
+  // Well-formed header whose chunk payload is garbage (with a matching
+  // payload CRC, so the CliZ decoder itself must refuse it).
+  const auto garbage = random_bytes(200, 31337);
+  hostile(whole_dim0(crc32c(garbage)),
+          [&](ByteWriter& w) { w.put_block(garbage); });
   // Well-formed header whose (valid CliZ) chunk decodes to the wrong
   // slab geometry: frame claims rows 0..8, payload carries all 16.
-  hostile([&](ByteWriter& w) {
-    w.put_varint(3);
-    for (const std::size_t d : {16, 12, 10}) w.put_varint(d);
-    w.put_varint(2);
-    w.put_varint(0);
-    w.put_varint(8);
-    w.put_block(valid_chunk);
-    w.put_varint(8);
-    w.put_varint(16);
-    w.put_block(valid_chunk);
-  });
+  hostile(
+      [&](ByteWriter& w) {
+        shape_16_12_10(w);
+        w.put_varint(2);
+        w.put_varint(0);
+        w.put_varint(8);
+        w.put(valid_crc);
+        w.put_varint(8);
+        w.put_varint(16);
+        w.put(valid_crc);
+      },
+      [&](ByteWriter& w) {
+        w.put_block(valid_chunk);
+        w.put_block(valid_chunk);
+      });
 }
 
 TEST(FuzzChunked, WrongDecoderAndSampleWidth) {

@@ -25,6 +25,7 @@
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/metrics/metrics.hpp"
+#include "tests/fault_injection.hpp"
 
 namespace cliz {
 namespace {
@@ -624,51 +625,48 @@ TEST(GoldenStreams, LargeFieldThreadCountInvariant) {
   EXPECT_LE(error_stats(big.flat(), out.flat()).max_abs_error, kEb);
 }
 
-// --- v1 compatibility fixtures ------------------------------------------
-// Frozen copies of the corpus as the checksum-less v1 code wrote it.
-// Unlike the golden_* locks these are decode-only: v2 writers must keep
-// *reading* v1 streams, not reproducing them.
+// --- retired v1 fixtures ------------------------------------------------
+// Frozen copies of the corpus as the checksum-less v1 code wrote it. The
+// v1 formats are retired: every decode entry point and the width probe
+// refuse them with kUnsupported, naming the retired format.
 
-TEST(GoldenStreams, V1PlainStreamStillDecodes) {
+TEST(GoldenStreams, V1PlainStreamRefused) {
   const auto stream = read_file(golden_path("v1_plain.cliz"));
   ASSERT_FALSE(stream.empty());
-  const auto data = plain_field();
   CodecContext ctx;
-  NdArray<float> out(data.shape());
-  ClizCompressor::decompress_into(stream, ctx, out);
-  EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
+  NdArray<float> out(plain_field().shape());
+  fault::expect_retired(
+      [&] { ClizCompressor::decompress_into(stream, ctx, out); },
+      "lossless mode 0");
+  fault::expect_retired([&] { (void)detect_sample_bytes(stream); },
+                        "lossless mode 0");
 }
 
-TEST(GoldenStreams, V1MaskedStreamStillDecodes) {
+TEST(GoldenStreams, V1MaskedStreamRefused) {
   const auto stream = read_file(golden_path("v1_masked.cliz"));
   ASSERT_FALSE(stream.empty());
-  const auto field = masked_field();
-  const auto out = ClizCompressor::decompress(stream);
-  ASSERT_EQ(out.shape(), field.data.shape());
-  EXPECT_LE(
-      error_stats(field.data.flat(), out.flat(), &field.mask).max_abs_error,
-      kEb);
+  fault::expect_retired([&] { (void)ClizCompressor::decompress(stream); },
+                        "lossless mode 1");
 }
 
-TEST(GoldenStreams, V1PeriodicStreamStillDecodes) {
+TEST(GoldenStreams, V1PeriodicStreamRefused) {
   const auto stream = read_file(golden_path("v1_periodic.cliz"));
   ASSERT_FALSE(stream.empty());
-  const auto data = periodic_field();
-  const auto out = ClizCompressor::decompress(stream);
-  ASSERT_EQ(out.shape(), data.shape());
-  EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
+  fault::expect_retired([&] { (void)ClizCompressor::decompress(stream); },
+                        "lossless mode 0");
 }
 
-TEST(GoldenStreams, V1ChunkedFrameStillDecodes) {
+TEST(GoldenStreams, V1ChunkedFrameRefused) {
   const auto stream = read_file(golden_path("v1_chunked.clks"));
   ASSERT_FALSE(stream.empty());
-  const auto data = chunked_field();
+  // The CLKS magic is still recognised, so the frame reaches the typed
+  // refusal rather than "not a CliZ stream".
   ASSERT_TRUE(is_chunked_stream(stream));
-  EXPECT_EQ(ChunkedReader(stream).sample_bytes(), 4u);
+  fault::expect_retired([&] { ChunkedReader reader(stream); }, "CLKS");
   ChunkedScratch scratch;
-  NdArray<float> out(data.shape());
-  chunked_decompress_into(stream, out, &scratch);
-  EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
+  NdArray<float> out(chunked_field().shape());
+  fault::expect_retired(
+      [&] { chunked_decompress_into(stream, out, &scratch); }, "CLKS");
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "src/common/bytestream.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
+#include "tests/fault_injection.hpp"
 
 namespace cliz {
 namespace {
@@ -112,6 +114,22 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LosslessSizeSweep,
 TEST(Lossless, CorruptModeByteThrows) {
   std::vector<std::uint8_t> bad{9, 4, 1, 2, 3, 4};
   EXPECT_THROW(lossless_decompress(bad), Error);
+}
+
+TEST(Lossless, RetiredModesAreUnsupported) {
+  // Modes 0 and 1 (v1, no CRC) and 5 (RLE) are refused on the mode byte,
+  // before the declared size is read: even a size bomb under a 1-byte
+  // budget is kUnsupported, not kLimitExceeded.
+  ResourceLimits limits;
+  limits.max_output_bytes = 1;
+  for (const std::uint8_t mode : {0, 1, 5}) {
+    ByteWriter bomb;
+    bomb.put_u8(mode);
+    bomb.put_varint(std::uint64_t{1} << 39);
+    fault::expect_retired(
+        [&] { (void)lossless_decompress(bomb.bytes(), limits); },
+        "lossless mode " + std::to_string(mode));
+  }
 }
 
 TEST(Lossless, TruncatedStreamThrows) {

@@ -3,8 +3,8 @@
 // invariant for the non-default backend (the default is locked
 // byte-exactly by test_golden_streams.cpp), an unknown backend id in a
 // stream must be a clean cliz::Error, an infeasible tANS alphabet must
-// downgrade to Huffman on encode rather than fail, and legacy RLE lossless
-// frames must still decode.
+// downgrade to Huffman on encode rather than fail, and retired RLE lossless
+// frames must be refused as unsupported.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -333,10 +333,10 @@ TEST(StageBackends, InfeasibleTansAlphabetDowngradesToHuffman) {
   EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, eb);
 }
 
-// --- legacy RLE lossless frames -----------------------------------------
-// Nothing writes mode 5 any more (the store backend that did is retired),
-// but frames already on disk must keep decoding, and damaged ones must keep
-// failing cleanly.
+// --- retired RLE lossless frames ----------------------------------------
+// Nothing has written mode 5 since the store backend that did was retired,
+// and the mode is no longer read: an intact or damaged RLE frame is refused
+// with kUnsupported before anything is sized from it.
 
 /// Hand-assembles a mode-5 frame: declared size, CRC32C of the payload,
 /// then (u8 value, varint run) pairs.
@@ -366,59 +366,50 @@ std::vector<std::uint8_t> expand(
   return out;
 }
 
-TEST(StageBackends, LegacyRleFrameRoundTrips) {
-  const auto payload = expand(kRuns);
-  const auto frame = rle_frame(payload.size(), crc32c(payload), kRuns);
-  EXPECT_EQ(lossless_decompress(frame), payload);
+void expect_rle_refused(const std::vector<std::uint8_t>& frame) {
+  fault::expect_retired([&] { (void)lossless_decompress(frame); },
+                        "lossless mode 5");
   LosslessScratch scratch;
   std::vector<std::uint8_t> out;
-  lossless_decompress_into(frame, scratch, out);
-  EXPECT_EQ(out, payload);
+  fault::expect_retired(
+      [&] { lossless_decompress_into(frame, scratch, out); },
+      "lossless mode 5");
 }
 
-void expect_corrupt(const std::vector<std::uint8_t>& frame) {
-  try {
-    (void)lossless_decompress(frame);
-    ADD_FAILURE() << "corrupt RLE frame decoded";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kCorruptStream) << e.what();
-  }
+TEST(StageBackends, RetiredRleFrameRefused) {
+  const auto payload = expand(kRuns);
+  expect_rle_refused(rle_frame(payload.size(), crc32c(payload), kRuns));
 }
 
-TEST(StageBackends, RleFrameFaultsAreCleanErrors) {
+TEST(StageBackends, RetiredRleFrameFaultsRefused) {
   const auto payload = expand(kRuns);
   const std::uint32_t crc = crc32c(payload);
   {
     SCOPED_TRACE("zero-length run");
     auto runs = kRuns;
     runs.insert(runs.begin() + 1, {9, 0});
-    expect_corrupt(rle_frame(payload.size(), crc, runs));
+    expect_rle_refused(rle_frame(payload.size(), crc, runs));
   }
   {
     SCOPED_TRACE("run past the declared size");
     auto runs = kRuns;
     runs.back().second += 1;
-    expect_corrupt(rle_frame(payload.size(), crc, runs));
+    expect_rle_refused(rle_frame(payload.size(), crc, runs));
   }
   {
     SCOPED_TRACE("CRC mismatch");
-    expect_corrupt(rle_frame(payload.size(), crc ^ 1u, kRuns));
+    expect_rle_refused(rle_frame(payload.size(), crc ^ 1u, kRuns));
   }
 
+  // Damage behind the mode byte never turns the frame into a corrupt one.
   const auto frame = rle_frame(payload.size(), crc, kRuns);
-  for (const auto& fault : fault::bit_flip_cases(frame, 40, 515)) {
-    try {
-      const auto out = lossless_decompress(fault.bytes);
-      // Undetected only if the decode reproduced the payload exactly
-      // (flip landed in slack space).
-      EXPECT_EQ(out, payload) << fault.label;
-    } catch (const Error&) {
-      // detected corruption
-    }
-  }
-  for (const auto& fault : fault::truncation_cases(frame, 24)) {
-    EXPECT_THROW((void)lossless_decompress(fault.bytes), Error)
-        << fault.label;
+  auto cases = fault::bit_flip_cases(frame, 40, 515);
+  auto truncs = fault::truncation_cases(frame, 24);
+  cases.insert(cases.end(), truncs.begin(), truncs.end());
+  for (const auto& fault : cases) {
+    if (fault.bytes.empty() || fault.bytes[0] != 5) continue;
+    SCOPED_TRACE(fault.label);
+    expect_rle_refused(fault.bytes);
   }
 }
 

@@ -233,7 +233,7 @@ void print_region_stats(const RegionStats& rs) {
 }
 
 /// Per-tile index table of a chunked frame held in memory; the CRC column
-/// re-hashes each payload against the index ("-" for legacy CRC-less v1).
+/// re-hashes each payload against the index.
 void print_tile_table(const ChunkedReader& reader,
                       std::span<const std::uint8_t> frame) {
   std::printf("  %-5s %-16s %-16s %12s %12s  %s\n", "tile", "origin",
@@ -241,13 +241,9 @@ void print_tile_table(const ChunkedReader& reader,
   const auto tiles = reader.tiles();
   for (std::size_t i = 0; i < tiles.size(); ++i) {
     const TileRecord& t = tiles[i];
-    const char* crc_status = "-";
-    if (t.has_crc) {
-      const auto payload =
-          frame.subspan(static_cast<std::size_t>(t.offset),
-                        static_cast<std::size_t>(t.n_bytes));
-      crc_status = crc32c(payload) == t.crc ? "ok" : "BAD";
-    }
+    const auto payload = frame.subspan(static_cast<std::size_t>(t.offset),
+                                       static_cast<std::size_t>(t.n_bytes));
+    const char* crc_status = crc32c(payload) == t.crc ? "ok" : "BAD";
     std::printf("  %-5zu %-16s %-16s %12llu %12llu  %s\n", i,
                 dims_to_string(t.origin).c_str(),
                 dims_to_string(t.extent).c_str(),
