@@ -272,6 +272,44 @@ void BM_HuffmanDecode(benchmark::State& state) {
   report_bytes(state, syms.size() * sizeof(std::uint32_t));
 }
 
+/// The censuses a stream's Huffman tables are built from: "bytes" is an LZ
+/// section's 256-symbol byte census, "tile" the ~300 quantization bins of
+/// one 8x32x32 tile, "wide" a 65,536-symbol alphabet.
+std::vector<SymbolCount> huffman_census(const std::string& kind) {
+  Rng rng(3);
+  std::vector<SymbolCount> census;
+  if (kind == "bytes") {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      census.push_back({b, 1 + rng.uniform_index(b < 16 ? 4000 : 200)});
+    }
+  } else if (kind == "tile") {
+    // Bins around the radius 2^15 with geometric tails, plus the escape 0.
+    census.push_back({0, 12});
+    for (std::uint32_t k = 32768 - 150; k <= 32768 + 150; ++k) {
+      const double d = std::abs(static_cast<double>(k) - 32768.0);
+      census.push_back(
+          {k, 1 + static_cast<std::uint64_t>(3000.0 * std::exp(-d / 12.0))});
+    }
+  } else {
+    for (std::uint32_t s = 0; s < 65536; ++s) {
+      census.push_back({s, 1 + rng.uniform_index(1000)});
+    }
+  }
+  return census;
+}
+
+/// Builds one encoder-side Huffman table: the fixed cost every stream, LZ
+/// section and autotune trial pays before coding a symbol.
+void BM_HuffmanBuild(benchmark::State& state, const std::string& kind) {
+  const auto census = huffman_census(kind);
+  HuffmanCodec codec;
+  for (auto _ : state) {
+    codec.rebuild_from_frequencies(census);
+    benchmark::DoNotOptimize(codec);
+  }
+  state.counters["symbols"] = static_cast<double>(census.size());
+}
+
 void BM_LosslessCompress(benchmark::State& state) {
   Rng rng(2);
   std::vector<std::uint8_t> data(1 << 20);
@@ -614,6 +652,12 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("substrate/huffman_decode",
                                cliz::BM_HuffmanDecode)
       ->Unit(benchmark::kMillisecond);
+  for (const std::string kind : {"bytes", "tile", "wide"}) {
+    benchmark::RegisterBenchmark(
+        ("substrate/huffman_build/" + kind).c_str(),
+        [kind](benchmark::State& s) { cliz::BM_HuffmanBuild(s, kind); })
+        ->Unit(benchmark::kMicrosecond);
+  }
   benchmark::RegisterBenchmark("substrate/lossless_compress",
                                cliz::BM_LosslessCompress)
       ->Unit(benchmark::kMillisecond);

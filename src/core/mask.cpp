@@ -1,5 +1,6 @@
 #include "src/core/mask.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace cliz {
@@ -62,18 +63,13 @@ void MaskMap::serialize(ByteWriter& out) const {
   for (const std::size_t d : shape_.dims()) out.put_varint(d);
   // Run-length encoding: first value, then alternating run lengths.
   out.put_u8(valid_.empty() ? 0 : valid_[0]);
-  std::size_t run = 0;
-  std::uint8_t cur = valid_.empty() ? 0 : valid_[0];
-  for (const std::uint8_t v : valid_) {
-    if (v == cur) {
-      ++run;
-    } else {
-      out.put_varint(run);
-      cur = v;
-      run = 1;
-    }
+  for (auto it = valid_.begin(); it != valid_.end();) {
+    const std::uint8_t cur = *it;
+    const auto run_end = std::find_if(
+        it, valid_.end(), [cur](std::uint8_t v) { return v != cur; });
+    out.put_varint(static_cast<std::uint64_t>(run_end - it));
+    it = run_end;
   }
-  if (run > 0) out.put_varint(run);
   out.put_varint(0);  // terminator
 }
 
@@ -108,17 +104,25 @@ MaskMap MaskMap::crop(std::span<const std::size_t> start,
                       const Shape& region) const {
   CLIZ_REQUIRE(start.size() == shape_.ndims(), "crop arity mismatch");
   CLIZ_REQUIRE(region.ndims() == shape_.ndims(), "crop region arity mismatch");
+  const std::size_t nd = region.ndims();
+  for (std::size_t d = 0; d < nd; ++d) {
+    CLIZ_REQUIRE(start[d] < shape_.dim(d) &&
+                     region.dim(d) <= shape_.dim(d) - start[d],
+                 "crop out of range");
+  }
+  // Copy whole innermost rows; `c` walks the outer coordinates of the
+  // region in row-major order.
+  const std::size_t row = region.dim(nd - 1);
   std::vector<std::uint8_t> v(region.size());
-  DimVec c(region.ndims(), 0);
-  DimVec src(region.ndims());
-  for (std::size_t i = 0; i < region.size(); ++i) {
-    for (std::size_t d = 0; d < region.ndims(); ++d) {
-      src[d] = start[d] + c[d];
-      CLIZ_REQUIRE(src[d] < shape_.dim(d), "crop out of range");
+  DimVec c(nd, 0);
+  for (std::size_t out = 0; out < v.size(); out += row) {
+    std::size_t src = start[nd - 1];
+    for (std::size_t d = 0; d + 1 < nd; ++d) {
+      src += (start[d] + c[d]) * shape_.strides()[d];
     }
-    v[i] = valid_[shape_.offset(src)];
-    std::size_t d = region.ndims();
-    while (d-- > 0) {
+    std::copy_n(valid_.begin() + static_cast<std::ptrdiff_t>(src), row,
+                v.begin() + static_cast<std::ptrdiff_t>(out));
+    for (std::size_t d = nd - 1; d-- > 0;) {
       if (++c[d] < region.dim(d)) break;
       c[d] = 0;
     }

@@ -1,7 +1,8 @@
 #include "src/huffman/huffman.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <array>
+#include <utility>
 
 #include "src/common/status.hpp"
 
@@ -16,57 +17,87 @@ constexpr std::size_t kDenseCensusSpan = std::size_t{1} << 16;
 
 }  // namespace
 
-/// Computes Huffman code lengths with the classic two-node merge, into
-/// `lengths` (parallel to `freqs`). Scratch buffers live on the codec so
+/// Computes Huffman code lengths with the two-queue merge, into `lengths`
+/// (parallel to `freqs`), and returns the longest. The leaves are sorted
+/// once by (weight, index); merged nodes get indices n, n+1, ... and are
+/// created in non-decreasing weight order, so a FIFO keeps them sorted too.
+/// Each step pops the smaller front by (weight, index) -- a leaf wins a
+/// tie, its index being below every merged node's -- which is exactly the
+/// order a min-heap of (weight, index) pairs pops, so the tree (and thus
+/// the lengths) is the heap merge's. Scratch buffers live on the codec so
 /// repeated rebuilds do not allocate.
-void HuffmanCodec::compute_code_lengths(
+std::uint8_t HuffmanCodec::compute_code_lengths(
     const std::vector<std::uint64_t>& freqs,
     std::vector<std::uint8_t>& lengths) {
   const std::size_t n = freqs.size();
   lengths.resize(n);
-  if (n == 0) return;
+  if (n == 0) return 0;
   if (n == 1) {
     lengths[0] = 1;
-    return;
+    return 1;
   }
 
-  // Min-heap of (weight, node index < n: leaf, >= n: internal). greater<>
-  // pops the smallest weight, smallest index on ties, so the tree shape
-  // (and thus the lengths) is deterministic. All pairs are distinct — the
-  // index is unique — so the pop order does not depend on heap layout.
-  const auto cmp = std::greater<std::pair<std::uint64_t, std::uint32_t>>();
-  auto& heap = heap_scratch_;
-  heap.clear();
-  auto& parent = parent_scratch_;
-  parent.assign(2 * n, 0);
+  // Stable LSD radix sort by weight, one pass per byte that is not the same
+  // in every weight: equal weights keep index order, so the result is in
+  // (weight, index) order.
+  auto& leaves = leaf_scratch_;
+  auto& sorted = leaf_sorted_scratch_;
+  leaves.resize(n);
+  sorted.resize(n);
+  std::uint64_t varying = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    heap.emplace_back(freqs[i], static_cast<std::uint32_t>(i));
+    leaves[i] = {freqs[i], static_cast<std::uint32_t>(i)};
+    varying |= freqs[i] ^ freqs[0];
   }
-  std::make_heap(heap.begin(), heap.end(), cmp);
-  std::uint32_t next = static_cast<std::uint32_t>(n);
-  while (heap.size() > 1) {
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    const auto a = heap.back();
-    heap.pop_back();
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    const auto b = heap.back();
-    heap.pop_back();
-    parent[a.second] = next;
-    parent[b.second] = next;
-    heap.emplace_back(a.first + b.first, next);
-    std::push_heap(heap.begin(), heap.end(), cmp);
-    ++next;
-  }
-  const std::uint32_t root = heap.front().second;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint8_t len = 0;
-    for (std::uint32_t v = static_cast<std::uint32_t>(i); v != root;
-         v = parent[v]) {
-      ++len;
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    std::array<std::uint32_t, 256> start{};
+    for (const auto& l : leaves) ++start[(l.first >> shift) & 0xFF];
+    std::uint32_t sum = 0;
+    for (auto& s : start) sum += std::exchange(s, sum);
+    for (const auto& l : leaves) {
+      sorted[start[(l.first >> shift) & 0xFF]++] = l;
     }
-    lengths[i] = len;
+    leaves.swap(sorted);
   }
+
+  auto& merged = merged_scratch_;  // weight of merged node n + k
+  merged.resize(n - 1);
+  auto& parent = parent_scratch_;
+  parent.resize(2 * n - 1);
+  std::size_t leaf = 0;
+  std::size_t front = 0;
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    // Pop two nodes; merged nodes 0 .. k-1 exist, front .. k-1 are queued.
+    std::uint32_t node[2];
+    std::uint64_t weight = 0;
+    for (auto& v : node) {
+      if (leaf < n && (front == k || leaves[leaf].first <= merged[front])) {
+        weight += leaves[leaf].first;
+        v = leaves[leaf++].second;
+      } else {
+        weight += merged[front];
+        v = static_cast<std::uint32_t>(n + front++);
+      }
+    }
+    parent[node[0]] = parent[node[1]] = static_cast<std::uint32_t>(n + k);
+    merged[k] = weight;
+  }
+
+  // Every node's parent has a higher index, so one descending pass assigns
+  // each depth from its parent's (the root, 2n - 2, has depth 0).
+  auto& depth = depth_scratch_;
+  depth.resize(2 * n - 1);
+  depth[2 * n - 2] = 0;
+  std::uint8_t longest = 0;
+  for (std::size_t v = 2 * n - 2; v-- > 0;) {
+    depth[v] = static_cast<std::uint8_t>(depth[parent[v]] + 1);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    lengths[i] = depth[i];
+    longest = std::max(longest, depth[i]);
+  }
+  return longest;
 }
 
 void HuffmanCodec::rebuild_from_frequencies(
@@ -74,25 +105,22 @@ void HuffmanCodec::rebuild_from_frequencies(
   require_valid_census(census);
   auto& freqs = freq_scratch_;
   freqs.resize(census.size());
-  symbols_.resize(census.size());
+  enc_symbols_.resize(census.size());
   for (std::size_t i = 0; i < census.size(); ++i) {
-    symbols_[i] = census[i].symbol;
+    enc_symbols_[i] = census[i].symbol;
     freqs[i] = census[i].count;
   }
 
-  auto& lengths = length_scratch_;
-  compute_code_lengths(freqs, lengths);
   // Extremely skewed distributions can exceed the coder's length cap; halve
   // frequencies (keeping them positive) until the tree fits. This perturbs
   // optimality negligibly and only triggers on pathological inputs.
-  while (!lengths.empty() &&
-         *std::max_element(lengths.begin(), lengths.end()) > kMaxCodeLength) {
+  while (compute_code_lengths(freqs, lengths_) > kMaxCodeLength) {
     for (auto& f : freqs) f = f / 2 + 1;
-    compute_code_lengths(freqs, lengths);
   }
-
-  lengths_.assign(lengths.begin(), lengths.end());
   build_canonical();
+  // An encoder never decodes with this table: skip the decode table and
+  // leave the codec refusing decode_one/decode_batch.
+  fast_table_.clear();
 }
 
 HuffmanCodec HuffmanCodec::from_symbols(
@@ -105,49 +133,29 @@ HuffmanCodec HuffmanCodec::from_symbols(
     census.reset(top + 1);
     for (const std::uint32_t s : symbols) census.add(s);
     codec.rebuild_from_frequencies(census.counts());
-    return codec;
+  } else {
+    std::vector<std::uint32_t> sorted(symbols.begin(), symbols.end());
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<SymbolCount> census;
+    for (std::size_t i = 0, j = 0; i < sorted.size(); i = j) {
+      while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+      census.push_back({sorted[i], j - i});
+    }
+    codec.rebuild_from_frequencies(census);
   }
-  std::vector<std::uint32_t> sorted(symbols.begin(), symbols.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<SymbolCount> census;
-  for (std::size_t i = 0, j = 0; i < sorted.size(); i = j) {
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    census.push_back({sorted[i], j - i});
-  }
-  codec.rebuild_from_frequencies(census);
+  codec.build_decode_table();
   return codec;
 }
 
 void HuffmanCodec::build_canonical() {
-  const std::size_t n = symbols_.size();
+  const std::size_t n = enc_symbols_.size();
   CLIZ_REQUIRE(lengths_.size() == n, "length/symbol arity mismatch");
   // The fast decode table packs 24-bit canonical indices; parse() enforces
   // the same cap on deserialized tables.
   CLIZ_REQUIRE(n <= (std::size_t{1} << 24), "huffman alphabet too large");
 
-  // Canonical order: by (length, symbol). The permuted copies land in
-  // member scratch and are swapped in, so both buffers keep their capacity
-  // for the next rebuild.
-  auto& order = order_scratch_;
-  order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (lengths_[a] != lengths_[b]) return lengths_[a] < lengths_[b];
-              return symbols_[a] < symbols_[b];
-            });
-  auto& sym2 = symbol_scratch_;
-  auto& len2 = canon_scratch_;
-  sym2.resize(n);
-  len2.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sym2[i] = symbols_[order[i]];
-    len2[i] = lengths_[order[i]];
-  }
-  symbols_.swap(sym2);
-  lengths_.swap(len2);
-
-  max_length_ = n == 0 ? 0 : lengths_.back();
+  max_length_ =
+      n == 0 ? 0 : *std::max_element(lengths_.begin(), lengths_.end());
   count_.assign(max_length_ + 1, 0);
   for (const std::uint8_t l : lengths_) ++count_[l];
 
@@ -164,41 +172,42 @@ void HuffmanCodec::build_canonical() {
                  "invalid canonical code lengths");
   }
 
-  const auto code_at = [&](std::size_t i) {
-    const std::uint8_t l = lengths_[i];
-    return first_code_[l] +
-           (static_cast<std::uint32_t>(i) - first_index_[l]);
-  };
-
-  // Encode table: canonical indices re-sorted by symbol value, so the
-  // fallback lookup is a binary search and serialize() walks it directly.
-  order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return symbols_[a] < symbols_[b];
-  });
-  enc_symbols_.resize(n);
+  // Canonical order is (length, symbol). The symbols arrive strictly
+  // ascending (require_valid_census and parse() check it), so one stable
+  // pass by length places every symbol and gives its code: the k-th symbol
+  // of length l is canonical index first_index_[l] + k, code
+  // first_code_[l] + k.
+  std::array<std::uint32_t, kMaxCodeLength + 1> next{};
+  std::copy(first_index_.begin(), first_index_.end(), next.begin());
+  symbols_.resize(n);
   enc_codes_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t i = order[k];
-    enc_symbols_[k] = symbols_[i];
-    enc_codes_[k] = (code_at(i) << 6) | lengths_[i];
+    const std::uint8_t l = lengths_[k];
+    const std::uint32_t i = next[l]++;
+    symbols_[i] = enc_symbols_[k];
+    enc_codes_[k] = ((first_code_[l] + (i - first_index_[l])) << 6) | l;
   }
   build_direct_table();
+}
 
+void HuffmanCodec::build_decode_table() {
   // One-shot decode table: every kTableBits-bit prefix of a short code maps
   // straight to its canonical index; longer codes leave a miss marker.
-  fast_table_.assign(n == 0 ? 0 : (std::size_t{1} << kTableBits), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t l = lengths_[i];
-    if (l > kTableBits) continue;
-    const std::uint64_t base = code_at(i) << (kTableBits - l);
+  fast_table_.assign(symbols_.empty() ? 0 : (std::size_t{1} << kTableBits),
+                     0);
+  const std::uint8_t short_max =
+      std::min<std::uint8_t>(max_length_, kTableBits);
+  for (std::uint8_t l = 1; l <= short_max; ++l) {
     const std::uint64_t fill = std::uint64_t{1} << (kTableBits - l);
-    CLIZ_REQUIRE(base + fill <= fast_table_.size(),
-                 "corrupt huffman table (code overflow)");
-    const std::uint64_t entry =
-        (static_cast<std::uint64_t>(i) << 16) | l;
-    for (std::uint64_t p = 0; p < fill; ++p) fast_table_[base + p] = entry;
+    for (std::uint32_t k = 0; k < count_[l]; ++k) {
+      const std::uint64_t base = (first_code_[l] + k) << (kTableBits - l);
+      CLIZ_REQUIRE(base + fill <= fast_table_.size(),
+                   "corrupt huffman table (code overflow)");
+      const std::uint64_t entry =
+          (static_cast<std::uint64_t>(first_index_[l] + k) << 16) | l;
+      std::fill_n(fast_table_.begin() + static_cast<std::ptrdiff_t>(base),
+                  fill, entry);
+    }
   }
   // Pair augmentation: when a prefix's remaining bits hold a complete second
   // code, record it so batch decoding consumes two symbols per peek. The
@@ -283,7 +292,7 @@ void HuffmanCodec::parse(ByteReader& in) {
   // declared count past half the remaining bytes cannot be satisfied —
   // reject before sizing the symbol arrays to a bogus count.
   CLIZ_REQUIRE(n <= in.remaining() / 2, "huffman table truncated");
-  symbols_.resize(static_cast<std::size_t>(n));
+  enc_symbols_.resize(static_cast<std::size_t>(n));
   lengths_.resize(static_cast<std::size_t>(n));
   std::uint32_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -296,10 +305,11 @@ void HuffmanCodec::parse(ByteReader& in) {
     prev += static_cast<std::uint32_t>(delta);
     const std::uint64_t len = in.get_varint();
     CLIZ_REQUIRE(len >= 1 && len <= kMaxCodeLength, "corrupt code length");
-    symbols_[i] = prev;
+    enc_symbols_[i] = prev;
     lengths_[i] = static_cast<std::uint8_t>(len);
   }
   build_canonical();
+  build_decode_table();
 }
 
 void HuffmanCodec::encode(std::span<const std::uint32_t> symbols,
@@ -312,9 +322,8 @@ void HuffmanCodec::encode(std::span<const std::uint32_t> symbols,
 }
 
 std::uint32_t HuffmanCodec::decode_one(BitReader& bits) const {
-  CLIZ_REQUIRE(max_length_ > 0, "decoding with empty huffman table");
-  const std::uint64_t entry =
-      fast_table_[bits.peek_bits(kTableBits)];
+  require_decode_table();
+  const std::uint64_t entry = fast_table_[bits.peek_bits(kTableBits)];
   if ((entry & 0xFF) != 0) {
     bits.skip_bits(static_cast<int>(entry & 0xFF));
     return symbols_[(entry >> 16) & 0xFFFFFF];
@@ -325,7 +334,7 @@ std::uint32_t HuffmanCodec::decode_one(BitReader& bits) const {
 void HuffmanCodec::decode_batch(BitReader& bits, std::uint32_t* out,
                                 std::size_t n) const {
   if (n == 0) return;
-  CLIZ_REQUIRE(max_length_ > 0, "decoding with empty huffman table");
+  require_decode_table();
   std::size_t i = 0;
   while (i < n) {
     const std::uint64_t entry = fast_table_[bits.peek_bits(kTableBits)];
@@ -349,6 +358,12 @@ void HuffmanCodec::decode_batch(BitReader& bits, std::uint32_t* out,
     bits.skip_bits(static_cast<int>(l1));
     out[i++] = symbols_[(entry >> 16) & 0xFFFFFF];
   }
+}
+
+void HuffmanCodec::require_decode_table() const {
+  CLIZ_REQUIRE(max_length_ > 0, "decoding with empty huffman table");
+  CLIZ_REQUIRE_CODE(!fast_table_.empty(), kBadArgument,
+                    "huffman codec built from frequencies cannot decode");
 }
 
 std::uint32_t HuffmanCodec::decode_slow(BitReader& bits) const {

@@ -21,13 +21,16 @@ class HuffmanCodec {
   HuffmanCodec() = default;
 
   /// Convenience: census `symbols` (a SymbolCensus for quantization-bin
-  /// alphabets, sort and run-length count for wider ones), then build.
+  /// alphabets, sort and run-length count for wider ones), then build both
+  /// the encode and the decode tables.
   static HuffmanCodec from_symbols(std::span<const std::uint32_t> symbols);
 
   /// Rebuilds this codec's canonical code lengths from a census (symbols
   /// strictly ascending, counts positive; cliz::Error otherwise), reusing
   /// its internal storage: CodecContext keeps one codec per Huffman group
   /// and rebuilds it every run. Handles the 0- and 1-symbol alphabets.
+  /// Builds the encode side only: decode_one/decode_batch on the result
+  /// throw Error (kBadArgument) until a parse() gives it a decode table.
   void rebuild_from_frequencies(std::span<const SymbolCount> census);
 
   /// Writes the code table (sorted symbols as deltas + code lengths).
@@ -42,7 +45,7 @@ class HuffmanCodec {
   /// table (Error otherwise).
   void encode(std::span<const std::uint32_t> symbols, BitWriter& bits) const;
 
-  /// Reads one symbol.
+  /// Reads one symbol. Needs a decode table (parse() or from_symbols()).
   [[nodiscard]] std::uint32_t decode_one(BitReader& bits) const;
 
   /// Reads exactly `n` symbols into `out`. Semantically n decode_one calls,
@@ -59,8 +62,11 @@ class HuffmanCodec {
  private:
   void build_canonical();
   void build_direct_table();
-  void compute_code_lengths(const std::vector<std::uint64_t>& freqs,
-                            std::vector<std::uint8_t>& lengths);
+  void build_decode_table();
+  void require_decode_table() const;
+  /// Returns the longest of the computed lengths.
+  std::uint8_t compute_code_lengths(const std::vector<std::uint64_t>& freqs,
+                                    std::vector<std::uint8_t>& lengths);
   /// Encode-table lookup: the packed `(code << 6) | length` entry, or 0 when
   /// the symbol is not in the alphabet (every code is at least 1 bit long).
   [[nodiscard]] std::uint64_t find_code(std::uint32_t symbol) const;
@@ -72,10 +78,11 @@ class HuffmanCodec {
 
   // Symbols sorted by (code length, symbol value) — the canonical order.
   std::vector<std::uint32_t> symbols_;
-  std::vector<std::uint8_t> lengths_;  // parallel to symbols_
-  // Encode entries `(code << 6) | length`, sorted by symbol value: the
-  // serialization order and the binary-search fallback of find_code().
+  // The alphabet in ascending symbol order — the serialization order and
+  // the binary-search fallback of find_code() — with each symbol's code
+  // length and encode entry `(code << 6) | length`.
   std::vector<std::uint32_t> enc_symbols_;
+  std::vector<std::uint8_t> lengths_;
   std::vector<std::uint64_t> enc_codes_;
   // Direct encode lookup: direct_[s - direct_lo_] is the entry of symbol s
   // (0 = not in the alphabet) over the densest window of the alphabet whose
@@ -98,16 +105,16 @@ class HuffmanCodec {
   //   bits 16-39 canonical index of the first symbol
   //   bits 40-63 canonical index of the second symbol
   // Indices fit 24 bits because the alphabet is capped at 2^24 entries.
+  // Empty on a codec built from frequencies: only decoders fill it.
   std::vector<std::uint64_t> fast_table_;
   // Build-time scratch, retained across rebuilds so a codec that lives in a
   // CodecContext rebuilds with zero steady-state allocations.
   std::vector<std::uint64_t> freq_scratch_;
-  std::vector<std::uint8_t> length_scratch_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> leaf_scratch_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> leaf_sorted_scratch_;
+  std::vector<std::uint64_t> merged_scratch_;
   std::vector<std::uint32_t> parent_scratch_;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> heap_scratch_;
-  std::vector<std::uint32_t> order_scratch_;
-  std::vector<std::uint32_t> symbol_scratch_;
-  std::vector<std::uint8_t> canon_scratch_;
+  std::vector<std::uint8_t> depth_scratch_;
 };
 
 }  // namespace cliz

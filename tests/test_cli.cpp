@@ -165,6 +165,31 @@ TEST_F(CliTest, MaskFillFlagShrinksMaskedData) {
   EXPECT_LT(fs::file_size(path("m.cliz")), fs::file_size(path("nm.cliz")));
 }
 
+TEST_F(CliTest, RelativeBoundWarnsAboutUnmaskedFillValues) {
+  // Without --mask-fill a relative bound spans the 1e36 fill values of a
+  // masked field; clizc must say so and name the flag, and stay quiet when
+  // the flag is given or the field has no fill values.
+  ASSERT_EQ(run("gen SSH --scale 0.1 -o " + path("ssh.f32")), 0);
+  const std::string base = "compress " + path("ssh.f32") +
+                           " -d 48,38,32 -r 1e-3 --tune 0.05 -o ";
+  const auto [code, text] = run_capture(base + path("nm.cliz"));
+  ASSERT_EQ(code, 0) << text;
+  EXPECT_NE(text.find("warning"), std::string::npos) << text;
+  EXPECT_NE(text.find("--mask-fill"), std::string::npos) << text;
+
+  const auto [mcode, mtext] = run_capture(base + path("m.cliz") +
+                                          " --mask-fill");
+  ASSERT_EQ(mcode, 0) << mtext;
+  EXPECT_EQ(mtext.find("warning"), std::string::npos) << mtext;
+
+  ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
+  const auto [hcode, htext] =
+      run_capture("compress " + path("h.f32") +
+                  " -d 24,48,48 -r 1e-3 --tune 0.05 -o " + path("h.cliz"));
+  ASSERT_EQ(hcode, 0) << htext;
+  EXPECT_EQ(htext.find("warning"), std::string::npos) << htext;
+}
+
 TEST_F(CliTest, InfoDetectsCodec) {
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   ASSERT_EQ(run("compress " + path("h.f32") + " -d 24,48,48 -o " +

@@ -548,7 +548,7 @@ TEST_F(FaultArchive, ReaderLimitsRefuseBeforeAllocation) {
     // verified prefix instead of aborting the whole open.
     auto damaged = bytes_;
     ASSERT_GT(damaged.size(), 8u);
-    damaged.resize(damaged.size() - 8);  // kill the trailer
+    damaged.erase(damaged.end() - 8, damaged.end());  // kill the trailer
     write_faulted(damaged);
     ResourceLimits limits;
     limits.max_salvage_records = 1;  // archive holds 3

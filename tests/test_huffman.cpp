@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <unordered_map>
 
@@ -461,6 +462,165 @@ TEST(Huffman, MalformedCensusIsRefused) {
     HuffmanCodec codec;
     EXPECT_THROW(codec.rebuild_from_frequencies(bad[i]), Error) << i;
   }
+}
+
+/// The min-heap merge the codec used before its two-queue merge: pops the
+/// smallest (weight, node index) pair twice, pushes their sum under the next
+/// internal index, and reads each leaf's length by walking to the root.
+std::vector<std::uint8_t> heap_code_lengths(
+    const std::vector<std::uint64_t>& freqs) {
+  const std::size_t n = freqs.size();
+  if (n <= 1) return std::vector<std::uint8_t>(n, 1);
+  using Node = std::pair<std::uint64_t, std::uint32_t>;
+  const auto cmp = std::greater<Node>();
+  std::vector<Node> heap;
+  std::vector<std::uint32_t> parent(2 * n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    heap.emplace_back(freqs[i], static_cast<std::uint32_t>(i));
+  }
+  std::make_heap(heap.begin(), heap.end(), cmp);
+  auto next = static_cast<std::uint32_t>(n);
+  while (heap.size() > 1) {
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    const Node a = heap.back();
+    heap.pop_back();
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    const Node b = heap.back();
+    heap.pop_back();
+    parent[a.second] = next;
+    parent[b.second] = next;
+    heap.emplace_back(a.first + b.first, next);
+    std::push_heap(heap.begin(), heap.end(), cmp);
+    ++next;
+  }
+  const std::uint32_t root = heap.front().second;
+  std::vector<std::uint8_t> lengths(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint8_t len = 0;
+    for (auto v = static_cast<std::uint32_t>(i); v != root; v = parent[v]) {
+      ++len;
+    }
+    lengths[i] = len;
+  }
+  return lengths;
+}
+
+/// The table serialize() writes for `census` when its lengths come from
+/// the heap merge, with the same halving loop past the 57-bit cap.
+std::vector<std::uint8_t> heap_reference_table(
+    const std::vector<SymbolCount>& census) {
+  std::vector<std::uint64_t> freqs;
+  for (const auto& c : census) freqs.push_back(c.count);
+  auto lengths = heap_code_lengths(freqs);
+  while (!lengths.empty() &&
+         *std::max_element(lengths.begin(), lengths.end()) > 57) {
+    for (auto& f : freqs) f = f / 2 + 1;
+    lengths = heap_code_lengths(freqs);
+  }
+  ByteWriter out;
+  out.put_varint(census.size());
+  std::uint32_t prev = 0;
+  for (std::size_t i = 0; i < census.size(); ++i) {
+    out.put_varint(census[i].symbol - prev);
+    out.put_varint(lengths[i]);
+    prev = census[i].symbol;
+  }
+  const auto bytes = out.bytes();
+  return {bytes.begin(), bytes.end()};
+}
+
+TEST(Huffman, CodeLengthsMatchHeapReference) {
+  Rng rng(97);
+  std::vector<std::vector<SymbolCount>> censuses;
+  // Random alphabets of 1 to 70,000 symbols; small count ranges make most
+  // weights tie, wide ones spread them.
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 256u, 300u, 4099u, 65536u,
+                              70000u}) {
+    for (const std::uint64_t spread : {1u, 3u, 1000u, 1u << 30}) {
+      std::vector<SymbolCount> census;
+      std::uint32_t sym = static_cast<std::uint32_t>(rng.uniform_index(50));
+      for (std::size_t i = 0; i < n; ++i) {
+        census.push_back({sym, 1 + rng.uniform_index(spread)});
+        sym += 1 + static_cast<std::uint32_t>(rng.uniform_index(3));
+      }
+      censuses.push_back(std::move(census));
+    }
+  }
+  // Fibonacci skews: 60 symbols give codes past the 57-bit cap, so the
+  // halving loop runs; 88 symbols push the total weight near 2^63. Both
+  // are also mixed with a block of equal counts and shuffled over the
+  // alphabet.
+  for (const std::size_t len : {30u, 60u, 88u}) {
+    std::vector<std::uint64_t> fib{1, 1};
+    while (fib.size() < len) fib.push_back(fib[fib.size() - 2] + fib.back());
+    for (const bool mixed : {false, true}) {
+      std::vector<std::uint64_t> counts = fib;
+      if (mixed) {
+        for (int i = 0; i < 200; ++i) counts.push_back(5);
+        for (std::size_t i = counts.size(); i > 1; --i) {
+          std::swap(counts[i - 1], counts[rng.uniform_index(i)]);
+        }
+      }
+      std::vector<SymbolCount> census;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        census.push_back({static_cast<std::uint32_t>(3 * i), counts[i]});
+      }
+      censuses.push_back(std::move(census));
+    }
+  }
+
+  HuffmanCodec codec;  // reused, as the encoder's contexts do
+  for (std::size_t c = 0; c < censuses.size(); ++c) {
+    codec.rebuild_from_frequencies(censuses[c]);
+    ByteWriter got;
+    codec.serialize(got);
+    const auto g = got.bytes();
+    EXPECT_EQ(std::vector<std::uint8_t>(g.begin(), g.end()),
+              heap_reference_table(censuses[c]))
+        << "census " << c << " (" << censuses[c].size() << " symbols)";
+  }
+}
+
+TEST(Huffman, FrequencyBuiltCodecRefusesDecode) {
+  const std::vector<std::uint32_t> syms{1, 2, 2, 3, 3, 3, 3};
+  HuffmanCodec codec;
+  codec.rebuild_from_frequencies(census_of(syms));
+  BitWriter bits;
+  codec.encode(syms, bits);
+  const auto payload = bits.finish();
+
+  const auto expect_refused = [&](const HuffmanCodec& c) {
+    BitReader one(payload);
+    try {
+      (void)c.decode_one(one);
+      ADD_FAILURE() << "decode_one decoded without a decode table";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadArgument);
+    }
+    BitReader batch(payload);
+    std::vector<std::uint32_t> out(syms.size());
+    try {
+      c.decode_batch(batch, out.data(), out.size());
+      ADD_FAILURE() << "decode_batch decoded without a decode table";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadArgument);
+    }
+  };
+  expect_refused(codec);
+
+  // A parse of its table decodes; rebuilding that codec from frequencies
+  // drops its decode table again.
+  ByteWriter table;
+  codec.serialize(table);
+  ByteReader tr(table.bytes());
+  HuffmanCodec decoder;
+  decoder.parse(tr);
+  BitReader br(payload);
+  std::vector<std::uint32_t> out(syms.size());
+  decoder.decode_batch(br, out.data(), out.size());
+  EXPECT_EQ(out, syms);
+  decoder.rebuild_from_frequencies(census_of(syms));
+  expect_refused(decoder);
 }
 
 TEST(SymbolCensus, ListsSeenSymbolsAscendingAcrossResets) {

@@ -145,5 +145,51 @@ TEST(Mask, CropOutOfRangeThrows) {
   EXPECT_THROW((void)m.crop(start, Shape({2, 2})), Error);
 }
 
+/// Point-by-point crop through Shape::offset: the reference for crop().
+std::vector<std::uint8_t> crop_pointwise(const MaskMap& m, const DimVec& start,
+                                         const Shape& region) {
+  std::vector<std::uint8_t> v;
+  for (std::size_t i = 0; i < region.size(); ++i) {
+    DimVec src = region.coords(i);
+    for (std::size_t d = 0; d < src.size(); ++d) src[d] += start[d];
+    v.push_back(m.data()[m.shape().offset(src)]);
+  }
+  return v;
+}
+
+TEST(Mask, CropMatchesPointwiseReference) {
+  Rng rng(41);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t nd = 1 + rng.uniform_index(4);
+    DimVec dims(nd);
+    for (auto& d : dims) d = 1 + rng.uniform_index(9);
+    const Shape shape(dims);
+    auto m = MaskMap::all_valid(shape);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      m.mutable_data()[i] = rng.uniform_index(3) == 0 ? 0 : 1;
+    }
+    // Every other box ends on the far edge of each dimension.
+    const bool far_edge = trial % 2 == 0;
+    DimVec start(nd);
+    DimVec extent(nd);
+    for (std::size_t d = 0; d < nd; ++d) {
+      start[d] = rng.uniform_index(dims[d]);
+      extent[d] = far_edge ? dims[d] - start[d]
+                           : 1 + rng.uniform_index(dims[d] - start[d]);
+    }
+    const Shape region(extent);
+    const auto sub = m.crop(start, region);
+    EXPECT_EQ(sub.shape(), region) << "trial " << trial;
+    const std::vector<std::uint8_t> got(sub.data(), sub.data() + sub.size());
+    EXPECT_EQ(got, crop_pointwise(m, start, region)) << "trial " << trial;
+
+    // One point past the far edge in any dimension is refused.
+    const std::size_t d = rng.uniform_index(nd);
+    DimVec over = extent;
+    over[d] = dims[d] - start[d] + 1;
+    EXPECT_THROW((void)m.crop(start, Shape(over)), Error) << "trial " << trial;
+  }
+}
+
 }  // namespace
 }  // namespace cliz

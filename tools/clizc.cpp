@@ -302,6 +302,22 @@ NdArray<float> tuning_view(const NdArray<double>& data) {
   return view;
 }
 
+/// A relative bound without --mask-fill spans every value, so the CESM
+/// fill values (~1e36) of a masked field make it uselessly loose; non-finite
+/// values are coded as data. Says so on stderr when `data` holds any value
+/// that --mask-fill would mask.
+template <Sample T>
+void warn_unmasked_fill(const NdArray<T>& data, const std::string& name) {
+  const std::size_t masked =
+      data.size() - MaskMap::from_fill_values(data).count_valid();
+  if (masked == 0) return;
+  std::fprintf(stderr,
+               "clizc: warning: %s holds %zu non-finite or fill values "
+               "(|x| >= 1e30) and the relative bound spans them; pass "
+               "--mask-fill to mask them\n",
+               name.c_str(), masked);
+}
+
 int cmd_compress(Args& args) {
   const std::string input = args.next("input file");
   std::optional<DimVec> dims;
@@ -389,6 +405,7 @@ int cmd_compress(Args& args) {
 
   return with_sample_type(f64 ? 8 : 4, [&]<typename T>() {
     const auto data = load_raw<T>(input, *dims);
+    if (!mask_fill && !abs_eb.has_value()) warn_unmasked_fill(data, input);
     std::optional<MaskMap> mask;
     if (mask_fill) mask = MaskMap::from_fill_values(data);
     const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
@@ -706,6 +723,7 @@ int cmd_archive_create(Args& args) {
     const std::string file = spec.substr(eq + 1, colon - eq - 1);
     const DimVec dims = parse_dims(spec.substr(colon + 1));
     const auto data = load_raw<float>(file, dims);
+    if (!mask_fill && !abs_eb.has_value()) warn_unmasked_fill(data, file);
     std::optional<MaskMap> mask;
     if (mask_fill) mask = MaskMap::from_fill_values(data);
     const MaskMap* mask_ptr = mask.has_value() ? &*mask : nullptr;
