@@ -1,11 +1,8 @@
 #include "src/baselines/compressor.hpp"
 
-#include <cstring>
 #include <optional>
 
-#include "src/common/bytestream.hpp"
 #include "src/core/autotune.hpp"
-#include "src/lossless/lossless.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/baselines/qoz/qoz.hpp"
@@ -15,14 +12,6 @@
 #include "src/baselines/zfp/zfp_like.hpp"
 
 namespace cliz {
-
-void Compressor::decompress_into(std::span<const std::uint8_t> stream,
-                                 NdArray<float>& out) {
-  const NdArray<float> full = decompress(stream);
-  CLIZ_REQUIRE(out.shape() == full.shape(),
-               "output buffer shape does not match stream");
-  std::memcpy(out.data(), full.data(), full.size() * sizeof(float));
-}
 
 namespace {
 
@@ -38,12 +27,6 @@ class ClizAdapter final : public Compressor {
     time_dim_ = dim;
     tuned_.reset();
   }
-  void set_cancel(const CancelToken* cancel) override {
-    cancel_ = cancel;
-    // Decode entry points read the token off the context directly; the
-    // encode path re-stamps it from the options built in compress().
-    ctx_.cancel = cancel;
-  }
 
   std::vector<std::uint8_t> compress(const NdArray<float>& data,
                                      double abs_error_bound) override {
@@ -52,13 +35,10 @@ class ClizAdapter final : public Compressor {
     if (!tuned_.has_value() || !(tuned_shape_ == data.shape())) {
       AutotuneOptions opts;
       opts.time_dim = time_dim_;
-      opts.codec.cancel = cancel_;
       tuned_ = autotune(data, abs_error_bound, mask_, opts).best;
       tuned_shape_ = data.shape();
     }
-    ClizOptions copts;
-    copts.cancel = cancel_;
-    const ClizCompressor comp(*tuned_, copts);
+    const ClizCompressor comp(*tuned_);
     // The adapter owns a context, so the compress-many phase after the
     // one-time tune runs with steady-state buffer reuse.
     return comp.compress(data, abs_error_bound, mask_, ctx_);
@@ -68,11 +48,6 @@ class ClizAdapter final : public Compressor {
     return ClizCompressor::decompress(stream, ctx_);
   }
 
-  void decompress_into(std::span<const std::uint8_t> stream,
-                       NdArray<float>& out) override {
-    ClizCompressor::decompress_into(stream, ctx_, out);
-  }
-
   [[nodiscard]] const StageStats* stage_stats() const override {
     return &ctx_.stats;
   }
@@ -80,7 +55,6 @@ class ClizAdapter final : public Compressor {
  private:
   const MaskMap* mask_ = nullptr;
   std::size_t time_dim_ = 0;
-  const CancelToken* cancel_ = nullptr;
   std::optional<PipelineConfig> tuned_;
   Shape tuned_shape_;
   CodecContext ctx_;
@@ -161,33 +135,6 @@ std::unique_ptr<Compressor> make_compressor(std::string_view name) {
 
 std::vector<std::string> compressor_names() {
   return {"cliz", "sz3", "qoz", "zfp", "sperr", "sz2"};
-}
-
-std::string detect_codec(std::span<const std::uint8_t> stream) {
-  const auto raw = lossless_decompress(stream);
-  CLIZ_REQUIRE(raw.size() >= 4, "stream too short for a codec magic");
-  ByteReader r(raw);
-  switch (r.get<std::uint32_t>()) {
-    case 0x434C495Au:  // "CLIZ"
-      return "cliz";
-    case 0x535A334Cu:  // "SZ3L"
-      return "sz3";
-    case 0x514F5A31u:  // "QOZ1"
-      return "qoz";
-    case 0x535A324Cu:  // "SZ2L"
-      return "sz2";
-    case 0x5A46504Cu:  // "ZFPL"
-      return "zfp";
-    case 0x53505252u:  // "SPRR"
-      return "sperr";
-    default:
-      throw Error(ErrorCode::kCorruptStream,
-                  "cliz: unrecognized compressed stream magic");
-  }
-}
-
-NdArray<float> decompress_any(std::span<const std::uint8_t> stream) {
-  return make_compressor(detect_codec(stream))->decompress(stream);
 }
 
 }  // namespace cliz

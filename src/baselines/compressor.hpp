@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/governor.hpp"
 #include "src/core/mask.hpp"
 #include "src/core/stage_stats.hpp"
 #include "src/ndarray/ndarray.hpp"
@@ -27,13 +26,6 @@ class Compressor {
 
   virtual NdArray<float> decompress(std::span<const std::uint8_t> stream) = 0;
 
-  /// Decompresses into a caller-supplied array that must already carry the
-  /// stream's shape (throws Error otherwise). The default implementation
-  /// decompresses to a fresh array and copies; codecs with a native
-  /// in-place decode path (CliZ) override it to skip both.
-  virtual void decompress_into(std::span<const std::uint8_t> stream,
-                               NdArray<float>& out);
-
   /// Supplies a validity mask for codecs that understand one (CliZ). The
   /// pointer must stay valid for subsequent compress() calls. Default:
   /// ignored, like the real SZ3/ZFP/SPERR/QoZ.
@@ -41,11 +33,6 @@ class Compressor {
 
   /// Hints which dimension is time (periodicity probing). Default: ignored.
   virtual void set_time_dim(std::size_t dim) { (void)dim; }
-
-  /// Installs a cooperative cancellation token honoured by subsequent
-  /// compress()/decompress() calls (CliZ; other codecs ignore it). The
-  /// token must outlive the compressor or be cleared with nullptr.
-  virtual void set_cancel(const CancelToken* cancel) { (void)cancel; }
 
   /// Per-stage telemetry of the most recent compress() call, for codecs
   /// with a staged pipeline (CliZ). nullptr: the codec does not report
@@ -63,12 +50,5 @@ std::unique_ptr<Compressor> make_compressor(std::string_view name);
 
 /// All registry names, CliZ first.
 std::vector<std::string> compressor_names();
-
-/// Identifies which codec produced a stream (every codec embeds a distinct
-/// magic under the lossless wrap). Throws Error for unrecognized data.
-std::string detect_codec(std::span<const std::uint8_t> stream);
-
-/// Decompresses a stream from any registry codec (detect + dispatch).
-NdArray<float> decompress_any(std::span<const std::uint8_t> stream);
 
 }  // namespace cliz

@@ -109,12 +109,10 @@ inline bool hw_available() {
 
 }  // namespace detail_crc32c
 
-/// Extends a running CRC32C over `data`. `crc` is the value returned by a
-/// previous call (already finalized — the xor-in/xor-out folding is hidden
-/// inside), so digests compose: crc32c_extend(crc32c(a), b) == crc32c(a+b).
-[[nodiscard]] inline std::uint32_t crc32c_extend(
-    std::uint32_t crc, std::span<const std::uint8_t> data) {
-  std::uint32_t state = ~crc;
+/// CRC32C digest of `data` (standard init/finalize: ~0 in, ~ out — matches
+/// RFC 3720 / iSCSI test vectors).
+[[nodiscard]] inline std::uint32_t crc32c(std::span<const std::uint8_t> data) {
+  std::uint32_t state = ~0u;
 #ifdef CLIZ_CRC32C_HW_X86
   if (detail_crc32c::hw_available()) {
     state = detail_crc32c::update_hw(state, data.data(), data.size());
@@ -125,12 +123,6 @@ inline bool hw_available() {
   state = detail_crc32c::update_sw(state, data.data(), data.size());
 #endif
   return ~state;
-}
-
-/// CRC32C digest of `data` (standard init/finalize: ~0 in, ~ out — matches
-/// RFC 3720 / iSCSI test vectors).
-[[nodiscard]] inline std::uint32_t crc32c(std::span<const std::uint8_t> data) {
-  return crc32c_extend(0u, data);
 }
 
 }  // namespace cliz

@@ -84,22 +84,6 @@ BinClassification BinClassification::build(
   return BinClassification(params, std::move(column_code));
 }
 
-std::size_t BinClassification::count_dispersed() const {
-  std::size_t n = 0;
-  for (std::size_t c = 0; c < column_code_.size(); ++c) {
-    n += group_of(c) != 0 ? 1 : 0;
-  }
-  return n;
-}
-
-std::size_t BinClassification::count_shifted() const {
-  std::size_t n = 0;
-  for (std::size_t c = 0; c < column_code_.size(); ++c) {
-    n += shift_of(c) != 0 ? 1 : 0;
-  }
-  return n;
-}
-
 void BinClassification::serialize(ByteWriter& out) const {
   out.put_varint(params_.j);
   out.put_varint(params_.k);

@@ -73,8 +73,6 @@ class BinClassification {
   [[nodiscard]] std::size_t plane_size() const noexcept {
     return column_code_.size();
   }
-  [[nodiscard]] std::size_t count_dispersed() const;
-  [[nodiscard]] std::size_t count_shifted() const;
 
   void serialize(ByteWriter& out) const;
   static BinClassification deserialize(ByteReader& in);

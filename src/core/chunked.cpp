@@ -229,12 +229,20 @@ void chunked_compress_into(const NdArray<T>& data, double abs_error_bound,
   }
 }
 
-namespace {
+template <Sample T>
+std::vector<std::uint8_t> chunked_compress(const NdArray<T>& data,
+                                           double abs_error_bound,
+                                           const PipelineConfig& config,
+                                           const MaskMap* mask,
+                                           const ChunkedOptions& options) {
+  std::vector<std::uint8_t> out;
+  chunked_compress_into(data, abs_error_bound, config, mask, options, out);
+  return out;
+}
 
-template <typename T>
-void chunked_decompress_core(std::span<const std::uint8_t> stream,
-                             ChunkedScratch* scratch_opt, NdArray<T>& out,
-                             bool require_shape_match) {
+template <Sample T>
+NdArray<T> chunked_decompress(std::span<const std::uint8_t> stream,
+                              ChunkedScratch* scratch_opt) {
   std::optional<ChunkedScratch> local;
   ChunkedScratch& scratch =
       scratch_opt != nullptr ? *scratch_opt : local.emplace();
@@ -254,50 +262,19 @@ void chunked_decompress_core(std::span<const std::uint8_t> stream,
   // Governor: the frame-level shape sizes the whole output. The per-chunk
   // CliZ streams are each governed on decode, but a frame sliced into many
   // small chunks must not bypass the aggregate cap — check the declared
-  // total here, before the output array is (re)sized on its behalf.
+  // total here, before the output array is sized on its behalf.
   CLIZ_REQUIRE_CODE(
       shape.size() <= limits.max_output_bytes / sizeof(T), kLimitExceeded,
       "declared chunked output size exceeds "
       "ResourceLimits::max_output_bytes");
-  if (require_shape_match) {
-    CLIZ_REQUIRE(out.shape() == shape,
-                 "output buffer shape does not match stream");
-  } else {
-    out.reshape(shape);
-  }
+  NdArray<T> out(shape);
 
   const DimVec zeros(shape.ndims(), 0);
   RegionOptions ropts;
   ropts.scratch = &scratch;
   (void)reader.decompress_region(zeros, shape.dims(),
                                  std::span<T>(out.data(), out.size()), ropts);
-}
-
-}  // namespace
-
-template <Sample T>
-std::vector<std::uint8_t> chunked_compress(const NdArray<T>& data,
-                                           double abs_error_bound,
-                                           const PipelineConfig& config,
-                                           const MaskMap* mask,
-                                           const ChunkedOptions& options) {
-  std::vector<std::uint8_t> out;
-  chunked_compress_into(data, abs_error_bound, config, mask, options, out);
   return out;
-}
-
-template <Sample T>
-NdArray<T> chunked_decompress(std::span<const std::uint8_t> stream,
-                              ChunkedScratch* scratch) {
-  NdArray<T> out;
-  chunked_decompress_core(stream, scratch, out, /*require_shape_match=*/false);
-  return out;
-}
-
-template <Sample T>
-void chunked_decompress_into(std::span<const std::uint8_t> stream,
-                             NdArray<T>& out, ChunkedScratch* scratch) {
-  chunked_decompress_core(stream, scratch, out, /*require_shape_match=*/true);
 }
 
 #define CLIZ_INSTANTIATE(T)                                                  \
@@ -308,9 +285,7 @@ void chunked_decompress_into(std::span<const std::uint8_t> stream,
       const NdArray<T>&, double, const PipelineConfig&, const MaskMap*,      \
       const ChunkedOptions&, std::vector<std::uint8_t>&);                    \
   template NdArray<T> chunked_decompress<T>(std::span<const std::uint8_t>,   \
-                                            ChunkedScratch*);                \
-  template void chunked_decompress_into<T>(std::span<const std::uint8_t>,    \
-                                           NdArray<T>&, ChunkedScratch*);
+                                            ChunkedScratch*);
 CLIZ_INSTANTIATE(float)
 CLIZ_INSTANTIATE(double)
 #undef CLIZ_INSTANTIATE

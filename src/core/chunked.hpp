@@ -97,14 +97,6 @@ template <Sample T = float>
 NdArray<T> chunked_decompress(std::span<const std::uint8_t> stream,
                               ChunkedScratch* scratch = nullptr);
 
-/// Caller-supplied-output decompression: `out` must already carry the
-/// frame's exact shape (throws Error otherwise). Each chunk decodes
-/// straight into its slab of `out` — no per-chunk staging copies.
-template <Sample T>
-void chunked_decompress_into(std::span<const std::uint8_t> stream,
-                             NdArray<T>& out,
-                             ChunkedScratch* scratch = nullptr);
-
 /// True when `stream` starts with a chunked frame magic ("CLK3" for the
 /// tile-indexed random-access layout, "CLK2" for the CRC-framed slab
 /// layout, or the retired checksum-less "CLKS", which decoding refuses
@@ -114,7 +106,7 @@ void chunked_decompress_into(std::span<const std::uint8_t> stream,
 namespace detail {
 /// The two-period rule: a chunk whose extent along `config.time_dim` is
 /// under two periods compresses with the period dropped.
-/// chunked_compress and SnapshotStreamWriter both decide through it.
+/// Slabs and tiles both decide through it.
 [[nodiscard]] inline bool drops_period(const PipelineConfig& config,
                                        std::span<const std::size_t> extent) {
   return config.period > 0 && config.time_dim < extent.size() &&
@@ -124,7 +116,7 @@ namespace detail {
 /// Assembles a CLK2 slab frame into `out` (contents replaced, capacity
 /// reused): `streams[i]` is the CliZ stream of dim-0 range `ranges[i]`
 /// ([first, second)), and the ranges tile dim 0 of `shape` in order.
-/// chunked_compress and SnapshotStreamWriter both write through it.
+/// chunked_compress writes every CLK2 frame through it.
 void write_slab_frame(
     const Shape& shape,
     std::span<const std::pair<std::size_t, std::size_t>> ranges,

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -34,8 +33,7 @@ namespace cliz {
 ///    busy flag makes a double-checkout structurally impossible rather
 ///    than merely documented.
 ///  - acquire() spins (yielding) when every slot is busy, so a pool must
-///    be sized >= the number of concurrent users; try_acquire() is the
-///    non-blocking variant.
+///    be sized >= the number of concurrent users.
 class ContextPool {
  public:
   /// `slots` = 0 sizes the pool to one context per hardware thread.
@@ -78,8 +76,9 @@ class ContextPool {
     CodecContext& operator*() const noexcept { return ctx(); }
     CodecContext* operator->() const noexcept { return &ctx(); }
 
-    /// Index of the pooled slot this lease holds (stable identity for
-    /// tests asserting exclusive handout).
+    /// Index of the pooled slot this lease holds. Test hook: the
+    /// ContextPool suite in tests/test_context_pool.cpp asserts exclusive
+    /// handout and release-exactly-once through it.
     [[nodiscard]] std::size_t slot() const noexcept { return slot_; }
 
    private:
@@ -112,39 +111,33 @@ class ContextPool {
   }
   [[nodiscard]] const CancelToken* cancel() const noexcept { return cancel_; }
 
-  /// Checks out a context, preferring the calling thread's slot. Spins
-  /// (yielding) while every slot is busy.
+  /// Checks out a context, preferring the calling thread's slot and
+  /// probing forward from it. Spins (yielding) while every slot is busy.
   [[nodiscard]] Lease acquire() {
-    for (;;) {
-      if (auto lease = try_acquire()) return std::move(*lease);
-      std::this_thread::yield();
-    }
-  }
-
-  /// Non-blocking checkout; empty when every slot is busy.
-  [[nodiscard]] std::optional<Lease> try_acquire() {
     const std::size_t n = slots_.size();
     const std::size_t preferred =
         static_cast<std::size_t>(thread_index()) % n;
-    for (std::size_t probe = 0; probe < n; ++probe) {
-      const std::size_t s = (preferred + probe) % n;
-      bool expected = false;
-      if (slots_[s]->busy.compare_exchange_strong(
-              expected, true, std::memory_order_acquire)) {
-        checkouts_.fetch_add(1, std::memory_order_relaxed);
-        // `warmed` is only touched while the busy flag is held, so the
-        // plain bool is race-free; a warm hit means the caller inherits
-        // already-sized scratch buffers.
-        if (slots_[s]->warmed) {
-          warm_hits_.fetch_add(1, std::memory_order_release);
+    for (;;) {
+      for (std::size_t probe = 0; probe < n; ++probe) {
+        const std::size_t s = (preferred + probe) % n;
+        bool expected = false;
+        if (slots_[s]->busy.compare_exchange_strong(
+                expected, true, std::memory_order_acquire)) {
+          checkouts_.fetch_add(1, std::memory_order_relaxed);
+          // `warmed` is only touched while the busy flag is held, so the
+          // plain bool is race-free; a warm hit means the caller inherits
+          // already-sized scratch buffers.
+          if (slots_[s]->warmed) {
+            warm_hits_.fetch_add(1, std::memory_order_release);
+          }
+          slots_[s]->warmed = true;
+          slots_[s]->ctx.limits = limits_;
+          slots_[s]->ctx.cancel = cancel_;
+          return Lease(this, s);
         }
-        slots_[s]->warmed = true;
-        slots_[s]->ctx.limits = limits_;
-        slots_[s]->ctx.cancel = cancel_;
-        return Lease(this, s);
       }
+      std::this_thread::yield();
     }
-    return std::nullopt;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
@@ -166,11 +159,6 @@ class ContextPool {
     return {checkouts_.load(std::memory_order_relaxed), warm, slots_.size()};
   }
 
-  void reset_stats() {
-    checkouts_.store(0, std::memory_order_relaxed);
-    warm_hits_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   struct Slot {
     CodecContext ctx;
@@ -184,7 +172,7 @@ class ContextPool {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::atomic<std::uint64_t> checkouts_{0};
   std::atomic<std::uint64_t> warm_hits_{0};
-  /// Stamped onto every checked-out context; set_governor and try_acquire
+  /// Stamped onto every checked-out context; set_governor and acquire
   /// must not race (configure the pool before fanning work out on it).
   ResourceLimits limits_;
   const CancelToken* cancel_ = nullptr;

@@ -35,14 +35,6 @@ MaskMap MaskMap::from_fill_values(const NdArray<double>& data,
   return MaskMap(data.shape(), validity_from_fill(data, fill_threshold));
 }
 
-MaskMap MaskMap::from_region_map(const NdArray<std::int32_t>& regions) {
-  std::vector<std::uint8_t> v(regions.size());
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    v[i] = regions[i] != 0 ? 1 : 0;
-  }
-  return MaskMap(regions.shape(), std::move(v));
-}
-
 MaskMap MaskMap::broadcast(const MaskMap& spatial, const Shape& full) {
   const std::size_t spatial_size = spatial.shape().size();
   CLIZ_REQUIRE(full.size() % spatial_size == 0,

@@ -27,9 +27,6 @@ class MaskMap {
   static MaskMap from_fill_values(const NdArray<double>& data,
                                   double fill_threshold = 1e30);
 
-  /// From a CESM-style region map: 0 = invalid, any other value = valid.
-  static MaskMap from_region_map(const NdArray<std::int32_t>& regions);
-
   /// Broadcast of a spatial mask (trailing dims of `full`) along the
   /// leading dims; climate masks are typically per-(lat,lon) and shared by
   /// every snapshot/level.

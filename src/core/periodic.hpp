@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "src/core/mask.hpp"
 #include "src/ndarray/ndarray.hpp"
@@ -16,18 +15,6 @@ namespace cliz {
 /// All helpers are generic over float/double sample types.
 
 namespace detail {
-
-/// Shape of the template: same as `data` with the time extent replaced by
-/// `period`.
-inline Shape template_shape(const Shape& full, std::size_t time_dim,
-                            std::size_t period) {
-  CLIZ_REQUIRE(time_dim < full.ndims(), "time_dim out of range");
-  CLIZ_REQUIRE(period >= 1 && period <= full.dim(time_dim),
-               "period exceeds time extent");
-  DimVec dims = full.dims();
-  dims[time_dim] = period;
-  return Shape(dims);
-}
 
 /// Slab decomposition of the time tiling: row-major offsets factor as
 /// off = (o * time + t) * inner + i with inner = stride(time_dim), so the
@@ -74,35 +61,7 @@ void for_each_mapped(const Shape& full, const Shape& /*tmpl*/,
 /// the averages; template positions with no valid contribution are 0.
 template <typename T>
 NdArray<T> periodic_template(const NdArray<T>& data, std::size_t time_dim,
-                             std::size_t period, const MaskMap* mask) {
-  const Shape tshape =
-      detail::template_shape(data.shape(), time_dim, period);
-  NdArray<T> tmpl(tshape);
-  std::vector<std::uint32_t> counts(tshape.size(), 0);
-  std::vector<double> sums(tshape.size(), 0.0);
-  // Slab loop over contiguous inner runs through the widening-sum kernel:
-  // each template slot accumulates its contributions in ascending data
-  // offset order, exactly like the old per-point walk.
-  const detail::PeriodicSlabs sl(data.shape(), time_dim);
-  const SumKernelTable<T>& kt = sum_kernels<T>();
-  const std::uint8_t* valid = mask != nullptr ? mask->data() : nullptr;
-  std::size_t off = 0;
-  for (std::size_t o = 0; o < sl.n_outer; ++o) {
-    const std::size_t tbase_o = o * period * sl.inner;
-    for (std::size_t t = 0; t < sl.time; ++t, off += sl.inner) {
-      const std::size_t tbase = tbase_o + (t % period) * sl.inner;
-      kt.accumulate(sums.data() + tbase, counts.data() + tbase,
-                    data.data() + off,
-                    valid != nullptr ? valid + off : nullptr, sl.inner);
-    }
-  }
-  for (std::size_t i = 0; i < tshape.size(); ++i) {
-    tmpl[i] = counts[i] > 0
-                  ? static_cast<T>(sums[i] / static_cast<double>(counts[i]))
-                  : T{0};
-  }
-  return tmpl;
-}
+                             std::size_t period, const MaskMap* mask);
 
 /// Validity mask for the template: a template point is valid when at least
 /// one contributing data point is valid.

@@ -101,7 +101,9 @@ class ArchiveWriter {
   /// chunked frame of one slab per `bytes` of raw data, rounded up
   /// (default kDefaultChunkBytes). 0 disables chunking. Takes effect for
   /// variables added after the call; arrays whose dim 0 extent is 1 are
-  /// never chunked (nothing to slice).
+  /// never chunked (nothing to slice). Test hook: the Archive and
+  /// ArchiveRegion suites in tests/test_archive.cpp build small chunked
+  /// variables with it, which the 8 MiB default would store single-stream.
   void set_chunk_threshold(std::size_t bytes) { chunk_threshold_ = bytes; }
 
   /// Requests the tile-indexed "CLK3" layout for subsequent CliZ variables

@@ -73,7 +73,8 @@ std::string QualityReport::to_text() const {
   }
   if (compressed_bytes > 0) {
     add("  size          : %zu -> %zu bytes (%.2fx, %.3f bits/value)\n",
-        original_bytes, compressed_bytes, compression_ratio_value(),
+        original_bytes, compressed_bytes,
+        compression_ratio(original_bytes, compressed_bytes),
         bit_rate(original_bytes / sizeof(float), compressed_bytes));
   }
   return out;

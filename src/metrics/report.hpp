@@ -35,12 +35,6 @@ struct QualityReport {
   std::size_t original_bytes = 0;
   std::size_t compressed_bytes = 0;
 
-  [[nodiscard]] double compression_ratio_value() const {
-    return compressed_bytes > 0
-               ? compression_ratio(original_bytes, compressed_bytes)
-               : 0.0;
-  }
-
   /// Multi-line human-readable rendering.
   [[nodiscard]] std::string to_text() const;
 };

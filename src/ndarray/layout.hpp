@@ -126,10 +126,13 @@ inline void fused_axes_into(const Shape& shape, const FusionSpec& fusion,
   }
 }
 
-/// Scratch-reusing core of induced_axis_order: fills `order` in place
-/// (capacity kept). The seen-set is a plain bitmask — group counts are
-/// bounded by the axis limit, far under 64 — so the whole computation is
-/// allocation-free once `order` has settled.
+/// Order of logical axes induced by a permutation of the *physical* dims:
+/// logical groups are ordered by the first appearance of any member dim in
+/// the physical permutation. This is how a paper-style combo like sequence
+/// "201" + fusion "1&2" resolves to a pass order over the fused axes.
+/// Fills `order` in place (capacity kept). The seen-set is a plain bitmask
+/// — group counts are bounded by the axis limit, far under 64 — so the
+/// whole computation is allocation-free once `order` has settled.
 inline void induced_axis_order_into(const FusionSpec& fusion,
                                     std::span<const std::size_t> phys_perm,
                                     std::vector<std::size_t>& order) {
@@ -145,17 +148,6 @@ inline void induced_axis_order_into(const FusionSpec& fusion,
   }
   CLIZ_REQUIRE(order.size() == fusion.ngroups(),
                "permutation does not cover all dims");
-}
-
-/// Order of logical axes induced by a permutation of the *physical* dims:
-/// logical groups are ordered by the first appearance of any member dim in
-/// the physical permutation. This is how a paper-style combo like sequence
-/// "201" + fusion "1&2" resolves to a pass order over the fused axes.
-inline std::vector<std::size_t> induced_axis_order(
-    const FusionSpec& fusion, std::span<const std::size_t> phys_perm) {
-  std::vector<std::size_t> order;
-  induced_axis_order_into(fusion, phys_perm, order);
-  return order;
 }
 
 /// All partitions of `ndims` physical dims into adjacent runs

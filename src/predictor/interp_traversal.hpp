@@ -232,12 +232,4 @@ void interp_traverse(std::span<const AxisSpec> axes,
           auto&& run) { run(visit); });
 }
 
-/// Total number of points interp_traverse() visits for the given axes
-/// (product of extents minus the anchor).
-inline std::size_t interp_point_count(std::span<const AxisSpec> axes) {
-  std::size_t n = 1;
-  for (const auto& ax : axes) n *= ax.extent;
-  return n - 1;
-}
-
 }  // namespace cliz

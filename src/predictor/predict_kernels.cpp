@@ -894,16 +894,13 @@ const SumKernelTable<float>& sum_kernels_for<float>(
   return kScalar;
 }
 
-CodeScan scan_codes_for([[maybe_unused]] SimdTier tier,
-                        const std::uint32_t* codes, std::size_t n) {
+CodeScan scan_codes(const std::uint32_t* codes, std::size_t n) {
 #ifdef CLIZ_KERNELS_X86
-  if (tier >= SimdTier::kAvx2) return scan_codes_avx2(codes, n);
+  if (active_simd_tier() >= SimdTier::kAvx2) {
+    return scan_codes_avx2(codes, n);
+  }
 #endif
   return scan_codes_scalar(codes, n);
-}
-
-CodeScan scan_codes(const std::uint32_t* codes, std::size_t n) {
-  return scan_codes_for(active_simd_tier(), codes, n);
 }
 
 }  // namespace cliz

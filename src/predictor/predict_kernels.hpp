@@ -129,8 +129,6 @@ struct CodeScan {
 
 /// Vectorized scan of a code batch at the active tier.
 CodeScan scan_codes(const std::uint32_t* codes, std::size_t n);
-CodeScan scan_codes_for(SimdTier tier, const std::uint32_t* codes,
-                        std::size_t n);
 
 /// Masked element-wise accumulate kernels (dst[i] op= src[i] where
 /// valid[i], or unconditionally when valid == nullptr) for the periodic

@@ -60,7 +60,6 @@ TEST(BinClassify, DispersionBelowLambdaRoutesToSecondTree) {
   const auto c = BinClassification::build(s.offsets, s.codes, plane, kRadius);
   EXPECT_TRUE(c.dispersed(0));
   EXPECT_FALSE(c.dispersed(1));
-  EXPECT_EQ(c.count_dispersed(), 1u);
 }
 
 TEST(BinClassify, LambdaBoundaryIsExclusive) {
@@ -214,14 +213,16 @@ TEST(BinClassify, OversizedParamsRejected) {
                Error);
 }
 
-TEST(BinClassify, CountShifted) {
+TEST(BinClassify, ShiftsArePerColumn) {
   Stream s;
   const std::size_t plane = 3;
   s.add(0, plane, 1, 50);
   s.add(1, plane, -1, 50);
   s.add(2, plane, 0, 50);
   const auto c = BinClassification::build(s.offsets, s.codes, plane, kRadius);
-  EXPECT_EQ(c.count_shifted(), 2u);
+  EXPECT_EQ(c.shift_of(0), 1);
+  EXPECT_EQ(c.shift_of(1), -1);
+  EXPECT_EQ(c.shift_of(2), 0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "src/baselines/compressor.hpp"
 #include "src/common/status.hpp"
+#include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
 #include "src/io/archive.hpp"
 #include "src/lossless/lossless.hpp"
@@ -517,6 +518,53 @@ TEST_F(CliTest, TiledCompressExtractRegionMatchesWindow) {
   EXPECT_EQ(run_exit("extract " + path("mono.clz") +
                      " --region 0:2,0:2,0:2 -o " + path("m.f32")),
             2);
+}
+
+TEST_F(CliTest, UnevenSlabFrameDecodesAndExtracts) {
+  // A CLK2 frame with uneven slabs (12 + 12 + 5 steps), assembled directly:
+  // the CLI must decode it from its recorded ranges, bit-identical to the
+  // library, and cut windows across the short last slab.
+  NdArray<float> data(Shape({29, 12, 16}));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<float>(std::sin(0.05 * static_cast<double>(i)));
+  }
+  const std::size_t row = 12 * 16;
+  const std::vector<std::pair<std::size_t, std::size_t>> ranges{
+      {0, 12}, {12, 24}, {24, 29}};
+  std::vector<std::vector<std::uint8_t>> streams;
+  for (const auto& [lo, hi] : ranges) {
+    NdArray<float> slab(Shape({hi - lo, 12, 16}));
+    std::memcpy(slab.data(), data.data() + lo * row,
+                slab.size() * sizeof(float));
+    streams.push_back(
+        ClizCompressor(PipelineConfig::defaults(3)).compress(slab, 1e-3));
+  }
+  std::vector<std::uint8_t> frame;
+  detail::write_slab_frame(data.shape(), ranges, streams, frame);
+  write_bytes(path("u.clk2"), frame);
+
+  ASSERT_EQ(run("decompress " + path("u.clk2") + " -o " + path("u.f32")), 0);
+  const auto full = read_floats(path("u.f32"));
+  const auto expected = chunked_decompress(frame);
+  ASSERT_EQ(full.size(), expected.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_EQ(full[i], expected[i]) << "i=" << i;
+  }
+
+  ASSERT_EQ(run("extract " + path("u.clk2") + " --region 20:29,2:10,3:15 -o " +
+                path("uw.f32")),
+            0);
+  const auto win = read_floats(path("uw.f32"));
+  ASSERT_EQ(win.size(), 9u * 8 * 12);
+  std::size_t w = 0;
+  for (std::size_t t = 20; t < 29; ++t) {
+    for (std::size_t y = 2; y < 10; ++y) {
+      for (std::size_t x = 3; x < 15; ++x) {
+        ASSERT_EQ(win[w++], full[(t * 12 + y) * 16 + x])
+            << "mismatch at t=" << t << " y=" << y << " x=" << x;
+      }
+    }
+  }
 }
 
 TEST_F(CliTest, InfoPrintsTileTableForTiledStream) {

@@ -83,18 +83,6 @@ TEST(Crc32c, Rfc3720TestVectors) {
   EXPECT_EQ(crc32c({}), 0x00000000u);
 }
 
-TEST(Crc32c, ExtendComposes) {
-  const auto whole = ascii("the quick brown fox jumps over the lazy dog!");
-  const std::uint32_t full = crc32c(whole);
-  // Every split point of the message must compose to the same digest.
-  for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
-    const std::span<const std::uint8_t> head(whole.data(), cut);
-    const std::span<const std::uint8_t> tail(whole.data() + cut,
-                                             whole.size() - cut);
-    EXPECT_EQ(crc32c_extend(crc32c(head), tail), full) << cut;
-  }
-}
-
 TEST(Crc32c, SoftwareKernelMatchesDispatch) {
   // The dispatched digest (hardware where available) must agree with the
   // portable slice-by-8 kernel on every length and alignment, so streams

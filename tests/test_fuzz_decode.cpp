@@ -452,7 +452,6 @@ TEST(FuzzChunked, GarbageTruncationsAndBitFlips) {
     expect_no_crash([&] { (void)chunked_decompress(truncated, &scratch); });
   }
   Rng rng(9001);
-  NdArray<float> out(data.shape());
   for (int trial = 0; trial < 80; ++trial) {
     auto mutated = stream;
     const int flips = 1 + static_cast<int>(rng.uniform_index(4));
@@ -461,7 +460,6 @@ TEST(FuzzChunked, GarbageTruncationsAndBitFlips) {
           static_cast<std::uint8_t>(1u << rng.uniform_index(8));
     }
     expect_no_crash([&] { (void)chunked_decompress(mutated, &scratch); });
-    expect_no_crash([&] { chunked_decompress_into(mutated, out, &scratch); });
   }
 
   // The hammered scratch still decodes the pristine frame correctly.
@@ -750,8 +748,7 @@ TEST_F(FuzzArchive, GarbageWithValidTrailerMagic) {
 
 TEST(FuzzCrossCodec, StreamsFedToWrongDecoder) {
   // Every codec's stream handed to every other codec's decoder must be
-  // rejected cleanly (magic mismatch), and detect_codec must name the
-  // right one.
+  // rejected cleanly (magic mismatch), while its own decoder accepts it.
   const auto data = sample_data();
   std::vector<std::pair<std::string, std::vector<std::uint8_t>>> streams;
   for (const auto& name : compressor_names()) {
@@ -759,7 +756,7 @@ TEST(FuzzCrossCodec, StreamsFedToWrongDecoder) {
                          make_compressor(name)->compress(data, 1e-2));
   }
   for (const auto& [name, stream] : streams) {
-    EXPECT_EQ(detect_codec(stream), name);
+    EXPECT_NO_THROW((void)make_compressor(name)->decompress(stream)) << name;
     for (const auto& other : compressor_names()) {
       if (other == name) continue;
       auto comp = make_compressor(other);

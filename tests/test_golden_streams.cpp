@@ -381,7 +381,7 @@ TEST(GoldenStreams, ChunkedFrameDecodesAndReproduces) {
 
   ChunkedScratch scratch;
   NdArray<float> out(data.shape());
-  chunked_decompress_into(stream, out, &scratch);
+  out = chunked_decompress(stream, &scratch);
   EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
 
   EXPECT_EQ(make_chunked_stream(), stream)
@@ -396,7 +396,7 @@ TEST(GoldenStreams, PeriodicChunkedFrameDecodesAndReproduces) {
 
   ChunkedScratch scratch;
   NdArray<float> out(data.shape());
-  chunked_decompress_into(stream, out, &scratch);
+  out = chunked_decompress(stream, &scratch);
   EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
 
   EXPECT_EQ(make_periodic_chunked_stream(), stream)
@@ -666,7 +666,7 @@ TEST(GoldenStreams, V1ChunkedFrameRefused) {
   ChunkedScratch scratch;
   NdArray<float> out(chunked_field().shape());
   fault::expect_retired(
-      [&] { chunked_decompress_into(stream, out, &scratch); }, "CLKS");
+      [&] { out = chunked_decompress(stream, &scratch); }, "CLKS");
 }
 
 }  // namespace

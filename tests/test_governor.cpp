@@ -18,7 +18,6 @@
 #include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
-#include "src/baselines/compressor.hpp"
 
 namespace cliz {
 namespace {
@@ -131,20 +130,6 @@ TEST(CancelGovernor, AutotuneHonoursToken) {
   opts.codec.cancel = &token;
   EXPECT_EQ(code_of([&] { (void)autotune(data, 1e-3, nullptr, opts); }),
             ErrorCode::kCancelled);
-}
-
-TEST(CancelGovernor, CompressorAdapterSetCancel) {
-  const auto data = sample_field(8, 12, 10, 16);
-  const auto comp = make_compressor("cliz");
-  CancelToken token;
-  token.cancel();
-  comp->set_cancel(&token);
-  EXPECT_EQ(code_of([&] { (void)comp->compress(data, 1e-3); }),
-            ErrorCode::kCancelled);
-  // Detaching the token restores normal operation on the same instance.
-  comp->set_cancel(nullptr);
-  const auto stream = comp->compress(data, 1e-3);
-  EXPECT_NO_THROW((void)comp->decompress(stream));
 }
 
 TEST(CancelGovernor, HammerRacingCancelAgainstChunkedDecode) {

@@ -190,11 +190,5 @@ TEST(Traversal, InvalidOrderThrows) {
   EXPECT_THROW(interp_traverse(axes, oob, noop), Error);
 }
 
-TEST(Traversal, PointCountHelper) {
-  const Shape shape({3, 4, 5});
-  const auto axes = fused_axes(shape, FusionSpec::none(3));
-  EXPECT_EQ(interp_point_count(axes), 59u);
-}
-
 }  // namespace
 }  // namespace cliz

@@ -31,21 +31,6 @@ TEST(Mask, FromFillValuesDetectsHugeAndNonFinite) {
   EXPECT_TRUE(m.valid(5));
 }
 
-TEST(Mask, FromRegionMapZeroIsInvalid) {
-  NdArray<std::int32_t> regions(Shape({5}));
-  regions[0] = 0;
-  regions[1] = 3;   // ocean basin id
-  regions[2] = -2;  // inland water body
-  regions[3] = 0;
-  regions[4] = 1;
-  const auto m = MaskMap::from_region_map(regions);
-  EXPECT_FALSE(m.valid(0));
-  EXPECT_TRUE(m.valid(1));
-  EXPECT_TRUE(m.valid(2));
-  EXPECT_FALSE(m.valid(3));
-  EXPECT_TRUE(m.valid(4));
-}
-
 TEST(Mask, BroadcastTilesSpatialMask) {
   auto spatial = MaskMap::all_valid(Shape({2, 3}));
   spatial.mutable_data()[4] = 0;  // (1, 1)

@@ -210,9 +210,9 @@ TEST(Report, FullReportOnPerfectReconstruction) {
   EXPECT_EQ(r.wasserstein, 0.0);
   // All errors land in the first histogram bucket.
   EXPECT_EQ(r.error_histogram[0], a.size());
-  EXPECT_DOUBLE_EQ(r.compression_ratio_value(),
-                   static_cast<double>(a.size() * 4) / 100.0);
   const auto text = r.to_text();
+  // 64 floats = 256 bytes against the 100 compressed bytes supplied.
+  EXPECT_NE(text.find("256 -> 100 bytes (2.56x"), std::string::npos);
   EXPECT_NE(text.find("SATISFIED"), std::string::npos);
   EXPECT_NE(text.find("PSNR"), std::string::npos);
 }

@@ -137,7 +137,8 @@ TEST(Layout, InducedAxisOrderFollowsFirstAppearance) {
   // appears first (via dim 2), then axis {0}.
   const FusionSpec f({{0, 0}, {1, 2}});
   const std::vector<std::size_t> perm{2, 0, 1};
-  const auto order = induced_axis_order(f, perm);
+  std::vector<std::size_t> order;
+  induced_axis_order_into(f, perm, order);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 0u);
@@ -146,14 +147,17 @@ TEST(Layout, InducedAxisOrderFollowsFirstAppearance) {
 TEST(Layout, InducedAxisOrderIdentity) {
   const FusionSpec f = FusionSpec::none(3);
   const std::vector<std::size_t> perm{0, 1, 2};
-  const auto order = induced_axis_order(f, perm);
+  // Stale contents from an earlier call are replaced, not appended to.
+  std::vector<std::size_t> order{7, 7, 7, 7};
+  induced_axis_order_into(f, perm, order);
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(Layout, InducedAxisOrderRejectsIncompletePerm) {
   const FusionSpec f = FusionSpec::none(3);
   const std::vector<std::size_t> perm{0, 1};
-  EXPECT_THROW(induced_axis_order(f, perm), Error);
+  std::vector<std::size_t> order;
+  EXPECT_THROW(induced_axis_order_into(f, perm, order), Error);
 }
 
 }  // namespace

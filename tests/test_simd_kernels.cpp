@@ -224,7 +224,9 @@ TEST(SimdKernelsScanCodes, MatchesReferenceAtEveryTier) {
       if (v > ref.max_code) ref.max_code = v;
     }
     for (const SimdTier tier : available_tiers()) {
-      const CodeScan got = scan_codes_for(tier, codes.data(), codes.size());
+      TierGuard guard;
+      set_active_simd_tier(tier);
+      const CodeScan got = scan_codes(codes.data(), codes.size());
       EXPECT_EQ(got.zeros, ref.zeros)
           << "n=" << n << " tier " << simd_tier_name(tier);
       EXPECT_EQ(got.max_code, ref.max_code)
