@@ -535,6 +535,9 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   if (classify) {
     const std::size_t plane = classification_plane(shape);
     CLIZ_REQUIRE(plane > 0, "classified stream with < 3 dims");
+    // The predictors build target offsets for classified streams only.
+    CLIZ_REQUIRE(config.classify_bins,
+                 "classified codes on an unclassified pipeline");
     classification = BinClassification::deserialize(in);
     CLIZ_REQUIRE(classification->plane_size() == plane,
                  "classification plane mismatch");

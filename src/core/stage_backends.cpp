@@ -384,7 +384,8 @@ void framed_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
         const std::size_t rel = seg.sym_base - state.fetch_pos;
         EntropyCursor cur = start_cursor(
             state, state.payload.subspan(seg.byte_off, seg.n_bytes));
-        decode_symbols(state, cur, offs + rel, dst + rel, seg.n_syms);
+        decode_symbols(state, cur, offs != nullptr ? offs + rel : nullptr,
+                       dst + rel, seg.n_syms);
       });
   state.fetch_pos += n;
 }
@@ -548,7 +549,7 @@ void predictor_decode(PredictorBackend backend, T* out, const Shape& shape,
       interp_decode_lines(out, ctx.axes, ctx.axis_order,
                           config.dynamic_fitting, config.fitting,
                           ctx.pred_pass_fits, quantizer, outliers, cursor,
-                          validity, ctx.interp, fetch);
+                          validity, config.classify_bins, ctx.interp, fetch);
       return;
     case PredictorBackend::kLorenzo1:
       lorenzo_decode(out, shape, quantizer, outliers, cursor, validity,

@@ -232,6 +232,9 @@ class ArchiveReader {
   /// records whose sample width is not `sample_bytes`.
   [[nodiscard]] std::size_t decodable_index(const std::string& name,
                                             std::size_t sample_bytes) const;
+  /// Reads and CRC-checks the record at position `i` into `stream`.
+  void read_record_into(std::size_t i,
+                        std::vector<std::uint8_t>& stream) const;
   /// Full decode of the variable at position `i`, already type-checked.
   template <Sample T>
   [[nodiscard]] NdArray<T> decode_record(std::size_t i) const;
@@ -252,6 +255,8 @@ class ArchiveReader {
   /// Decode scratch of every read, warm across calls; its pool carries the
   /// reader's governor (set once, at construction).
   mutable ChunkedScratch scratch_;
+  /// Read buffer of small records, reused across full reads.
+  mutable std::vector<std::uint8_t> record_;
   mutable std::mutex io_mu_;  ///< serialises tile fetches on in_
 };
 

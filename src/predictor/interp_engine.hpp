@@ -107,9 +107,8 @@ void interp_decode(T* data, std::span<const AxisSpec> axes,
 inline constexpr std::size_t kLineParallelGrain = 4096;
 
 /// Reusable scratch for the line-parallel engine (owned by CodecContext).
-/// The per-block staging holds one flat gather-buffer set and one outlier
-/// run per concurrent line block, reused across passes and chunks so the
-/// hot path never allocates.
+/// The per-block staging holds one outlier run per concurrent line block,
+/// reused across passes and chunks so the hot path never allocates.
 struct InterpLineScratch {
   std::vector<std::size_t> line_base;   ///< per-line base offsets of a pass
   std::vector<std::size_t> line_start;  ///< exclusive per-line code prefix
@@ -119,7 +118,6 @@ struct InterpLineScratch {
   std::vector<std::uint8_t> probe_valid;
   std::vector<std::uint64_t> dec_offsets;  ///< decode: pass target offsets
   std::vector<std::uint32_t> dec_codes;    ///< decode: pass code batch
-  std::vector<InterpFlatLine> flat_blocks;  ///< per-block gather staging
 
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>>& block_outliers();
@@ -178,124 +176,123 @@ inline std::pair<std::size_t, std::size_t> line_interior(std::size_t extent,
   return {0, std::min(n, (extent - 1) / s)};
 }
 
-/// Builds the flat gather buffers for one masked line: per valid target, the
-/// four neighbour offsets exactly as line_refs would set them (0 when out of
-/// range) and the validity id interp_predict would compute (in-range AND
-/// mask). `tgt_out`, when non-null, receives the target offsets — on encode
-/// it aliases the pass's offset segment so no copy is needed; decode already
-/// has the targets from its fetch staging and passes nullptr.
-inline void build_flat_line(std::size_t base, const AxisSpec& ax,
-                            std::size_t h, std::size_t s,
-                            const std::uint8_t* validity,
-                            std::uint64_t* tgt_out, InterpFlatLine& flat) {
-  const std::size_t st = ax.stride;
-  const std::size_t cap = ax.extent > h ? (ax.extent - h + s - 1) / s : 0;
-  flat.ensure(cap);
-  std::size_t k = 0;
-  for (std::size_t c = h; c < ax.extent; c += s) {
-    const std::size_t off = base + c * st;
-    if (validity[off] == 0) continue;
-    const bool i0 = c >= 3 * h;
-    const bool i2 = c + h < ax.extent;
-    const bool i3 = c + 3 * h < ax.extent;
-    const std::size_t o0 = i0 ? off - 3 * h * st : 0;
-    const std::size_t o1 = off - h * st;
-    const std::size_t o2 = i2 ? off + h * st : 0;
-    const std::size_t o3 = i3 ? off + 3 * h * st : 0;
-    unsigned vm = 0;
-    vm |= (i0 && validity[o0] != 0) ? 1u : 0u;
-    vm |= validity[o1] != 0 ? 2u : 0u;
-    vm |= (i2 && validity[o2] != 0) ? 4u : 0u;
-    vm |= (i3 && validity[o3] != 0) ? 8u : 0u;
-    if (tgt_out != nullptr) tgt_out[k] = off;
-    flat.nb[0][k] = o0;
-    flat.nb[1][k] = o1;
-    flat.nb[2][k] = o2;
-    flat.nb[3][k] = o3;
-    flat.fid[k] = static_cast<std::uint8_t>(vm);
-    ++k;
-  }
-}
-
-/// Encodes one line of a pass: exactly `count` (offset, code) pairs into
-/// off_out/code_out, outliers appended in target order. Masked lines run
-/// through the flat gather kernels; unmasked lines fuse predict+quantize in
-/// the interior kernel with generic-path boundaries. Both are dispatched at
-/// the active SIMD tier and bit-identical to the scalar reference.
-template <typename T>
-void encode_line(T* data, std::size_t base, const AxisSpec& ax, std::size_t h,
-                 std::size_t s, FittingKind fit, const LinearQuantizer<T>& q,
-                 const std::uint8_t* validity, std::uint64_t* off_out,
-                 std::uint32_t* code_out, std::size_t count,
-                 std::vector<T>& outliers, InterpFlatLine& flat) {
-  const std::size_t st = ax.stride;
-  const InterpKernelTable<T>& kt = interp_kernels<T>();
-  const bool cubic = fit == FittingKind::kCubic;
-  if (validity != nullptr) {
-    build_flat_line(base, ax, h, s, validity, off_out, flat);
-    const InterpFlatRefs refs{off_out,           flat.nb[0].data(),
-                              flat.nb[1].data(), flat.nb[2].data(),
-                              flat.nb[3].data(), flat.fid.data()};
-    kt.encode_flat(data, refs, count, cubic, q, code_out, outliers);
+/// Walks one line's targets in target order and hands them out in two
+/// shapes. `run(k0, v0, len)` gets each maximal run of targets k0 ..
+/// k0+len-1 that are valid and whose fit references (+-h, and +-3h for
+/// cubic) are all in range and valid: there the Theorem-1 row is the
+/// all-valid one, so the fixed-coefficient interior kernels apply.
+/// `edge(c, v)` gets every other valid target, at coordinate c. `v` and
+/// `v0` count the valid targets before it on the line — the target's slot
+/// in the line's code segment, since a masked line packs its codes over
+/// valid targets only. Runs and edges arrive in target order, so outliers
+/// are appended and consumed in the serial order.
+template <typename Run, typename Edge>
+void split_line(std::size_t base, const AxisSpec& ax, std::size_t h,
+                std::size_t s, FittingKind fit, const std::uint8_t* validity,
+                Run&& run, Edge&& edge) {
+  const std::size_t n = pass_line_targets(ax.extent, h, s);
+  if (validity == nullptr) {
+    const auto [lo, hi] = line_interior(ax.extent, h, s, n, fit);
+    for (std::size_t i = 0; i < lo; ++i) edge(h + i * s, i);
+    if (hi > lo) run(lo, lo, hi - lo);
+    for (std::size_t i = hi; i < n; ++i) edge(h + i * s, i);
     return;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    off_out[i] = base + (h + i * s) * st;
+  // Target k sits at c = h + k*s and its references at the grid points
+  // (k-1)s, ks, (k+1)s, (k+2)s (s = 2h; linear reads the middle two), so
+  // a target is interior when it is valid and the `need` consecutive grid
+  // points ending at its last reference, k + lead, are in range and valid.
+  // `grid_run` counts the consecutive valid grid points ending there;
+  // cubic's k = 0 would need grid point -1, which the count never reaches.
+  const std::size_t st = ax.stride;
+  const std::size_t ss = s * st;
+  const bool cubic = fit == FittingKind::kCubic;
+  const std::size_t need = cubic ? 4 : 2;
+  const std::size_t lead = cubic ? 2 : 1;
+  const std::size_t n_grid = (ax.extent - 1) / s + 1;  // grid points in range
+  const std::uint8_t* grid = validity + base;
+  std::size_t grid_run = 0;
+  for (std::size_t j = 0; j < lead && j < n_grid; ++j) {
+    grid_run = grid[j * ss] != 0 ? grid_run + 1 : 0;
   }
-  const auto [lo, hi] = line_interior(ax.extent, h, s, count, fit);
-  for (std::size_t i = 0; i < lo; ++i) {
-    const std::size_t c = h + i * s;
-    const T pred =
-        interp_predict(data, line_refs(base + c * st, c, h, ax), nullptr, fit);
-    code_out[i] = q.quantize(data[base + c * st], pred, outliers);
+  std::size_t v = 0;
+  std::size_t run_k = 0;
+  std::size_t run_v = 0;
+  std::size_t run_len = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t j = k + lead;
+    grid_run = j < n_grid && grid[j * ss] != 0 ? grid_run + 1 : 0;
+    const bool valid = grid[h * st + k * ss] != 0;
+    if (valid && grid_run >= need) {
+      if (run_len == 0) {
+        run_k = k;
+        run_v = v;
+      }
+      ++run_len;
+      ++v;
+      continue;
+    }
+    if (run_len != 0) run(run_k, run_v, std::exchange(run_len, 0));
+    if (valid) edge(h + k * s, v++);
   }
-  kt.encode_interior(data + base, st, h, s, lo, hi, cubic, q, code_out,
-                     outliers);
-  for (std::size_t i = hi; i < count; ++i) {
-    const std::size_t c = h + i * s;
-    const T pred =
-        interp_predict(data, line_refs(base + c * st, c, h, ax), nullptr, fit);
-    code_out[i] = q.quantize(data[base + c * st], pred, outliers);
-  }
+  if (run_len != 0) run(run_k, run_v, run_len);
+}
+
+/// Encodes one line of a pass: an (offset, code) pair per valid target into
+/// off_out/code_out, outliers appended in target order. Runs go through the
+/// interior kernel of `kt`, with the line base shifted to the run's first
+/// target so the kernel covers [0, len); the other targets take the scalar
+/// interp_predict, which every kernel tier reproduces bit for bit.
+template <typename T>
+void encode_line(const InterpKernelTable<T>& kt, T* data, std::size_t base,
+                 const AxisSpec& ax, std::size_t h, std::size_t s,
+                 FittingKind fit, const LinearQuantizer<T>& q,
+                 const std::uint8_t* validity, std::uint64_t* off_out,
+                 std::uint32_t* code_out, std::vector<T>& outliers) {
+  const std::size_t st = ax.stride;
+  const bool cubic = fit == FittingKind::kCubic;
+  split_line(
+      base, ax, h, s, fit, validity,
+      [&](std::size_t k0, std::size_t v0, std::size_t len) {
+        const std::size_t first = base + (h + k0 * s) * st;
+        for (std::size_t i = 0; i < len; ++i) {
+          off_out[v0 + i] = first + i * s * st;
+        }
+        kt.encode_interior(data + base + k0 * s * st, st, h, s, 0, len, cubic,
+                           q, code_out + v0, outliers);
+      },
+      [&](std::size_t c, std::size_t v) {
+        const std::size_t off = base + c * st;
+        const T pred =
+            interp_predict(data, line_refs(off, c, h, ax), validity, fit);
+        off_out[v] = off;
+        code_out[v] = q.quantize(data[off], pred, outliers);
+      });
 }
 
 /// Decodes one line: recover() runs in target order from a line-local
 /// outlier cursor (the caller prefix-summed the per-line escape counts, so
-/// the cursor is exact no matter which thread runs the line). `tgt` is the
-/// line's segment of the fetched target offsets (used by the masked path).
+/// the cursor is exact no matter which thread runs the line).
 template <typename T>
-void decode_line(T* out, std::size_t base, const AxisSpec& ax, std::size_t h,
-                 std::size_t s, FittingKind fit, const LinearQuantizer<T>& q,
-                 const std::uint8_t* validity, const std::uint64_t* tgt,
-                 const std::uint32_t* codes, std::size_t count,
-                 std::span<const T> outliers, std::size_t cursor,
-                 InterpFlatLine& flat) {
+void decode_line(const InterpKernelTable<T>& kt, T* out, std::size_t base,
+                 const AxisSpec& ax, std::size_t h, std::size_t s,
+                 FittingKind fit, const LinearQuantizer<T>& q,
+                 const std::uint8_t* validity, const std::uint32_t* codes,
+                 std::span<const T> outliers, std::size_t cursor) {
   const std::size_t st = ax.stride;
-  const InterpKernelTable<T>& kt = interp_kernels<T>();
   const bool cubic = fit == FittingKind::kCubic;
-  if (validity != nullptr) {
-    build_flat_line(base, ax, h, s, validity, nullptr, flat);
-    const InterpFlatRefs refs{tgt,               flat.nb[0].data(),
-                              flat.nb[1].data(), flat.nb[2].data(),
-                              flat.nb[3].data(), flat.fid.data()};
-    kt.decode_flat(out, refs, count, cubic, q, codes, outliers, cursor);
-    return;
-  }
-  const auto [lo, hi] = line_interior(ax.extent, h, s, count, fit);
-  for (std::size_t i = 0; i < lo; ++i) {
-    const std::size_t c = h + i * s;
-    const T pred =
-        interp_predict(out, line_refs(base + c * st, c, h, ax), nullptr, fit);
-    out[base + c * st] = q.recover(codes[i], pred, outliers, cursor);
-  }
-  kt.decode_interior(out + base, st, h, s, lo, hi, cubic, q, codes, outliers,
-                     cursor);
-  for (std::size_t i = hi; i < count; ++i) {
-    const std::size_t c = h + i * s;
-    const T pred =
-        interp_predict(out, line_refs(base + c * st, c, h, ax), nullptr, fit);
-    out[base + c * st] = q.recover(codes[i], pred, outliers, cursor);
-  }
+  split_line(
+      base, ax, h, s, fit, validity,
+      [&](std::size_t k0, std::size_t v0, std::size_t len) {
+        kt.decode_interior(out + base + k0 * s * st, st, h, s, 0, len, cubic,
+                           q, codes + v0, outliers, cursor);
+      },
+      [&](std::size_t c, std::size_t v) {
+        const std::size_t off = base + c * st;
+        const T pred =
+            interp_predict(out, line_refs(off, c, h, ax), validity, fit);
+        out[off] = q.recover(codes[v], pred, outliers, cursor);
+      });
 }
 
 /// Exclusive per-line code-count prefix for one pass into `start`
@@ -412,7 +409,7 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
     codes.push_back(quantizer.quantize(data[0], T{0}, outliers));
     if (fetch_marks != nullptr) fetch_marks->push_back(codes.size());
   }
-  auto& flat_blocks = scratch.flat_blocks;
+  const InterpKernelTable<T>& kt = interp_kernels<T>();
   auto& outl_blocks = scratch.block_outliers<T>();
   interp_for_each_pass(axes, order, [&](const InterpPass& pass) {
     const AxisSpec ax = axes[pass.d];
@@ -443,23 +440,20 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
     const std::size_t nblocks = tot >= kLineParallelGrain && n_lines > 1
                                     ? std::min(n_lines, workers)
                                     : 1;
-    if (flat_blocks.size() < nblocks) flat_blocks.resize(nblocks);
     if (outl_blocks.size() < nblocks) outl_blocks.resize(nblocks);
 
     ErrorLatch latch;
     parallel_for(0, nblocks, 2, [&](std::size_t b) {
       latch.run([&] {
-        auto& flat = flat_blocks[b];
         auto& outl = outl_blocks[b];
         outl.clear();
         const std::size_t blo = n_lines * b / nblocks;
         const std::size_t bhi = n_lines * (b + 1) / nblocks;
         for (std::size_t ln = blo; ln < bhi; ++ln) {
-          detail::encode_line(data, line_base[ln], ax, pass.h, pass.s, fit,
-                              quantizer, validity,
+          detail::encode_line(kt, data, line_base[ln], ax, pass.h, pass.s,
+                              fit, quantizer, validity,
                               offsets.data() + cbase + start[ln],
-                              codes.data() + cbase + start[ln],
-                              start[ln + 1] - start[ln], outl, flat);
+                              codes.data() + cbase + start[ln], outl);
         }
       });
     });
@@ -476,10 +470,12 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
 
 /// Line-parallel decode, the inverse of interp_encode_lines. Entropy
 /// decoding stays serial — `fetch(offsets, codes, n)` must fill `codes`
-/// with the next n symbols in stream order (offsets identify the targets
-/// for classified sources) — while prediction + reconstruction of each
-/// pass's lines runs in parallel. Reconstructions are bit-identical to the
-/// serial decoders' for every thread count.
+/// with the next n symbols in stream order — while prediction +
+/// reconstruction of each pass's lines runs in parallel. Only classified
+/// sources read the target offsets, so they are built only when
+/// `classified` is set (`offsets` is nullptr otherwise, except for the
+/// anchor). Reconstructions are bit-identical to the serial decoders' for
+/// every thread count.
 template <typename T, typename FetchCodes>
 void interp_decode_lines(T* out, std::span<const AxisSpec> axes,
                          std::span<const std::size_t> order, bool dynamic,
@@ -488,7 +484,7 @@ void interp_decode_lines(T* out, std::span<const AxisSpec> axes,
                          const LinearQuantizer<T>& quantizer,
                          std::span<const T> outliers,
                          std::size_t& outlier_cursor,
-                         const std::uint8_t* validity,
+                         const std::uint8_t* validity, bool classified,
                          InterpLineScratch& scratch, FetchCodes&& fetch) {
   if (validity == nullptr || validity[0] != 0) {
     const std::uint64_t off0 = 0;
@@ -496,7 +492,7 @@ void interp_decode_lines(T* out, std::span<const AxisSpec> axes,
     fetch(&off0, &code0, std::size_t{1});
     out[0] = quantizer.recover(code0, T{0}, outliers, outlier_cursor);
   }
-  auto& flat_blocks = scratch.flat_blocks;
+  const InterpKernelTable<T>& kt = interp_kernels<T>();
   std::size_t pass_idx = 0;
   interp_for_each_pass(axes, order, [&](const InterpPass& pass) {
     FittingKind fit = static_fit;
@@ -517,28 +513,26 @@ void interp_decode_lines(T* out, std::span<const AxisSpec> axes,
     const std::size_t tot = start[n_lines];
     if (tot == 0) return;
 
-    auto& offs = scratch.dec_offsets;
     auto& cds = scratch.dec_codes;
-    offs.resize(tot);
     cds.resize(tot);
-    const std::size_t grain = std::max<std::size_t>(
-        2, kLineParallelGrain / std::max<std::size_t>(tpl, std::size_t{1}));
-    parallel_for(0, n_lines, grain, [&](std::size_t ln) {
-      std::uint64_t* dst = offs.data() + start[ln];
-      const std::size_t base = line_base[ln];
-      if (validity == nullptr) {
-        for (std::size_t i = 0; i < tpl; ++i) {
-          dst[i] = base + (pass.h + i * pass.s) * ax.stride;
-        }
-      } else {
+    const std::uint64_t* offs = nullptr;
+    if (classified) {
+      auto& dec_offs = scratch.dec_offsets;
+      dec_offs.resize(tot);
+      const std::size_t grain = std::max<std::size_t>(
+          2, kLineParallelGrain / std::max<std::size_t>(tpl, std::size_t{1}));
+      parallel_for(0, n_lines, grain, [&](std::size_t ln) {
+        std::uint64_t* dst = dec_offs.data() + start[ln];
+        const std::size_t base = line_base[ln];
         std::size_t k = 0;
         for (std::size_t c = pass.h; c < ax.extent; c += pass.s) {
           const std::size_t off = base + c * ax.stride;
-          if (validity[off] != 0) dst[k++] = off;
+          if (validity == nullptr || validity[off] != 0) dst[k++] = off;
         }
-      }
-    });
-    fetch(static_cast<const std::uint64_t*>(offs.data()), cds.data(), tot);
+      });
+      offs = dec_offs.data();
+    }
+    fetch(offs, cds.data(), tot);
 
     // Per-line escape (code 0) prefix gives each line its outlier cursor;
     // validating codes and the outlier supply here keeps recover() from
@@ -551,7 +545,7 @@ void interp_decode_lines(T* out, std::span<const AxisSpec> axes,
     const std::uint32_t code_limit = 2 * quantizer.radius();
     for (std::size_t ln = 0; ln < n_lines; ++ln) {
       const CodeScan scan =
-          scan_codes(cds.data() + start[ln], start[ln + 1] - start[ln]);
+          kt.scan_codes(cds.data() + start[ln], start[ln + 1] - start[ln]);
       CLIZ_REQUIRE(scan.max_code < code_limit,
                    "quantization code out of range");
       zero[ln + 1] = zero[ln] + scan.zeros;
@@ -564,20 +558,16 @@ void interp_decode_lines(T* out, std::span<const AxisSpec> axes,
     const std::size_t nblocks = tot >= kLineParallelGrain && n_lines > 1
                                     ? std::min(n_lines, workers)
                                     : 1;
-    if (flat_blocks.size() < nblocks) flat_blocks.resize(nblocks);
 
     ErrorLatch latch;
     parallel_for(0, nblocks, 2, [&](std::size_t b) {
       latch.run([&] {
-        auto& flat = flat_blocks[b];
         const std::size_t blo = n_lines * b / nblocks;
         const std::size_t bhi = n_lines * (b + 1) / nblocks;
         for (std::size_t ln = blo; ln < bhi; ++ln) {
-          detail::decode_line(out, line_base[ln], ax, pass.h, pass.s, fit,
-                              quantizer, validity, offs.data() + start[ln],
-                              cds.data() + start[ln],
-                              start[ln + 1] - start[ln], outliers,
-                              outlier_cursor + zero[ln], flat);
+          detail::decode_line(kt, out, line_base[ln], ax, pass.h, pass.s, fit,
+                              quantizer, validity, cds.data() + start[ln],
+                              outliers, outlier_cursor + zero[ln]);
         }
       });
     });

@@ -1,6 +1,7 @@
 #include "src/predictor/predict_kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -14,68 +15,25 @@
 namespace cliz {
 namespace {
 
-/// Linear-fit weights indexed by the two reference-validity bits
-/// ((fid >> 1) & 3): row m = linear_fit(m & 1, (m >> 1) & 1), i.e.
-/// {w(-h), w(+h)}. Kept as a flat constant array so the AVX2 path can
-/// gather rows by index.
-alignas(32) constexpr double kLinearW[4][2] = {
-    {0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {0.5, 0.5}};
+/// Linear-fit weights {w(-h), w(+h)} with both references valid.
+constexpr std::array<double, 2> kLinearAll = linear_fit(true, true);
 
 // ---------------------------------------------------------------------------
 // Scalar tier: the reference implementation the AVX2 tier must match bit
-// for bit, and the kernels every tier below AVX2 runs. The masked predict reproduces interp_predict exactly (coefficient
-// row selected by the validity id, zero-coefficient terms skipped before the
-// multiply so masked garbage never contributes); the interior kernels
-// reproduce predict_line's fixed-coefficient accumulation order.
+// for bit, and the kernels every tier below AVX2 runs. The interior kernels
+// reproduce interp_predict's accumulation order at validity id 0xF (every
+// coefficient is non-zero there, so its zero-skip never fires).
 // ---------------------------------------------------------------------------
-
-template <typename T>
-inline T flat_predict_ref(const T* data, const InterpFlatRefs& r,
-                          std::size_t i, bool cubic) {
-  if (cubic) {
-    const CubicFit& f = cubic_fit(r.fid[i]);
-    double p = 0.0;
-    if (f.p[0] != 0.0) p += f.p[0] * static_cast<double>(data[r.nb0[i]]);
-    if (f.p[1] != 0.0) p += f.p[1] * static_cast<double>(data[r.nb1[i]]);
-    if (f.p[2] != 0.0) p += f.p[2] * static_cast<double>(data[r.nb2[i]]);
-    if (f.p[3] != 0.0) p += f.p[3] * static_cast<double>(data[r.nb3[i]]);
-    return static_cast<T>(p);
-  }
-  const double* w = kLinearW[(r.fid[i] >> 1) & 3u];
-  double p = 0.0;
-  if (w[0] != 0.0) p += w[0] * static_cast<double>(data[r.nb1[i]]);
-  if (w[1] != 0.0) p += w[1] * static_cast<double>(data[r.nb2[i]]);
-  return static_cast<T>(p);
-}
-
-template <typename T>
-void encode_flat_scalar(T* data, const InterpFlatRefs& r, std::size_t n,
-                        bool cubic, const LinearQuantizer<T>& q,
-                        std::uint32_t* codes, std::vector<T>& outliers) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const T pred = flat_predict_ref(data, r, i, cubic);
-    codes[i] = q.quantize(data[r.tgt[i]], pred, outliers);
-  }
-}
-
-template <typename T>
-void decode_flat_scalar(T* data, const InterpFlatRefs& r, std::size_t n,
-                        bool cubic, const LinearQuantizer<T>& q,
-                        const std::uint32_t* codes, std::span<const T> outliers,
-                        std::size_t& cursor) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const T pred = flat_predict_ref(data, r, i, cubic);
-    data[r.tgt[i]] = q.recover(codes[i], pred, outliers, cursor);
-  }
-}
 
 template <typename T>
 void encode_interior_scalar(T* dp, std::size_t st, std::size_t h,
                             std::size_t s, std::size_t lo, std::size_t hi,
                             bool cubic, const LinearQuantizer<T>& q,
                             std::uint32_t* codes, std::vector<T>& outliers) {
-  const std::size_t hs = h * st;
-  const std::size_t h3 = 3 * h * st;
+  // Signed distances: a run's first target may sit less than 3h past
+  // `dp`, so its -3h reference is a negative index (still in the array).
+  const auto hs = static_cast<std::ptrdiff_t>(h * st);
+  const std::ptrdiff_t h3 = 3 * hs;
   if (cubic) {
     const CubicFit& f = cubic_fit(0xFu);
     const double c0 = f.p[0];
@@ -83,7 +41,7 @@ void encode_interior_scalar(T* dp, std::size_t st, std::size_t h,
     const double c2 = f.p[2];
     const double c3 = f.p[3];
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t o = (h + i * s) * st;
+      const auto o = static_cast<std::ptrdiff_t>((h + i * s) * st);
       double p = 0.0;
       p += c0 * static_cast<double>(dp[o - h3]);
       p += c1 * static_cast<double>(dp[o - hs]);
@@ -93,10 +51,10 @@ void encode_interior_scalar(T* dp, std::size_t st, std::size_t h,
     }
     return;
   }
-  const double l0 = kLinearW[3][0];
-  const double l1 = kLinearW[3][1];
+  const double l0 = kLinearAll[0];
+  const double l1 = kLinearAll[1];
   for (std::size_t i = lo; i < hi; ++i) {
-    const std::size_t o = (h + i * s) * st;
+    const auto o = static_cast<std::ptrdiff_t>((h + i * s) * st);
     double p = 0.0;
     p += l0 * static_cast<double>(dp[o - hs]);
     p += l1 * static_cast<double>(dp[o + hs]);
@@ -110,8 +68,8 @@ void decode_interior_scalar(T* dp, std::size_t st, std::size_t h,
                             bool cubic, const LinearQuantizer<T>& q,
                             const std::uint32_t* codes,
                             std::span<const T> outliers, std::size_t& cursor) {
-  const std::size_t hs = h * st;
-  const std::size_t h3 = 3 * h * st;
+  const auto hs = static_cast<std::ptrdiff_t>(h * st);
+  const std::ptrdiff_t h3 = 3 * hs;
   if (cubic) {
     const CubicFit& f = cubic_fit(0xFu);
     const double c0 = f.p[0];
@@ -119,7 +77,7 @@ void decode_interior_scalar(T* dp, std::size_t st, std::size_t h,
     const double c2 = f.p[2];
     const double c3 = f.p[3];
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t o = (h + i * s) * st;
+      const auto o = static_cast<std::ptrdiff_t>((h + i * s) * st);
       double p = 0.0;
       p += c0 * static_cast<double>(dp[o - h3]);
       p += c1 * static_cast<double>(dp[o - hs]);
@@ -129,10 +87,10 @@ void decode_interior_scalar(T* dp, std::size_t st, std::size_t h,
     }
     return;
   }
-  const double l0 = kLinearW[3][0];
-  const double l1 = kLinearW[3][1];
+  const double l0 = kLinearAll[0];
+  const double l1 = kLinearAll[1];
   for (std::size_t i = lo; i < hi; ++i) {
-    const std::size_t o = (h + i * s) * st;
+    const auto o = static_cast<std::ptrdiff_t>((h + i * s) * st);
     double p = 0.0;
     p += l0 * static_cast<double>(dp[o - hs]);
     p += l1 * static_cast<double>(dp[o + hs]);
@@ -225,415 +183,193 @@ __attribute__((target("avx2"))) inline __m256d llround4(__m256d scaled) {
   return _mm256_sub_pd(_mm256_add_pd(re, pos), neg);
 }
 
-__attribute__((target("avx2"))) inline Q4d quantize4_f64(
-    __m256d v, __m256d p, double two_eb, double eb, double lim,
-    std::uint32_t radius) {
-  const __m256d te = _mm256_set1_pd(two_eb);
+/// LinearQuantizer state in the form the four-lane quantizer reads.
+struct QuantParams {
+  double two_eb;
+  double eb;
+  double lim;  ///< radius - 1: |scaled| must stay below it
+  std::uint32_t radius;
+};
+
+/// Quantizes four lanes exactly like LinearQuantizer<T>::quantize: f32
+/// reconstructions are narrowed to float and re-widened before the bound
+/// check, as the scalar path's static_cast<T> does.
+template <typename T>
+__attribute__((target("avx2"))) inline Q4d quantize4(__m256d v, __m256d p,
+                                                     const QuantParams& qp) {
+  const __m256d te = _mm256_set1_pd(qp.two_eb);
   const __m256d scaled = _mm256_div_pd(_mm256_sub_pd(v, p), te);
   const __m256d absm =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
   const __m256d inb = _mm256_cmp_pd(_mm256_and_pd(scaled, absm),
-                                    _mm256_set1_pd(lim), _CMP_LT_OQ);
+                                    _mm256_set1_pd(qp.lim), _CMP_LT_OQ);
   const __m256d qd = llround4(scaled);
-  const __m256d recon = _mm256_add_pd(p, _mm256_mul_pd(te, qd));
+  __m256d recon = _mm256_add_pd(p, _mm256_mul_pd(te, qd));
+  if constexpr (sizeof(T) == 4) {
+    recon = _mm256_cvtps_pd(_mm256_cvtpd_ps(recon));
+  }
   const __m256d err = _mm256_and_pd(_mm256_sub_pd(recon, v), absm);
-  const __m256d bok = _mm256_cmp_pd(err, _mm256_set1_pd(eb), _CMP_LE_OQ);
+  const __m256d bok = _mm256_cmp_pd(err, _mm256_set1_pd(qp.eb), _CMP_LE_OQ);
   Q4d r;
   r.recon = recon;
   r.code = _mm_add_epi32(_mm256_cvtpd_epi32(qd),
-                         _mm_set1_epi32(static_cast<int>(radius)));
+                         _mm_set1_epi32(static_cast<int>(qp.radius)));
   r.ok = _mm256_movemask_pd(_mm256_and_pd(inb, bok));
   return r;
 }
 
-__attribute__((target("avx2"))) inline Q4d quantize4_f32(
-    __m256d v, __m256d p, double two_eb, double eb, double lim,
-    std::uint32_t radius) {
-  const __m256d te = _mm256_set1_pd(two_eb);
-  const __m256d scaled = _mm256_div_pd(_mm256_sub_pd(v, p), te);
-  const __m256d absm =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
-  const __m256d inb = _mm256_cmp_pd(_mm256_and_pd(scaled, absm),
-                                    _mm256_set1_pd(lim), _CMP_LT_OQ);
-  const __m256d qd = llround4(scaled);
-  const __m256d wide = _mm256_add_pd(p, _mm256_mul_pd(te, qd));
-  const __m256d recon = _mm256_cvtps_pd(_mm256_cvtpd_ps(wide));
-  const __m256d err = _mm256_and_pd(_mm256_sub_pd(recon, v), absm);
-  const __m256d bok = _mm256_cmp_pd(err, _mm256_set1_pd(eb), _CMP_LE_OQ);
-  Q4d r;
-  r.recon = recon;
-  r.code = _mm_add_epi32(_mm256_cvtpd_epi32(qd),
-                         _mm_set1_epi32(static_cast<int>(radius)));
-  r.ok = _mm256_movemask_pd(_mm256_and_pd(inb, bok));
-  return r;
-}
-
-__attribute__((target("avx2"))) inline __m256d gather_idx_f64(
-    const double* base, const std::uint64_t* idx) {
-  __m256i vi;
-  std::memcpy(&vi, idx, sizeof(vi));
+__attribute__((target("avx2"))) inline __m256d gather4(const double* base,
+                                                       __m256i vi) {
   return _mm256_i64gather_pd(base, vi, 8);
 }
 
-__attribute__((target("avx2"))) inline __m256d gather_idx_f32(
-    const float* base, const std::uint64_t* idx) {
-  __m256i vi;
-  std::memcpy(&vi, idx, sizeof(vi));
+__attribute__((target("avx2"))) inline __m256d gather4(const float* base,
+                                                       __m256i vi) {
   return _mm256_cvtps_pd(_mm256_i64gather_ps(base, vi, 4));
 }
 
-__attribute__((target("avx2"))) inline __m256d gather_vec_f64(
-    const double* base, __m256i vi) {
-  return _mm256_i64gather_pd(base, vi, 8);
+/// Offsets of one group of four targets starting at `o0`. A group of
+/// r < 4 targets (a run's tail) repeats its last target in the spare
+/// lanes, so every gather stays on the run's targets and references.
+__attribute__((target("avx2"))) inline __m256i lane_offsets(std::size_t o0,
+                                                            std::size_t ss,
+                                                            std::size_t r) {
+  const auto lane = [=](std::size_t k) {
+    return static_cast<long long>(o0 + std::min(k, r - 1) * ss);
+  };
+  return _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0));
 }
 
-__attribute__((target("avx2"))) inline __m256d gather_vec_f32(
-    const float* base, __m256i vi) {
-  return _mm256_cvtps_pd(_mm256_i64gather_ps(base, vi, 4));
-}
-
-/// Masked four-lane cubic prediction: coefficient rows gathered from the
-/// Theorem-1 table by validity id, zero-coefficient terms blend-skipped in
-/// scalar accumulation order. All-valid groups (the common case away from
-/// mask boundaries) take a broadcast-constant fast path that performs the
-/// identical operation sequence.
-__attribute__((target("avx2"))) inline __m256d predict4_cubic(
-    __m256d x0, __m256d x1, __m256d x2, __m256d x3, std::uint32_t f4) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d acc = zero;
-  if (f4 == 0x0F0F0F0Fu) {
+/// All-valid Theorem-1 prediction of four interior targets, in the scalar
+/// accumulation order and narrowed to T as static_cast<T>(p) does.
+template <typename T>
+__attribute__((target("avx2"))) inline __m256d predict4_interior(
+    const T* dp, __m256i oi, std::size_t hs, bool cubic) {
+  const __m256i vh = _mm256_set1_epi64x(static_cast<long long>(hs));
+  const __m256i v3 = _mm256_set1_epi64x(static_cast<long long>(3 * hs));
+  __m256d acc = _mm256_setzero_pd();
+  if (cubic) {
     const CubicFit& f = cubic_fit(0xFu);
+    const __m256d x0 = gather4(dp, _mm256_sub_epi64(oi, v3));
     acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(f.p[0]), x0));
+    const __m256d x1 = gather4(dp, _mm256_sub_epi64(oi, vh));
     acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(f.p[1]), x1));
+    const __m256d x2 = gather4(dp, _mm256_add_epi64(oi, vh));
     acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(f.p[2]), x2));
+    const __m256d x3 = gather4(dp, _mm256_add_epi64(oi, v3));
     acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(f.p[3]), x3));
-    return acc;
+  } else {
+    const __m256d l0 = _mm256_set1_pd(kLinearAll[0]);
+    const __m256d l1 = _mm256_set1_pd(kLinearAll[1]);
+    const __m256d x1 = gather4(dp, _mm256_sub_epi64(oi, vh));
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(l0, x1));
+    const __m256d x2 = gather4(dp, _mm256_add_epi64(oi, vh));
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(l1, x2));
   }
-  const double* tbl = detail::kCubicTable[0].p.data();
-  const __m256i fidx = _mm256_slli_epi64(
-      _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(f4))), 2);
-  const __m256d xs[4] = {x0, x1, x2, x3};
-  for (int j = 0; j < 4; ++j) {
-    const __m256d c = _mm256_i64gather_pd(
-        tbl, _mm256_add_epi64(fidx, _mm256_set1_epi64x(j)), 8);
-    acc = _mm256_blendv_pd(acc, _mm256_add_pd(acc, _mm256_mul_pd(c, xs[j])),
-                           _mm256_cmp_pd(c, zero, _CMP_NEQ_OQ));
-  }
+  if constexpr (sizeof(T) == 4) acc = _mm256_cvtps_pd(_mm256_cvtpd_ps(acc));
   return acc;
 }
 
-__attribute__((target("avx2"))) inline __m256d predict4_linear(
-    __m256d x1, __m256d x2, std::uint32_t f4) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d acc = zero;
-  if ((f4 & 0x06060606u) == 0x06060606u) {
-    const __m256d half = _mm256_set1_pd(0.5);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(half, x1));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(half, x2));
-    return acc;
+/// Encodes the r <= 4 targets of one group, the first at offset `o0`;
+/// codes go to codes[0..r). Inlined with r = 4 into the main loop, so full
+/// groups pay nothing for the spare-lane handling.
+template <typename T>
+__attribute__((target("avx2"), always_inline)) inline void encode_group4(
+    T* dp, std::size_t o0, std::size_t ss, std::size_t hs, std::size_t r,
+    bool cubic, const QuantParams& qp, std::uint32_t* codes,
+    std::vector<T>& outliers) {
+  const __m256i oi = lane_offsets(o0, ss, r);
+  const __m256d acc = predict4_interior(dp, oi, hs, cubic);
+  const __m256d v = gather4(dp, oi);
+  const Q4d qr = quantize4<T>(v, acc, qp);
+  double rc[4];
+  double vv[4];
+  std::uint32_t cds[4];
+  _mm256_storeu_pd(rc, qr.recon);
+  _mm256_storeu_pd(vv, v);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(cds), qr.code);
+  for (std::size_t k = 0; k < r; ++k) {
+    if ((qr.ok >> k) & 1) {
+      dp[o0 + k * ss] = static_cast<T>(rc[k]);
+      codes[k] = cds[k];
+    } else {
+      outliers.push_back(static_cast<T>(vv[k]));
+      codes[k] = 0;
+    }
   }
-  const double* tbl = &kLinearW[0][0];
-  const __m256i m = _mm256_and_si256(
-      _mm256_srli_epi64(
-          _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(f4))), 1),
-      _mm256_set1_epi64x(3));
-  const __m256i ridx = _mm256_slli_epi64(m, 1);
-  const __m256d xs[2] = {x1, x2};
-  for (int j = 0; j < 2; ++j) {
-    const __m256d c = _mm256_i64gather_pd(
-        tbl, _mm256_add_epi64(ridx, _mm256_set1_epi64x(j)), 8);
-    acc = _mm256_blendv_pd(acc, _mm256_add_pd(acc, _mm256_mul_pd(c, xs[j])),
-                           _mm256_cmp_pd(c, zero, _CMP_NEQ_OQ));
-  }
-  return acc;
 }
 
-#define CLIZ_AVX2_FLAT_ENCODE(NAME, T, GATHER, QUANT4)                        \
-  __attribute__((target("avx2"))) void NAME(                                  \
-      T* data, const InterpFlatRefs& r, std::size_t n, bool cubic,            \
-      const LinearQuantizer<T>& q, std::uint32_t* codes,                      \
-      std::vector<T>& outliers) {                                             \
-    const double two_eb = 2.0 * q.error_bound();                              \
-    const double eb = q.error_bound();                                        \
-    const double lim = static_cast<double>(q.radius()) - 1;                   \
-    std::size_t i = 0;                                                        \
-    for (; i + 4 <= n; i += 4) {                                              \
-      std::uint32_t f4;                                                       \
-      std::memcpy(&f4, r.fid + i, 4);                                         \
-      __m256d acc;                                                            \
-      if (cubic) {                                                            \
-        acc = predict4_cubic(GATHER(data, r.nb0 + i), GATHER(data, r.nb1 + i),\
-                             GATHER(data, r.nb2 + i), GATHER(data, r.nb3 + i),\
-                             f4);                                             \
-      } else {                                                                \
-        acc = predict4_linear(GATHER(data, r.nb1 + i), GATHER(data, r.nb2 + i),\
-                              f4);                                            \
-      }                                                                       \
-      if (sizeof(T) == 4) acc = _mm256_cvtps_pd(_mm256_cvtpd_ps(acc));        \
-      const __m256d v = GATHER(data, r.tgt + i);                              \
-      const Q4d qr = QUANT4(v, acc, two_eb, eb, lim, q.radius());             \
-      double rc[4];                                                           \
-      double vv[4];                                                           \
-      std::uint32_t cds[4];                                                   \
-      _mm256_storeu_pd(rc, qr.recon);                                         \
-      _mm256_storeu_pd(vv, v);                                                \
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(cds), qr.code);             \
-      if (qr.ok == 0xF) {                                                     \
-        for (unsigned k = 0; k < 4; ++k) {                                    \
-          data[r.tgt[i + k]] = static_cast<T>(rc[k]);                         \
-        }                                                                     \
-        std::memcpy(codes + i, cds, sizeof(cds));                             \
-      } else {                                                                \
-        for (unsigned k = 0; k < 4; ++k) {                                    \
-          if ((qr.ok >> k) & 1) {                                             \
-            data[r.tgt[i + k]] = static_cast<T>(rc[k]);                       \
-            codes[i + k] = cds[k];                                            \
-          } else {                                                            \
-            outliers.push_back(static_cast<T>(vv[k]));                        \
-            codes[i + k] = 0;                                                 \
-          }                                                                   \
-        }                                                                     \
-      }                                                                       \
-    }                                                                         \
-    for (; i < n; ++i) {                                                      \
-      codes[i] = q.quantize(data[r.tgt[i]],                                   \
-                            flat_predict_ref(data, r, i, cubic), outliers);   \
-    }                                                                         \
+/// The r < 4 tail group, kept out of line: inlined beside the main loop it
+/// slowed that loop's f64 code by 30% (predict_quantize_kernel/f64/avx2).
+template <typename T>
+__attribute__((target("avx2"), noinline)) void encode_tail4(
+    T* dp, std::size_t o0, std::size_t ss, std::size_t hs, std::size_t r,
+    bool cubic, const QuantParams& qp, std::uint32_t* codes,
+    std::vector<T>& outliers) {
+  encode_group4(dp, o0, ss, hs, r, cubic, qp, codes, outliers);
+}
+
+/// A run's last one to three targets go through one more vector group:
+/// each carries a division that the scalar loop would pay alone.
+template <typename T>
+__attribute__((target("avx2"))) void encode_interior_avx2(
+    T* dp, std::size_t st, std::size_t h, std::size_t s, std::size_t lo,
+    std::size_t hi, bool cubic, const LinearQuantizer<T>& q,
+    std::uint32_t* codes, std::vector<T>& outliers) {
+  // Copied out of `q`: outlier appends could alias it, so the compiler
+  // would reload it in the loop.
+  const QuantParams qp{2.0 * q.error_bound(), q.error_bound(),
+                       static_cast<double>(q.radius()) - 1, q.radius()};
+  const std::size_t ss = s * st;
+  const std::size_t hs = h * st;
+  std::size_t i = lo;
+  for (; i + 4 <= hi; i += 4) {
+    encode_group4(dp, (h + i * s) * st, ss, hs, 4, cubic, qp, codes + i,
+                  outliers);
   }
-
-CLIZ_AVX2_FLAT_ENCODE(encode_flat_avx2_f64, double, gather_idx_f64,
-                      quantize4_f64)
-CLIZ_AVX2_FLAT_ENCODE(encode_flat_avx2_f32, float, gather_idx_f32,
-                      quantize4_f32)
-#undef CLIZ_AVX2_FLAT_ENCODE
-
-#define CLIZ_AVX2_FLAT_DECODE(NAME, T, GATHER)                                \
-  __attribute__((target("avx2"))) void NAME(                                  \
-      T* data, const InterpFlatRefs& r, std::size_t n, bool cubic,            \
-      const LinearQuantizer<T>& q, const std::uint32_t* codes,                \
-      std::span<const T> outliers, std::size_t& cursor) {                     \
-    const double two_eb = 2.0 * q.error_bound();                              \
-    const int radius = static_cast<int>(q.radius());                          \
-    std::size_t i = 0;                                                        \
-    for (; i + 4 <= n; i += 4) {                                              \
-      __m128i ci;                                                             \
-      std::memcpy(&ci, codes + i, sizeof(ci));                                \
-      if (_mm_movemask_ps(_mm_castsi128_ps(                                   \
-              _mm_cmpeq_epi32(ci, _mm_setzero_si128()))) != 0) {              \
-        /* escape lanes consume the outlier stream in serial order */         \
-        for (unsigned k = 0; k < 4; ++k) {                                    \
-          const T pred = flat_predict_ref(data, r, i + k, cubic);             \
-          data[r.tgt[i + k]] =                                                \
-              q.recover(codes[i + k], pred, outliers, cursor);                \
-        }                                                                     \
-        continue;                                                             \
-      }                                                                       \
-      __m256d acc;                                                            \
-      std::uint32_t f4;                                                       \
-      std::memcpy(&f4, r.fid + i, 4);                                         \
-      if (cubic) {                                                            \
-        acc = predict4_cubic(GATHER(data, r.nb0 + i), GATHER(data, r.nb1 + i),\
-                             GATHER(data, r.nb2 + i), GATHER(data, r.nb3 + i),\
-                             f4);                                             \
-      } else {                                                                \
-        acc = predict4_linear(GATHER(data, r.nb1 + i), GATHER(data, r.nb2 + i),\
-                              f4);                                            \
-      }                                                                       \
-      if (sizeof(T) == 4) acc = _mm256_cvtps_pd(_mm256_cvtpd_ps(acc));        \
-      const __m256d qd = _mm256_cvtepi32_pd(                                  \
-          _mm_sub_epi32(ci, _mm_set1_epi32(radius)));                         \
-      const __m256d recon =                                                   \
-          _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(two_eb), qd));      \
-      double rc[4];                                                           \
-      _mm256_storeu_pd(rc, recon);                                            \
-      for (unsigned k = 0; k < 4; ++k) {                                      \
-        data[r.tgt[i + k]] = static_cast<T>(rc[k]);                           \
-      }                                                                       \
-    }                                                                         \
-    for (; i < n; ++i) {                                                      \
-      const T pred = flat_predict_ref(data, r, i, cubic);                     \
-      data[r.tgt[i]] = q.recover(codes[i], pred, outliers, cursor);           \
-    }                                                                         \
+  if (i < hi) {
+    encode_tail4(dp, (h + i * s) * st, ss, hs, hi - i, cubic, qp, codes + i,
+                 outliers);
   }
+}
 
-CLIZ_AVX2_FLAT_DECODE(decode_flat_avx2_f64, double, gather_idx_f64)
-CLIZ_AVX2_FLAT_DECODE(decode_flat_avx2_f32, float, gather_idx_f32)
-#undef CLIZ_AVX2_FLAT_DECODE
-
-#define CLIZ_AVX2_INTERIOR_ENCODE(NAME, T, GATHERV, QUANT4)                   \
-  __attribute__((target("avx2"))) void NAME(                                  \
-      T* dp, std::size_t st, std::size_t h, std::size_t s, std::size_t lo,    \
-      std::size_t hi, bool cubic, const LinearQuantizer<T>& q,                \
-      std::uint32_t* codes, std::vector<T>& outliers) {                       \
-    const double two_eb = 2.0 * q.error_bound();                              \
-    const double eb = q.error_bound();                                        \
-    const double lim = static_cast<double>(q.radius()) - 1;                   \
-    const std::size_t hs = h * st;                                            \
-    const std::size_t h3 = 3 * h * st;                                        \
-    const std::size_t ss = s * st;                                            \
-    const CubicFit& f = cubic_fit(0xFu);                                      \
-    std::size_t i = lo;                                                       \
-    for (; i + 4 <= hi; i += 4) {                                             \
-      const std::size_t o0 = (h + i * s) * st;                                \
-      const __m256i oi = _mm256_set_epi64x(                                   \
-          static_cast<long long>(o0 + 3 * ss),                                \
-          static_cast<long long>(o0 + 2 * ss),                                \
-          static_cast<long long>(o0 + ss), static_cast<long long>(o0));       \
-      __m256d acc = _mm256_setzero_pd();                                      \
-      if (cubic) {                                                            \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     _mm256_set1_pd(f.p[0]),                                  \
-                     GATHERV(dp, _mm256_sub_epi64(                            \
-                                     oi, _mm256_set1_epi64x(                  \
-                                             static_cast<long long>(h3)))))); \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     _mm256_set1_pd(f.p[1]),                                  \
-                     GATHERV(dp, _mm256_sub_epi64(                            \
-                                     oi, _mm256_set1_epi64x(                  \
-                                             static_cast<long long>(hs)))))); \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     _mm256_set1_pd(f.p[2]),                                  \
-                     GATHERV(dp, _mm256_add_epi64(                            \
-                                     oi, _mm256_set1_epi64x(                  \
-                                             static_cast<long long>(hs)))))); \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     _mm256_set1_pd(f.p[3]),                                  \
-                     GATHERV(dp, _mm256_add_epi64(                            \
-                                     oi, _mm256_set1_epi64x(                  \
-                                             static_cast<long long>(h3)))))); \
-      } else {                                                                \
-        const __m256d half = _mm256_set1_pd(0.5);                             \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     half, GATHERV(dp, _mm256_sub_epi64(                      \
-                                           oi, _mm256_set1_epi64x(            \
-                                                   static_cast<long long>(    \
-                                                       hs))))));              \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     half, GATHERV(dp, _mm256_add_epi64(                      \
-                                           oi, _mm256_set1_epi64x(            \
-                                                   static_cast<long long>(    \
-                                                       hs))))));              \
-      }                                                                       \
-      if (sizeof(T) == 4) acc = _mm256_cvtps_pd(_mm256_cvtpd_ps(acc));        \
-      const __m256d v = GATHERV(dp, oi);                                      \
-      const Q4d qr = QUANT4(v, acc, two_eb, eb, lim, q.radius());             \
-      double rc[4];                                                           \
-      double vv[4];                                                           \
-      std::uint32_t cds[4];                                                   \
-      _mm256_storeu_pd(rc, qr.recon);                                         \
-      _mm256_storeu_pd(vv, v);                                                \
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(cds), qr.code);             \
-      for (unsigned k = 0; k < 4; ++k) {                                      \
-        if ((qr.ok >> k) & 1) {                                               \
-          dp[o0 + k * ss] = static_cast<T>(rc[k]);                            \
-          codes[i + k] = cds[k];                                              \
-        } else {                                                              \
-          outliers.push_back(static_cast<T>(vv[k]));                          \
-          codes[i + k] = 0;                                                   \
-        }                                                                     \
-      }                                                                       \
-    }                                                                         \
-    encode_interior_scalar(dp, st, h, s, i, hi, cubic, q, codes, outliers);   \
+template <typename T>
+__attribute__((target("avx2"))) void decode_interior_avx2(
+    T* dp, std::size_t st, std::size_t h, std::size_t s, std::size_t lo,
+    std::size_t hi, bool cubic, const LinearQuantizer<T>& q,
+    const std::uint32_t* codes, std::span<const T> outliers,
+    std::size_t& cursor) {
+  const double two_eb = 2.0 * q.error_bound();
+  const int radius = static_cast<int>(q.radius());
+  const std::size_t ss = s * st;
+  std::size_t i = lo;
+  for (; i + 4 <= hi; i += 4) {
+    __m128i ci;
+    std::memcpy(&ci, codes + i, sizeof(ci));
+    if (_mm_movemask_ps(_mm_castsi128_ps(
+            _mm_cmpeq_epi32(ci, _mm_setzero_si128()))) != 0) {
+      // Escape lanes consume the outlier stream in serial order.
+      decode_interior_scalar(dp, st, h, s, i, i + 4, cubic, q, codes, outliers,
+                             cursor);
+      continue;
+    }
+    const std::size_t o0 = (h + i * s) * st;
+    const __m256d acc =
+        predict4_interior(dp, lane_offsets(o0, ss, 4), h * st, cubic);
+    const __m256d qd =
+        _mm256_cvtepi32_pd(_mm_sub_epi32(ci, _mm_set1_epi32(radius)));
+    const __m256d recon =
+        _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(two_eb), qd));
+    double rc[4];
+    _mm256_storeu_pd(rc, recon);
+    for (std::size_t k = 0; k < 4; ++k) {
+      dp[o0 + k * ss] = static_cast<T>(rc[k]);
+    }
   }
-
-CLIZ_AVX2_INTERIOR_ENCODE(encode_interior_avx2_f64, double, gather_vec_f64,
-                          quantize4_f64)
-CLIZ_AVX2_INTERIOR_ENCODE(encode_interior_avx2_f32, float, gather_vec_f32,
-                          quantize4_f32)
-#undef CLIZ_AVX2_INTERIOR_ENCODE
-
-#define CLIZ_AVX2_INTERIOR_DECODE(NAME, T, GATHERV)                           \
-  __attribute__((target("avx2"))) void NAME(                                  \
-      T* dp, std::size_t st, std::size_t h, std::size_t s, std::size_t lo,    \
-      std::size_t hi, bool cubic, const LinearQuantizer<T>& q,                \
-      const std::uint32_t* codes, std::span<const T> outliers,                \
-      std::size_t& cursor) {                                                  \
-    const double two_eb = 2.0 * q.error_bound();                              \
-    const int radius = static_cast<int>(q.radius());                          \
-    const std::size_t hs = h * st;                                            \
-    const std::size_t h3 = 3 * h * st;                                        \
-    const std::size_t ss = s * st;                                            \
-    const CubicFit& f = cubic_fit(0xFu);                                      \
-    std::size_t i = lo;                                                       \
-    for (; i + 4 <= hi; i += 4) {                                             \
-      __m128i ci;                                                             \
-      std::memcpy(&ci, codes + i, sizeof(ci));                                \
-      if (_mm_movemask_ps(_mm_castsi128_ps(                                   \
-              _mm_cmpeq_epi32(ci, _mm_setzero_si128()))) != 0) {              \
-        decode_interior_scalar(dp, st, h, s, i, i + 4, cubic, q, codes,       \
-                               outliers, cursor);                             \
-        continue;                                                             \
-      }                                                                       \
-      const std::size_t o0 = (h + i * s) * st;                                \
-      const __m256i oi = _mm256_set_epi64x(                                   \
-          static_cast<long long>(o0 + 3 * ss),                                \
-          static_cast<long long>(o0 + 2 * ss),                                \
-          static_cast<long long>(o0 + ss), static_cast<long long>(o0));       \
-      __m256d acc = _mm256_setzero_pd();                                      \
-      if (cubic) {                                                            \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     _mm256_set1_pd(f.p[0]),                                  \
-                     GATHERV(dp, _mm256_sub_epi64(                            \
-                                     oi, _mm256_set1_epi64x(                  \
-                                             static_cast<long long>(h3)))))); \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     _mm256_set1_pd(f.p[1]),                                  \
-                     GATHERV(dp, _mm256_sub_epi64(                            \
-                                     oi, _mm256_set1_epi64x(                  \
-                                             static_cast<long long>(hs)))))); \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     _mm256_set1_pd(f.p[2]),                                  \
-                     GATHERV(dp, _mm256_add_epi64(                            \
-                                     oi, _mm256_set1_epi64x(                  \
-                                             static_cast<long long>(hs)))))); \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     _mm256_set1_pd(f.p[3]),                                  \
-                     GATHERV(dp, _mm256_add_epi64(                            \
-                                     oi, _mm256_set1_epi64x(                  \
-                                             static_cast<long long>(h3)))))); \
-      } else {                                                                \
-        const __m256d half = _mm256_set1_pd(0.5);                             \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     half, GATHERV(dp, _mm256_sub_epi64(                      \
-                                           oi, _mm256_set1_epi64x(            \
-                                                   static_cast<long long>(    \
-                                                       hs))))));              \
-        acc = _mm256_add_pd(                                                  \
-            acc, _mm256_mul_pd(                                               \
-                     half, GATHERV(dp, _mm256_add_epi64(                      \
-                                           oi, _mm256_set1_epi64x(            \
-                                                   static_cast<long long>(    \
-                                                       hs))))));              \
-      }                                                                       \
-      if (sizeof(T) == 4) acc = _mm256_cvtps_pd(_mm256_cvtpd_ps(acc));        \
-      const __m256d qd = _mm256_cvtepi32_pd(                                  \
-          _mm_sub_epi32(ci, _mm_set1_epi32(radius)));                         \
-      const __m256d recon =                                                   \
-          _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(two_eb), qd));      \
-      double rc[4];                                                           \
-      _mm256_storeu_pd(rc, recon);                                            \
-      for (unsigned k = 0; k < 4; ++k) {                                      \
-        dp[o0 + k * ss] = static_cast<T>(rc[k]);                              \
-      }                                                                       \
-    }                                                                         \
-    decode_interior_scalar(dp, st, h, s, i, hi, cubic, q, codes, outliers,    \
-                           cursor);                                           \
-  }
-
-CLIZ_AVX2_INTERIOR_DECODE(decode_interior_avx2_f64, double, gather_vec_f64)
-CLIZ_AVX2_INTERIOR_DECODE(decode_interior_avx2_f32, float, gather_vec_f32)
-#undef CLIZ_AVX2_INTERIOR_DECODE
+  // A run's tail has no division to amortise: scalar is cheaper there.
+  decode_interior_scalar(dp, st, h, s, i, hi, cubic, q, codes, outliers,
+                         cursor);
+}
 
 __attribute__((target("avx2"))) CodeScan scan_codes_avx2(
     const std::uint32_t* codes, std::size_t n) {
@@ -821,11 +557,11 @@ const InterpKernelTable<double>& interp_kernels_for<double>(
     [[maybe_unused]] SimdTier tier) {
   static constexpr InterpKernelTable<double> kScalar = {
       &encode_interior_scalar<double>, &decode_interior_scalar<double>,
-      &encode_flat_scalar<double>, &decode_flat_scalar<double>};
+      &scan_codes_scalar};
 #ifdef CLIZ_KERNELS_X86
   static constexpr InterpKernelTable<double> kAvx2 = {
-      &encode_interior_avx2_f64, &decode_interior_avx2_f64,
-      &encode_flat_avx2_f64, &decode_flat_avx2_f64};
+      &encode_interior_avx2<double>, &decode_interior_avx2<double>,
+      &scan_codes_avx2};
   if (tier >= SimdTier::kAvx2) return kAvx2;
 #endif
   return kScalar;
@@ -836,11 +572,11 @@ const InterpKernelTable<float>& interp_kernels_for<float>(
     [[maybe_unused]] SimdTier tier) {
   static constexpr InterpKernelTable<float> kScalar = {
       &encode_interior_scalar<float>, &decode_interior_scalar<float>,
-      &encode_flat_scalar<float>, &decode_flat_scalar<float>};
+      &scan_codes_scalar};
 #ifdef CLIZ_KERNELS_X86
   static constexpr InterpKernelTable<float> kAvx2 = {
-      &encode_interior_avx2_f32, &decode_interior_avx2_f32,
-      &encode_flat_avx2_f32, &decode_flat_avx2_f32};
+      &encode_interior_avx2<float>, &decode_interior_avx2<float>,
+      &scan_codes_avx2};
   if (tier >= SimdTier::kAvx2) return kAvx2;
 #endif
   return kScalar;
@@ -892,15 +628,6 @@ const SumKernelTable<float>& sum_kernels_for<float>(
   if (tier >= SimdTier::kAvx2) return kAvx2;
 #endif
   return kScalar;
-}
-
-CodeScan scan_codes(const std::uint32_t* codes, std::size_t n) {
-#ifdef CLIZ_KERNELS_X86
-  if (active_simd_tier() >= SimdTier::kAvx2) {
-    return scan_codes_avx2(codes, n);
-  }
-#endif
-  return scan_codes_scalar(codes, n);
 }
 
 }  // namespace cliz

@@ -1,22 +1,18 @@
 #pragma once
 
-// Flat gather/scatter kernels for the predict/quantize hot path, dispatched
-// at runtime over the cpu_features ISA tiers. Every family is a scalar
-// reference plus an AVX2 variant: the scalar and SSE4.2 tiers (and every
-// tier off x86) run the scalar reference, the AVX2 tier runs AVX2 kernels.
+// Flat kernels for the predict/quantize hot path, dispatched at runtime
+// over the cpu_features ISA tiers. Every family is a scalar reference plus
+// an AVX2 variant: the scalar and SSE4.2 tiers (and every tier off x86) run
+// the scalar reference, the AVX2 tier runs AVX2 kernels.
 //
-// The line-parallel interpolation engine restructures each pass's work into
-// two branch-free shapes before any arithmetic runs:
-//
-//  - *interior* lines (no mask): targets live at a fixed stride, the four
-//    references at fixed +-h / +-3h byte distances, and every coefficient
-//    row is the all-valid Theorem-1 row — the kernel needs only the line
-//    geometry, no per-point state at all;
-//  - *masked* lines: a per-line build step precomputes contiguous arrays of
-//    target offsets, the four neighbour offsets, and the 4-bit validity id
-//    that selects the coefficient-table row (InterpFlatLine, owned by
-//    CodecContext scratch and reused across chunks) — the kernel then runs
-//    with no mask tests and no coordinate arithmetic, just gathers.
+// The line-parallel interpolation engine has one kernel shape, the
+// *interior* run: targets at a fixed stride, the four references at fixed
+// +-h / +-3h distances, all in range and valid, so every coefficient row is
+// the all-valid Theorem-1 row and the kernel needs only the run geometry,
+// no per-point state at all. The engine cuts each line (masked or not)
+// into maximal such runs; the few targets at line ends and mask edges take
+// the scalar interp_predict, which the interior kernels equal bit for bit
+// at validity id 0xF.
 //
 // The AVX2 kernels reproduce the scalar reference bit for bit:
 //  - all arithmetic is double, in the scalar accumulation order, with no
@@ -24,16 +20,12 @@
 //  - llround's half-away-from-zero is emulated exactly on top of the AVX
 //    round-to-nearest-even instruction (the half-integer correction is
 //    computable exactly because |scaled| < radius <= 2^30);
-//  - zero-coefficient terms are skipped per lane via blends, matching the
-//    scalar `if (p[i] != 0.0)` guards (so masked fill garbage — including
-//    NaN — never perturbs a prediction);
 //  - divergent lanes (quantizer escapes, outlier reads) fall back to the
 //    scalar path per lane in ascending lane order, so the outlier side
 //    stream is appended/consumed in exactly the serial order.
 // Streams are therefore byte-identical across tiers and thread counts; the
 // golden corpus and the SimdKernels equivalence suite both enforce this.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -44,41 +36,22 @@
 
 namespace cliz {
 
-/// Per-line gather staging for the masked path: neighbour offsets (SoA, one
-/// array per reference slot; invalid references point at element 0 and are
-/// masked out by their zero coefficient) plus the 4-bit validity id per
-/// target. One instance per concurrent line block, owned by the
-/// CodecContext's InterpLineScratch and reused across passes and chunks.
-struct InterpFlatLine {
-  std::array<std::vector<std::uint64_t>, 4> nb;
-  std::vector<std::uint8_t> fid;
-
-  void ensure(std::size_t cap) {
-    for (auto& v : nb) {
-      if (v.size() < cap) v.resize(cap);
-    }
-    if (fid.size() < cap) fid.resize(cap);
-  }
+/// Result of the decode-side code pre-scan: escape count plus the maximum
+/// code value, so `max_code < 2*radius` validates the whole batch (escape
+/// zeros are trivially below any legal limit).
+struct CodeScan {
+  std::size_t zeros = 0;
+  std::uint32_t max_code = 0;
 };
 
-/// Borrowed view of one line's flat buffers handed to the masked kernels.
-struct InterpFlatRefs {
-  const std::uint64_t* tgt;  ///< absolute target offsets, in target order
-  const std::uint64_t* nb0;  ///< reference at -3h (0 when out of range)
-  const std::uint64_t* nb1;  ///< reference at -h (always in range)
-  const std::uint64_t* nb2;  ///< reference at +h (0 when out of range)
-  const std::uint64_t* nb3;  ///< reference at +3h (0 when out of range)
-  const std::uint8_t* fid;   ///< validity bitmask per target (0..15)
-};
-
-/// Function-pointer table of the fused predict/quantize kernels for one
+/// Function-pointer table of the interpolation engine's kernels for one
 /// sample type at one ISA tier. `cubic` selects the four-reference cubic
 /// fit; otherwise the two-reference linear fit.
 template <typename T>
 struct InterpKernelTable {
-  /// Encode the unmasked interior [lo, hi) of one line: predict from the
-  /// fixed +-h/+-3h references of `dp` (the line base), quantize in place,
-  /// write codes[lo..hi). Outliers append in target order.
+  /// Encode targets dp[(h+i*s)*st] for i in [lo, hi) of one interior run:
+  /// predict from the fixed +-h/+-3h references, quantize in place, write
+  /// codes[lo..hi). Outliers append in target order.
   void (*encode_interior)(T* dp, std::size_t st, std::size_t h, std::size_t s,
                           std::size_t lo, std::size_t hi, bool cubic,
                           const LinearQuantizer<T>& q, std::uint32_t* codes,
@@ -90,15 +63,8 @@ struct InterpKernelTable {
                           const LinearQuantizer<T>& q,
                           const std::uint32_t* codes,
                           std::span<const T> outliers, std::size_t& cursor);
-  /// Encode `n` masked targets through the flat gather buffers.
-  void (*encode_flat)(T* data, const InterpFlatRefs& refs, std::size_t n,
-                      bool cubic, const LinearQuantizer<T>& q,
-                      std::uint32_t* codes, std::vector<T>& outliers);
-  /// Decode counterpart over the same buffers.
-  void (*decode_flat)(T* data, const InterpFlatRefs& refs, std::size_t n,
-                      bool cubic, const LinearQuantizer<T>& q,
-                      const std::uint32_t* codes, std::span<const T> outliers,
-                      std::size_t& cursor);
+  /// Vectorized scan of a decoded code batch (escape count + max code).
+  CodeScan (*scan_codes)(const std::uint32_t* codes, std::size_t n);
 };
 
 /// Kernel table for an explicit tier (at most the detected one). The
@@ -118,17 +84,6 @@ template <typename T>
 inline const InterpKernelTable<T>& interp_kernels() {
   return interp_kernels_for<T>(active_simd_tier());
 }
-
-/// Result of the decode-side code pre-scan: escape count plus the maximum
-/// code value, so `max_code < 2*radius` validates the whole batch (escape
-/// zeros are trivially below any legal limit).
-struct CodeScan {
-  std::size_t zeros = 0;
-  std::uint32_t max_code = 0;
-};
-
-/// Vectorized scan of a code batch at the active tier.
-CodeScan scan_codes(const std::uint32_t* codes, std::size_t n);
 
 /// Masked element-wise accumulate kernels (dst[i] op= src[i] where
 /// valid[i], or unconditionally when valid == nullptr) for the periodic

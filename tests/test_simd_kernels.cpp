@@ -204,8 +204,8 @@ TEST(SimdKernelsHalfInteger, RoundingMatchesScalarOnHalfIntegerGrid) {
   }
 }
 
-// scan_codes must agree with a reference scan at every tier, for every
-// alignment/tail length.
+// The kernel tables' scan_codes must agree with a reference scan at every
+// tier, for every alignment/tail length.
 TEST(SimdKernelsScanCodes, MatchesReferenceAtEveryTier) {
   Rng rng(4242);
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
@@ -226,11 +226,14 @@ TEST(SimdKernelsScanCodes, MatchesReferenceAtEveryTier) {
     for (const SimdTier tier : available_tiers()) {
       TierGuard guard;
       set_active_simd_tier(tier);
-      const CodeScan got = scan_codes(codes.data(), codes.size());
-      EXPECT_EQ(got.zeros, ref.zeros)
-          << "n=" << n << " tier " << simd_tier_name(tier);
-      EXPECT_EQ(got.max_code, ref.max_code)
-          << "n=" << n << " tier " << simd_tier_name(tier);
+      for (const CodeScan got :
+           {interp_kernels<float>().scan_codes(codes.data(), codes.size()),
+            interp_kernels<double>().scan_codes(codes.data(), codes.size())}) {
+        EXPECT_EQ(got.zeros, ref.zeros)
+            << "n=" << n << " tier " << simd_tier_name(tier);
+        EXPECT_EQ(got.max_code, ref.max_code)
+            << "n=" << n << " tier " << simd_tier_name(tier);
+      }
     }
   }
 }
