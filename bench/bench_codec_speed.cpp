@@ -5,6 +5,8 @@
 // SPERR.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "bench/bench_host.hpp"
 #include "bench/bench_util.hpp"
 #include "src/climate/datasets.hpp"
@@ -20,6 +22,7 @@
 #include "src/huffman/huffman.hpp"
 #include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
+#include "src/predictor/interp_engine.hpp"
 #include "src/predictor/predict_kernels.hpp"
 #include "src/baselines/sperr/wavelet.hpp"
 
@@ -488,38 +491,129 @@ void BM_LosslessBackend(benchmark::State& state) {
 }
 
 /// Fused predict+quantize kernel substrate, one bench per (sample type,
-/// kernel tier): the interior encode kernel over a long smooth line with the
-/// standard h=1/s=2 interpolation-pass geometry. Tiers are addressed
-/// directly through interp_kernels_for, so the sweep isolates pure kernel
-/// throughput — the per-tier speedups bench_compare.py summarizes come
-/// from these numbers.
+/// kernel tier): the row encode kernel over the finest cubic pass (h=1,
+/// s=2 along the inner axis) of a smooth 1024x1024 field, run as the
+/// engine runs it (detail::run_row_blocks, one part): kRowBlock lines per
+/// block, one call per target row, and, since these lines lie a multiple of
+/// 1 KiB apart, through staged windows. Tiers are addressed directly
+/// through interp_kernels_for, so the sweep isolates kernel throughput —
+/// the per-tier speedups bench_compare.py summarizes come from these
+/// numbers.
 template <typename T>
 void BM_PredictQuantizeKernel(benchmark::State& state, SimdTier tier) {
-  const std::size_t n = 1 << 20;
+  const std::size_t side = 1024;
+  const std::size_t n = side * side;
   std::vector<T> base(n);
   Rng rng(7);
   for (std::size_t i = 0; i < n; ++i) {
     base[i] = static_cast<T>(std::sin(0.01 * static_cast<double>(i)) +
                              0.05 * rng.normal());
   }
+  const std::size_t tpl = side / 2;
+  std::vector<std::size_t> line_base(side);
+  std::vector<std::size_t> start(side + 1);
+  for (std::size_t r = 0; r <= side; ++r) {
+    if (r < side) line_base[r] = r * side;
+    start[r] = r * tpl;
+  }
+  InterpPass pass;
+  pass.s = 2;
+  pass.h = 1;
+  pass.d = 1;
   std::vector<T> work(n);
   const LinearQuantizer<T> q(1e-4);
-  std::vector<std::uint32_t> codes(n);
-  std::vector<T> outliers;
-  // Pass geometry: targets at offsets 1 + 2*i; the interior range keeps
-  // every +-3h reference in bounds.
-  const std::size_t lo = 1;
-  const std::size_t hi = (n - 4) / 2;
+  std::vector<std::uint32_t> codes(side * tpl);
+  std::vector<RowEscape<T>> escapes;
   const auto& kt = interp_kernels_for<T>(tier);
   for (auto _ : state) {
     std::memcpy(work.data(), base.data(), n * sizeof(T));
-    outliers.clear();
-    kt.encode_interior(work.data(), 1, 1, 2, lo, hi, /*cubic=*/true, q,
-                       codes.data(), outliers);
+    escapes.clear();
+    detail::run_row_blocks(
+        work.data(), codes.data(), &escapes, line_base, start,
+        AxisSpec{side, 1}, pass, FittingKind::kCubic, nullptr, 1,
+        [&](std::size_t, std::size_t, const InterpRow& row,
+            std::size_t* cursor, T* dp, std::uint32_t* cds) {
+          kt.encode_row(dp, row, q, cursor, cds, escapes);
+        });
     benchmark::DoNotOptimize(codes.data());
   }
-  report_bytes(state, (hi - lo) * sizeof(T));
+  report_bytes(state, side * tpl * sizeof(T));
   state.counters["tier"] = static_cast<double>(tier);
+}
+
+/// One masked 8x32x32 f32 tile — the tiled_windows tile shape, with a
+/// coastline and an island masking about a third of it — through the whole
+/// interpolation engine (interp_encode_lines / interp_decode_lines, static
+/// cubic fit) at a pinned kernel tier. Short lines and mask edges dominate
+/// here, unlike the long unmasked lines of predict_quantize_kernel.
+struct MaskedTile {
+  Shape shape{DimVec{8, 32, 32}};
+  std::vector<AxisSpec> axes = fused_axes(shape, FusionSpec::none(3));
+  std::vector<std::size_t> order{0, 1, 2};
+  std::vector<float> data;
+  std::vector<std::uint8_t> valid;
+  LinearQuantizer<float> q{1e-3};
+
+  MaskedTile() {
+    Rng rng(29);
+    data.resize(shape.size());
+    valid.resize(shape.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const auto c = shape.coords(i);
+      const double t = static_cast<double>(c[0]);
+      const double y = static_cast<double>(c[1]);
+      const double x = static_cast<double>(c[2]);
+      const bool coast = x < 9.0 + 5.0 * std::sin(0.2 * y);
+      const bool island = (y - 20) * (y - 20) + (x - 22) * (x - 22) < 20;
+      valid[i] = coast || island ? 0 : 1;
+      data[i] = valid[i] != 0 ? static_cast<float>(std::sin(0.5 * t) +
+                                                   std::cos(0.1 * x + 0.2 * y) +
+                                                   0.01 * rng.normal())
+                              : 9.96921e36f;
+    }
+  }
+};
+
+void BM_InterpTile(benchmark::State& state, SimdTier tier, bool decode) {
+  const SimdTier saved = active_simd_tier();
+  set_active_simd_tier(tier);
+  const MaskedTile tile;
+  InterpLineScratch scratch;
+  std::vector<float> work = tile.data;
+  std::vector<std::uint32_t> codes;
+  std::vector<float> outliers;
+  std::vector<std::uint8_t> fits;
+  const auto encode = [&] {
+    work = tile.data;
+    codes.clear();
+    outliers.clear();
+    interp_encode_lines(work.data(), tile.axes, tile.order, false,
+                        FittingKind::kCubic, tile.q, tile.valid.data(),
+                        nullptr, codes, outliers, fits, scratch);
+  };
+  encode();
+  for (auto _ : state) {
+    if (!decode) {
+      encode();
+      benchmark::DoNotOptimize(codes.data());
+      continue;
+    }
+    std::size_t cursor = 0;
+    std::size_t next = 0;
+    interp_decode_lines(
+        work.data(), tile.axes, tile.order, false, FittingKind::kCubic,
+        std::span<const std::uint8_t>(), tile.q,
+        std::span<const float>(outliers), cursor, tile.valid.data(), false,
+        scratch,
+        [&](const std::uint64_t*, std::uint32_t* dst, std::size_t n) {
+          std::memcpy(dst, codes.data() + next, n * sizeof(std::uint32_t));
+          next += n;
+        });
+    benchmark::DoNotOptimize(work.data());
+  }
+  set_active_simd_tier(saved);
+  report_bytes(state, tile.data.size() * sizeof(float));
+  state.counters["codes"] = static_cast<double>(codes.size());
 }
 
 void BM_FftPow2(benchmark::State& state) {
@@ -682,6 +776,16 @@ int main(int argc, char** argv) {
           cliz::BM_PredictQuantizeKernel<double>(s, tier);
         })
         ->Unit(benchmark::kMillisecond);
+    for (const bool decode : {false, true}) {
+      benchmark::RegisterBenchmark(
+          ("interp_tile/" + std::string(decode ? "decode" : "encode") + "/" +
+           tname)
+              .c_str(),
+          [tier, decode](benchmark::State& s) {
+            cliz::BM_InterpTile(s, tier, decode);
+          })
+          ->Unit(benchmark::kMicrosecond);
+    }
   }
   benchmark::RegisterBenchmark("substrate/fft_16k", cliz::BM_FftPow2)
       ->Unit(benchmark::kMillisecond);

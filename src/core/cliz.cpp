@@ -160,7 +160,8 @@ double stage_periodic(const NdArray<T>& data, NdArray<T>& work,
 /// Stage 2 (kPredict): mask-aware prediction + linear-scale quantization
 /// through the predictor backend named by options.predictor (interpolation
 /// over the permuted/fused logical axes by default). The backend fills
-/// ctx.offsets, ctx.codes, ctx.outliers<T>() and writes its side block
+/// ctx.codes, ctx.outliers<T>(), ctx.offsets (the interpolation backend
+/// only when classification reads them) and writes its side block
 /// (pass-fit table, regression coefficients, ...); the stage frames the
 /// shared tail: outlier side stream and code count.
 template <typename T>

@@ -495,8 +495,10 @@ void predictor_encode(PredictorBackend backend, T* work, const Shape& shape,
       ctx.pass_fits.clear();
       interp_encode_lines(work, ctx.axes, ctx.axis_order,
                           config.dynamic_fitting, config.fitting, quantizer,
-                          validity, ctx.offsets, ctx.codes, ctx.outliers<T>(),
-                          ctx.pass_fits, ctx.interp, &ctx.fetch_marks);
+                          validity,
+                          config.classify_bins ? &ctx.offsets : nullptr,
+                          ctx.codes, ctx.outliers<T>(), ctx.pass_fits,
+                          ctx.interp, &ctx.fetch_marks);
       out.put_varint(ctx.pass_fits.size());
       out.put_bytes(ctx.pass_fits);
       return;

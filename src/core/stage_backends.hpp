@@ -149,11 +149,12 @@ struct PredictorFetch {
 [[nodiscard]] PredictorBackend predictor_backend_from_wire(std::uint8_t id);
 
 /// Predicts and quantizes `work` in place (it becomes the reconstruction),
-/// filling ctx.offsets / ctx.codes / ctx.outliers<T>() (cleared by the
-/// caller) and ctx.fetch_marks. Writes the backend's side block ahead of
-/// the generic outlier stream: the interpolation pass-fit table, the
-/// regression block side + quantized plane coefficients, nothing for
-/// Lorenzo.
+/// filling ctx.codes / ctx.outliers<T>() (cleared by the caller),
+/// ctx.fetch_marks and ctx.offsets (the interpolation backend fills the
+/// offsets only when config.classify_bins is set). Writes the backend's
+/// side block ahead of the generic outlier stream: the interpolation
+/// pass-fit table, the regression block side + quantized plane
+/// coefficients, nothing for Lorenzo.
 template <typename T>
 void predictor_encode(PredictorBackend backend, T* work, const Shape& shape,
                       const PipelineConfig& config,

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/common/parallel.hpp"
@@ -13,35 +13,6 @@
 #include "src/quantizer/linear_quantizer.hpp"
 
 namespace cliz {
-
-/// Computes the fitting prediction for one target given the reference set.
-/// A reference participates only when it is inside the array AND valid per
-/// the optional mask (`validity` indexed by linear offset, nullptr = all
-/// valid); invalid references get coefficient zero via the Theorem-1 tables,
-/// so masked garbage never leaks into a prediction.
-template <typename T>
-T interp_predict(const T* data, const InterpRefs& refs,
-                 const std::uint8_t* validity, FittingKind fit) {
-  unsigned vm = 0;
-  for (unsigned i = 0; i < 4; ++i) {
-    const bool v = refs.in_range[i] &&
-                   (validity == nullptr || validity[refs.offset[i]] != 0);
-    vm |= static_cast<unsigned>(v) << i;
-  }
-  if (fit == FittingKind::kCubic) {
-    const CubicFit& f = cubic_fit(vm);
-    double p = 0.0;
-    for (unsigned i = 0; i < 4; ++i) {
-      if (f.p[i] != 0.0) p += f.p[i] * static_cast<double>(data[refs.offset[i]]);
-    }
-    return static_cast<T>(p);
-  }
-  const auto lf = linear_fit((vm >> 1) & 1u, (vm >> 2) & 1u);
-  double p = 0.0;
-  if (lf[0] != 0.0) p += lf[0] * static_cast<double>(data[refs.offset[1]]);
-  if (lf[1] != 0.0) p += lf[1] * static_cast<double>(data[refs.offset[2]]);
-  return static_cast<T>(p);
-}
 
 /// Encode side of the interpolation codec: walks the traversal, predicts,
 /// quantizes (mutating `data` to the reconstruction so later predictions
@@ -95,205 +66,54 @@ void interp_decode(T* data, std::span<const AxisSpec> axes,
 // Line-parallel engine. A pass's targets are partitioned into independent
 // 1-D lines along the active axis: every reference of a target sits at an
 // even multiple of h along that axis (refined in an earlier pass or level),
-// so within one pass reads and writes never alias and lines can run on any
-// thread in any order. Codes land at precomputed disjoint positions and
-// per-block outlier runs are concatenated in line order, so the emitted
-// stream is byte-identical to the serial engine for every thread count.
+// so within one pass reads and writes never alias and targets can run on
+// any thread in any order. The engine runs a pass as rows — one target
+// coordinate across a block of lines, the vector lanes over lines — in
+// parallel over blocks. Codes land at their line-major positions and
+// escapes are filed by code position, so the emitted stream is
+// byte-identical to the serial engine for every thread count.
 // ---------------------------------------------------------------------------
 
-/// Minimum targets in a pass before its lines are dispatched in parallel;
-/// below this the fork/join overhead outweighs the work (bench_codec_speed
-/// puts the break-even around a few thousand quantizations per fork).
+/// Minimum targets in a pass before its line blocks are dispatched in
+/// parallel; below this the fork/join overhead outweighs the work
+/// (bench_codec_speed puts the break-even around a few thousand
+/// quantizations per fork).
 inline constexpr std::size_t kLineParallelGrain = 4096;
 
-/// Reusable scratch for the line-parallel engine (owned by CodecContext).
-/// The per-block staging holds one outlier run per concurrent line block,
+/// Reusable scratch for the line-parallel engine (owned by CodecContext),
 /// reused across passes and chunks so the hot path never allocates.
 struct InterpLineScratch {
   std::vector<std::size_t> line_base;   ///< per-line base offsets of a pass
   std::vector<std::size_t> line_start;  ///< exclusive per-line code prefix
-  std::vector<std::size_t> line_zero;   ///< decode: per-line outlier prefix
   std::vector<double> probe_lin;        ///< dynamic-fit probe terms, linear
   std::vector<double> probe_cub;        ///< dynamic-fit probe terms, cubic
   std::vector<std::uint8_t> probe_valid;
   std::vector<std::uint64_t> dec_offsets;  ///< decode: pass target offsets
   std::vector<std::uint32_t> dec_codes;    ///< decode: pass code batch
+  std::vector<std::size_t> dec_escapes;    ///< decode: pass escape positions
+  std::vector<std::size_t> dec_block_escapes;  ///< decode: first per block
 
+  /// Encode: one (position, value) escape list per concurrent block range.
   template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>>& block_outliers();
+  [[nodiscard]] std::vector<std::vector<RowEscape<T>>>& block_escapes();
 
  private:
-  std::vector<std::vector<float>> outl_f32_;
-  std::vector<std::vector<double>> outl_f64_;
+  std::vector<std::vector<RowEscape<float>>> esc_f32_;
+  std::vector<std::vector<RowEscape<double>>> esc_f64_;
 };
 
 template <>
-[[nodiscard]] inline std::vector<std::vector<float>>&
-InterpLineScratch::block_outliers<float>() {
-  return outl_f32_;
+[[nodiscard]] inline std::vector<std::vector<RowEscape<float>>>&
+InterpLineScratch::block_escapes<float>() {
+  return esc_f32_;
 }
 template <>
-[[nodiscard]] inline std::vector<std::vector<double>>&
-InterpLineScratch::block_outliers<double>() {
-  return outl_f64_;
+[[nodiscard]] inline std::vector<std::vector<RowEscape<double>>>&
+InterpLineScratch::block_escapes<double>() {
+  return esc_f64_;
 }
 
 namespace detail {
-
-/// Reference offsets for the target at coordinate `c` (linear offset `off`)
-/// along the pass axis — identical to the refs run_pass builds.
-inline InterpRefs line_refs(std::size_t off, std::size_t c, std::size_t h,
-                            const AxisSpec& ax) {
-  InterpRefs refs{};
-  refs.in_range[0] = c >= 3 * h;
-  refs.in_range[1] = true;  // c >= h by construction
-  refs.in_range[2] = c + h < ax.extent;
-  refs.in_range[3] = c + 3 * h < ax.extent;
-  refs.offset[0] = refs.in_range[0] ? off - 3 * h * ax.stride : 0;
-  refs.offset[1] = off - h * ax.stride;
-  refs.offset[2] = refs.in_range[2] ? off + h * ax.stride : 0;
-  refs.offset[3] = refs.in_range[3] ? off + 3 * h * ax.stride : 0;
-  return refs;
-}
-
-/// Interior index range [lo, hi) of a line's n targets: the targets whose
-/// references (for this fitting) are all in range, so the branch-free
-/// fixed-coefficient kernel applies.
-inline std::pair<std::size_t, std::size_t> line_interior(std::size_t extent,
-                                                         std::size_t h,
-                                                         std::size_t s,
-                                                         std::size_t n,
-                                                         FittingKind fit) {
-  if (fit == FittingKind::kCubic) {
-    // c = h + i*s needs c >= 3h (i >= 1) and c + 3h < extent.
-    const std::size_t lo = std::min<std::size_t>(1, n);
-    const std::size_t raw =
-        extent > 4 * h ? (extent - 4 * h + s - 1) / s : 0;
-    return {lo, std::min(n, std::max(raw, lo))};
-  }
-  // Linear uses refs 1 and 2 only; ref 1 is always in range, ref 2 needs
-  // c + h = (i+1)*s < extent.
-  return {0, std::min(n, (extent - 1) / s)};
-}
-
-/// Walks one line's targets in target order and hands them out in two
-/// shapes. `run(k0, v0, len)` gets each maximal run of targets k0 ..
-/// k0+len-1 that are valid and whose fit references (+-h, and +-3h for
-/// cubic) are all in range and valid: there the Theorem-1 row is the
-/// all-valid one, so the fixed-coefficient interior kernels apply.
-/// `edge(c, v)` gets every other valid target, at coordinate c. `v` and
-/// `v0` count the valid targets before it on the line — the target's slot
-/// in the line's code segment, since a masked line packs its codes over
-/// valid targets only. Runs and edges arrive in target order, so outliers
-/// are appended and consumed in the serial order.
-template <typename Run, typename Edge>
-void split_line(std::size_t base, const AxisSpec& ax, std::size_t h,
-                std::size_t s, FittingKind fit, const std::uint8_t* validity,
-                Run&& run, Edge&& edge) {
-  const std::size_t n = pass_line_targets(ax.extent, h, s);
-  if (validity == nullptr) {
-    const auto [lo, hi] = line_interior(ax.extent, h, s, n, fit);
-    for (std::size_t i = 0; i < lo; ++i) edge(h + i * s, i);
-    if (hi > lo) run(lo, lo, hi - lo);
-    for (std::size_t i = hi; i < n; ++i) edge(h + i * s, i);
-    return;
-  }
-  // Target k sits at c = h + k*s and its references at the grid points
-  // (k-1)s, ks, (k+1)s, (k+2)s (s = 2h; linear reads the middle two), so
-  // a target is interior when it is valid and the `need` consecutive grid
-  // points ending at its last reference, k + lead, are in range and valid.
-  // `grid_run` counts the consecutive valid grid points ending there;
-  // cubic's k = 0 would need grid point -1, which the count never reaches.
-  const std::size_t st = ax.stride;
-  const std::size_t ss = s * st;
-  const bool cubic = fit == FittingKind::kCubic;
-  const std::size_t need = cubic ? 4 : 2;
-  const std::size_t lead = cubic ? 2 : 1;
-  const std::size_t n_grid = (ax.extent - 1) / s + 1;  // grid points in range
-  const std::uint8_t* grid = validity + base;
-  std::size_t grid_run = 0;
-  for (std::size_t j = 0; j < lead && j < n_grid; ++j) {
-    grid_run = grid[j * ss] != 0 ? grid_run + 1 : 0;
-  }
-  std::size_t v = 0;
-  std::size_t run_k = 0;
-  std::size_t run_v = 0;
-  std::size_t run_len = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t j = k + lead;
-    grid_run = j < n_grid && grid[j * ss] != 0 ? grid_run + 1 : 0;
-    const bool valid = grid[h * st + k * ss] != 0;
-    if (valid && grid_run >= need) {
-      if (run_len == 0) {
-        run_k = k;
-        run_v = v;
-      }
-      ++run_len;
-      ++v;
-      continue;
-    }
-    if (run_len != 0) run(run_k, run_v, std::exchange(run_len, 0));
-    if (valid) edge(h + k * s, v++);
-  }
-  if (run_len != 0) run(run_k, run_v, run_len);
-}
-
-/// Encodes one line of a pass: an (offset, code) pair per valid target into
-/// off_out/code_out, outliers appended in target order. Runs go through the
-/// interior kernel of `kt`, with the line base shifted to the run's first
-/// target so the kernel covers [0, len); the other targets take the scalar
-/// interp_predict, which every kernel tier reproduces bit for bit.
-template <typename T>
-void encode_line(const InterpKernelTable<T>& kt, T* data, std::size_t base,
-                 const AxisSpec& ax, std::size_t h, std::size_t s,
-                 FittingKind fit, const LinearQuantizer<T>& q,
-                 const std::uint8_t* validity, std::uint64_t* off_out,
-                 std::uint32_t* code_out, std::vector<T>& outliers) {
-  const std::size_t st = ax.stride;
-  const bool cubic = fit == FittingKind::kCubic;
-  split_line(
-      base, ax, h, s, fit, validity,
-      [&](std::size_t k0, std::size_t v0, std::size_t len) {
-        const std::size_t first = base + (h + k0 * s) * st;
-        for (std::size_t i = 0; i < len; ++i) {
-          off_out[v0 + i] = first + i * s * st;
-        }
-        kt.encode_interior(data + base + k0 * s * st, st, h, s, 0, len, cubic,
-                           q, code_out + v0, outliers);
-      },
-      [&](std::size_t c, std::size_t v) {
-        const std::size_t off = base + c * st;
-        const T pred =
-            interp_predict(data, line_refs(off, c, h, ax), validity, fit);
-        off_out[v] = off;
-        code_out[v] = q.quantize(data[off], pred, outliers);
-      });
-}
-
-/// Decodes one line: recover() runs in target order from a line-local
-/// outlier cursor (the caller prefix-summed the per-line escape counts, so
-/// the cursor is exact no matter which thread runs the line).
-template <typename T>
-void decode_line(const InterpKernelTable<T>& kt, T* out, std::size_t base,
-                 const AxisSpec& ax, std::size_t h, std::size_t s,
-                 FittingKind fit, const LinearQuantizer<T>& q,
-                 const std::uint8_t* validity, const std::uint32_t* codes,
-                 std::span<const T> outliers, std::size_t cursor) {
-  const std::size_t st = ax.stride;
-  const bool cubic = fit == FittingKind::kCubic;
-  split_line(
-      base, ax, h, s, fit, validity,
-      [&](std::size_t k0, std::size_t v0, std::size_t len) {
-        kt.decode_interior(out + base + k0 * s * st, st, h, s, 0, len, cubic,
-                           q, codes + v0, outliers, cursor);
-      },
-      [&](std::size_t c, std::size_t v) {
-        const std::size_t off = base + c * st;
-        const T pred =
-            interp_predict(out, line_refs(off, c, h, ax), validity, fit);
-        out[off] = q.recover(codes[v], pred, outliers, cursor);
-      });
-}
 
 /// Exclusive per-line code-count prefix for one pass into `start`
 /// (n_lines + 1 entries). Unmasked passes have `tpl` targets on every line;
@@ -321,6 +141,239 @@ inline void line_code_prefix(std::span<const std::size_t> line_base,
     start[ln + 1] = cnt;
   });
   for (std::size_t i = 0; i < n_lines; ++i) start[i + 1] += start[i];
+}
+
+/// Writes the linear offset of every valid target of a pass to `dst` at
+/// its code position: line ln's targets in coordinate order from start[ln].
+inline void pass_target_offsets(std::span<const std::size_t> line_base,
+                                std::span<const std::size_t> start,
+                                const AxisSpec& ax, const InterpPass& pass,
+                                std::size_t tpl, const std::uint8_t* validity,
+                                std::uint64_t* dst) {
+  const std::size_t grain = std::max<std::size_t>(
+      2, kLineParallelGrain / std::max<std::size_t>(tpl, std::size_t{1}));
+  parallel_for(0, line_base.size(), grain, [&](std::size_t ln) {
+    std::uint64_t* out = dst + start[ln];
+    std::uint64_t* const end = dst + start[ln + 1];
+    for (std::size_t c = pass.h; out != end; c += pass.s) {
+      // Branch-free over the mask: a masked target's offset is written
+      // and then overwritten by the line's next valid target.
+      const std::size_t off = line_base[ln] + c * ax.stride;
+      *out = off;
+      out += validity == nullptr || validity[off] != 0 ? 1 : 0;
+    }
+  });
+}
+
+/// Number of parallel parts a pass of `n_lines` lines and `codes` codes
+/// runs in: whole row blocks per part, one part below kLineParallelGrain.
+inline std::size_t row_block_parts(std::size_t n_lines, std::size_t codes) {
+  const std::size_t n_blocks = (n_lines + kRowBlock - 1) / kRowBlock;
+  const auto workers =
+      static_cast<std::size_t>(std::max(1, hardware_threads()));
+  return codes >= kLineParallelGrain ? std::min(n_blocks, workers) : 1;
+}
+
+/// Rows per staged window (see run_row_blocks).
+inline constexpr std::size_t kStageRows = 16;
+/// Coordinates a staged window holds per lane: its rows' targets and
+/// their references, from 3h before the first target to 3h past the last.
+inline constexpr std::size_t kStageCoords = 2 * kStageRows + 5;
+
+/// Whether the lanes of a row would crowd a few L1 sets: lines that lie a
+/// multiple of 1 KiB apart share at most four of the 64 sets a 4 KiB cache
+/// way has, so every row of a block evicts the lines the next row reads.
+template <typename T>
+bool rows_alias(std::span<const std::size_t> line_base) {
+  return line_base.size() > 1 &&
+         (line_base[1] - line_base[0]) * sizeof(T) % 1024 == 0;
+}
+
+/// Lane k's line base in a staged window: lanes are interleaved.
+inline constexpr auto kStageLanes = [] {
+  std::array<std::size_t, kRowBlock> ids{};
+  for (std::size_t k = 0; k < kRowBlock; ++k) ids[k] = k;
+  return ids;
+}();
+
+/// Fills the staged window whose first target is `cw`: coordinate c of
+/// lane k goes to stage[((c + 3h - cw) / h) * kRowBlock + k], for every
+/// in-range grid point from 3h before cw to 3h past the window's last
+/// target, and for the targets too when `targets` is set (the encoder
+/// reads them).
+template <typename T>
+void stage_window(const T* data, const std::size_t* base, std::size_t lanes,
+                  const AxisSpec& ax, const InterpPass& pass, std::size_t cw,
+                  bool targets, T* stage) {
+  const std::size_t h = pass.h;
+  const std::size_t st = ax.stride;
+  const std::size_t first = cw >= 3 * h ? cw - 3 * h : 0;
+  const std::size_t last =
+      std::min(ax.extent - 1, cw + (kStageRows - 1) * pass.s + 3 * h);
+  const std::size_t step = targets ? h : pass.s;
+  const std::size_t du = (targets ? 1 : 2) * kRowBlock;
+  T* const row0 = stage + (first + 3 * h - cw) / h * kRowBlock;
+  for (std::size_t k = 0; k < lanes; ++k) {
+    const T* src = data + base[k];
+    T* dst = row0 + k;
+    for (std::size_t x = first; x <= last; x += step, dst += du) {
+      *dst = src[x * st];
+    }
+  }
+}
+
+/// Copies the valid targets of the staged window from `cw` back to `data`.
+template <typename T>
+void unstage_window(T* data, const std::size_t* base, std::size_t lanes,
+                    const AxisSpec& ax, const InterpPass& pass, std::size_t cw,
+                    const std::uint8_t* validity, const T* stage) {
+  const std::size_t n = std::min(kStageRows, (ax.extent - 1 - cw) / pass.s + 1);
+  const std::size_t step = pass.s * ax.stride;
+  for (std::size_t k = 0; k < lanes; ++k) {
+    const std::size_t o = base[k] + cw * ax.stride;
+    const T* src = stage + 3 * kRowBlock + k;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (validity == nullptr || validity[o + j * step] != 0) {
+        data[o + j * step] = src[j * 2 * kRowBlock];
+      }
+    }
+  }
+}
+
+/// Splits a pass's lines into `parts` ranges of whole row blocks (the last
+/// block may be short), run in parallel. Each block of kRowBlock lines runs
+/// row(part, block, r, cursors, dp, cds) once per target coordinate,
+/// `block` being its index in the pass; cds[cursors[k]] is where lane k's
+/// next code goes. Unstaged, that is `codes` at the line-major position
+/// (start[ln] plus the valid targets already coded on the line), and `dp`
+/// is `data`.
+///
+/// When the lines alias in the cache (rows_alias), `dp` is instead a window
+/// of kStageRows rows copied out of `data` with the lanes interleaved
+/// (stage_window): the block's rows then touch a few contiguous cache
+/// lines, and each window's targets are copied back before the next window
+/// is filled. The encoder (`escapes` set, one list per part) reads the
+/// targets and writes codes, so its window also stages codes: lane k codes
+/// into a slice of kStageRows codes, which moves to the lane's line-major
+/// position when the window closes, and the window's escapes take their
+/// line-major positions.
+template <typename T, typename Row>
+void run_row_blocks(T* data, std::uint32_t* codes,
+                    std::vector<RowEscape<T>>* escapes,
+                    std::span<const std::size_t> line_base,
+                    std::span<const std::size_t> start, const AxisSpec& ax,
+                    const InterpPass& pass, FittingKind fit,
+                    const std::uint8_t* validity, std::size_t parts,
+                    Row&& row) {
+  const std::size_t n_lines = line_base.size();
+  const std::size_t n_blocks = (n_lines + kRowBlock - 1) / kRowBlock;
+  const std::size_t st = ax.stride;
+  const std::size_t h = pass.h;
+  const bool staged = rows_alias<T>(line_base);
+  const bool encode = escapes != nullptr;
+  ErrorLatch latch;
+  parallel_for(0, parts, 2, [&](std::size_t part) {
+    latch.run([&] {
+      const std::size_t lo = kRowBlock * (n_blocks * part / parts);
+      const std::size_t hi =
+          std::min(n_lines, kRowBlock * (n_blocks * (part + 1) / parts));
+      std::array<std::size_t, kRowBlock> cursor;
+      // The kernels keep each lane's reference values here (InterpRow::ring).
+      alignas(32) std::array<double, 4 * kRowBlock> ring;
+      // Masked rows: each lane's reference validity bits slide one grid
+      // point (s) per row, so a row loads two bytes per lane: the new +3h
+      // reference and the target.
+      std::array<std::uint32_t, kRowBlock> lane_valid;
+      alignas(32) std::array<T, kStageCoords * kRowBlock> stage;
+      // Encoder windows: lane k's codes at wcodes[k * kStageRows + j].
+      std::array<std::size_t, kRowBlock> wcursor;
+      std::array<std::uint32_t, kRowBlock * kStageRows> wcodes;
+      std::size_t wesc = 0;  // the window's first escape
+      for (std::size_t b = lo; b < hi; b += kRowBlock) {
+        const std::size_t lanes = std::min(kRowBlock, hi - b);
+        const std::size_t* base = line_base.data() + b;
+        std::copy_n(start.data() + b, lanes, cursor.data());
+        if (validity != nullptr) {
+          // Before the first row: grid points 0 and 1 (coordinates 0, s)
+          // in bits 2 and 3; bit 1 stands for grid point -1.
+          const bool second = pass.s < ax.extent;
+          for (std::size_t k = 0; k < lanes; ++k) {
+            const auto g0 = static_cast<std::uint32_t>(validity[base[k]] != 0);
+            const auto g1 = static_cast<std::uint32_t>(
+                second && validity[base[k] + pass.s * st] != 0);
+            lane_valid[k] = g0 << 2 | g1 << 3;
+          }
+        }
+        InterpRow r{staged ? kStageLanes.data() : base,
+                    lanes,
+                    0,
+                    0,
+                    staged ? kRowBlock : h * st,
+                    0,
+                    fit,
+                    validity != nullptr ? lane_valid.data() : nullptr,
+                    ring.data()};
+        std::size_t cw = 0;  // first target of the staged window
+        const auto close_window = [&] {
+          unstage_window(data, base, lanes, ax, pass, cw, validity,
+                         stage.data());
+          if (!encode) return;
+          std::vector<RowEscape<T>>& esc = escapes[part];
+          for (std::size_t i = wesc; i < esc.size(); ++i) {
+            const std::size_t k = esc[i].pos / kStageRows;
+            esc[i].pos = cursor[k] + esc[i].pos % kStageRows;
+          }
+          for (std::size_t k = 0; k < lanes; ++k) {
+            const std::size_t n = wcursor[k] - k * kStageRows;
+            std::copy_n(wcodes.data() + k * kStageRows, n,
+                        codes + cursor[k]);
+            cursor[k] += n;
+          }
+        };
+        for (std::size_t c = h; c < ax.extent; c += pass.s, ++r.index) {
+          const std::size_t off = c * st;
+          r.in_range = ref_range_bits(c, h, ax.extent);
+          if (validity != nullptr) {
+            const std::size_t far = off + 3 * h * st;  // the +3h reference
+            const bool in = (r.in_range & 8u) != 0;
+            for (std::size_t k = 0; k < lanes; ++k) {
+              const std::uint8_t* v = validity + base[k];
+              lane_valid[k] =
+                  (lane_valid[k] >> 1 & 0x7u) |
+                  static_cast<std::uint32_t>(in && v[far] != 0) << 3 |
+                  (v[off] != 0 ? kTargetValid : 0u);
+            }
+          }
+          if (!staged) {
+            r.off = off;
+            row(part, b / kRowBlock, r, cursor.data(), data, codes);
+            continue;
+          }
+          if (r.index % kStageRows == 0) {
+            if (r.index != 0) close_window();
+            cw = c;
+            stage_window<T>(data, base, lanes, ax, pass, cw, encode,
+                            stage.data());
+            if (encode) {
+              for (std::size_t k = 0; k < lanes; ++k) {
+                wcursor[k] = k * kStageRows;
+              }
+              wesc = escapes[part].size();
+            }
+          }
+          r.off = ((c + 3 * h - cw) / h) * kRowBlock;
+          if (encode) {
+            row(part, b / kRowBlock, r, wcursor.data(), stage.data(),
+                wcodes.data());
+          } else {
+            row(part, b / kRowBlock, r, cursor.data(), stage.data(), codes);
+          }
+        }
+        if (staged) close_window();
+      }
+    });
+  });
+  latch.rethrow_if_failed();
 }
 
 /// Dynamic-fitting probe of one pass, parallelized by probe slot: every
@@ -357,7 +410,8 @@ FittingKind probe_pass_fit(const T* data, const AxisSpec& ax,
           valid[k] = 0;
           return;
         }
-        const InterpRefs refs = line_refs(off, c, pass.h, ax);
+        const InterpRefs refs = refs_at(off, pass.h * ax.stride,
+                                        ref_range_bits(c, pass.h, ax.extent));
         const double v = static_cast<double>(data[off]);
         lin[k] = std::abs(static_cast<double>(interp_predict(
                               data, refs, validity, FittingKind::kLinear)) -
@@ -383,10 +437,11 @@ FittingKind probe_pass_fit(const T* data, const AxisSpec& ax,
 
 /// Line-parallel encode used by CliZ's predict stage: the interp_encode
 /// traversal, with per-pass dynamic fitting when `dynamic` is set (one
-/// byte per pass appended to `pass_fits`, 1 = cubic). Emits (offset, code)
-/// pairs by appending to `offsets`/`codes`, and outliers/pass_fits, in the
-/// serial traversal order — byte-identical for every thread count,
-/// including masked inputs.
+/// byte per pass appended to `pass_fits`, 1 = cubic). Emits codes,
+/// outliers and pass_fits by appending, in the serial traversal order —
+/// byte-identical for every thread count, including masked inputs. Only
+/// bin classification reads the target offsets, so they are appended to
+/// `offsets` (one per code) only when it is non-null.
 ///
 /// When `fetch_marks` is non-null, the cumulative code count is recorded at
 /// every boundary the decode side fetches at — after the anchor and after
@@ -398,19 +453,19 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
                          FittingKind fallback_fit,
                          const LinearQuantizer<T>& quantizer,
                          const std::uint8_t* validity,
-                         std::vector<std::uint64_t>& offsets,
+                         std::vector<std::uint64_t>* offsets,
                          std::vector<std::uint32_t>& codes,
                          std::vector<T>& outliers,
                          std::vector<std::uint8_t>& pass_fits,
                          InterpLineScratch& scratch,
                          std::vector<std::size_t>* fetch_marks = nullptr) {
   if (validity == nullptr || validity[0] != 0) {
-    offsets.push_back(0);
+    if (offsets != nullptr) offsets->push_back(0);
     codes.push_back(quantizer.quantize(data[0], T{0}, outliers));
     if (fetch_marks != nullptr) fetch_marks->push_back(codes.size());
   }
   const InterpKernelTable<T>& kt = interp_kernels<T>();
-  auto& outl_blocks = scratch.block_outliers<T>();
+  auto& escapes = scratch.block_escapes<T>();
   interp_for_each_pass(axes, order, [&](const InterpPass& pass) {
     const AxisSpec ax = axes[pass.d];
     const std::size_t tpl = pass_line_targets(ax.extent, pass.h, pass.s);
@@ -433,36 +488,32 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
 
     const std::size_t cbase = codes.size();
     codes.resize(cbase + tot);
-    offsets.resize(cbase + tot);
-
-    const auto workers =
-        static_cast<std::size_t>(std::max(1, hardware_threads()));
-    const std::size_t nblocks = tot >= kLineParallelGrain && n_lines > 1
-                                    ? std::min(n_lines, workers)
-                                    : 1;
-    if (outl_blocks.size() < nblocks) outl_blocks.resize(nblocks);
-
-    ErrorLatch latch;
-    parallel_for(0, nblocks, 2, [&](std::size_t b) {
-      latch.run([&] {
-        auto& outl = outl_blocks[b];
-        outl.clear();
-        const std::size_t blo = n_lines * b / nblocks;
-        const std::size_t bhi = n_lines * (b + 1) / nblocks;
-        for (std::size_t ln = blo; ln < bhi; ++ln) {
-          detail::encode_line(kt, data, line_base[ln], ax, pass.h, pass.s,
-                              fit, quantizer, validity,
-                              offsets.data() + cbase + start[ln],
-                              codes.data() + cbase + start[ln], outl);
-        }
-      });
-    });
-    latch.rethrow_if_failed();
-    // Per-block outlier runs concatenate in block (== line == visit) order,
-    // so the side stream does not depend on the partition.
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      outliers.insert(outliers.end(), outl_blocks[b].begin(),
-                      outl_blocks[b].end());
+    if (offsets != nullptr) {
+      offsets->resize(cbase + tot);
+      detail::pass_target_offsets(line_base, start, ax, pass, tpl, validity,
+                                  offsets->data() + cbase);
+    }
+    const std::size_t parts = detail::row_block_parts(n_lines, tot);
+    if (escapes.size() < parts) escapes.resize(parts);
+    detail::run_row_blocks(
+        data, codes.data() + cbase, escapes.data(), line_base, start, ax,
+        pass, fit, validity, parts,
+        [&](std::size_t part, std::size_t, const InterpRow& row,
+            std::size_t* cursor, T* dp, std::uint32_t* cds) {
+          kt.encode_row(dp, row, quantizer, cursor, cds, escapes[part]);
+        });
+    // Rows file escapes row by row; the stream wants them in code
+    // (line-major) order. Parts cover ascending line ranges, so their
+    // sorted escapes concatenate to the serial order whatever the
+    // partition.
+    for (std::size_t part = 0; part < parts; ++part) {
+      auto& esc = escapes[part];
+      std::sort(esc.begin(), esc.end(),
+                [](const RowEscape<T>& a, const RowEscape<T>& b) {
+                  return a.pos < b.pos;
+                });
+      for (const RowEscape<T>& e : esc) outliers.push_back(e.value);
+      esc.clear();
     }
     if (fetch_marks != nullptr) fetch_marks->push_back(codes.size());
   });
@@ -519,60 +570,48 @@ void interp_decode_lines(T* out, std::span<const AxisSpec> axes,
     if (classified) {
       auto& dec_offs = scratch.dec_offsets;
       dec_offs.resize(tot);
-      const std::size_t grain = std::max<std::size_t>(
-          2, kLineParallelGrain / std::max<std::size_t>(tpl, std::size_t{1}));
-      parallel_for(0, n_lines, grain, [&](std::size_t ln) {
-        std::uint64_t* dst = dec_offs.data() + start[ln];
-        const std::size_t base = line_base[ln];
-        std::size_t k = 0;
-        for (std::size_t c = pass.h; c < ax.extent; c += pass.s) {
-          const std::size_t off = base + c * ax.stride;
-          if (validity == nullptr || validity[off] != 0) dst[k++] = off;
-        }
-      });
+      detail::pass_target_offsets(line_base, start, ax, pass, tpl, validity,
+                                  dec_offs.data());
       offs = dec_offs.data();
     }
     fetch(offs, cds.data(), tot);
 
-    // Per-line escape (code 0) prefix gives each line its outlier cursor;
-    // validating codes and the outlier supply here keeps recover() from
-    // throwing inside the parallel region below. The vectorized scan's
-    // max-code check is equivalent to checking every non-zero code (zeros
-    // are below any legal limit).
-    auto& zero = scratch.line_zero;
-    zero.resize(n_lines + 1);
-    zero[0] = 0;
-    const std::uint32_t code_limit = 2 * quantizer.radius();
-    for (std::size_t ln = 0; ln < n_lines; ++ln) {
-      const CodeScan scan =
-          kt.scan_codes(cds.data() + start[ln], start[ln + 1] - start[ln]);
-      CLIZ_REQUIRE(scan.max_code < code_limit,
-                   "quantization code out of range");
-      zero[ln + 1] = zero[ln] + scan.zeros;
-    }
-    CLIZ_REQUIRE(outlier_cursor + zero[n_lines] <= outliers.size(),
+    // One scan validates the codes and the outlier supply, which keeps
+    // dequantize() and the escape reads safe inside the parallel region
+    // below, and lists the escape positions in code order. The vectorized
+    // scan's max-code check is equivalent to checking every non-zero code
+    // (zeros are below any legal limit).
+    auto& esc = scratch.dec_escapes;
+    esc.clear();
+    const CodeScan scan = kt.scan_codes(cds.data(), tot, esc);
+    CLIZ_REQUIRE(scan.max_code < 2 * quantizer.radius(),
+                 "quantization code out of range");
+    CLIZ_REQUIRE(outlier_cursor + scan.zeros <= outliers.size(),
                  "outlier stream truncated");
+    // Per row block the index of its first escape, so a block's escapes
+    // rank within its own slice.
+    auto& block_esc = scratch.dec_block_escapes;
+    const std::size_t n_blocks = (n_lines + kRowBlock - 1) / kRowBlock;
+    block_esc.resize(n_blocks + 1);
+    for (std::size_t bi = 0, e = 0; bi <= n_blocks; ++bi) {
+      const std::size_t first = start[std::min(bi * kRowBlock, n_lines)];
+      while (e < esc.size() && esc[e] < first) ++e;
+      block_esc[bi] = e;
+    }
+    const T* pass_outl = outliers.data() + outlier_cursor;
 
-    const auto workers =
-        static_cast<std::size_t>(std::max(1, hardware_threads()));
-    const std::size_t nblocks = tot >= kLineParallelGrain && n_lines > 1
-                                    ? std::min(n_lines, workers)
-                                    : 1;
-
-    ErrorLatch latch;
-    parallel_for(0, nblocks, 2, [&](std::size_t b) {
-      latch.run([&] {
-        const std::size_t blo = n_lines * b / nblocks;
-        const std::size_t bhi = n_lines * (b + 1) / nblocks;
-        for (std::size_t ln = blo; ln < bhi; ++ln) {
-          detail::decode_line(kt, out, line_base[ln], ax, pass.h, pass.s, fit,
-                              quantizer, validity, cds.data() + start[ln],
-                              outliers, outlier_cursor + zero[ln]);
-        }
-      });
-    });
-    latch.rethrow_if_failed();
-    outlier_cursor += zero[n_lines];
+    detail::run_row_blocks(
+        out, cds.data(), static_cast<std::vector<RowEscape<T>>*>(nullptr),
+        line_base, start, ax, pass, fit, validity,
+        detail::row_block_parts(n_lines, tot),
+        [&](std::size_t, std::size_t block, const InterpRow& row,
+            std::size_t* cursor, T* dp, const std::uint32_t* codes) {
+          const std::size_t e0 = block_esc[block];
+          const PassOutliers<T> block_outl{esc.data() + e0, pass_outl + e0,
+                                           block_esc[block + 1] - e0};
+          kt.decode_row(dp, row, quantizer, cursor, codes, block_outl);
+        });
+    outlier_cursor += scan.zeros;
   });
   if (dynamic) {
     CLIZ_REQUIRE(pass_idx == pass_fits.size(),

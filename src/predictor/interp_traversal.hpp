@@ -25,6 +25,30 @@ struct InterpRefs {
   std::array<bool, 4> in_range;
 };
 
+/// In-range bits of the four references of a target at coordinate `c` of
+/// an axis of `extent` (bit i = reference i at -3h, -h, +h, +3h; the -h
+/// reference always exists).
+inline unsigned ref_range_bits(std::size_t c, std::size_t h,
+                               std::size_t extent) {
+  return (c >= 3 * h ? 1u : 0u) | 2u | (c + h < extent ? 4u : 0u) |
+         (c + 3 * h < extent ? 8u : 0u);
+}
+
+/// Reference set of the target at linear offset `off`, with references
+/// `hs` elements apart per h and in-range bits `in_range`; an out-of-range
+/// reference gets offset 0.
+inline InterpRefs refs_at(std::size_t off, std::size_t hs, unsigned in_range) {
+  InterpRefs refs{};
+  for (unsigned i = 0; i < 4; ++i) {
+    refs.in_range[i] = ((in_range >> i) & 1u) != 0;
+  }
+  refs.offset[0] = refs.in_range[0] ? off - 3 * hs : 0;
+  refs.offset[1] = off - hs;
+  refs.offset[2] = refs.in_range[2] ? off + hs : 0;
+  refs.offset[3] = refs.in_range[3] ? off + 3 * hs : 0;
+  return refs;
+}
+
 namespace detail {
 
 /// Runs one interpolation pass: axis `d` at half-stride `h` (level stride
@@ -46,17 +70,10 @@ void run_pass(std::span<const AxisSpec> axes, std::size_t d, std::size_t h,
     }
 
     for (std::size_t c = h; c < target_axis.extent; c += s) {
-      InterpRefs refs{};
       const std::size_t off = base + c * target_axis.stride;
-      refs.in_range[0] = c >= 3 * h;
-      refs.in_range[1] = true;  // c >= h by construction
-      refs.in_range[2] = c + h < target_axis.extent;
-      refs.in_range[3] = c + 3 * h < target_axis.extent;
-      refs.offset[0] = refs.in_range[0] ? off - 3 * h * target_axis.stride : 0;
-      refs.offset[1] = off - h * target_axis.stride;
-      refs.offset[2] = refs.in_range[2] ? off + h * target_axis.stride : 0;
-      refs.offset[3] = refs.in_range[3] ? off + 3 * h * target_axis.stride : 0;
-      visit(off, d, h, refs);
+      visit(off, d, h,
+            refs_at(off, h * target_axis.stride,
+                    ref_range_bits(c, h, target_axis.extent)));
     }
 
     // Advance the odometer over the non-target axes.
@@ -82,47 +99,30 @@ void run_pass(std::span<const AxisSpec> axes, std::size_t d, std::size_t h,
   }
 }
 
-/// Base offsets of the independent 1-D lines of one pass, appended to
+/// Base offsets of the independent 1-D lines of one pass, written to
 /// `bases` in the exact order run_pass iterates them (its outer odometer
-/// over the non-target axes). Every target of the pass lies on exactly one
-/// line, and the pass visits lines in `bases` order, targets in coordinate
-/// order within a line — so (line, target) enumeration reproduces the
-/// serial visit order, which is what lets the parallel encoder write codes
-/// to precomputed positions.
+/// over the non-target axes, the last axis fastest). Every target of the
+/// pass lies on exactly one line, and the pass visits lines in `bases`
+/// order, targets in coordinate order within a line — so (line, target)
+/// enumeration reproduces the serial visit order, which is what lets the
+/// parallel encoder write codes to precomputed positions.
 inline void collect_pass_lines(std::span<const AxisSpec> axes, std::size_t d,
                                const std::array<std::size_t, kMaxAxes>& step,
                                std::vector<std::size_t>& bases) {
-  bases.clear();
-  const std::size_t m = axes.size();
-  std::array<std::size_t, kMaxAxes> coord{};
-  coord.fill(0);
-  for (;;) {
-    std::size_t base = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (j != d) base += coord[j] * axes[j].stride;
+  // One axis at a time, outermost first: every base so far becomes the
+  // run of bases along the next axis. Expanding from the back keeps each
+  // base readable until its own run overwrites it.
+  bases.assign(1, 0);
+  for (std::size_t j = 0; j < axes.size(); ++j) {
+    if (j == d) continue;
+    const std::size_t cnt = (axes[j].extent + step[j] - 1) / step[j];
+    const std::size_t ss = step[j] * axes[j].stride;
+    const std::size_t n = bases.size();
+    bases.resize(n * cnt);
+    for (std::size_t i = n; i-- > 0;) {
+      const std::size_t b = bases[i];
+      for (std::size_t q = cnt; q-- > 0;) bases[i * cnt + q] = b + q * ss;
     }
-    bases.push_back(base);
-
-    // Identical odometer advance to run_pass.
-    std::size_t j = m;
-    while (j-- > 0) {
-      if (j == d) {
-        if (j == 0) break;
-        continue;
-      }
-      coord[j] += step[j];
-      if (coord[j] < axes[j].extent) break;
-      coord[j] = 0;
-      if (j == 0) break;
-    }
-    bool done = true;
-    for (std::size_t q = 0; q < m; ++q) {
-      if (q != d && coord[q] != 0) {
-        done = false;
-        break;
-      }
-    }
-    if (done) break;
   }
 }
 

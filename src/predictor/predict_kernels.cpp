@@ -1,8 +1,6 @@
 #include "src/predictor/predict_kernels.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <cstring>
 
 #include "src/predictor/fitting.hpp"
@@ -15,93 +13,147 @@
 namespace cliz {
 namespace {
 
-/// Linear-fit weights {w(-h), w(+h)} with both references valid.
-constexpr std::array<double, 2> kLinearAll = linear_fit(true, true);
+/// A row's Theorem-1 row: the references its fit reads (the in-range ones;
+/// linear reads -h and +h only), their signed distances, coefficients and
+/// ring slots. Every coefficient of a read reference is non-zero, so
+/// summing the read terms in reference order from 0.0 is interp_predict's
+/// accumulation at validity id `used`.
+struct RowFit {
+  unsigned used;
+  std::ptrdiff_t dist[4];
+  double coef[4];
+  double* slot[4];  ///< ring slot of reference i (grid point index - 1 + i)
+};
+
+RowFit row_fit(const InterpRow& row) {
+  RowFit rf{};
+  const auto hs = static_cast<std::ptrdiff_t>(row.hs);
+  for (unsigned i = 0; i < 4; ++i) {
+    rf.dist[i] = (2 * static_cast<std::ptrdiff_t>(i) - 3) * hs;
+    rf.slot[i] = row.ring + ((row.index + 3 + i) & 3u) * kRowBlock;
+  }
+  if (row.fit == FittingKind::kCubic) {
+    rf.used = row.in_range;
+    const CubicFit& f = cubic_fit(rf.used);
+    for (unsigned i = 0; i < 4; ++i) rf.coef[i] = f.p[i];
+  } else {
+    rf.used = row.in_range & 0x6u;
+    const auto lf = linear_fit(true, (rf.used & 0x4u) != 0);
+    rf.coef[1] = lf[0];
+    rf.coef[2] = lf[1];
+  }
+  return rf;
+}
 
 // ---------------------------------------------------------------------------
 // Scalar tier: the reference implementation the AVX2 tier must match bit
-// for bit, and the kernels every tier below AVX2 runs. The interior kernels
-// reproduce interp_predict's accumulation order at validity id 0xF (every
-// coefficient is non-zero there, so its zero-skip never fires).
+// for bit, the kernels every tier below AVX2 runs, and the per-lane path
+// the AVX2 kernels take for lanes they cannot run as a vector.
 // ---------------------------------------------------------------------------
 
+// The lane helpers are force-inlined so that inside the AVX2 kernels they
+// compile to VEX code: a call from there into non-VEX code with the upper
+// YMM halves dirty made each masked group several times slower.
+
+/// The row prediction at offset `o`: interp_predict with every read
+/// reference valid.
 template <typename T>
-void encode_interior_scalar(T* dp, std::size_t st, std::size_t h,
-                            std::size_t s, std::size_t lo, std::size_t hi,
-                            bool cubic, const LinearQuantizer<T>& q,
-                            std::uint32_t* codes, std::vector<T>& outliers) {
-  // Signed distances: a run's first target may sit less than 3h past
-  // `dp`, so its -3h reference is a negative index (still in the array).
-  const auto hs = static_cast<std::ptrdiff_t>(h * st);
-  const std::ptrdiff_t h3 = 3 * hs;
-  if (cubic) {
-    const CubicFit& f = cubic_fit(0xFu);
-    const double c0 = f.p[0];
-    const double c1 = f.p[1];
-    const double c2 = f.p[2];
-    const double c3 = f.p[3];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto o = static_cast<std::ptrdiff_t>((h + i * s) * st);
-      double p = 0.0;
-      p += c0 * static_cast<double>(dp[o - h3]);
-      p += c1 * static_cast<double>(dp[o - hs]);
-      p += c2 * static_cast<double>(dp[o + hs]);
-      p += c3 * static_cast<double>(dp[o + h3]);
-      codes[i] = q.quantize(dp[o], static_cast<T>(p), outliers);
+[[gnu::always_inline]] inline T row_predict(const T* dp, std::size_t o,
+                                           const RowFit& rf) {
+  const auto so = static_cast<std::ptrdiff_t>(o);
+  double p = 0.0;
+  for (unsigned i = 0; i < 4; ++i) {
+    if (((rf.used >> i) & 1u) != 0) {
+      p += rf.coef[i] * static_cast<double>(dp[so + rf.dist[i]]);
     }
-    return;
   }
-  const double l0 = kLinearAll[0];
-  const double l1 = kLinearAll[1];
-  for (std::size_t i = lo; i < hi; ++i) {
-    const auto o = static_cast<std::ptrdiff_t>((h + i * s) * st);
-    double p = 0.0;
-    p += l0 * static_cast<double>(dp[o - hs]);
-    p += l1 * static_cast<double>(dp[o + hs]);
-    codes[i] = q.quantize(dp[o], static_cast<T>(p), outliers);
+  return static_cast<T>(p);
+}
+
+/// Validity id of lane k on a masked row: bit i set when the row's fit
+/// reads reference i and it is valid.
+[[gnu::always_inline]] inline unsigned lane_vm(const InterpRow& row,
+                                               std::size_t k, unsigned used) {
+  return row.lane_valid[k] & used;
+}
+
+/// Whether lane k's target is valid (every target of an unmasked row is).
+[[gnu::always_inline]] inline bool lane_target(const InterpRow& row,
+                                               std::size_t k) {
+  return row.lane_valid == nullptr || (row.lane_valid[k] & kTargetValid) != 0;
+}
+
+/// Prediction of the valid target of lane k, at `o`: the row prediction
+/// when every read reference is valid, else the masked Theorem-1 fit that
+/// interp_predict computes.
+template <typename T>
+[[gnu::always_inline]] inline T lane_predict(const T* dp, std::size_t o,
+                                             const InterpRow& row,
+                                             std::size_t k, const RowFit& rf) {
+  const unsigned vm =
+      row.lane_valid == nullptr ? rf.used : lane_vm(row, k, rf.used);
+  if (vm == rf.used) return row_predict(dp, o, rf);
+  const auto so = static_cast<std::ptrdiff_t>(o);
+  return fit_predict<T>(vm, row.fit,
+                        [&](unsigned i) { return dp[so + rf.dist[i]]; });
+}
+
+template <typename T>
+[[gnu::always_inline]] inline void encode_lanes_scalar(
+    T* dp, const InterpRow& row, const RowFit& rf, std::size_t lo,
+    std::size_t hi, const LinearQuantizer<T>& q, std::size_t* pos,
+    std::uint32_t* codes, std::vector<RowEscape<T>>& escapes) {
+  for (std::size_t k = lo; k < hi; ++k) {
+    if (!lane_target(row, k)) continue;
+    const std::size_t o = row.base[k] + row.off;
+    const T pred = lane_predict(dp, o, row, k, rf);
+    const std::size_t p = pos[k]++;
+    codes[p] = q.quantize_code(dp[o], pred);
+    if (codes[p] == 0) escapes.push_back({p, dp[o]});
   }
 }
 
 template <typename T>
-void decode_interior_scalar(T* dp, std::size_t st, std::size_t h,
-                            std::size_t s, std::size_t lo, std::size_t hi,
-                            bool cubic, const LinearQuantizer<T>& q,
-                            const std::uint32_t* codes,
-                            std::span<const T> outliers, std::size_t& cursor) {
-  const auto hs = static_cast<std::ptrdiff_t>(h * st);
-  const std::ptrdiff_t h3 = 3 * hs;
-  if (cubic) {
-    const CubicFit& f = cubic_fit(0xFu);
-    const double c0 = f.p[0];
-    const double c1 = f.p[1];
-    const double c2 = f.p[2];
-    const double c3 = f.p[3];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto o = static_cast<std::ptrdiff_t>((h + i * s) * st);
-      double p = 0.0;
-      p += c0 * static_cast<double>(dp[o - h3]);
-      p += c1 * static_cast<double>(dp[o - hs]);
-      p += c2 * static_cast<double>(dp[o + hs]);
-      p += c3 * static_cast<double>(dp[o + h3]);
-      dp[o] = q.recover(codes[i], static_cast<T>(p), outliers, cursor);
-    }
-    return;
-  }
-  const double l0 = kLinearAll[0];
-  const double l1 = kLinearAll[1];
-  for (std::size_t i = lo; i < hi; ++i) {
-    const auto o = static_cast<std::ptrdiff_t>((h + i * s) * st);
-    double p = 0.0;
-    p += l0 * static_cast<double>(dp[o - hs]);
-    p += l1 * static_cast<double>(dp[o + hs]);
-    dp[o] = q.recover(codes[i], static_cast<T>(p), outliers, cursor);
+[[gnu::always_inline]] inline void decode_lanes_scalar(
+    T* dp, const InterpRow& row, const RowFit& rf, std::size_t lo,
+    std::size_t hi, const LinearQuantizer<T>& q, std::size_t* pos,
+    const std::uint32_t* codes, const PassOutliers<T>& outliers) {
+  for (std::size_t k = lo; k < hi; ++k) {
+    if (!lane_target(row, k)) continue;
+    const std::size_t o = row.base[k] + row.off;
+    const std::size_t p = pos[k]++;
+    dp[o] = codes[p] == 0
+                ? outliers.at(p)
+                : q.dequantize(codes[p], lane_predict(dp, o, row, k, rf));
   }
 }
 
-CodeScan scan_codes_scalar(const std::uint32_t* codes, std::size_t n) {
+template <typename T>
+void encode_row_scalar(T* dp, const InterpRow& row,
+                       const LinearQuantizer<T>& q, std::size_t* pos,
+                       std::uint32_t* codes,
+                       std::vector<RowEscape<T>>& escapes) {
+  encode_lanes_scalar(dp, row, row_fit(row), 0, row.lanes, q, pos, codes,
+                      escapes);
+}
+
+template <typename T>
+void decode_row_scalar(T* dp, const InterpRow& row,
+                       const LinearQuantizer<T>& q, std::size_t* pos,
+                       const std::uint32_t* codes,
+                       const PassOutliers<T>& outliers) {
+  decode_lanes_scalar(dp, row, row_fit(row), 0, row.lanes, q, pos, codes,
+                      outliers);
+}
+
+CodeScan scan_codes_scalar(const std::uint32_t* codes, std::size_t n,
+                           std::vector<std::size_t>& escapes) {
   CodeScan r;
   for (std::size_t i = 0; i < n; ++i) {
-    r.zeros += codes[i] == 0 ? 1u : 0u;
+    if (codes[i] == 0) {
+      ++r.zeros;
+      escapes.push_back(i);
+    }
     r.max_code = std::max(r.max_code, codes[i]);
   }
   return r;
@@ -152,12 +204,12 @@ void sum_scalar(double* sums, std::uint32_t* counts, const T* src,
 #ifdef CLIZ_KERNELS_X86
 
 // ---------------------------------------------------------------------------
-// AVX2 tier: four f64 lanes with hardware gathers (f32 gathered via
-// VGATHERQPS and widened — arithmetic stays double). The target attribute
-// deliberately omits "fma" so GCC cannot contract the mul+add pairs; the
-// scalar reference compiles without FMA, so contraction would change bits.
-// Indices are 64-bit throughout (i64gather), so no 32-bit offset-overflow
-// guard is needed for large arrays.
+// AVX2 tier: four f64 lanes, one per line of a row (f32 values widened on
+// load — arithmetic stays double). The target attribute deliberately
+// omits "fma" so GCC cannot contract the mul+add pairs; the scalar
+// reference compiles without FMA, so contraction would change bits.
+// Offsets are 64-bit throughout, so no 32-bit offset-overflow guard is
+// needed for large arrays.
 // ---------------------------------------------------------------------------
 
 struct Q4d {
@@ -218,179 +270,302 @@ __attribute__((target("avx2"))) inline Q4d quantize4(__m256d v, __m256d p,
   return r;
 }
 
-__attribute__((target("avx2"))) inline __m256d gather4(const double* base,
-                                                       __m256i vi) {
-  return _mm256_i64gather_pd(base, vi, 8);
-}
+/// Offsets of four lanes of a row.
+struct alignas(32) Lanes4 {
+  std::size_t o[4];
+};
 
-__attribute__((target("avx2"))) inline __m256d gather4(const float* base,
-                                                       __m256i vi) {
-  return _mm256_cvtps_pd(_mm256_i64gather_ps(base, vi, 4));
-}
-
-/// Offsets of one group of four targets starting at `o0`. A group of
-/// r < 4 targets (a run's tail) repeats its last target in the spare
-/// lanes, so every gather stays on the run's targets and references.
-__attribute__((target("avx2"))) inline __m256i lane_offsets(std::size_t o0,
-                                                            std::size_t ss,
-                                                            std::size_t r) {
-  const auto lane = [=](std::size_t k) {
-    return static_cast<long long>(o0 + std::min(k, r - 1) * ss);
-  };
-  return _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0));
-}
-
-/// All-valid Theorem-1 prediction of four interior targets, in the scalar
-/// accumulation order and narrowed to T as static_cast<T>(p) does.
+/// The values `d` elements past the four lane offsets, widened to double.
+/// Scalar loads rather than a hardware gather: behind a row's scattered
+/// reconstruction stores a gather stalls, and the row kernels ran 35%
+/// slower with one.
 template <typename T>
-__attribute__((target("avx2"))) inline __m256d predict4_interior(
-    const T* dp, __m256i oi, std::size_t hs, bool cubic) {
-  const __m256i vh = _mm256_set1_epi64x(static_cast<long long>(hs));
-  const __m256i v3 = _mm256_set1_epi64x(static_cast<long long>(3 * hs));
-  __m256d acc = _mm256_setzero_pd();
-  if (cubic) {
-    const CubicFit& f = cubic_fit(0xFu);
-    const __m256d x0 = gather4(dp, _mm256_sub_epi64(oi, v3));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(f.p[0]), x0));
-    const __m256d x1 = gather4(dp, _mm256_sub_epi64(oi, vh));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(f.p[1]), x1));
-    const __m256d x2 = gather4(dp, _mm256_add_epi64(oi, vh));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(f.p[2]), x2));
-    const __m256d x3 = gather4(dp, _mm256_add_epi64(oi, v3));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(f.p[3]), x3));
+__attribute__((target("avx2"), always_inline)) inline __m256d load4(
+    const T* dp, const Lanes4& l, std::size_t d = 0) {
+  return _mm256_set_pd(static_cast<double>(dp[l.o[3] + d]),
+                       static_cast<double>(dp[l.o[2] + d]),
+                       static_cast<double>(dp[l.o[1] + d]),
+                       static_cast<double>(dp[l.o[0] + d]));
+}
+
+/// The references of the four lanes from k (InterpRow::ring): the row's
+/// new grid points — the -h and +h references on row 0, the +3h reference
+/// on every row — are loaded into `ref` and stored to the ring for later
+/// rows, the other read references come from the ring. The loads happen on
+/// every group, valid or not, so the ring stays complete.
+template <typename T, unsigned kUsed>
+__attribute__((target("avx2"), always_inline)) inline void refs4(
+    const T* dp, const InterpRow& row, const RowFit& rf, std::size_t k,
+    const Lanes4& l, __m256d* ref) {
+  // A reference the fit reads is in range, so kUsed decides at compile
+  // time where it can; the linear fit still keeps +3h in the ring.
+  for (unsigned i = 0; i < 4; ++i) ref[i] = _mm256_setzero_pd();
+  if ((kUsed & 1u) != 0) ref[0] = _mm256_load_pd(rf.slot[0] + k);
+  if (row.index == 0) {
+    ref[1] = load4(dp, l, std::size_t{0} - row.hs);
+    _mm256_store_pd(rf.slot[1] + k, ref[1]);
+    if ((kUsed & 4u) != 0 || (row.in_range & 4u) != 0) {
+      ref[2] = load4(dp, l, row.hs);
+      _mm256_store_pd(rf.slot[2] + k, ref[2]);
+    }
   } else {
-    const __m256d l0 = _mm256_set1_pd(kLinearAll[0]);
-    const __m256d l1 = _mm256_set1_pd(kLinearAll[1]);
-    const __m256d x1 = gather4(dp, _mm256_sub_epi64(oi, vh));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(l0, x1));
-    const __m256d x2 = gather4(dp, _mm256_add_epi64(oi, vh));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(l1, x2));
+    ref[1] = _mm256_load_pd(rf.slot[1] + k);
+    if ((kUsed & 4u) != 0) ref[2] = _mm256_load_pd(rf.slot[2] + k);
+  }
+  if ((kUsed & 8u) != 0 || (row.in_range & 8u) != 0) {
+    ref[3] = load4(dp, l, 3 * row.hs);
+    _mm256_store_pd(rf.slot[3] + k, ref[3]);
+  }
+}
+
+/// The masked Theorem-1 fit of lane k of a vector group, from the ring:
+/// the prediction of a valid target whose read references are not all
+/// valid.
+template <typename T>
+[[gnu::always_inline]] inline T masked_fit4(const InterpRow& row,
+                                            const RowFit& rf, std::size_t k,
+                                            unsigned used) {
+  return fit_predict<T>(lane_vm(row, k, used), row.fit,
+                        [&](unsigned i) { return rf.slot[i][k]; });
+}
+
+/// Row prediction of four lanes from their references, in row_predict's
+/// accumulation order and narrowed to T as its static_cast<T>(p) does.
+/// `kUsed` is the row's RowFit::used, a template argument so each row
+/// shape is straight-line code.
+template <typename T, unsigned kUsed>
+__attribute__((target("avx2"), always_inline)) inline __m256d predict4(
+    const __m256d* ref, const __m256d* coef) {
+  __m256d acc = _mm256_setzero_pd();
+  for (unsigned i = 0; i < 4; ++i) {
+    if (((kUsed >> i) & 1u) != 0) {
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(coef[i], ref[i]));
+    }
   }
   if constexpr (sizeof(T) == 4) acc = _mm256_cvtps_pd(_mm256_cvtpd_ps(acc));
   return acc;
 }
 
-/// Encodes the r <= 4 targets of one group, the first at offset `o0`;
-/// codes go to codes[0..r). Inlined with r = 4 into the main loop, so full
-/// groups pay nothing for the spare-lane handling.
-template <typename T>
-__attribute__((target("avx2"), always_inline)) inline void encode_group4(
-    T* dp, std::size_t o0, std::size_t ss, std::size_t hs, std::size_t r,
-    bool cubic, const QuantParams& qp, std::uint32_t* codes,
-    std::vector<T>& outliers) {
-  const __m256i oi = lane_offsets(o0, ss, r);
-  const __m256d acc = predict4_interior(dp, oi, hs, cubic);
-  const __m256d v = gather4(dp, oi);
-  const Q4d qr = quantize4<T>(v, acc, qp);
-  double rc[4];
-  double vv[4];
-  std::uint32_t cds[4];
-  _mm256_storeu_pd(rc, qr.recon);
-  _mm256_storeu_pd(vv, v);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(cds), qr.code);
-  for (std::size_t k = 0; k < r; ++k) {
-    if ((qr.ok >> k) & 1) {
-      dp[o0 + k * ss] = static_cast<T>(rc[k]);
-      codes[k] = cds[k];
-    } else {
-      outliers.push_back(static_cast<T>(vv[k]));
-      codes[k] = 0;
-    }
-  }
+/// Lane bits of the group of four lanes from k: `valid` marks the valid
+/// targets, `full` the valid ones whose fit references are all valid.
+struct GroupMask {
+  unsigned valid;
+  unsigned full;
+};
+
+template <unsigned kUsed>
+__attribute__((target("avx2"), always_inline)) inline GroupMask group_mask(
+    const InterpRow& row, std::size_t k) {
+  if (row.lane_valid == nullptr) return {0xF, 0xF};
+  const __m128i s = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(row.lane_valid + k));
+  const auto lanes_with = [&](std::uint32_t bits) {
+    const __m128i b = _mm_set1_epi32(static_cast<int>(bits));
+    return static_cast<unsigned>(_mm_movemask_ps(
+        _mm_castsi128_ps(_mm_cmpeq_epi32(_mm_and_si128(s, b), b))));
+  };
+  return {lanes_with(kTargetValid), lanes_with(kTargetValid | kUsed)};
 }
 
-/// The r < 4 tail group, kept out of line: inlined beside the main loop it
-/// slowed that loop's f64 code by 30% (predict_quantize_kernel/f64/avx2).
-template <typename T>
-__attribute__((target("avx2"), noinline)) void encode_tail4(
-    T* dp, std::size_t o0, std::size_t ss, std::size_t hs, std::size_t r,
-    bool cubic, const QuantParams& qp, std::uint32_t* codes,
-    std::vector<T>& outliers) {
-  encode_group4(dp, o0, ss, hs, r, cubic, qp, codes, outliers);
-}
-
-/// A run's last one to three targets go through one more vector group:
-/// each carries a division that the scalar loop would pay alone.
-template <typename T>
-__attribute__((target("avx2"))) void encode_interior_avx2(
-    T* dp, std::size_t st, std::size_t h, std::size_t s, std::size_t lo,
-    std::size_t hi, bool cubic, const LinearQuantizer<T>& q,
-    std::uint32_t* codes, std::vector<T>& outliers) {
-  // Copied out of `q`: outlier appends could alias it, so the compiler
+/// Groups of four lanes: when all four are full they run as vectors;
+/// otherwise each valid lane finishes alone, taking the group's vector
+/// prediction where it is full and the masked fit elsewhere. The last
+/// lanes of a row take the scalar lane path.
+template <typename T, unsigned kUsed>
+__attribute__((target("avx2"))) void encode_row_avx2_used(
+    T* dp, const InterpRow& row, const RowFit& rf, const LinearQuantizer<T>& q,
+    std::size_t* pos, std::uint32_t* codes,
+    std::vector<RowEscape<T>>& escapes) {
+  // Copied out of `q`: escape appends could alias it, so the compiler
   // would reload it in the loop.
   const QuantParams qp{2.0 * q.error_bound(), q.error_bound(),
                        static_cast<double>(q.radius()) - 1, q.radius()};
-  const std::size_t ss = s * st;
-  const std::size_t hs = h * st;
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    encode_group4(dp, (h + i * s) * st, ss, hs, 4, cubic, qp, codes + i,
-                  outliers);
+  __m256d coef[4];
+  for (unsigned i = 0; i < 4; ++i) coef[i] = _mm256_set1_pd(rf.coef[i]);
+  std::size_t k = 0;
+  for (; k + 4 <= row.lanes; k += 4) {
+    Lanes4 l;
+    for (unsigned j = 0; j < 4; ++j) l.o[j] = row.base[k + j] + row.off;
+    __m256d ref[4];
+    refs4<T, kUsed>(dp, row, rf, k, l, ref);
+    const GroupMask m = group_mask<kUsed>(row, k);
+    if (m.valid == 0) continue;
+    const __m256d pred = predict4<T, kUsed>(ref, coef);
+    std::size_t* pk = pos + k;
+    if (m.full == 0xF) {
+      const __m256d v = load4(dp, l);
+      const Q4d qr = quantize4<T>(v, pred, qp);
+      const __m256i pv =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pk));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pk),
+                          _mm256_add_epi64(pv, _mm256_set1_epi64x(1)));
+      alignas(32) std::size_t p[4];
+      alignas(32) double rc[4];
+      alignas(16) std::uint32_t cds[4];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(p), pv);
+      _mm256_store_pd(rc, qr.recon);
+      _mm_store_si128(reinterpret_cast<__m128i*>(cds), qr.code);
+      for (unsigned j = 0; j < 4; ++j) {
+        codes[p[j]] = cds[j];
+        dp[l.o[j]] = static_cast<T>(rc[j]);
+      }
+      if (qr.ok != 0xF) [[unlikely]] {
+        // Escape lanes keep their value and take code 0.
+        alignas(32) double vv[4];
+        _mm256_store_pd(vv, v);
+        for (unsigned j = 0; j < 4; ++j) {
+          if (((qr.ok >> j) & 1) != 0) continue;
+          dp[l.o[j]] = static_cast<T>(vv[j]);
+          codes[p[j]] = 0;
+          escapes.push_back({p[j], dp[l.o[j]]});
+        }
+      }
+      continue;
+    }
+    alignas(32) double pd[4];
+    _mm256_store_pd(pd, pred);
+    for (unsigned j = 0; j < 4; ++j) {
+      if (((m.valid >> j) & 1u) == 0) continue;
+      const std::size_t o = l.o[j];
+      const T pj =
+          ((m.full >> j) & 1u) != 0
+              ? static_cast<T>(pd[j])
+              : masked_fit4<T>(row, rf, k + j, kUsed);
+      const std::size_t p = pk[j]++;
+      codes[p] = q.quantize_code(dp[o], pj);
+      if (codes[p] == 0) escapes.push_back({p, dp[o]});
+    }
   }
-  if (i < hi) {
-    encode_tail4(dp, (h + i * s) * st, ss, hs, hi - i, cubic, qp, codes + i,
-                 outliers);
+  encode_lanes_scalar(dp, row, rf, k, row.lanes, q, pos, codes, escapes);
+}
+
+template <typename T, unsigned kUsed>
+__attribute__((target("avx2"))) void decode_row_avx2_used(
+    T* dp, const InterpRow& row, const RowFit& rf, const LinearQuantizer<T>& q,
+    std::size_t* pos, const std::uint32_t* codes,
+    const PassOutliers<T>& outliers) {
+  const __m256d two_eb = _mm256_set1_pd(2.0 * q.error_bound());
+  const __m128i radius = _mm_set1_epi32(static_cast<int>(q.radius()));
+  const __m256i voff = _mm256_set1_epi64x(static_cast<long long>(row.off));
+  const __m256i one = _mm256_set1_epi64x(1);
+  __m256d coef[4];
+  for (unsigned i = 0; i < 4; ++i) coef[i] = _mm256_set1_pd(rf.coef[i]);
+  std::size_t k = 0;
+  for (; k + 4 <= row.lanes; k += 4) {
+    Lanes4 l;
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(l.o),
+        _mm256_add_epi64(_mm256_loadu_si256(
+                             reinterpret_cast<const __m256i*>(row.base + k)),
+                         voff));
+    __m256d ref[4];
+    refs4<T, kUsed>(dp, row, rf, k, l, ref);
+    const GroupMask m = group_mask<kUsed>(row, k);
+    if (m.valid == 0) continue;
+    const __m256d pred = predict4<T, kUsed>(ref, coef);
+    if (m.full == 0xF) {
+      // Codes are never stored during decode, so their gather does not
+      // stall the way a gather of reconstructed values does.
+      const __m256i pv =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pos + k));
+      const __m128i ci = _mm256_i64gather_epi32(
+          reinterpret_cast<const int*>(codes), pv, 4);
+      // An escape lane reconstructs to its prediction (q = 0 there) and
+      // then takes its outlier.
+      const __m128i zero = _mm_cmpeq_epi32(ci, _mm_setzero_si128());
+      const __m256d qd =
+          _mm256_cvtepi32_pd(_mm_andnot_si128(zero, _mm_sub_epi32(ci, radius)));
+      alignas(32) double rc[4];
+      _mm256_store_pd(rc, _mm256_add_pd(pred, _mm256_mul_pd(two_eb, qd)));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pos + k),
+                          _mm256_add_epi64(pv, one));
+      for (unsigned j = 0; j < 4; ++j) dp[l.o[j]] = static_cast<T>(rc[j]);
+      auto esc = static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(zero)));
+      for (; esc != 0; esc &= esc - 1) {
+        const unsigned j = static_cast<unsigned>(__builtin_ctz(esc));
+        dp[l.o[j]] = outliers.at(pos[k + j] - 1);
+      }
+      continue;
+    }
+    // A group with a masked lane: each valid lane finishes alone.
+    alignas(32) double pd[4];
+    _mm256_store_pd(pd, pred);
+    for (unsigned j = 0; j < 4; ++j) {
+      if (((m.valid >> j) & 1u) == 0) continue;
+      const std::size_t o = l.o[j];
+      const std::size_t p = pos[k + j]++;
+      if (codes[p] == 0) {
+        dp[o] = outliers.at(p);
+        continue;
+      }
+      const T pj =
+          ((m.full >> j) & 1u) != 0
+              ? static_cast<T>(pd[j])
+              : masked_fit4<T>(row, rf, k + j, kUsed);
+      dp[o] = q.dequantize(codes[p], pj);
+    }
   }
+  decode_lanes_scalar(dp, row, rf, k, row.lanes, q, pos, codes, outliers);
+}
+
+// One instantiation per read-reference set a row can have: -h always, +h
+// whenever +3h, and -3h independently of both.
+#define CLIZ_ROW_USED_SWITCH(FN, ...)                  \
+  switch (rf.used) {                                   \
+    case 0x2: return FN<T, 0x2>(__VA_ARGS__);          \
+    case 0x3: return FN<T, 0x3>(__VA_ARGS__);          \
+    case 0x6: return FN<T, 0x6>(__VA_ARGS__);          \
+    case 0x7: return FN<T, 0x7>(__VA_ARGS__);          \
+    case 0xE: return FN<T, 0xE>(__VA_ARGS__);          \
+    default: return FN<T, 0xF>(__VA_ARGS__);           \
+  }
+
+template <typename T>
+__attribute__((target("avx2"))) void encode_row_avx2(
+    T* dp, const InterpRow& row, const LinearQuantizer<T>& q, std::size_t* pos,
+    std::uint32_t* codes, std::vector<RowEscape<T>>& escapes) {
+  const RowFit rf = row_fit(row);
+  CLIZ_ROW_USED_SWITCH(encode_row_avx2_used, dp, row, rf, q, pos, codes,
+                       escapes)
 }
 
 template <typename T>
-__attribute__((target("avx2"))) void decode_interior_avx2(
-    T* dp, std::size_t st, std::size_t h, std::size_t s, std::size_t lo,
-    std::size_t hi, bool cubic, const LinearQuantizer<T>& q,
-    const std::uint32_t* codes, std::span<const T> outliers,
-    std::size_t& cursor) {
-  const double two_eb = 2.0 * q.error_bound();
-  const int radius = static_cast<int>(q.radius());
-  const std::size_t ss = s * st;
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    __m128i ci;
-    std::memcpy(&ci, codes + i, sizeof(ci));
-    if (_mm_movemask_ps(_mm_castsi128_ps(
-            _mm_cmpeq_epi32(ci, _mm_setzero_si128()))) != 0) {
-      // Escape lanes consume the outlier stream in serial order.
-      decode_interior_scalar(dp, st, h, s, i, i + 4, cubic, q, codes, outliers,
-                             cursor);
-      continue;
-    }
-    const std::size_t o0 = (h + i * s) * st;
-    const __m256d acc =
-        predict4_interior(dp, lane_offsets(o0, ss, 4), h * st, cubic);
-    const __m256d qd =
-        _mm256_cvtepi32_pd(_mm_sub_epi32(ci, _mm_set1_epi32(radius)));
-    const __m256d recon =
-        _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(two_eb), qd));
-    double rc[4];
-    _mm256_storeu_pd(rc, recon);
-    for (std::size_t k = 0; k < 4; ++k) {
-      dp[o0 + k * ss] = static_cast<T>(rc[k]);
-    }
-  }
-  // A run's tail has no division to amortise: scalar is cheaper there.
-  decode_interior_scalar(dp, st, h, s, i, hi, cubic, q, codes, outliers,
-                         cursor);
+__attribute__((target("avx2"))) void decode_row_avx2(
+    T* dp, const InterpRow& row, const LinearQuantizer<T>& q, std::size_t* pos,
+    const std::uint32_t* codes, const PassOutliers<T>& outliers) {
+  const RowFit rf = row_fit(row);
+  CLIZ_ROW_USED_SWITCH(decode_row_avx2_used, dp, row, rf, q, pos, codes,
+                       outliers)
 }
 
+#undef CLIZ_ROW_USED_SWITCH
+
 __attribute__((target("avx2"))) CodeScan scan_codes_avx2(
-    const std::uint32_t* codes, std::size_t n) {
+    const std::uint32_t* codes, std::size_t n,
+    std::vector<std::size_t>& escapes) {
   CodeScan r;
   const __m256i zero = _mm256_setzero_si256();
   __m256i vmax = zero;
-  std::size_t zeros = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m256i v;
     std::memcpy(&v, codes + i, sizeof(v));
-    zeros += static_cast<unsigned>(__builtin_popcount(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, zero)))));
+    auto zmask = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, zero))));
+    for (; zmask != 0; zmask &= zmask - 1) {
+      escapes.push_back(i + static_cast<std::size_t>(__builtin_ctz(zmask)));
+      ++r.zeros;
+    }
     vmax = _mm256_max_epu32(vmax, v);
   }
   alignas(32) std::uint32_t mx[8];
   _mm256_store_si256(reinterpret_cast<__m256i*>(mx), vmax);
   for (unsigned k = 0; k < 8; ++k) r.max_code = std::max(r.max_code, mx[k]);
-  r.zeros = zeros;
   for (; i < n; ++i) {
-    r.zeros += codes[i] == 0 ? 1u : 0u;
+    if (codes[i] == 0) {
+      ++r.zeros;
+      escapes.push_back(i);
+    }
     r.max_code = std::max(r.max_code, codes[i]);
   }
   return r;
@@ -556,12 +731,11 @@ template <>
 const InterpKernelTable<double>& interp_kernels_for<double>(
     [[maybe_unused]] SimdTier tier) {
   static constexpr InterpKernelTable<double> kScalar = {
-      &encode_interior_scalar<double>, &decode_interior_scalar<double>,
+      &encode_row_scalar<double>, &decode_row_scalar<double>,
       &scan_codes_scalar};
 #ifdef CLIZ_KERNELS_X86
   static constexpr InterpKernelTable<double> kAvx2 = {
-      &encode_interior_avx2<double>, &decode_interior_avx2<double>,
-      &scan_codes_avx2};
+      &encode_row_avx2<double>, &decode_row_avx2<double>, &scan_codes_avx2};
   if (tier >= SimdTier::kAvx2) return kAvx2;
 #endif
   return kScalar;
@@ -571,12 +745,11 @@ template <>
 const InterpKernelTable<float>& interp_kernels_for<float>(
     [[maybe_unused]] SimdTier tier) {
   static constexpr InterpKernelTable<float> kScalar = {
-      &encode_interior_scalar<float>, &decode_interior_scalar<float>,
+      &encode_row_scalar<float>, &decode_row_scalar<float>,
       &scan_codes_scalar};
 #ifdef CLIZ_KERNELS_X86
   static constexpr InterpKernelTable<float> kAvx2 = {
-      &encode_interior_avx2<float>, &decode_interior_avx2<float>,
-      &scan_codes_avx2};
+      &encode_row_avx2<float>, &decode_row_avx2<float>, &scan_codes_avx2};
   if (tier >= SimdTier::kAvx2) return kAvx2;
 #endif
   return kScalar;

@@ -5,14 +5,22 @@
 // an AVX2 variant: the scalar and SSE4.2 tiers (and every tier off x86) run
 // the scalar reference, the AVX2 tier runs AVX2 kernels.
 //
-// The line-parallel interpolation engine has one kernel shape, the
-// *interior* run: targets at a fixed stride, the four references at fixed
-// +-h / +-3h distances, all in range and valid, so every coefficient row is
-// the all-valid Theorem-1 row and the kernel needs only the run geometry,
-// no per-point state at all. The engine cuts each line (masked or not)
-// into maximal such runs; the few targets at line ends and mask edges take
-// the scalar interp_predict, which the interior kernels equal bit for bit
-// at validity id 0xF.
+// The line-parallel interpolation engine has one kernel shape, the *row*:
+// one target coordinate c of a pass, predicted on a block of lines at once
+// with the vector lanes running over lines. Along a row every line has the
+// same in-range set of +-h/+-3h references, so one Theorem-1 coefficient
+// row serves every lane and line ends are ordinary rows with a smaller
+// in-range set. Consecutive rows share three references, so the AVX2 kernels
+// keep each lane's last four reference values in a ring (InterpRow::ring)
+// and load one new value per row. On a masked field a lane whose fit
+// references are not all valid takes the masked Theorem-1 fit (fit_predict,
+// interp_predict's body); every other lane uses the row's coefficients,
+// which equal it there bit for bit.
+// Codes land at per-lane cursors (the line-major code positions), so the
+// row order never shows in the stream. A row addresses its lanes only
+// through base offsets, a reference distance and cursors, so the engine can
+// hand the kernels a staged copy of the rows instead of the field (its
+// staged windows, for lines that alias in the L1 cache).
 //
 // The AVX2 kernels reproduce the scalar reference bit for bit:
 //  - all arithmetic is double, in the scalar accumulation order, with no
@@ -20,9 +28,9 @@
 //  - llround's half-away-from-zero is emulated exactly on top of the AVX
 //    round-to-nearest-even instruction (the half-integer correction is
 //    computable exactly because |scaled| < radius <= 2^30);
-//  - divergent lanes (quantizer escapes, outlier reads) fall back to the
-//    scalar path per lane in ascending lane order, so the outlier side
-//    stream is appended/consumed in exactly the serial order.
+//  - escapes are filed (encode) and looked up (decode) by code position,
+//    so the outlier side stream keeps the serial order whichever lanes
+//    run as vectors and whichever take the scalar lane path.
 // Streams are therefore byte-identical across tiers and thread counts; the
 // golden corpus and the SimdKernels equivalence suite both enforce this.
 
@@ -32,9 +40,113 @@
 #include <vector>
 
 #include "src/common/cpu_features.hpp"
+#include "src/predictor/fitting.hpp"
+#include "src/predictor/interp_traversal.hpp"
 #include "src/quantizer/linear_quantizer.hpp"
 
 namespace cliz {
+
+/// The Theorem-1 prediction for validity id `vm` (bit i set when reference
+/// i, at -3h, -h, +h, +3h, is in range and valid), where ref(i) returns
+/// the value of reference i. Only references with a non-zero coefficient
+/// are read, so masked garbage never leaks into a prediction. Always
+/// inlined, so the AVX2 kernels' masked lanes stay in VEX code.
+template <typename T, typename Ref>
+[[gnu::always_inline]] inline T fit_predict(unsigned vm, FittingKind fit,
+                                            Ref&& ref) {
+  if (fit == FittingKind::kCubic) {
+    const CubicFit& f = cubic_fit(vm);
+    double p = 0.0;
+    for (unsigned i = 0; i < 4; ++i) {
+      if (f.p[i] != 0.0) p += f.p[i] * static_cast<double>(ref(i));
+    }
+    return static_cast<T>(p);
+  }
+  const auto lf = linear_fit((vm >> 1) & 1u, (vm >> 2) & 1u);
+  double p = 0.0;
+  if (lf[0] != 0.0) p += lf[0] * static_cast<double>(ref(1));
+  if (lf[1] != 0.0) p += lf[1] * static_cast<double>(ref(2));
+  return static_cast<T>(p);
+}
+
+/// Computes the fitting prediction for one target given the reference set.
+/// A reference participates only when it is inside the array AND valid per
+/// the optional mask (`validity` indexed by linear offset, nullptr = all
+/// valid); invalid references get coefficient zero via the Theorem-1 tables.
+template <typename T>
+T interp_predict(const T* data, const InterpRefs& refs,
+                 const std::uint8_t* validity, FittingKind fit) {
+  unsigned vm = 0;
+  for (unsigned i = 0; i < 4; ++i) {
+    const bool v = refs.in_range[i] &&
+                   (validity == nullptr || validity[refs.offset[i]] != 0);
+    vm |= static_cast<unsigned>(v) << i;
+  }
+  return fit_predict<T>(vm, fit,
+                        [&](unsigned i) { return data[refs.offset[i]]; });
+}
+
+/// Lines per row block: the engine runs a pass one target row at a time
+/// across blocks of this many lines.
+inline constexpr std::size_t kRowBlock = 64;
+
+/// One row of a pass: the targets at coordinate c = h + index * s on
+/// `lanes` lines, the k-th at linear offset base[k] + off. Its references
+/// are the grid points (coordinates g * s) index - 1 to index + 2.
+struct InterpRow {
+  const std::size_t* base;  ///< line base offsets, one per lane
+  std::size_t lanes;
+  std::size_t index;     ///< row index within the pass
+  std::size_t off;       ///< c * stride of the pass axis
+  std::size_t hs;        ///< h * stride: distance of the +-h references
+  unsigned in_range;     ///< ref_range_bits(c, h, extent)
+  FittingKind fit;
+  /// Masked rows: per lane, bit i (i < 4) set when reference i is in range
+  /// and valid, and kTargetValid when the target is valid. nullptr on
+  /// unmasked rows, whose targets and in-range references are all valid.
+  const std::uint32_t* lane_valid;
+  /// Per lane, the values of the last four grid points, widened to double:
+  /// grid point g of lane k at ring[(g % 4) * kRowBlock + k]. Consecutive
+  /// rows of a block share three references, so the AVX2 kernels load grid
+  /// points 0 and 1 on row 0 and one new grid point (+3h) per row into the
+  /// ring and predict their vector lanes from it; the scalar lane path
+  /// reads the field. 32-byte aligned, kept by the engine across a block's
+  /// rows.
+  double* ring;
+};
+
+/// InterpRow::lane_valid bit of a valid target.
+inline constexpr std::uint32_t kTargetValid = 16;
+
+/// An encode escape: its code position and the exact value it carries.
+template <typename T>
+struct RowEscape {
+  std::size_t pos;
+  T value;
+};
+
+/// The decode side's view of one pass's outliers: the code positions of
+/// its escapes in ascending order, and their values in the same order. An
+/// escape finds its value by its rank among the positions.
+template <typename T>
+struct PassOutliers {
+  const std::size_t* pos = nullptr;
+  const T* value = nullptr;
+  std::size_t count = 0;
+
+  /// The outlier of the escape at position `p`, which must be one of
+  /// pos[0..count). A branch-free binary search: escape positions are
+  /// irregular, so a branching one mispredicts at almost every step.
+  [[nodiscard]] T at(std::size_t p) const {
+    const std::size_t* first = pos;
+    for (std::size_t n = count; n > 1;) {
+      const std::size_t half = n / 2;
+      first = first[half] <= p ? first + half : first;
+      n -= half;
+    }
+    return value[first - pos];
+  }
+};
 
 /// Result of the decode-side code pre-scan: escape count plus the maximum
 /// code value, so `max_code < 2*radius` validates the whole batch (escape
@@ -45,26 +157,26 @@ struct CodeScan {
 };
 
 /// Function-pointer table of the interpolation engine's kernels for one
-/// sample type at one ISA tier. `cubic` selects the four-reference cubic
-/// fit; otherwise the two-reference linear fit.
+/// sample type at one ISA tier.
 template <typename T>
 struct InterpKernelTable {
-  /// Encode targets dp[(h+i*s)*st] for i in [lo, hi) of one interior run:
-  /// predict from the fixed +-h/+-3h references, quantize in place, write
-  /// codes[lo..hi). Outliers append in target order.
-  void (*encode_interior)(T* dp, std::size_t st, std::size_t h, std::size_t s,
-                          std::size_t lo, std::size_t hi, bool cubic,
-                          const LinearQuantizer<T>& q, std::uint32_t* codes,
-                          std::vector<T>& outliers);
-  /// Decode counterpart: reconstruct dp[(h+i*s)*st] for i in [lo, hi) from
-  /// codes[lo..hi), consuming escapes from `outliers` at `cursor`.
-  void (*decode_interior)(T* dp, std::size_t st, std::size_t h, std::size_t s,
-                          std::size_t lo, std::size_t hi, bool cubic,
-                          const LinearQuantizer<T>& q,
-                          const std::uint32_t* codes,
-                          std::span<const T> outliers, std::size_t& cursor);
-  /// Vectorized scan of a decoded code batch (escape count + max code).
-  CodeScan (*scan_codes)(const std::uint32_t* codes, std::size_t n);
+  /// Encode one row: for each lane in order whose target is valid, predict,
+  /// quantize in place, and write the code at the lane's cursor `pos[k]`,
+  /// which then advances. Escapes append (cursor, value).
+  void (*encode_row)(T* data, const InterpRow& row,
+                     const LinearQuantizer<T>& q, std::size_t* pos,
+                     std::uint32_t* codes,
+                     std::vector<RowEscape<T>>& escapes);
+  /// Decode counterpart: reconstruct each valid target from the code at
+  /// its lane's cursor. Codes must already be range-checked (scan_codes).
+  void (*decode_row)(T* data, const InterpRow& row,
+                     const LinearQuantizer<T>& q, std::size_t* pos,
+                     const std::uint32_t* codes,
+                     const PassOutliers<T>& outliers);
+  /// Vectorized scan of a decoded code batch: escape count and max code,
+  /// with the position of every escape appended to `escapes` in order.
+  CodeScan (*scan_codes)(const std::uint32_t* codes, std::size_t n,
+                         std::vector<std::size_t>& escapes);
 };
 
 /// Kernel table for an explicit tier (at most the detected one). The

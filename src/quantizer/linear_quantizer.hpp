@@ -44,6 +44,14 @@ class LinearQuantizer {
   /// `value` with its reconstruction. Outliers are appended to `outliers`
   /// and coded as 0.
   std::uint32_t quantize(T& value, T pred, std::vector<T>& outliers) const {
+    const std::uint32_t code = quantize_code(value, pred);
+    if (code == 0) outliers.push_back(value);
+    return code;
+  }
+
+  /// quantize() without the side stream: an escape returns 0 and leaves
+  /// `value` as it was, for a caller that files the outlier itself.
+  std::uint32_t quantize_code(T& value, T pred) const noexcept {
     const double diff = static_cast<double>(value) - static_cast<double>(pred);
     const double scaled = diff / (2.0 * eb_);
     if (std::abs(scaled) < static_cast<double>(radius_) - 1) {
@@ -60,7 +68,6 @@ class LinearQuantizer {
             q + static_cast<std::int64_t>(radius_));
       }
     }
-    outliers.push_back(value);
     return 0;
   }
 
@@ -73,6 +80,11 @@ class LinearQuantizer {
       return outliers[cursor++];
     }
     CLIZ_REQUIRE(code < 2 * radius_, "quantization code out of range");
+    return dequantize(code, pred);
+  }
+
+  /// recover() of a non-escape code the caller has already range-checked.
+  T dequantize(std::uint32_t code, T pred) const noexcept {
     const auto q = static_cast<std::int64_t>(code) -
                    static_cast<std::int64_t>(radius_);
     return static_cast<T>(static_cast<double>(pred) +

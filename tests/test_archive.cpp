@@ -711,14 +711,15 @@ TEST(Archive, RepeatedFullReadReusesDecodeScratch) {
     return cost;
   };
   // The second read decodes through the contexts the first one sized; what
-  // is left is the record, the output array and per-chunk incidentals
-  // (measured on x86-64 Linux: 283 -> 34 allocations, 0.66 MB -> 0.20 MB).
-  const Cost cold = measure();
+  // is left is the record, the output array and per-chunk incidentals.
+  // Absolute bounds on the warm read test the reuse itself, whatever the
+  // cold read costs. Measured on x86-64 Linux (gcc 12, 1 to 4 threads) at
+  // 34 allocations and 197,648 B: the 196,608 B output array plus 1,040 B.
+  const std::size_t out_bytes = data.size() * sizeof(float);
+  (void)measure();
   const Cost warm = measure();
-  EXPECT_LT(warm.count * 4, cold.count)
-      << "cold=" << cold.count << " warm=" << warm.count;
-  EXPECT_LT(warm.bytes * 3, cold.bytes)
-      << "cold=" << cold.bytes << "B warm=" << warm.bytes << "B";
+  EXPECT_LE(warm.count, 34u) << "warm=" << warm.count;
+  EXPECT_LE(warm.bytes, out_bytes + 1040) << "warm=" << warm.bytes << "B";
 }
 
 TEST(ArchiveRegion, CacheKeysAreNamespacedPerVariable) {

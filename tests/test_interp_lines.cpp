@@ -1,25 +1,31 @@
 // InterpLines suite: the line-parallel engine (interp_encode_lines /
-// interp_decode_lines) cuts each masked line into runs of targets whose fit
-// references are all in range and valid — those go through the interior
-// kernels — and hands every other valid target to the scalar
-// interp_predict. Whatever the cut, the result must equal the per-point
-// engine (interp_encode / interp_decode) exactly: the same offsets, codes
-// and outliers in the same order, and bit-identical reconstructions on both
-// sides. Masks are exhaustive on short 1-D lines (single valid points, valid
-// runs of every length, runs touching either line end), random on 2-D/3-D
-// shapes with extents 1..40, at every available SIMD tier, for both fits and
-// both sample widths; dynamic fitting is checked tier against scalar tier.
+// interp_decode_lines) runs each pass as rows — one target coordinate
+// across a block of lines — with full lanes on the vector path and masked
+// lanes whose references are not all valid on the scalar Theorem-1 fit.
+// Whatever the lane split, block split or thread count, the result must
+// equal the per-point engine (interp_encode / interp_decode) exactly: the
+// same offsets, codes and outliers in the same order, and bit-identical
+// reconstructions on both sides. Masks are exhaustive on short 1-D lines
+// (single valid points, valid runs of every length, runs touching either
+// line end), random on 2-D/3-D shapes with extents 1..40 and on the
+// 8x32x32-style tile shapes, at every available SIMD tier, for both fits
+// and both sample widths; spiked fields put escapes in every pass, a
+// 40x40x40 field runs its large passes as parallel row blocks at 1 and 4
+// threads, lines 1 KiB apart run through staged windows, and dynamic
+// fitting is checked tier against scalar tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "src/common/cpu_features.hpp"
+#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/predictor/interp_engine.hpp"
 
@@ -67,6 +73,16 @@ struct Outcome {
   std::vector<std::uint8_t> pass_fits;
   std::vector<T> encoded;  ///< encoder's in-place reconstruction
   std::vector<T> decoded;
+  std::vector<std::size_t> marks;  ///< lines engine: code count per pass end
+};
+
+/// Restores the worker-thread count on scope exit.
+struct ThreadGuard {
+  int saved = hardware_threads();
+  ThreadGuard() = default;
+  ~ThreadGuard() { set_thread_count(saved); }
+  ThreadGuard(const ThreadGuard&) = delete;
+  ThreadGuard& operator=(const ThreadGuard&) = delete;
 };
 
 std::vector<std::size_t> identity_order(std::size_t n) {
@@ -134,8 +150,8 @@ Outcome<T> run_lines(const Field<T>& f, FittingKind fit, bool dynamic,
   Outcome<T> r;
   r.encoded = f.data;
   interp_encode_lines(r.encoded.data(), axes, order, dynamic, fit, q,
-                      f.validity(), r.offsets, r.codes, r.outliers,
-                      r.pass_fits, scratch);
+                      f.validity(), &r.offsets, r.codes, r.outliers,
+                      r.pass_fits, scratch, &r.marks);
   r.decoded = f.data;
   std::size_t cursor = 0;
   std::size_t next = 0;
@@ -219,25 +235,25 @@ void check_static(const Field<T>& f) {
   }
 }
 
+/// Builds the f32 or f64 field of a geometry, mask and seed.
+template <typename T>
+Field<T> make_field(const Shape& shape, const std::vector<std::uint8_t>& valid,
+                    std::uint64_t seed, double noise, double eb) {
+  Field<T> f;
+  f.shape = shape;
+  f.valid = valid;
+  f.eb = eb;
+  Rng rng(seed);
+  f.data = make_values<T>(shape, valid, rng, noise);
+  return f;
+}
+
 /// Runs `check_static` on the same geometry and mask for f32 and f64.
 void check_both_widths(const Shape& shape,
                        const std::vector<std::uint8_t>& valid,
                        std::uint64_t seed, double noise, double eb) {
-  Field<float> f32;
-  f32.shape = shape;
-  f32.valid = valid;
-  f32.eb = eb;
-  Rng rng32(seed);
-  f32.data = make_values<float>(shape, valid, rng32, noise);
-  check_static(f32);
-
-  Field<double> f64;
-  f64.shape = shape;
-  f64.valid = valid;
-  f64.eb = eb;
-  Rng rng64(seed);
-  f64.data = make_values<double>(shape, valid, rng64, noise);
-  check_static(f64);
+  check_static(make_field<float>(shape, valid, seed, noise, eb));
+  check_static(make_field<double>(shape, valid, seed, noise, eb));
 }
 
 // Every mask of every 1-D line up to 11 points: isolated valid points,
@@ -340,6 +356,149 @@ TEST(InterpLines, RandomMasksAndShapesMatchPerPointEngine) {
     const double eb = std::pow(10.0, rng.uniform(-4.0, -1.0));
     check_both_widths(shape, valid, 7 + trial, rng.uniform(0.0, 0.4), eb);
     if (HasFailure()) return;
+  }
+}
+
+/// Adds spikes of +-1e5 to about one valid point in six: far past the
+/// quantizer's reach (2 * eb * 32766 <= 6.6e3 at eb <= 0.1), so each spike
+/// and the targets predicted from it escape.
+template <typename T>
+void add_spikes(Field<T>& f, std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t i = 0; i < f.data.size(); ++i) {
+    if ((f.valid.empty() || f.valid[i] != 0) && rng.uniform() < 0.17) {
+      f.data[i] += static_cast<T>(i % 2 == 0 ? 1e5 : -1e5);
+    }
+  }
+}
+
+/// Static-fit parity against the per-point engine at 1 and 4 worker
+/// threads and every tier, both fits, classified fetch. Returns the
+/// single-thread outcome of the cubic fit for further checks.
+template <typename T>
+Outcome<T> check_threads(const Field<T>& f) {
+  Outcome<T> cubic;
+  for (const FittingKind fit : {FittingKind::kLinear, FittingKind::kCubic}) {
+    const Outcome<T> want = run_points(f, fit);
+    for (const int threads : {1, 4}) {
+      ThreadGuard threads_guard;
+      set_thread_count(threads);
+      for (const SimdTier tier : available_tiers()) {
+        TierGuard guard;
+        set_active_simd_tier(tier);
+        SCOPED_TRACE(::testing::Message()
+                     << describe(f.shape, f.valid) << " f" << 8 * sizeof(T)
+                     << (fit == FittingKind::kCubic ? " cubic" : " linear")
+                     << " threads " << threads << " tier "
+                     << simd_tier_name(tier));
+        Outcome<T> got = run_lines(f, fit, false, true);
+        expect_same(want, got);
+        if (fit == FittingKind::kCubic && threads == 1) cubic = std::move(got);
+      }
+    }
+  }
+  return cubic;
+}
+
+/// Asserts that every pass with at least `min_codes` codes emitted an
+/// escape (code 0).
+template <typename T>
+void expect_escapes_in_every_pass(const Outcome<T>& r, std::size_t min_codes) {
+  std::size_t begin = 0;
+  for (const std::size_t end : r.marks) {
+    if (end - begin >= min_codes) {
+      EXPECT_NE(std::find(r.codes.begin() + static_cast<std::ptrdiff_t>(begin),
+                          r.codes.begin() + static_cast<std::ptrdiff_t>(end),
+                          0u),
+                r.codes.begin() + static_cast<std::ptrdiff_t>(end))
+          << "no escape in the pass coding [" << begin << ", " << end << ")";
+    }
+    begin = end;
+  }
+}
+
+// Spiked fields: every pass of more than a few targets escapes somewhere,
+// so rows interleave escapes from many lines and the encoder's per-block
+// escape merge and the decoder's rank lookup both carry real load.
+TEST(InterpLines, SpikedFieldsEscapeInEveryPassAndMatchPerPointEngine) {
+  Rng rng(515);
+  const Shape shapes[] = {Shape(DimVec{8, 32, 32}), Shape(DimVec{40, 40, 40}),
+                          Shape(DimVec{37, 29}), Shape(DimVec{300})};
+  for (std::size_t k = 0; k < std::size(shapes); ++k) {
+    const Shape& shape = shapes[k];
+    const auto valid = k % 2 == 0 ? random_mask(shape, rng)
+                                   : std::vector<std::uint8_t>{};
+    auto f32 = make_field<float>(shape, valid, 90 + k, 0.2, 1e-3);
+    add_spikes(f32, 190 + k);
+    expect_escapes_in_every_pass(check_threads(f32), 8);
+    auto f64 = make_field<double>(shape, valid, 90 + k, 0.2, 1e-3);
+    add_spikes(f64, 190 + k);
+    expect_escapes_in_every_pass(check_threads(f64), 8);
+    if (HasFailure()) return;
+  }
+}
+
+// A 40x40x40 field: its finest passes have 8,000 to 32,000 targets, past
+// kLineParallelGrain, so they split into parallel row-block ranges.
+TEST(InterpLines, ParallelPassesMatchPerPointEngine) {
+  const Shape shape(DimVec{40, 40, 40});
+  ASSERT_GT(shape.size() / 8, kLineParallelGrain);
+  Rng rng(616);
+  check_threads(make_field<float>(shape, {}, 61, 0.3, 1e-3));
+  check_threads(make_field<double>(shape, random_mask(shape, rng), 62, 0.3,
+                                   1e-4));
+}
+
+// Lines a multiple of 1 KiB apart (rows_alias) run their passes along the
+// last axis through staged windows: interleaved copies of kStageRows rows,
+// and on the encode side staged codes whose escapes move to line-major
+// positions when a window closes. Spikes put escapes in every pass; 37
+// lines leave a partial block, line ends and coarse levels leave partial
+// windows, masks leave lanes that skip targets, and 130 lines of 128 or
+// 192 targets run as parallel parts at 4 threads.
+TEST(InterpLines, StagedWindowsMatchPerPointEngine) {
+  ASSERT_TRUE(detail::rows_alias<float>(std::vector<std::size_t>{0, 256}));
+  ASSERT_TRUE(detail::rows_alias<double>(std::vector<std::size_t>{0, 128}));
+  ASSERT_FALSE(detail::rows_alias<float>(std::vector<std::size_t>{0, 32}));
+  Rng rng(818);
+  for (const std::size_t lines : {37, 130}) {
+    for (const bool masked : {false, true}) {
+      const Shape s32(DimVec{lines, 256});
+      const Shape s64(DimVec{lines, 128});
+      auto f32 = make_field<float>(
+          s32, masked ? random_mask(s32, rng) : std::vector<std::uint8_t>{},
+          80 + lines, 0.2, 1e-3);
+      add_spikes(f32, 180 + lines);
+      expect_escapes_in_every_pass(check_threads(f32), 8);
+      auto f64 = make_field<double>(
+          s64, masked ? random_mask(s64, rng) : std::vector<std::uint8_t>{},
+          90 + lines, 0.2, 1e-3);
+      add_spikes(f64, 190 + lines);
+      expect_escapes_in_every_pass(check_threads(f64), 8);
+      if (HasFailure()) return;
+    }
+  }
+  const Shape s3(DimVec{6, 5, 768});
+  check_threads(make_field<float>(s3, random_mask(s3, rng), 70, 0.3, 1e-4));
+  check_threads(make_field<double>(Shape(DimVec{6, 5, 384}), {}, 71, 0.3,
+                                   1e-4));
+}
+
+// The tiled-read tile shapes with random masks: short lines, where most
+// targets sit at line ends or next to masked points.
+TEST(InterpLines, TileShapesWithRandomMasksMatchPerPointEngine) {
+  Rng rng(717);
+  const Shape shapes[] = {Shape(DimVec{8, 32, 32}), Shape(DimVec{4, 32, 32}),
+                          Shape(DimVec{8, 22, 16})};
+  for (int trial = 0; trial < 4; ++trial) {
+    for (const Shape& shape : shapes) {
+      const auto valid = random_mask(shape, rng);
+      const double eb = std::pow(10.0, rng.uniform(-4.0, -2.0));
+      const double noise = rng.uniform(0.0, 0.4);
+      check_threads(make_field<float>(shape, valid, 300 + trial, noise, eb));
+      check_threads(make_field<double>(shape, valid, 400 + trial, noise, eb));
+      if (HasFailure()) return;
+    }
   }
 }
 

@@ -219,21 +219,33 @@ TEST(SimdKernelsScanCodes, MatchesReferenceAtEveryTier) {
                           rng.uniform_index(kind == 1 ? 7u : 0xFFFFFFu));
     }
     CodeScan ref;
-    for (const std::uint32_t v : codes) {
-      if (v == 0) ++ref.zeros;
-      if (v > ref.max_code) ref.max_code = v;
+    std::vector<std::size_t> ref_escapes;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (codes[i] == 0) {
+        ++ref.zeros;
+        ref_escapes.push_back(i);
+      }
+      if (codes[i] > ref.max_code) ref.max_code = codes[i];
     }
     for (const SimdTier tier : available_tiers()) {
       TierGuard guard;
       set_active_simd_tier(tier);
-      for (const CodeScan got :
-           {interp_kernels<float>().scan_codes(codes.data(), codes.size()),
-            interp_kernels<double>().scan_codes(codes.data(), codes.size())}) {
+      std::vector<std::size_t> esc32;
+      std::vector<std::size_t> esc64;
+      const CodeScan got32 =
+          interp_kernels<float>().scan_codes(codes.data(), codes.size(), esc32);
+      const CodeScan got64 = interp_kernels<double>().scan_codes(
+          codes.data(), codes.size(), esc64);
+      for (const CodeScan& got : {got32, got64}) {
         EXPECT_EQ(got.zeros, ref.zeros)
             << "n=" << n << " tier " << simd_tier_name(tier);
         EXPECT_EQ(got.max_code, ref.max_code)
             << "n=" << n << " tier " << simd_tier_name(tier);
       }
+      EXPECT_EQ(esc32, ref_escapes)
+          << "n=" << n << " tier " << simd_tier_name(tier);
+      EXPECT_EQ(esc64, ref_escapes)
+          << "n=" << n << " tier " << simd_tier_name(tier);
     }
   }
 }
