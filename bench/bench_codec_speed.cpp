@@ -209,33 +209,6 @@ void BM_ClizDecompressThreads(benchmark::State& state) {
   state.counters["threads"] = threads == 0 ? saved : threads;
 }
 
-/// Framed-decode thread-scaling sweep: the same stream content as the
-/// serial sweep above, but compressed with per-pass entropy framing so the
-/// decode-side entropy stage runs whole segments on parallel workers
-/// instead of draining one serial bitstream. Compared against
-/// cliz_decompress_threads, this is what framing buys (or costs) decode.
-void BM_ClizDecompressFramedThreads(benchmark::State& state) {
-  auto& c = ctx();
-  const int saved = hardware_threads();
-  const int threads = static_cast<int>(state.range(0));
-  set_thread_count(threads == 0 ? saved : threads);
-  ClizOptions opts;
-  opts.frame_passes = true;
-  const ClizCompressor comp(c.tuned, opts);
-  const auto stream = comp.compress(c.field.data, c.eb, c.field.mask_ptr());
-  CodecContext cctx;
-  NdArray<float> out(c.field.data.shape());
-  for (auto _ : state) {
-    ClizCompressor::decompress_into(stream, cctx, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_thread_count(saved);
-  report_bytes(state, c.field.data.size() * sizeof(float));
-  state.counters["threads"] = threads == 0 ? saved : threads;
-  state.counters["segments"] =
-      static_cast<double>(cctx.stats.frame_segments);
-}
-
 void BM_HuffmanEncode(benchmark::State& state) {
   Rng rng(1);
   std::vector<std::uint32_t> syms(1 << 20);
@@ -686,15 +659,6 @@ int main(int argc, char** argv) {
       ->Arg(1)
       ->Arg(2)
       ->Arg(4)
-      ->Arg(0)
-      ->UseRealTime()
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("cliz_decompress_framed_threads",
-                               cliz::BM_ClizDecompressFramedThreads)
-      ->Arg(1)
-      ->Arg(2)
-      ->Arg(4)
-      ->Arg(8)
       ->Arg(0)
       ->UseRealTime()
       ->Unit(benchmark::kMillisecond);

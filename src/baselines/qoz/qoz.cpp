@@ -167,19 +167,9 @@ std::vector<std::uint8_t> QozCompressor::compress(
   return compress_impl(data, abs_error_bound, options_);
 }
 
-std::vector<std::uint8_t> QozCompressor::compress(
-    const NdArray<double>& data, double abs_error_bound) const {
-  return compress_impl(data, abs_error_bound, options_);
-}
-
 NdArray<float> QozCompressor::decompress(
     std::span<const std::uint8_t> stream) {
   return decompress_impl<float>(stream);
-}
-
-NdArray<double> QozCompressor::decompress_f64(
-    std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(stream);
 }
 
 }  // namespace cliz

@@ -23,20 +23,16 @@ struct QozOptions {
 ///   - per-pass dynamic fitting selection (linear vs cubic chosen for every
 ///     (level, axis) pass by probing the actual prediction errors, one bit
 ///     per pass in the stream).
-/// Error-bounded like Sz3Compressor; float32 and float64 are supported and
-/// the stream records the sample type.
+/// Error-bounded like Sz3Compressor; float32 only, and the stream records
+/// the sample type.
 class QozCompressor {
  public:
   explicit QozCompressor(QozOptions options = {}) : options_(options) {}
 
   [[nodiscard]] std::vector<std::uint8_t> compress(const NdArray<float>& data,
                                                    double abs_error_bound) const;
-  [[nodiscard]] std::vector<std::uint8_t> compress(
-      const NdArray<double>& data, double abs_error_bound) const;
 
   [[nodiscard]] static NdArray<float> decompress(
-      std::span<const std::uint8_t> stream);
-  [[nodiscard]] static NdArray<double> decompress_f64(
       std::span<const std::uint8_t> stream);
 
  private:

@@ -165,19 +165,9 @@ std::vector<std::uint8_t> SperrLikeCompressor::compress(
   return compress_impl(data, abs_error_bound, options_);
 }
 
-std::vector<std::uint8_t> SperrLikeCompressor::compress(
-    const NdArray<double>& data, double abs_error_bound) const {
-  return compress_impl(data, abs_error_bound, options_);
-}
-
 NdArray<float> SperrLikeCompressor::decompress(
     std::span<const std::uint8_t> stream) {
   return decompress_impl<float>(stream);
-}
-
-NdArray<double> SperrLikeCompressor::decompress_f64(
-    std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(stream);
 }
 
 }  // namespace cliz

@@ -27,12 +27,8 @@ class LorenzoCompressor {
 
   [[nodiscard]] std::vector<std::uint8_t> compress(const NdArray<float>& data,
                                                    double abs_error_bound) const;
-  [[nodiscard]] std::vector<std::uint8_t> compress(
-      const NdArray<double>& data, double abs_error_bound) const;
 
   [[nodiscard]] static NdArray<float> decompress(
-      std::span<const std::uint8_t> stream);
-  [[nodiscard]] static NdArray<double> decompress_f64(
       std::span<const std::uint8_t> stream);
 
  private:

@@ -112,19 +112,9 @@ std::vector<std::uint8_t> Sz3Compressor::compress(
   return compress_impl(data, abs_error_bound, options_);
 }
 
-std::vector<std::uint8_t> Sz3Compressor::compress(
-    const NdArray<double>& data, double abs_error_bound) const {
-  return compress_impl(data, abs_error_bound, options_);
-}
-
 NdArray<float> Sz3Compressor::decompress(
     std::span<const std::uint8_t> stream) {
   return decompress_impl<float>(stream);
-}
-
-NdArray<double> Sz3Compressor::decompress_f64(
-    std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(stream);
 }
 
 }  // namespace cliz

@@ -23,9 +23,8 @@ struct Sz3Options {
 /// (dynamic spline interpolation + linear-scale quantization + Huffman +
 /// lossless backend), the framework CliZ builds on. Compression is
 /// error-bounded: every reconstructed value differs from the original by at
-/// most `abs_error_bound`. Both float32 and float64 data are supported; the
-/// stream records the sample type and the matching decompress entry point
-/// must be used.
+/// most `abs_error_bound`. Float32 only; the stream records the sample
+/// type.
 class Sz3Compressor {
  public:
   explicit Sz3Compressor(Sz3Options options = {}) : options_(options) {}
@@ -33,14 +32,9 @@ class Sz3Compressor {
   /// Compresses `data` under an absolute error bound.
   [[nodiscard]] std::vector<std::uint8_t> compress(const NdArray<float>& data,
                                                    double abs_error_bound) const;
-  [[nodiscard]] std::vector<std::uint8_t> compress(
-      const NdArray<double>& data, double abs_error_bound) const;
 
-  /// Reconstructs an array from a stream produced by compress(). The
-  /// f32/f64 variant must match the stream's recorded sample type.
+  /// Reconstructs an array from a stream produced by compress().
   [[nodiscard]] static NdArray<float> decompress(
-      std::span<const std::uint8_t> stream);
-  [[nodiscard]] static NdArray<double> decompress_f64(
       std::span<const std::uint8_t> stream);
 
  private:

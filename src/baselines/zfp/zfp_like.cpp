@@ -443,19 +443,9 @@ std::vector<std::uint8_t> ZfpLikeCompressor::compress(
   return compress_impl(data, abs_error_bound, options_);
 }
 
-std::vector<std::uint8_t> ZfpLikeCompressor::compress(
-    const NdArray<double>& data, double abs_error_bound) const {
-  return compress_impl(data, abs_error_bound, options_);
-}
-
 NdArray<float> ZfpLikeCompressor::decompress(
     std::span<const std::uint8_t> stream) {
   return decompress_impl<float>(stream);
-}
-
-NdArray<double> ZfpLikeCompressor::decompress_f64(
-    std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(stream);
 }
 
 }  // namespace cliz

@@ -20,13 +20,6 @@ namespace {
 constexpr std::size_t kPeriodProbeRows = 10;
 /// Seed of the pseudo-random row positions of the period probe.
 constexpr std::uint64_t kPeriodProbeSeed = 42;
-/// Largest acceptable relative size growth of the framed *sampled* stream
-/// over the serial one before the tuner drops framing. The per-pass table
-/// cost is fixed, so it is over-represented on the small trial stream
-/// (measured ~70x the full-stream overhead at the default sampling rate);
-/// this budget tolerates that inflation while still catching streams whose
-/// framing genuinely costs ratio.
-constexpr double kFrameOverheadBudget = 0.05;
 
 /// Copies the two-blocks-per-dim sample given per-dim block sides. Sample
 /// coordinate c in [0, 2b) maps to block A (c < b) or block B (c >= b).
@@ -320,19 +313,6 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
     }
   }
   codec.entropy = result.best_entropy;
-
-  // Framing phase: only when the caller asked for per-pass framing. Framing
-  // trades an offset table for parallel decode, so it never wins on ratio —
-  // the tuner's job here is the reverse: confirm the table overhead on the
-  // sample stays inside kFrameOverheadBudget, and tune framing *off* when
-  // it does not.
-  result.best_frame_passes = opts.codec.frame_passes;
-  if (opts.codec.frame_passes) {
-    const double framed = trial(result.best, codec, *grid_sample, pool[0]);
-    codec.frame_passes = false;
-    const double serial = trial(result.best, codec, *grid_sample, pool[0]);
-    result.best_frame_passes = serial <= framed * (1.0 + kFrameOverheadBudget);
-  }
 
   result.tuning_seconds = timer.seconds();
   return result;

@@ -1,10 +1,12 @@
 #include "src/core/chunked.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <optional>
 
 #include "src/common/bytestream.hpp"
+#include "src/common/cpu_features.hpp"
 #include "src/common/crc32c.hpp"
 #include "src/common/parallel.hpp"
 #include "src/core/chunked_reader.hpp"
@@ -185,6 +187,11 @@ void chunked_compress_into(const NdArray<T>& data, double abs_error_bound,
     }
   }
 
+  // What the boxes report, summed for the frame's stats.
+  std::atomic<std::size_t> code_count{0};
+  std::atomic<std::size_t> outlier_count{0};
+  std::atomic<std::size_t> downgraded{0};
+
   const DimVec window_lo(nd, 0);
   scratch.pool.set_governor(options.codec.limits, options.codec.cancel);
   parallel_for_cancellable(0, boxes.size(), options.codec.cancel,
@@ -215,10 +222,29 @@ void chunked_compress_into(const NdArray<T>& data, double abs_error_bound,
         detail::drops_period(config, box.extent) ? *degraded : codec;
     use.compress_into(chunk, abs_error_bound,
                       cmask.has_value() ? &*cmask : nullptr, ctx, streams[i]);
+    code_count.fetch_add(ctx.stats.code_count, std::memory_order_relaxed);
+    outlier_count.fetch_add(ctx.stats.outlier_count,
+                            std::memory_order_relaxed);
+    if (ctx.stats.entropy_downgraded) {
+      downgraded.fetch_add(1, std::memory_order_relaxed);
+    }
 
     // Return the staging storage to the context for the next box.
     ctx.slab<T>() = std::move(chunk).take_flat();
   });
+
+  // Every box runs the requested predictor; the entropy coder is the
+  // requested one unless every box fell back to Huffman.
+  StageStats& st = scratch.stats;
+  st.predictor_backend = static_cast<std::uint8_t>(options.codec.predictor);
+  const std::size_t n_downgraded = downgraded.load(std::memory_order_relaxed);
+  st.entropy_backend = static_cast<std::uint8_t>(
+      n_downgraded == boxes.size() ? EntropyBackend::kHuffman
+                                   : options.codec.entropy);
+  st.entropy_downgraded = n_downgraded > 0;
+  st.simd_tier = static_cast<std::uint8_t>(active_simd_tier());
+  st.code_count = code_count.load(std::memory_order_relaxed);
+  st.outlier_count = outlier_count.load(std::memory_order_relaxed);
 
   const auto written =
       std::span<const std::vector<std::uint8_t>>(streams).first(boxes.size());

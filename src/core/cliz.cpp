@@ -182,7 +182,6 @@ void stage_predict(NdArray<T>& work, double quant_eb, const MaskMap* mask,
   codes.clear();
   codes.reserve(work.size());
   outliers.clear();
-  ctx.fetch_marks.clear();
   const std::uint8_t* validity = mask != nullptr ? mask->data() : nullptr;
   predictor_encode(options.predictor, work.data(), work.shape(), config,
                    quantizer, validity, ctx, out);
@@ -204,13 +203,12 @@ void stage_predict(NdArray<T>& work, double quant_eb, const MaskMap* mask,
 /// census of the raw codes lands in ctx.freq[0]. Either way the census
 /// yields the symbol-stream entropy recorded in ctx.stats.
 ///
-/// The stage opens with the entropy byte — (backend id << 1) | classified,
-/// with bit 7 flagging the per-pass framed container — whose id drives the
-/// decoder's backend dispatch. The Huffman id is 0 and framing is off
-/// by default, so default streams keep the historical 0/1 values
-/// byte-for-byte. Returns the byte's stream offset so stage_encode can
-/// patch the id if the requested backend turns out to be infeasible for
-/// this census.
+/// The stage opens with the entropy byte — (backend id << 1) | classified
+/// — whose id drives the decoder's backend dispatch. The Huffman id is 0,
+/// so default streams keep the historical 0/1 values byte-for-byte; bit 7
+/// (the framed container) is read but never written. Returns the byte's
+/// stream offset so stage_encode can patch the id if the requested
+/// backend turns out to be infeasible for this census.
 std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
                            const ClizOptions& options, CodecContext& ctx,
                            ByteWriter& out,
@@ -224,7 +222,7 @@ std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
   const bool classify = config.classify_bins && plane > 0;
   out.put_u8(static_cast<std::uint8_t>(
       (static_cast<std::uint8_t>(options.entropy) << 1) |
-      (classify ? 1u : 0u) | (options.frame_passes ? 0x80u : 0u)));
+      (classify ? 1u : 0u)));
   std::size_t n_groups = 1;
 
   if (classify) {
@@ -308,13 +306,10 @@ void stage_encode(const ClizOptions& options,
     out.overwrite_u8(entropy_byte_pos,
                      static_cast<std::uint8_t>(
                          (static_cast<std::uint8_t>(backend) << 1) |
-                         (classified ? 1u : 0u) |
-                         (options.frame_passes ? 0x80u : 0u)));
+                         (classified ? 1u : 0u)));
     ctx.stats.entropy_downgraded = true;
   }
-  entropy_encode(backend, classified, options.frame_passes, n_groups, ctx,
-                 out);
-  ctx.stats.frame_passes = options.frame_passes;
+  entropy_encode(backend, classified, n_groups, ctx, out);
   ctx.stats.entropy_backend = static_cast<std::uint8_t>(backend);
 
   st.output_bytes = out.size() - base;

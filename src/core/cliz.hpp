@@ -41,13 +41,9 @@ struct ClizOptions {
   /// Lossless-stage backend wrapping the assembled stream. LZ is the only
   /// value; the field stays because existing callers assign it.
   LosslessBackend lossless = LosslessBackend::kLz;
-  /// Per-pass entropy framing (recorded in bit 7 of the stream's entropy
-  /// byte): the entropy payload is split into independently decodable
-  /// segments aligned with the decoder's fetch batches, so decompression
-  /// entropy-decodes whole passes on parallel workers instead of draining
-  /// one serial bitstream. Costs a small offset table (the auto-tuner can
-  /// weigh that; see the framing phase of autotune()). Default off —
-  /// unframed streams stay byte-identical to the golden corpus.
+  /// Ignored: the encoder writes only the serial entropy container. Streams
+  /// framed per pass by earlier builds (bit 7 of the entropy byte) still
+  /// decode. The field stays because existing callers assign it.
   bool frame_passes = false;
   /// Encode-side verification: after compressing, decode the stream and
   /// confirm every valid point honours the error bound. On a violation (or

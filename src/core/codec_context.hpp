@@ -96,18 +96,8 @@ class CodecContext {
   ByteWriter tree_bytes;  ///< staging for one serialized tree
   BitWriter bits;         ///< entropy-coded payload staging
 
-  // --- per-pass entropy framing (ClizOptions::frame_passes) ---
-  /// Encode: cumulative code counts at each decode-fetch boundary, recorded
-  /// by predictor_encode (one per interp pass + anchor, one for
-  /// the single-batch raster predictors). Segment boundaries of the framed
-  /// container sub-split these intervals.
-  std::vector<std::size_t> fetch_marks;
-  /// Segment table of the framed container (encode staging and the parsed
-  /// decode-side table).
+  /// Parsed segment table of a framed entropy container (decode only).
   std::vector<FramedSegment> frame_segments;
-  ByteWriter frame_tables;  ///< framed encode: staged coding tables
-  /// Framed encode: concatenated byte-aligned per-segment payloads.
-  std::vector<std::uint8_t> frame_payload;
 
   // --- stream assembly ---
   ByteWriter raw_stream;  ///< the assembled pre-lossless stream

@@ -23,8 +23,7 @@ namespace {
 }
 
 // --- Huffman (id 0) --------------------------------------------------------
-// A Huffman payload is byte-aligned and stateless between symbols, so a
-// segment is just a symbol range.
+// A Huffman payload is byte-aligned and stateless between symbols.
 
 void huffman_encode_tables(std::size_t n_groups, CodecContext& ctx,
                            ByteWriter& out) {
@@ -37,17 +36,14 @@ void huffman_encode_tables(std::size_t n_groups, CodecContext& ctx,
   }
 }
 
-void huffman_encode_segment(bool classified, std::size_t lo, std::size_t hi,
-                            CodecContext& ctx) {
+void huffman_encode_segment(bool classified, CodecContext& ctx) {
   if (classified) {
-    for (std::size_t i = lo; i < hi; ++i) {
+    for (std::size_t i = 0; i < ctx.shifted.size(); ++i) {
       ctx.trees[ctx.group[i]].encode(
           std::span<const std::uint32_t>(&ctx.shifted[i], 1), ctx.bits);
     }
   } else {
-    ctx.trees[0].encode(
-        std::span<const std::uint32_t>(ctx.codes.data() + lo, hi - lo),
-        ctx.bits);
+    ctx.trees[0].encode(ctx.codes, ctx.bits);
   }
 }
 
@@ -64,7 +60,7 @@ void huffman_parse_tables(ByteReader& in, std::size_t n_tables,
 // Tables: u8 table_log (shared by every group's table), then one block of
 // normalized counts per group. A segment payload is [final encoder state
 // - L: table_log bits][refill bits...]. One interleaved state walks all
-// groups (ANS is LIFO: encode runs in reverse within the segment, so the
+// groups (ANS is LIFO: encode runs in reverse over the stream, so the
 // decoder reads each segment strictly forward).
 
 bool tans_encodable(const CodecContext& ctx, std::size_t n_groups) {
@@ -97,18 +93,17 @@ void tans_encode_tables(std::size_t n_groups, CodecContext& ctx,
   }
 }
 
-void tans_encode_segment(bool classified, std::size_t lo, std::size_t hi,
-                         CodecContext& ctx) {
+void tans_encode_segment(bool classified, CodecContext& ctx) {
   const unsigned table_log = ctx.tans[0].table_log();
   auto& stack = ctx.tans_stack;
   stack.clear();
   std::uint32_t state = 1u << table_log;
   if (classified) {
-    for (std::size_t i = hi; i-- > lo;) {
+    for (std::size_t i = ctx.shifted.size(); i-- > 0;) {
       ctx.tans[ctx.group[i]].encode_symbol(ctx.shifted[i], state, stack);
     }
   } else {
-    for (std::size_t i = hi; i-- > lo;) {
+    for (std::size_t i = ctx.codes.size(); i-- > 0;) {
       ctx.tans[0].encode_symbol(ctx.codes[i], state, stack);
     }
   }
@@ -198,15 +193,15 @@ void encode_tables(EntropyBackend backend, std::size_t n_groups,
   unregistered_backend("entropy");
 }
 
-/// Encodes symbols [lo, hi) into ctx.bits as one self-contained segment
-/// (tANS restarts its state). The caller resets ctx.bits first.
-void encode_segment(EntropyBackend backend, bool classified, std::size_t lo,
-                    std::size_t hi, CodecContext& ctx) {
+/// Encodes the whole symbol stream into ctx.bits as one segment. The
+/// caller resets ctx.bits first.
+void encode_segment(EntropyBackend backend, bool classified,
+                    CodecContext& ctx) {
   switch (backend) {
     case EntropyBackend::kHuffman:
-      return huffman_encode_segment(classified, lo, hi, ctx);
+      return huffman_encode_segment(classified, ctx);
     case EntropyBackend::kTans:
-      return tans_encode_segment(classified, lo, hi, ctx);
+      return tans_encode_segment(classified, ctx);
   }
   unregistered_backend("entropy");
 }
@@ -252,67 +247,12 @@ void decode_symbols(const EntropyDecodeState& state, EntropyCursor& cur,
 }
 
 // --- framed container (entropy byte bit 7) ---------------------------------
+// Read, never written: earlier writers split each decode-fetch interval
+// into independently decodable segments. The decoder keeps reading them.
 
 /// Version byte of the framed container layout; anything else is a stream
 /// from a future build and rejected cleanly.
 constexpr std::uint8_t kFramingLayoutId = 1;
-
-/// Target symbols per segment. Fetch intervals (interp passes, or the whole
-/// stream for the raster predictors) are sub-split into
-/// max(1, len / kFrameSegmentSyms) near-equal pieces — deterministic and
-/// thread-count invariant, sized so table/offset overhead stays small while
-/// big passes still fan out across workers.
-constexpr std::size_t kFrameSegmentSyms = std::size_t{1} << 15;
-
-void framed_encode(EntropyBackend backend, bool classified,
-                   std::size_t n_groups, std::size_t n_syms,
-                   CodecContext& ctx, ByteWriter& out) {
-  // Segment boundaries: sub-split each recorded fetch interval so no
-  // segment straddles a decode-side fetch call.
-  auto& segs = ctx.frame_segments;
-  segs.clear();
-  std::size_t prev = 0;
-  for (const std::size_t mark : ctx.fetch_marks) {
-    CLIZ_REQUIRE(mark > prev && mark <= n_syms, "corrupt fetch marks");
-    const std::size_t len = mark - prev;
-    const std::size_t pieces =
-        std::max<std::size_t>(1, len / kFrameSegmentSyms);
-    for (std::size_t p = 0; p < pieces; ++p) {
-      const std::size_t lo = prev + len * p / pieces;
-      const std::size_t hi = prev + len * (p + 1) / pieces;
-      segs.push_back({lo, hi - lo, 0, 0});
-    }
-    prev = mark;
-  }
-  CLIZ_REQUIRE(prev == n_syms, "fetch marks do not cover the code stream");
-
-  // Tables are staged: the container's segment table precedes them in the
-  // stream, but the segment byte lengths are only known after encoding.
-  ctx.frame_tables.clear();
-  encode_tables(backend, n_groups, ctx, ctx.frame_tables);
-
-  auto& payload = ctx.frame_payload;
-  payload.clear();
-  for (auto& seg : segs) {
-    seg.byte_off = payload.size();
-    ctx.bits.reset();
-    encode_segment(backend, classified, seg.sym_base,
-                   seg.sym_base + seg.n_syms, ctx);
-    const auto bytes = ctx.bits.finish_view();
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
-    seg.n_bytes = payload.size() - seg.byte_off;
-  }
-
-  out.put_u8(kFramingLayoutId);
-  out.put_varint(segs.size());
-  for (const auto& seg : segs) {
-    out.put_varint(seg.n_syms);
-    out.put_varint(seg.n_bytes);
-  }
-  out.put_bytes(ctx.frame_tables.bytes());
-  out.put_block(payload);
-  ctx.stats.frame_segments = segs.size();
-}
 
 void framed_parse(ByteReader& in, std::size_t n_tables, std::size_t n_codes,
                   EntropyDecodeState& state) {
@@ -413,19 +353,13 @@ bool entropy_encodable(EntropyBackend backend, const CodecContext& ctx,
   unregistered_backend("entropy");
 }
 
-void entropy_encode(EntropyBackend backend, bool classified, bool framed,
+void entropy_encode(EntropyBackend backend, bool classified,
                     std::size_t n_groups, CodecContext& ctx,
                     ByteWriter& out) {
-  const std::size_t n_syms =
-      classified ? ctx.shifted.size() : ctx.codes.size();
-  if (framed) {
-    framed_encode(backend, classified, n_groups, n_syms, ctx, out);
-    return;
-  }
-  // Serial: the tables, then the whole stream as one segment in one block.
+  // The tables, then the whole stream as one segment in one block.
   encode_tables(backend, n_groups, ctx, out);
   ctx.bits.reset();
-  encode_segment(backend, classified, 0, n_syms, ctx);
+  encode_segment(backend, classified, ctx);
   out.put_block(ctx.bits.finish_view());
 }
 
@@ -471,16 +405,6 @@ PredictorBackend predictor_backend_from_wire(std::uint8_t id) {
 // writes nothing — its first-order stencil follows from the shape, and the
 // pipeline's permutation/fusion axes do not apply to either raster scan.
 
-namespace {
-
-/// The raster predictors' decode side fetches the whole code stream in one
-/// batch.
-void mark_single_fetch(CodecContext& ctx) {
-  if (!ctx.codes.empty()) ctx.fetch_marks.push_back(ctx.codes.size());
-}
-
-}  // namespace
-
 template <typename T>
 void predictor_encode(PredictorBackend backend, T* work, const Shape& shape,
                       const PipelineConfig& config,
@@ -498,18 +422,18 @@ void predictor_encode(PredictorBackend backend, T* work, const Shape& shape,
                           validity,
                           config.classify_bins ? &ctx.offsets : nullptr,
                           ctx.codes, ctx.outliers<T>(), ctx.pass_fits,
-                          ctx.interp, &ctx.fetch_marks);
+                          ctx.interp);
       out.put_varint(ctx.pass_fits.size());
       out.put_bytes(ctx.pass_fits);
       return;
     case PredictorBackend::kLorenzo1:
       lorenzo_encode(work, shape, quantizer, validity, ctx.offsets, ctx.codes,
                      ctx.outliers<T>(), ctx.lorenzo_terms, ctx.cancel);
-      return mark_single_fetch(ctx);
+      return;
     case PredictorBackend::kRegression:
       regression_encode(work, shape, quantizer, validity, ctx.offsets,
                         ctx.codes, ctx.outliers<T>(), out);
-      return mark_single_fetch(ctx);
+      return;
   }
   unregistered_backend("predictor");
 }

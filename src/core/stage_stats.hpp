@@ -74,8 +74,9 @@ struct StageStats {
   /// True when the requested entropy backend could not represent the stream
   /// (tANS alphabet past 2^15 symbols) and the encoder fell back to Huffman.
   bool entropy_downgraded = false;
-  /// True when the stream uses the per-pass framed entropy container
-  /// (ClizOptions::frame_passes; bit 7 of the entropy byte on decode).
+  /// True when a decoded stream uses the per-pass framed entropy container
+  /// (bit 7 of the entropy byte). The encoder no longer writes it, so
+  /// encode-side stats leave this false.
   bool frame_passes = false;
   /// Independently decodable entropy segments of the framed container
   /// (0 for serial streams).

@@ -442,11 +442,6 @@ FittingKind probe_pass_fit(const T* data, const AxisSpec& ax,
 /// byte-identical for every thread count, including masked inputs. Only
 /// bin classification reads the target offsets, so they are appended to
 /// `offsets` (one per code) only when it is non-null.
-///
-/// When `fetch_marks` is non-null, the cumulative code count is recorded at
-/// every boundary the decode side fetches at — after the anchor and after
-/// each non-empty pass (interp_decode_lines pulls one batch per pass). The
-/// per-pass entropy framing splits its segments on these marks.
 template <typename T>
 void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
                          std::span<const std::size_t> order, bool dynamic,
@@ -457,12 +452,10 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
                          std::vector<std::uint32_t>& codes,
                          std::vector<T>& outliers,
                          std::vector<std::uint8_t>& pass_fits,
-                         InterpLineScratch& scratch,
-                         std::vector<std::size_t>* fetch_marks = nullptr) {
+                         InterpLineScratch& scratch) {
   if (validity == nullptr || validity[0] != 0) {
     if (offsets != nullptr) offsets->push_back(0);
     codes.push_back(quantizer.quantize(data[0], T{0}, outliers));
-    if (fetch_marks != nullptr) fetch_marks->push_back(codes.size());
   }
   const InterpKernelTable<T>& kt = interp_kernels<T>();
   auto& escapes = scratch.block_escapes<T>();
@@ -515,7 +508,6 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
       for (const RowEscape<T>& e : esc) outliers.push_back(e.value);
       esc.clear();
     }
-    if (fetch_marks != nullptr) fetch_marks->push_back(codes.size());
   });
 }
 

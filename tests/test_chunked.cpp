@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/climate/datasets.hpp"
+#include "src/common/cpu_features.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/core/chunked_reader.hpp"
@@ -165,6 +166,39 @@ TEST(Chunked, MaskedPeriodicFieldRoundTrip) {
     if (!field.mask->valid(i)) {
       ASSERT_EQ(recon[i], 9.96921e36f);
     }
+  }
+}
+
+TEST(Chunked, StatsReportWhatTheBoxesRan) {
+  // Slab and tiled frames report the backends and SIMD tier their boxes
+  // ran, and the boxes' summed counts: one code per valid point.
+  const auto field = make_ssh(0.1, 900);
+  for (const bool tiled : {false, true}) {
+    SCOPED_TRACE(tiled ? "tiled" : "slabs");
+    ChunkedScratch scratch;
+    ChunkedOptions opts;
+    if (tiled) {
+      opts.tile = {8, 16, 16};
+    } else {
+      opts.chunks = 4;
+    }
+    opts.codec.entropy = EntropyBackend::kTans;
+    opts.scratch = &scratch;
+    (void)chunked_compress(field.data, 1e-3, PipelineConfig::defaults(3),
+                           field.mask_ptr(), opts);
+    const StageStats& st = scratch.stats;
+    EXPECT_EQ(st.predictor_backend,
+              static_cast<std::uint8_t>(PredictorBackend::kInterp));
+    EXPECT_EQ(st.entropy_backend,
+              static_cast<std::uint8_t>(EntropyBackend::kTans));
+    EXPECT_FALSE(st.entropy_downgraded);
+    EXPECT_EQ(st.simd_tier, static_cast<std::uint8_t>(active_simd_tier()));
+    EXPECT_EQ(st.code_count, field.mask->count_valid());
+    EXPECT_NE(st.to_text().find("entropy=tans simd=" +
+                                std::string(simd_tier_name(
+                                    active_simd_tier()))),
+              std::string::npos)
+        << st.to_text();
   }
 }
 

@@ -32,6 +32,7 @@
 #include "src/io/archive.hpp"
 #include "src/lossless/lossless.hpp"
 #include "tests/fault_injection.hpp"
+#include "tests/framed_fixtures.hpp"
 
 // The limits matrix asserts that a header declaring a bomb is rejected
 // BEFORE payload-proportional bytes are requested from the allocator, not
@@ -465,40 +466,22 @@ TEST(FaultLimits, ChunkedAggregateOutputBudget) {
 }
 
 TEST(FaultLimits, FramedSegmentCountSplice) {
-  // Build a framed stream, then inflate its declared segment count: the
-  // governor must refuse before the segment table reserves.
-  NdArray<float> data(Shape({64, 48}));
-  Rng rng(4242);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>(0.02 * static_cast<double>(i % 97) +
-                                 0.01 * rng.normal());
-  }
-  ClizOptions framed_opts;
-  framed_opts.frame_passes = true;
-  const auto serial_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(2)).compress(data, 1e-3));
-  const auto framed_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(2), framed_opts)
-          .compress(data, 1e-3));
-  const std::size_t pos = fault::first_divergence(serial_raw, framed_raw);
-  ASSERT_LT(pos + 1, framed_raw.size());
-  ASSERT_EQ(framed_raw[pos] & 0x80u, 0x80u);  // framed bit
-  ASSERT_EQ(framed_raw[pos + 1], 1u);         // layout id
-  const std::size_t segs_at = pos + 2;
+  // Inflate the declared segment count of the committed lorenzo1 framed
+  // fixture: the governor must refuse before the segment table reserves.
+  const auto fx = framed_fixture::lorenzo();
+  const auto raw = framed_fixture::raw_framing(fx);
+  ASSERT_LT(raw.layout_at, raw.framed.size());
+  ASSERT_EQ(raw.framed[raw.entropy_at] & 0x80u, 0x80u);  // framed bit
+  ASSERT_EQ(raw.framed[raw.layout_at], 1u);              // layout id
+  ASSERT_EQ(raw.segs.size(), fx.segments);
 
-  std::vector<std::uint8_t> bomb(
-      framed_raw.begin(), framed_raw.begin() + static_cast<std::ptrdiff_t>(segs_at));
-  put_varint(bomb, 1ull << 40);  // > max_frame_segments (2^22)
-  bomb.insert(bomb.end(),
-              framed_raw.begin() +
-                  static_cast<std::ptrdiff_t>(varint_end(framed_raw, segs_at)),
-              framed_raw.end());
-  const auto wrapped = lossless_compress(bomb);
+  // > max_frame_segments (2^22)
+  const auto wrapped = raw.spliced(1ull << 40, raw.segs);
   expect_limit_refusal([&] { (void)ClizCompressor::decompress(wrapped); },
                        wrapped.size(), (std::uint64_t{1} << 40));
 
   // Tightened per-request budget refuses even the honest stream.
-  const auto honest = lossless_compress(framed_raw);
+  const auto& honest = fx.framed;
   CodecContext ctx;
   ctx.limits.max_frame_segments = 0;
   expect_limit_refusal([&] { (void)ClizCompressor::decompress(honest, ctx); },

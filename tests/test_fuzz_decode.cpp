@@ -23,6 +23,7 @@
 #include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
 #include "tests/fault_injection.hpp"
+#include "tests/framed_fixtures.hpp"
 
 namespace cliz {
 namespace {
@@ -246,146 +247,91 @@ TEST(FuzzClizHeader, RejectsUnknownPredictorBackendId) {
 
 TEST(FuzzClizHeader, RejectsUnknownFramingLayoutId) {
   // Bit 7 of the entropy byte selects the per-pass framed container, whose
-  // first byte is a layout id (currently only 1 is assigned). Locate the
-  // entropy byte by diffing a framed against a serial compression, then
-  // drive every reserved layout value through byte_override_cases: each
-  // must reject with a clean Error before any offset is trusted — never an
-  // OOB read, never garbage output.
-  const auto data = sample_data();
-  ClizOptions framed_opts;
-  framed_opts.frame_passes = true;
-  const auto serial_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(3)).compress(data, 1e-3));
-  const auto framed_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(3), framed_opts)
-          .compress(data, 1e-3));
-  const std::size_t pos = fault::first_divergence(serial_raw, framed_raw);
-  ASSERT_LT(pos, serial_raw.size());
-  ASSERT_EQ(serial_raw[pos], 0u);     // (huffman id << 1) | unclassified
-  ASSERT_EQ(framed_raw[pos], 0x80u);  // framed bit set
-  ASSERT_EQ(framed_raw[pos + 1], 1u); // framing layout id
+  // first byte is a layout id (currently only 1 is assigned). The encoder
+  // no longer writes it, so the committed regression fixture carries it;
+  // its entropy byte is where it diverges from a serial encode of the same
+  // field. Every reserved layout value must reject with a clean
+  // kCorruptStream before any offset is trusted — never an OOB read, never
+  // garbage output.
+  const auto fx = framed_fixture::regression();
+  const auto raw = framed_fixture::raw_framing(fx);
+  const std::size_t pos = raw.entropy_at;
+  ASSERT_LT(pos + 1, raw.framed.size());
+  ASSERT_EQ(raw.serial[pos], 2u);      // (tans id << 1) | unclassified
+  ASSERT_EQ(raw.framed[pos], 0x82u);   // framed bit set
+  ASSERT_EQ(raw.framed[pos + 1], 1u);  // framing layout id
 
   const std::uint8_t layouts[] = {0, 2, 3, 16, 0x7F, 0x80, 0xFF};
   for (const auto& fault :
-       fault::byte_override_cases(framed_raw, pos + 1, layouts)) {
+       fault::byte_override_cases(raw.framed, pos + 1, layouts)) {
     const auto stream = lossless_compress(fault.bytes);
-    EXPECT_THROW((void)ClizCompressor::decompress(stream), Error)
-        << fault.label;
+    try {
+      (void)framed_fixture::decode_bytes(stream, fx.sample_bytes);
+      ADD_FAILURE() << fault.label << " decoded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptStream)
+          << fault.label << ": " << e.what();
+    }
   }
 }
 
 TEST(FuzzClizHeader, RejectsHostileFramingOffsetTable) {
-  // Parse the real framed offset table, then re-splice it with hostile
-  // (n_syms, n_bytes) entries: counts that under/over-cover the code
-  // stream, byte lengths past the payload, and compensating shifts that
-  // make segments overlap while the totals still add up. Structural
-  // violations must be clean Errors; the in-bounds overlap may decode to
-  // garbage but must never crash or read out of bounds.
-  const auto data = sample_data();
-  ClizOptions framed_opts;
-  framed_opts.frame_passes = true;
-  const auto serial_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(3)).compress(data, 1e-3));
-  const auto framed_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(3), framed_opts)
-          .compress(data, 1e-3));
-  const std::size_t pos = fault::first_divergence(serial_raw, framed_raw);
-  ASSERT_LT(pos + 1, framed_raw.size());
-  ASSERT_EQ(framed_raw[pos + 1], 1u);  // layout id
-
-  // Decode the genuine table (LEB128 varints) so the hostile rewrites
-  // splice at exactly the right byte range.
-  std::size_t cursor = pos + 2;
-  const auto read_varint = [&]() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      const std::uint8_t b = framed_raw.at(cursor++);
-      v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
-      if ((b & 0x80u) == 0) return v;
-      shift += 7;
-    }
-  };
-  const std::uint64_t n_segments = read_varint();
-  ASSERT_GE(n_segments, 1u);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> segs;
-  for (std::uint64_t s = 0; s < n_segments; ++s) {
-    const std::uint64_t n_syms = read_varint();
-    const std::uint64_t n_bytes = read_varint();
-    segs.emplace_back(n_syms, n_bytes);
-  }
-  const std::size_t table_end = cursor;
-
-  const auto spliced = [&](std::uint64_t count,
-                           const std::vector<std::pair<std::uint64_t,
-                                                       std::uint64_t>>&
-                               entries) {
-    ByteWriter table;
-    table.put_varint(count);
-    for (const auto& [n_syms, n_bytes] : entries) {
-      table.put_varint(n_syms);
-      table.put_varint(n_bytes);
-    }
-    std::vector<std::uint8_t> bytes(framed_raw.begin(),
-                                    framed_raw.begin() +
-                                        static_cast<std::ptrdiff_t>(pos + 2));
-    bytes.insert(bytes.end(), table.bytes().begin(), table.bytes().end());
-    bytes.insert(bytes.end(),
-                 framed_raw.begin() +
-                     static_cast<std::ptrdiff_t>(table_end),
-                 framed_raw.end());
-    return lossless_compress(bytes);
+  // Re-splice the regression fixture's offset table with hostile (n_syms,
+  // n_bytes) entries: counts that under/over-cover the code stream, byte
+  // lengths past the payload, and compensating shifts that make segments
+  // overlap while the totals still add up. Structural violations must be
+  // clean Errors; the in-bounds overlap may decode to garbage but must
+  // never crash or read out of bounds.
+  const auto fx = framed_fixture::regression();
+  const auto raw = framed_fixture::raw_framing(fx);
+  ASSERT_LT(raw.layout_at, raw.framed.size());
+  ASSERT_EQ(raw.framed[raw.layout_at], 1u);  // layout id
+  const auto& segs = raw.segs;
+  ASSERT_EQ(segs.size(), fx.segments);
+  const auto decode = [&](std::uint64_t count,
+                          const framed_fixture::SegmentEntries& entries) {
+    (void)framed_fixture::decode_bytes(raw.spliced(count, entries),
+                                       fx.sample_bytes);
   };
 
-  // Sanity: re-splicing the genuine table reproduces the stream.
-  {
-    const auto out = ClizCompressor::decompress(spliced(n_segments, segs));
-    ASSERT_EQ(out.shape(), data.shape());
-  }
+  // Sanity: re-splicing the genuine table reproduces the decode.
+  EXPECT_EQ(framed_fixture::decode_bytes(raw.spliced(segs.size(), segs),
+                                         fx.sample_bytes),
+            framed_fixture::decode_bytes(fx.framed, fx.sample_bytes));
 
   // Zero segments cannot cover the code stream.
-  EXPECT_THROW((void)ClizCompressor::decompress(spliced(0, {})), Error);
+  EXPECT_THROW(decode(0, {}), Error);
   // Count past the code stream is rejected before the entries are read.
-  EXPECT_THROW(
-      (void)ClizCompressor::decompress(spliced(~std::uint64_t{0}, segs)),
-      Error);
+  EXPECT_THROW(decode(~std::uint64_t{0}, segs), Error);
 
   auto mutated = segs;
   // Under-cover: first segment one symbol short.
   mutated[0].first -= 1;
-  EXPECT_THROW(
-      (void)ClizCompressor::decompress(spliced(n_segments, mutated)), Error);
+  EXPECT_THROW(decode(segs.size(), mutated), Error);
   // Over-cover: one symbol past the code stream.
   mutated = segs;
   mutated[0].first += 1;
-  EXPECT_THROW(
-      (void)ClizCompressor::decompress(spliced(n_segments, mutated)), Error);
+  EXPECT_THROW(decode(segs.size(), mutated), Error);
   // Zero-symbol segment: every segment must carry at least one code.
   mutated = segs;
   mutated[0].first = 0;
-  EXPECT_THROW(
-      (void)ClizCompressor::decompress(spliced(n_segments, mutated)), Error);
+  EXPECT_THROW(decode(segs.size(), mutated), Error);
   // Byte length past the remaining payload.
   mutated = segs;
-  mutated[0].second = framed_raw.size() + 100;
-  EXPECT_THROW(
-      (void)ClizCompressor::decompress(spliced(n_segments, mutated)), Error);
+  mutated[0].second = raw.framed.size() + 100;
+  EXPECT_THROW(decode(segs.size(), mutated), Error);
   // Byte sum short of the payload block.
   mutated = segs;
   mutated.back().second -= 1;
-  EXPECT_THROW(
-      (void)ClizCompressor::decompress(spliced(n_segments, mutated)), Error);
+  EXPECT_THROW(decode(segs.size(), mutated), Error);
   // Compensating shift: totals match, so the table parses, but segment 0
   // now claims bytes belonging to segment 1 — memory-safe garbage or a
   // clean Error, never a crash.
-  if (segs.size() >= 2 && segs[1].second >= 1) {
-    mutated = segs;
-    mutated[0].second += 1;
-    mutated[1].second -= 1;
-    expect_no_crash([&] {
-      (void)ClizCompressor::decompress(spliced(n_segments, mutated));
-    });
-  }
+  ASSERT_GE(segs[1].second, 1u);
+  mutated = segs;
+  mutated[0].second += 1;
+  mutated[1].second -= 1;
+  expect_no_crash([&] { decode(segs.size(), mutated); });
 }
 
 TEST(FuzzLossless, GarbageAndMutations) {

@@ -73,7 +73,8 @@ struct Outcome {
   std::vector<std::uint8_t> pass_fits;
   std::vector<T> encoded;  ///< encoder's in-place reconstruction
   std::vector<T> decoded;
-  std::vector<std::size_t> marks;  ///< lines engine: code count per pass end
+  /// Lines engine: code count after each decode fetch (one per pass).
+  std::vector<std::size_t> marks;
 };
 
 /// Restores the worker-thread count on scope exit.
@@ -151,7 +152,7 @@ Outcome<T> run_lines(const Field<T>& f, FittingKind fit, bool dynamic,
   r.encoded = f.data;
   interp_encode_lines(r.encoded.data(), axes, order, dynamic, fit, q,
                       f.validity(), &r.offsets, r.codes, r.outliers,
-                      r.pass_fits, scratch, &r.marks);
+                      r.pass_fits, scratch);
   r.decoded = f.data;
   std::size_t cursor = 0;
   std::size_t next = 0;
@@ -169,6 +170,7 @@ Outcome<T> run_lines(const Field<T>& f, FittingKind fit, bool dynamic,
           dst[i] = r.codes[next + i];
         }
         next += n;
+        r.marks.push_back(next);
       });
   EXPECT_EQ(next, r.codes.size());
   EXPECT_EQ(cursor, r.outliers.size());

@@ -6,13 +6,11 @@
 // test_cliz.cpp.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <string>
 
 #include "src/common/rng.hpp"
 #include "src/core/cliz.hpp"
-#include "src/core/codec_context.hpp"
 #include "src/metrics/metrics.hpp"
 #include "src/ndarray/layout.hpp"
 
@@ -126,65 +124,6 @@ TEST_P(RandomPipelineFuzz, RoundTripHoldsBoundAndFills) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipelineFuzz,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
-
-// --- framed/serial differential harness ----------------------------------
-// For randomized cases and EVERY registered (predictor, entropy) pair, the
-// per-pass framed container must reconstruct bit-identically to the serial
-// one: framing repartitions the entropy payload, it never changes a single
-// decoded value.
-
-class FramedDifferentialFuzz
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FramedDifferentialFuzz, FramedDecodeMatchesSerialBitExactly) {
-  constexpr PredictorBackend kPredictors[] = {
-      PredictorBackend::kInterp,
-      PredictorBackend::kLorenzo1,
-      PredictorBackend::kRegression,
-  };
-  constexpr EntropyBackend kEntropies[] = {EntropyBackend::kHuffman,
-                                           EntropyBackend::kTans};
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    const std::uint64_t seed = 77000 + GetParam() * 100 + i;
-    const RandomCase c = draw_case(seed);
-    const MaskMap* mask = c.mask.has_value() ? &*c.mask : nullptr;
-    for (const PredictorBackend predictor : kPredictors) {
-      for (const EntropyBackend entropy : kEntropies) {
-        ClizOptions serial = c.options;
-        serial.predictor = predictor;
-        serial.entropy = entropy;
-        ClizOptions framed = serial;
-        framed.frame_passes = true;
-        SCOPED_TRACE(std::string("seed ") + std::to_string(seed) +
-                     " predictor=" + predictor_backend_name(predictor) +
-                     " entropy=" + entropy_backend_name(entropy));
-
-        const auto serial_stream =
-            ClizCompressor(c.config, serial).compress(c.data, c.eb, mask);
-        CodecContext cctx;
-        const auto framed_stream = ClizCompressor(c.config, framed)
-                                       .compress(c.data, c.eb, mask, cctx);
-        ASSERT_TRUE(cctx.stats.frame_passes);
-
-        const auto serial_out = ClizCompressor::decompress(serial_stream);
-        CodecContext dctx;
-        const auto framed_out =
-            ClizCompressor::decompress(framed_stream, dctx);
-        ASSERT_TRUE(dctx.stats.frame_passes);
-        ASSERT_EQ(framed_out.shape(), serial_out.shape());
-        for (std::size_t p = 0; p < framed_out.size(); ++p) {
-          // Bit-exact, NaN-safe comparison.
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(framed_out[p]),
-                    std::bit_cast<std::uint32_t>(serial_out[p]))
-              << "value " << p;
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FramedDifferentialFuzz,
-                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace cliz

@@ -73,10 +73,6 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
                     tuner picks the best backends per stream)
                    [--verify]   (decode-and-check the bound
                                  before writing; retries conservatively)
-                   [--frame-passes]
-                                (per-pass entropy framing for parallel
-                                 decode; the tuner drops it when the
-                                 offset table costs too much ratio)
   clizc decompress <in>      -o <out.f32> [--stats]
                    (f64 and chunked streams auto-detected)
   clizc extract    <in> --region a:b,c:d,... -o <out.f32> [--stats]
@@ -328,7 +324,6 @@ int cmd_compress(Args& args) {
   bool f64 = false;
   bool show_stats = false;
   bool verify = false;
-  bool frame_passes = false;
   double tune_rate = 0.01;
   std::size_t time_dim = 0;
   std::size_t chunks = 0;
@@ -367,8 +362,6 @@ int cmd_compress(Args& args) {
       show_stats = true;
     } else if (opt == "--verify") {
       verify = true;
-    } else if (opt == "--frame-passes") {
-      frame_passes = true;
     } else if (opt == "--predictor" || opt.rfind("--predictor=", 0) == 0) {
       const std::string v = opt == "--predictor" ? args.next("predictor backend")
                                                  : opt.substr(12);
@@ -395,7 +388,6 @@ int cmd_compress(Args& args) {
   // --deadline-ms covers the whole encode.
   cliz_opts.cancel = governor_cancel();
   cliz_opts.verify_encode = verify;
-  cliz_opts.frame_passes = frame_passes;
   if (predictor.has_value()) cliz_opts.predictor = *predictor;
   if (entropy.has_value()) cliz_opts.entropy = *entropy;
   // A user-forced backend is final; otherwise the tuner trials that axis of
@@ -425,9 +417,6 @@ int cmd_compress(Args& args) {
     const auto tuned = autotune(tuning_view(data), eb, mask_ptr, opts);
     if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
     if (tune_backends) cliz_opts.entropy = tuned.best_entropy;
-    // The tuner keeps framing only when the sampled offset-table overhead
-    // stays within the budget (never turns it *on* unrequested).
-    cliz_opts.frame_passes = tuned.best_frame_passes;
     std::fprintf(stderr,
                  "tuned pipeline: %s [predictor=%s entropy=%s] "
                  "(%zu candidates, %.2f s)\n",
