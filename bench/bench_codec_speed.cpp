@@ -463,6 +463,36 @@ void BM_LosslessBackend(benchmark::State& state) {
                             static_cast<double>(out.size());
 }
 
+/// The lossless stage on the SSH stream's pre-lossless bytes: the
+/// sectioned frame the encoder writes, cut where the encoder cuts (after
+/// the header and mask), or the whole-buffer LZ frame it replaced.
+void BM_LosslessSsh(benchmark::State& state, bool sectioned) {
+  auto& c = ctx();
+  const auto stream =
+      ClizCompressor(c.tuned).compress(c.field.data, c.eb, c.field.mask_ptr());
+  const auto raw = lossless_decompress(stream);
+  std::vector<std::size_t> cuts;
+  std::size_t edge = 0;
+  const LosslessFrameInfo frame = describe_lossless_frame(stream);
+  for (std::size_t k = 0; k + 1 < frame.sections.size(); ++k) {
+    edge += static_cast<std::size_t>(frame.sections[k].raw_bytes);
+    cuts.push_back(edge);
+  }
+  LosslessScratch scratch;
+  std::vector<std::uint8_t> out;
+  for (auto _ : state) {
+    if (sectioned) {
+      lossless_compress_sections_into(raw, cuts, scratch, out);
+    } else {
+      lossless_compress_into(raw, scratch, out);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  report_bytes(state, raw.size());
+  state.counters["ratio"] =
+      static_cast<double>(raw.size()) / static_cast<double>(out.size());
+}
+
 /// Fused predict+quantize kernel substrate, one bench per (sample type,
 /// kernel tier): the row encode kernel over the finest cubic pass (h=1,
 /// s=2 along the inner axis) of a smooth 1024x1024 field, run as the
@@ -704,6 +734,14 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("lossless_backend/lz",
                                cliz::BM_LosslessBackend)
       ->Unit(benchmark::kMillisecond);
+  for (const bool sectioned : {true, false}) {
+    benchmark::RegisterBenchmark(
+        sectioned ? "lossless_backend/sections" : "lossless_backend/lz_ssh",
+        [sectioned](benchmark::State& s) {
+          cliz::BM_LosslessSsh(s, sectioned);
+        })
+        ->Unit(benchmark::kMillisecond);
+  }
   benchmark::RegisterBenchmark("substrate/huffman_encode",
                                cliz::BM_HuffmanEncode)
       ->Unit(benchmark::kMillisecond);

@@ -493,11 +493,12 @@ RegionStats ChunkedReader::decompress_region(
   if (options.cache != nullptr && options.scratch != nullptr) {
     // Mirror the cache's view of this call into the caller's StageStats so
     // clizc --stats (and the bench tooling) can report it without holding
-    // the TileCache itself.
+    // the TileCache itself. Like every field there, they describe this
+    // call only.
     StageStats& ss = options.scratch->stats;
-    ss.tile_cache_hits += st.tiles_from_cache;
-    ss.tile_cache_misses += st.tiles_decoded;
-    ss.tile_cache_evictions += static_cast<std::size_t>(
+    ss.tile_cache_hits = st.tiles_from_cache;
+    ss.tile_cache_misses = st.tiles_decoded;
+    ss.tile_cache_evictions = static_cast<std::size_t>(
         options.cache->stats().evictions - evictions_before);
   }
   return st;

@@ -316,12 +316,17 @@ void stage_encode(const ClizOptions& options,
   st.seconds = seconds_since(t0);
 }
 
-/// Stage 5 (kLossless): byte-stream backend over the assembled stream.
-void stage_lossless(CodecContext& ctx, std::vector<std::uint8_t>& out) {
+/// Stage 5 (kLossless): byte-stream backend over the assembled stream, cut
+/// at `header_end` into the header (with its mask) and the coded body, so
+/// each section is LZ-parsed only when it has matches to find.
+void stage_lossless(std::size_t header_end, CodecContext& ctx,
+                    std::vector<std::uint8_t>& out) {
   const auto t0 = Clock::now();
   auto& st = ctx.stats.at(CodecStage::kLossless);
   st.input_bytes = ctx.raw_stream.size();
-  lossless_compress_into(ctx.raw_stream.bytes(), ctx.lossless, out);
+  const std::size_t cuts[] = {header_end};
+  lossless_compress_sections_into(ctx.raw_stream.bytes(), cuts, ctx.lossless,
+                                  out);
   st.output_bytes = out.size();
   st.seconds = seconds_since(t0);
 }
@@ -356,6 +361,7 @@ void compress_impl(const NdArray<T>& data, double abs_error_bound,
   ByteWriter& raw = ctx.raw_stream;
   raw.clear();
   write_header(data, abs_error_bound, mask, config, options, raw);
+  const std::size_t header_end = raw.size();
 
   // Work copy (mutated to the reconstruction during prediction), drawn from
   // the context so steady-state reuse does not reallocate it.
@@ -380,7 +386,7 @@ void compress_impl(const NdArray<T>& data, double abs_error_bound,
       stage_classify(shape, config, options, ctx, raw, classification);
   stage_encode(options, classification, entropy_byte_pos, ctx, raw);
   if (ctx.cancel != nullptr) ctx.cancel->check();
-  stage_lossless(ctx, out);
+  stage_lossless(header_end, ctx, out);
 
   // Return the work buffer to the context for the next run.
   ctx.work<T>() = std::move(work).take_flat();

@@ -59,17 +59,20 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 
 namespace cliz {
 
-/// Runs `decode`, requiring Error{kLimitExceeded} and an allocation total
-/// far below `declared_bytes` — the bomb must fizzle at the header.
+/// Runs `decode`, requiring Error{`code`} and an allocation total far
+/// below `declared_bytes` — the hostile declaration must fizzle at the
+/// header.
 template <typename Fn>
-void expect_limit_refusal(const Fn& decode, std::size_t input_bytes,
-                          std::uint64_t declared_bytes) {
+void expect_refused_before_allocation(const Fn& decode,
+                                      std::size_t input_bytes,
+                                      std::uint64_t declared_bytes,
+                                      ErrorCode code) {
   const std::size_t before = g_alloc_bytes.load(std::memory_order_relaxed);
   try {
     decode();
     ADD_FAILURE() << "hostile declaration decoded";
   } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kLimitExceeded) << e.what();
+    EXPECT_EQ(e.code(), code) << e.what();
   }
   const std::size_t delta =
       g_alloc_bytes.load(std::memory_order_relaxed) - before;
@@ -80,6 +83,15 @@ void expect_limit_refusal(const Fn& decode, std::size_t input_bytes,
                            << declared_bytes;
   EXPECT_LT(static_cast<std::uint64_t>(delta), declared_bytes / 2)
       << "allocation tracked the hostile declaration";
+}
+
+/// expect_refused_before_allocation for a declaration past the budget
+/// (Error{kLimitExceeded}).
+template <typename Fn>
+void expect_limit_refusal(const Fn& decode, std::size_t input_bytes,
+                          std::uint64_t declared_bytes) {
+  expect_refused_before_allocation(decode, input_bytes, declared_bytes,
+                                   ErrorCode::kLimitExceeded);
 }
 
 }  // namespace cliz

@@ -393,11 +393,49 @@ TEST(ChunkedReaderTileCache, WarmWindowDecodesZeroTiles) {
   EXPECT_EQ(warm.tiles_from_cache, warm.tiles_intersecting);
   EXPECT_EQ(b, a);
 
-  // Cache telemetry agrees and is mirrored into the scratch's StageStats.
+  // Cache telemetry agrees and is mirrored into the scratch's StageStats,
+  // which describes the latest (warm) read only.
   EXPECT_EQ(cache.stats().hits, warm.tiles_from_cache);
   EXPECT_EQ(cache.stats().misses, cold.tiles_decoded);
   EXPECT_EQ(scratch.stats.tile_cache_hits, warm.tiles_from_cache);
-  EXPECT_EQ(scratch.stats.tile_cache_misses, cold.tiles_decoded);
+  EXPECT_EQ(scratch.stats.tile_cache_misses, 0u);
+}
+
+TEST(ChunkedReaderTileCache, ScratchStatsDescribeOnlyTheLatestRead) {
+  const auto data = smooth_array_t<float>({24, 20, 16}, 39);
+  const auto frame = tiled_frame(data, {8, 10, 8});
+  const ChunkedReader reader(frame);
+
+  // One shard with room for three decoded 8x10x8 tiles, so both reads
+  // evict.
+  TileCache cache(3 * 8 * 10 * 8 * sizeof(float), 1);
+  ChunkedScratch scratch;
+  RegionOptions opts;
+  opts.cache = &cache;
+  opts.scratch = &scratch;
+
+  // The whole field (12 tiles), then a window over 8 of them.
+  std::vector<float> a(data.size());
+  const RegionStats first = reader.decompress_region(
+      DimVec{0, 0, 0}, DimVec{24, 20, 16}, std::span<float>(a), opts);
+  ASSERT_EQ(first.tiles_decoded, 12u);
+  EXPECT_EQ(scratch.stats.tile_cache_misses, 12u);
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_EQ(scratch.stats.tile_cache_evictions, cache.stats().evictions);
+
+  const DimVec lo{12, 5, 4};
+  const DimVec ext{8, 10, 8};
+  std::vector<float> b(Shape(DimVec(ext)).size());
+  const std::uint64_t evictions_before = cache.stats().evictions;
+  const RegionStats second =
+      reader.decompress_region(lo, ext, std::span<float>(b), opts);
+  ASSERT_EQ(second.tiles_intersecting, 8u);
+  EXPECT_EQ(scratch.stats.tile_cache_hits, second.tiles_from_cache);
+  EXPECT_EQ(scratch.stats.tile_cache_misses, second.tiles_decoded);
+  EXPECT_EQ(scratch.stats.tile_cache_evictions,
+            cache.stats().evictions - evictions_before);
+  const NdArray<float> full(data.shape(), std::move(a));
+  expect_window_equal<float>(full, lo, ext, std::span<const float>(b));
 }
 
 TEST(ChunkedReaderTileCache, DistinctFramesDoNotShareEntries) {

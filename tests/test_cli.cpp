@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 #include <sys/wait.h>
@@ -205,6 +206,41 @@ TEST_F(CliTest, InfoDetectsCodec) {
   write_bytes(path("h.sz3"), make_compressor("sz3")->compress(small_field(),
                                                                1e-2));
   EXPECT_EQ(run_exit("info " + path("h.sz3")), 3);
+}
+
+TEST_F(CliTest, InfoDescribesSectionedLosslessFrame) {
+  // A masked SSH stream: the header-and-mask section shrinks under LZ, the
+  // entropy-coded body is stored. info reads this from the frame heads.
+  ASSERT_EQ(run("gen SSH --scale 0.1 -o " + path("s.f32")), 0);
+  ASSERT_EQ(run("compress " + path("s.f32") + " -d 48,38,32 -r 1e-3 "
+                "--mask-fill -o " + path("s.cliz")),
+            0);
+  const auto [code, text] = run_capture("info " + path("s.cliz"));
+  ASSERT_EQ(code, 0) << text;
+  EXPECT_NE(text.find("lossless frame: mode 6 (sections)"), std::string::npos)
+      << text;
+  std::istringstream lines(text);
+  std::string line;
+  std::vector<std::string> coding;
+  std::vector<unsigned long long> raw;
+  std::vector<unsigned long long> coded;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::size_t index = 0;
+    unsigned long long r = 0;
+    unsigned long long c = 0;
+    std::string how;
+    if (line.rfind("  ", 0) == 0 && fields >> index >> r >> c >> how) {
+      raw.push_back(r);
+      coded.push_back(c);
+      coding.push_back(how);
+    }
+  }
+  ASSERT_EQ(coding.size(), 2u) << text;
+  EXPECT_EQ(coding[0], "lz") << text;
+  EXPECT_LT(coded[0], raw[0]) << text;
+  EXPECT_EQ(coding[1], "stored") << text;
+  EXPECT_GT(coded[1], raw[1]) << text;
 }
 
 TEST_F(CliTest, ArchiveListAndExtract) {

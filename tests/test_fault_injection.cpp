@@ -165,6 +165,16 @@ TEST(FaultMatrix, ChunkedGoldenFrame) {
   run_matrix("golden_chunked", stream, donor, kChunkedDecode);
 }
 
+// The sectioned lossless frame (mode 6): a section head, the stored body
+// or the LZ-coded header-and-mask section can each take the hit.
+TEST(FaultMatrix, SectionedGoldenStream) {
+  const auto stream = read_file(golden_path("golden_sectioned.cliz"));
+  const auto donor = read_file(golden_path("golden_masked.cliz"));
+  ASSERT_FALSE(stream.empty());
+  ASSERT_EQ(describe_lossless_frame(stream).mode, 6u);
+  run_matrix("golden_sectioned", stream, donor, kClizDecode);
+}
+
 // The checksum-less v1 formats are retired. A v1 fixture is refused with
 // kUnsupported before anything is sized from it, and so is every damaged
 // copy that keeps the retired marker (the lossless mode byte, or the CLKS
@@ -395,6 +405,17 @@ TEST(FaultLimits, LosslessSizeBombsRefusedBeforeAllocation) {
     put_varint(bomb, kDeclared >> 18);
     bombs.push_back(std::move(bomb));
   }
+  {  // mode 6 (sections + CRC): a genuine frame with its size inflated.
+    const auto stream = read_file(golden_path("golden_sectioned.cliz"));
+    ASSERT_EQ(stream[0], 6u);
+    std::vector<std::uint8_t> bomb{6};
+    put_varint(bomb, kDeclared);
+    bomb.insert(
+        bomb.end(),
+        stream.begin() + static_cast<std::ptrdiff_t>(varint_end(stream, 1)),
+        stream.end());
+    bombs.push_back(std::move(bomb));
+  }
   ResourceLimits limits;
   limits.max_output_bytes = std::uint64_t{1} << 20;
   for (const auto& bomb : bombs) {
@@ -405,6 +426,80 @@ TEST(FaultLimits, LosslessSizeBombsRefusedBeforeAllocation) {
                          bomb.size(), kDeclared);
     expect_limit_refusal([&] { (void)detect_sample_bytes(bomb, limits); },
                          bomb.size(), kDeclared);
+  }
+}
+
+/// A sectioned frame (mode 6, zero CRC) declaring `declared` bytes and
+/// `n_sections` sections, followed by the given section frames.
+std::vector<std::uint8_t> sectioned_frame(
+    std::uint64_t declared, std::uint64_t n_sections,
+    const std::vector<std::vector<std::uint8_t>>& sections) {
+  std::vector<std::uint8_t> f{6};
+  put_varint(f, declared);
+  f.insert(f.end(), 4, 0);
+  put_varint(f, n_sections);
+  for (const auto& sec : sections) {
+    put_varint(f, sec.size());
+    f.insert(f.end(), sec.begin(), sec.end());
+  }
+  return f;
+}
+
+/// A section frame head of `mode` declaring `declared` bytes (zero CRC),
+/// with `body` zero bytes behind it. An LZ frame of 4 KiB may decode to
+/// up to 128 MiB, so the heads below pass the per-section size check.
+std::vector<std::uint8_t> section_head(std::uint8_t mode,
+                                       std::uint64_t declared,
+                                       std::size_t body = 4096) {
+  std::vector<std::uint8_t> f{mode};
+  put_varint(f, declared);
+  f.insert(f.end(), 4 + body, 0);
+  return f;
+}
+
+TEST(FaultLimits, SectionedFrameStructureRefusedBeforeAllocation) {
+  // Each frame declares 64 MiB, inside the default budget, and is refused
+  // as corrupt from its section heads alone, before the output is sized.
+  constexpr std::uint64_t kDeclared = std::uint64_t{1} << 26;
+  const struct {
+    const char* label;
+    std::vector<std::uint8_t> frame;
+  } cases[] = {
+      {"zero sections", sectioned_frame(kDeclared, 0, {})},
+      {"section count past the frame",
+       sectioned_frame(kDeclared, std::uint64_t{1} << 40,
+                       {section_head(3, kDeclared)})},
+      {"sizes sum short",
+       sectioned_frame(kDeclared, 2,
+                       {section_head(3, kDeclared / 2),
+                        section_head(4, kDeclared / 2 - 1)})},
+      {"sizes sum past",
+       sectioned_frame(kDeclared, 2,
+                       {section_head(3, kDeclared / 2),
+                        section_head(3, kDeclared / 2 + 1)})},
+      {"empty section",
+       sectioned_frame(kDeclared, 2,
+                       {section_head(2, 0, 0), section_head(3, kDeclared)})},
+      {"stored section past its frame",
+       sectioned_frame(kDeclared, 1, {section_head(2, kDeclared)})},
+      {"LZ section past what its frame can hold",
+       sectioned_frame(kDeclared, 1, {section_head(3, kDeclared, 64)})},
+      {"nested sectioned frame",
+       sectioned_frame(kDeclared, 1, {section_head(6, kDeclared)})},
+      {"retired mode in a section",
+       sectioned_frame(kDeclared, 1, {section_head(5, kDeclared)})},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    expect_refused_before_allocation(
+        [&] { (void)lossless_decompress(c.frame); }, c.frame.size(),
+        kDeclared, ErrorCode::kCorruptStream);
+    expect_refused_before_allocation(
+        [&] { (void)ClizCompressor::decompress(c.frame); }, c.frame.size(),
+        kDeclared, ErrorCode::kCorruptStream);
+    expect_refused_before_allocation(
+        [&] { (void)describe_lossless_frame(c.frame); }, c.frame.size(),
+        kDeclared, ErrorCode::kCorruptStream);
   }
 }
 

@@ -341,13 +341,25 @@ TEST(FuzzLossless, GarbageAndMutations) {
     });
   }
   const auto payload = random_bytes(5000, 99);
-  const auto stream = lossless_compress(payload);
+  // A whole-buffer frame, and a sectioned one (mode 6) whose first
+  // section repeats itself and is LZ-coded while the random rest is stored.
+  auto sectioned_payload = std::vector<std::uint8_t>(600, 0x5A);
+  sectioned_payload.insert(sectioned_payload.end(), payload.begin(),
+                           payload.end());
+  const std::size_t cuts[] = {600};
+  LosslessScratch scratch;
+  std::vector<std::uint8_t> sectioned;
+  lossless_compress_sections_into(sectioned_payload, cuts, scratch,
+                                  sectioned);
+  ASSERT_EQ(sectioned[0], 6u);
   Rng rng(7);
-  for (int trial = 0; trial < 60; ++trial) {
-    auto mutated = stream;
-    mutated[rng.uniform_index(mutated.size())] ^=
-        static_cast<std::uint8_t>(1u << rng.uniform_index(8));
-    expect_no_crash([&] { (void)lossless_decompress(mutated); });
+  for (const auto& stream : {lossless_compress(payload), sectioned}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      auto mutated = stream;
+      mutated[rng.uniform_index(mutated.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+      expect_no_crash([&] { (void)lossless_decompress(mutated); });
+    }
   }
 }
 

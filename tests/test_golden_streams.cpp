@@ -24,6 +24,7 @@
 #include "src/core/chunked_reader.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
+#include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
 #include "tests/fault_injection.hpp"
 #include "tests/framed_fixtures.hpp"
@@ -97,6 +98,28 @@ MaskedField masked_field() {
                      0.07 * static_cast<double>((i / 14) % 12) +
                      0.04 * rng.uniform();
     data[i] = static_cast<float>(v);
+  }
+  return {std::move(data), std::move(mask)};
+}
+
+/// Masked 3-D field whose lossless frame is sectioned (mode 6): the same
+/// coastline in every layer gives a mask that LZ shrinks, and noise of
+/// about 50 bins gives a Huffman body that it cannot.
+MaskedField sectioned_field() {
+  const Shape shape({16, 32, 40});
+  NdArray<float> data(shape);
+  auto mask = MaskMap::all_valid(shape);
+  Rng rng(4004);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const std::size_t y = (i / 40) % 32;
+    const std::size_t x = i % 40;
+    if ((x + 2 * y) % 11 >= 7) {
+      mask.mutable_data()[i] = 0;
+      data[i] = kFill;
+      continue;
+    }
+    data[i] = static_cast<float>(0.01 * static_cast<double>(x) +
+                                 0.1 * rng.uniform());
   }
   return {std::move(data), std::move(mask)};
 }
@@ -262,6 +285,10 @@ TEST(GoldenStreams, Regenerate) {
   write_file(golden_path("golden_tiled.clk3"), make_tiled_stream());
   write_file(golden_path("golden_tiled_f64.clk3"), make_tiled_f64_stream());
   write_file(golden_path("golden_tans.cliz"), make_tans_stream());
+  const auto sf = sectioned_field();
+  write_file(golden_path("golden_sectioned.cliz"),
+             ClizCompressor(PipelineConfig::defaults(3))
+                 .compress(sf.data, kEb, &sf.mask));
 }
 
 // --- the locks ----------------------------------------------------------
@@ -300,6 +327,37 @@ TEST(GoldenStreams, MaskedStreamDecodesAndReproduces) {
   EXPECT_EQ(
       ClizCompressor(masked_config()).compress(field.data, kEb, &field.mask),
       stream)
+      << "compressor output drifted from the committed stream";
+}
+
+TEST(GoldenStreams, SectionedStreamDecodesAndReproduces) {
+  const auto stream = read_file(golden_path("golden_sectioned.cliz"));
+  ASSERT_FALSE(stream.empty());
+  const auto field = sectioned_field();
+
+  // Sectioned at the end of the header: the header with its mask is
+  // LZ-coded, the Huffman body stored without a parse.
+  const LosslessFrameInfo frame = describe_lossless_frame(stream);
+  EXPECT_EQ(frame.mode, 6u);
+  ASSERT_EQ(frame.sections.size(), 2u);
+  EXPECT_EQ(frame.sections[0].mode, 3u);
+  EXPECT_LT(frame.sections[0].coded_bytes, frame.sections[0].raw_bytes);
+  EXPECT_EQ(frame.sections[1].mode, 2u);
+
+  const auto out = ClizCompressor::decompress(stream);
+  ASSERT_EQ(out.shape(), field.data.shape());
+  EXPECT_LE(
+      error_stats(field.data.flat(), out.flat(), &field.mask).max_abs_error,
+      kEb);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!field.mask.valid(i)) {
+      ASSERT_EQ(out[i], kFill) << "masked point " << i;
+    }
+  }
+
+  EXPECT_EQ(ClizCompressor(PipelineConfig::defaults(3))
+                .compress(field.data, kEb, &field.mask),
+            stream)
       << "compressor output drifted from the committed stream";
 }
 
@@ -522,6 +580,9 @@ TEST(GoldenStreams, StreamsAreThreadCountInvariant) {
       read_file(golden_path("golden_tiled_f64.clk3"));
   const std::vector<std::uint8_t> golden_tans =
       read_file(golden_path("golden_tans.cliz"));
+  const auto sf = sectioned_field();
+  const std::vector<std::uint8_t> golden_sectioned =
+      read_file(golden_path("golden_sectioned.cliz"));
   // The framed fixtures are read-only: each thread count must decode them
   // to the serial decode of their field.
   std::vector<std::vector<std::uint8_t>> serial_decodes;
@@ -556,6 +617,10 @@ TEST(GoldenStreams, StreamsAreThreadCountInvariant) {
         << "f64 tiled frame differs at " << threads << " thread(s)";
     EXPECT_EQ(make_tans_stream(), golden_tans)
         << "tANS stream differs at " << threads << " thread(s)";
+    EXPECT_EQ(ClizCompressor(PipelineConfig::defaults(3))
+                  .compress(sf.data, kEb, &sf.mask),
+              golden_sectioned)
+        << "sectioned stream differs at " << threads << " thread(s)";
     for (std::size_t f = 0; f < framed.size(); ++f) {
       EXPECT_EQ(framed_fixture::decode_bytes(framed[f].framed,
                                              framed[f].sample_bytes),

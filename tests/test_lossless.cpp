@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/bytestream.hpp"
 #include "src/common/parallel.hpp"
@@ -404,6 +406,224 @@ TEST(Lossless, MatchesEndingMidWordAreExact) {
   // Literals: the sequence and the separators; one match per copy.
   EXPECT_EQ(lz_op_count(frame), base.size() + 2 * copies);
   EXPECT_EQ(lossless_decompress(frame), input);
+}
+
+// --- sectioned container (mode 6) -------------------------------------------
+// CliZ streams cut the payload into their header (with the mask) and the
+// entropy-coded body. A section is LZ-parsed only when a single-probe
+// match scan plus its Huffman size estimate a saving of 1/16 of it; the
+// rest is stored unparsed, and neighbours judged alike merge.
+
+std::vector<std::uint8_t> sections_frame(const std::vector<std::uint8_t>& in,
+                                         std::span<const std::size_t> cuts) {
+  LosslessScratch scratch;
+  std::vector<std::uint8_t> out;
+  lossless_compress_sections_into(in, cuts, scratch, out);
+  return out;
+}
+
+/// A run-heavy prefix of `head` bytes (a header and mask) followed by
+/// `body` uniformly random bytes (an entropy-coded payload).
+std::vector<std::uint8_t> header_then_body(std::size_t head, std::size_t body,
+                                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> v(head + body);
+  for (std::size_t i = 0; i < head; ++i) {
+    v[i] = (i / 37) % 2 == 0 ? 0xFF : static_cast<std::uint8_t>(i % 5);
+  }
+  for (std::size_t i = head; i < v.size(); ++i) {
+    v[i] = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  return v;
+}
+
+TEST(LosslessSections, HeaderIsCodedAndBodyStored) {
+  const auto in = header_then_body(3000, 20000, 7);
+  const std::size_t cuts[] = {3000};
+  const auto frame = sections_frame(in, cuts);
+  const LosslessFrameInfo info = describe_lossless_frame(frame);
+  EXPECT_EQ(info.mode, 6u);
+  EXPECT_EQ(info.raw_bytes, in.size());
+  ASSERT_EQ(info.sections.size(), 2u);
+  EXPECT_EQ(info.sections[0].mode, 3u);
+  EXPECT_EQ(info.sections[0].raw_bytes, 3000u);
+  EXPECT_LT(info.sections[0].coded_bytes, 300u);
+  EXPECT_EQ(info.sections[1].mode, 2u);
+  EXPECT_EQ(info.sections[1].raw_bytes, 20000u);
+  EXPECT_EQ(lossless_decompress(frame), in);
+}
+
+TEST(LosslessSections, AllWorthParsingIsTheWholeBufferFrame) {
+  // A body of 16 byte values has few matches but a Huffman code of half
+  // its size, so it is parsed like the header; the two merge into the
+  // whole-buffer frame, byte for byte.
+  auto in = header_then_body(3000, 20000, 11);
+  Rng rng(12);
+  for (std::size_t i = 3000; i < in.size(); ++i) {
+    in[i] = static_cast<std::uint8_t>(rng.next_u64() % 16);
+  }
+  const std::size_t cuts[] = {3000};
+  const auto frame = sections_frame(in, cuts);
+  EXPECT_EQ(frame[0], 3u);
+  EXPECT_EQ(frame, lossless_compress(in));
+  EXPECT_EQ(lossless_decompress(frame), in);
+}
+
+TEST(LosslessSections, NothingToParseIsOneStoredFrame) {
+  // No section has matches worth a parse: the frame is the plain stored
+  // frame of the whole payload, whatever the cuts.
+  const auto in = header_then_body(0, 30000, 8);
+  const auto whole = lossless_compress(in);
+  ASSERT_EQ(whole[0], 2u);
+  for (const std::vector<std::size_t>& cuts :
+       {std::vector<std::size_t>{}, std::vector<std::size_t>{0, 100},
+        std::vector<std::size_t>{5000, 5000, 29999}}) {
+    EXPECT_EQ(sections_frame(in, cuts), whole);
+  }
+  const std::vector<std::uint8_t> empty;
+  const std::size_t cut[] = {0};
+  EXPECT_EQ(sections_frame(empty, cut), lossless_compress(empty));
+  EXPECT_TRUE(lossless_decompress(sections_frame(empty, cut)).empty());
+}
+
+TEST(LosslessSections, CutsMustAscendWithinThePayload) {
+  const auto in = header_then_body(100, 100, 9);
+  LosslessScratch scratch;
+  std::vector<std::uint8_t> out;
+  for (const std::vector<std::size_t>& cuts :
+       {std::vector<std::size_t>{50, 20}, std::vector<std::size_t>{201}}) {
+    try {
+      lossless_compress_sections_into(in, cuts, scratch, out);
+      ADD_FAILURE() << "bad cuts accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadArgument) << e.what();
+    }
+  }
+}
+
+/// Mixed content whose kind changes every few hundred bytes: runs,
+/// repeats of an earlier stretch, and random bytes.
+std::vector<std::uint8_t> patchwork(std::size_t n, Rng& rng) {
+  std::vector<std::uint8_t> v(n);
+  std::size_t i = 0;
+  while (i < n) {
+    const std::size_t len = std::min(n - i, 1 + rng.uniform_index(700));
+    const std::size_t kind = rng.uniform_index(3);
+    for (std::size_t k = 0; k < len; ++k, ++i) {
+      if (kind == 0) {
+        v[i] = static_cast<std::uint8_t>(len);
+      } else if (kind == 1 && i >= 300) {
+        v[i] = v[i - 300];
+      } else {
+        v[i] = static_cast<std::uint8_t>(rng.next_u64());
+      }
+    }
+  }
+  return v;
+}
+
+TEST(LosslessSections, RandomCutsRoundTrip) {
+  // Random sizes and cut sets, 0 and n included; one scratch reused across
+  // every call must give the bytes of a fresh one.
+  Rng rng(31);
+  LosslessScratch scratch;
+  std::vector<std::uint8_t> out;
+  for (int trial = 0; trial < 80; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t sizes[] = {1, 3, 4, 17, 600, 5000, 70000};
+    const std::size_t n = trial % 2 == 0 ? sizes[rng.uniform_index(7)]
+                                         : 1 + rng.uniform_index(20000);
+    const auto in = patchwork(n, rng);
+    std::vector<std::size_t> cuts;
+    const std::size_t n_cuts = rng.uniform_index(5);
+    for (std::size_t c = 0; c < n_cuts; ++c) {
+      cuts.push_back(rng.uniform_index(n + 1));
+    }
+    if (trial % 5 == 0) cuts.push_back(0);
+    if (trial % 7 == 0) cuts.push_back(n);
+    std::sort(cuts.begin(), cuts.end());
+
+    lossless_compress_sections_into(in, cuts, scratch, out);
+    EXPECT_EQ(out, sections_frame(in, cuts));
+    EXPECT_EQ(lossless_decompress(out), in);
+    const LosslessFrameInfo info = describe_lossless_frame(out);
+    EXPECT_EQ(info.raw_bytes, n);
+    if (info.mode == 6u) {
+      // Neighbouring sections judged alike merge, so there are at least
+      // two sections and at most one per non-empty cut section.
+      std::size_t non_empty = 0;
+      std::size_t prev = 0;
+      for (const std::size_t c : cuts) {
+        if (c > prev) ++non_empty;
+        prev = c;
+      }
+      if (n > prev) ++non_empty;
+      EXPECT_GE(info.sections.size(), 2u);
+      EXPECT_LE(info.sections.size(), non_empty);
+      std::uint64_t total = 0;
+      for (const auto& sec : info.sections) total += sec.raw_bytes;
+      EXPECT_EQ(total, n);
+    } else {
+      EXPECT_TRUE(info.mode == 2u || info.mode == 3u) << int{info.mode};
+    }
+  }
+}
+
+TEST(LosslessSections, ScanEpochWrapMatchesFresh) {
+  // The match scan draws its positions from the same epoch as the parse.
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const auto in = header_then_body(40000, 30000, 10);
+  const std::size_t cuts[] = {40000};
+  const auto reference = sections_frame(in, cuts);
+  LosslessScratch scratch;
+  std::vector<std::uint8_t> out;
+  for (const std::uint32_t epoch :
+       {std::uint32_t{0}, kMax - 70000, kMax - 39999, kMax - 16, kMax}) {
+    scratch.lz_epoch = epoch;
+    lossless_compress_sections_into(in, cuts, scratch, out);
+    EXPECT_EQ(out, reference) << "epoch " << epoch;
+  }
+}
+
+TEST(LosslessSections, BlockSplitSectionRoundTripsAtAnyThreadCount) {
+  // A compressible section past the split threshold is carried as a
+  // block-split frame inside the sectioned one.
+  auto in = header_then_body(0, 100, 11);
+  const auto body = block_split_input((1u << 20) + 5000);
+  in.insert(in.end(), body.begin(), body.end());
+  const std::size_t cuts[] = {100};
+  const int saved = hardware_threads();
+  set_thread_count(1);
+  const auto serial = sections_frame(in, cuts);
+  set_thread_count(4);
+  const auto parallel = sections_frame(in, cuts);
+  EXPECT_EQ(lossless_decompress(parallel), in);
+  set_thread_count(saved);
+  EXPECT_EQ(parallel, serial);
+  const LosslessFrameInfo info = describe_lossless_frame(serial);
+  ASSERT_EQ(info.sections.size(), 2u);
+  EXPECT_EQ(info.sections[0].mode, 2u);
+  EXPECT_EQ(info.sections[1].mode, 4u);
+}
+
+TEST(LosslessSections, CorruptSectionsThrow) {
+  const auto in = header_then_body(3000, 20000, 12);
+  const std::size_t cuts[] = {3000};
+  const auto frame = sections_frame(in, cuts);
+  ASSERT_EQ(frame[0], 6u);
+  // A flip in the stored body, one in the LZ-coded section, and every
+  // truncation point of the heads.
+  for (const std::size_t pos : {frame.size() - 10, std::size_t{20}}) {
+    auto bad = frame;
+    bad[pos] ^= 0x10;
+    EXPECT_THROW(lossless_decompress(bad), Error) << "flip at " << pos;
+  }
+  for (std::size_t len = 0; len < 40; ++len) {
+    const std::vector<std::uint8_t> cut(frame.begin(),
+                                        frame.begin() +
+                                            static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(lossless_decompress(cut), Error) << "cut at " << len;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -168,6 +169,68 @@ TEST(StageBackends, AllPairsRoundTripGoldenCorpus) {
     EXPECT_LE(error_stats(periodic.flat(), periodic_out.flat()).max_abs_error,
               kEb);
   }
+}
+
+/// Masked 3-D field with a handful of spikes far past the quantizer's
+/// reach, so classified streams carry escape symbols (code 0).
+template <typename T>
+NdArray<T> spiked_field(const MaskMap& mask) {
+  NdArray<T> a(mask.shape());
+  Rng rng(7007);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = mask.valid(i)
+               ? static_cast<T>(0.1 * static_cast<double>(i % 14) -
+                                0.07 * static_cast<double>((i / 14) % 12) +
+                                0.04 * rng.uniform())
+               : static_cast<T>(kFill);
+  }
+  for (const std::size_t i : {200u, 1201u, 1999u}) a[i] = static_cast<T>(1e4);
+  return a;
+}
+
+template <typename T>
+void expect_classified_tans_escapes_round_trip() {
+  const Shape shape({16, 12, 14});
+  auto mask = MaskMap::all_valid(shape);
+  for (std::size_t i = 0; i < shape.size(); i += 13) {
+    mask.mutable_data()[i] = 0;
+  }
+  const auto data = spiked_field<T>(mask);
+  CodecContext cctx;
+  const auto stream =
+      ClizCompressor(masked_config(), options_for(EntropyBackend::kTans))
+          .compress(data, kEb, &mask, cctx);
+  EXPECT_EQ(cctx.stats.entropy_backend,
+            static_cast<std::uint8_t>(EntropyBackend::kTans));
+  EXPECT_GE(cctx.stats.outlier_count, 3u);
+  // Through the sectioned writer: a tANS body is worth an LZ parse like
+  // the header and mask before it, so the stream keeps one LZ frame.
+  EXPECT_EQ(describe_lossless_frame(stream).mode, 3u);
+
+  CodecContext dctx;
+  const auto out = ClizCompressor::decompress<T>(stream, dctx);
+  EXPECT_EQ(dctx.stats.entropy_backend,
+            static_cast<std::uint8_t>(EntropyBackend::kTans));
+  EXPECT_EQ(dctx.stats.outlier_count, cctx.stats.outlier_count);
+  ASSERT_EQ(out.shape(), shape);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!mask.valid(i)) {
+      ASSERT_EQ(out[i], static_cast<T>(kFill)) << "masked point " << i;
+      continue;
+    }
+    ASSERT_LE(std::abs(static_cast<double>(out[i]) -
+                       static_cast<double>(data[i])),
+              kEb)
+        << "point " << i;
+  }
+}
+
+TEST(StageBackends, ClassifiedTansEscapesRoundTripF32) {
+  expect_classified_tans_escapes_round_trip<float>();
+}
+
+TEST(StageBackends, ClassifiedTansEscapesRoundTripF64) {
+  expect_classified_tans_escapes_round_trip<double>();
 }
 
 TEST(StageBackends, AllPairsRoundTripChunkedFrames) {

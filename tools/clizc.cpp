@@ -38,6 +38,7 @@
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/io/archive.hpp"
+#include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
 #include "src/metrics/report.hpp"
 
@@ -80,7 +81,9 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
                     only the tiles it intersects; --stats reports tiles
                     touched and the compressed bytes-touched ratio)
   clizc info       <in>
-                   (chunked streams and archive variables additionally
+                   (a single stream also lists its lossless frame: the
+                    mode and, per section, raw and coded bytes and
+                    stored or lz; chunked streams and archive variables
                     list their per-tile index: origin, extent, payload
                     offset/bytes and CRC status)
   clizc analyze    <orig.f32> <recon.f32> -d T,Y,X [-e ABS] [--mask-fill]
@@ -245,6 +248,35 @@ void print_tile_table(const ChunkedReader& reader,
                 dims_to_string(t.extent).c_str(),
                 static_cast<unsigned long long>(t.offset),
                 static_cast<unsigned long long>(t.n_bytes), crc_status);
+  }
+}
+
+const char* lossless_mode_name(std::uint8_t mode) {
+  switch (mode) {
+    case 2: return "stored";
+    case 3: return "lz";
+    case 4: return "blocks";
+    case 6: return "sections";
+    default: return "?";
+  }
+}
+
+/// The lossless frame of a single stream, read from its headers alone: its
+/// mode and, for a sectioned frame, each section's decoded and coded bytes
+/// and whether it was stored or LZ-coded.
+void print_lossless_frame(std::span<const std::uint8_t> stream) {
+  const LosslessFrameInfo f = describe_lossless_frame(stream, g_limits);
+  std::printf("lossless frame: mode %u (%s), %llu bytes decoded\n",
+              static_cast<unsigned>(f.mode), lossless_mode_name(f.mode),
+              static_cast<unsigned long long>(f.raw_bytes));
+  if (f.sections.empty()) return;
+  std::printf("  %-8s %12s %12s  %s\n", "section", "raw", "coded", "coding");
+  for (std::size_t i = 0; i < f.sections.size(); ++i) {
+    const LosslessSectionInfo& s = f.sections[i];
+    std::printf("  %-8zu %12llu %12llu  %s\n", i,
+                static_cast<unsigned long long>(s.raw_bytes),
+                static_cast<unsigned long long>(s.coded_bytes),
+                lossless_mode_name(s.mode));
   }
 }
 
@@ -607,6 +639,7 @@ int cmd_info(Args& args) {
       "cliz stream: %s, %zu float%u values, %zu compressed bytes (%.2fx)\n",
       shape.to_string().c_str(), shape.size(), width * 8, bytes.size(),
       compression_ratio(shape.size() * width, bytes.size()));
+  print_lossless_frame(bytes);
   return 0;
 }
 
